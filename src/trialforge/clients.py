@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import ClientUnavailable, LiveCallForbidden, ReplayMiss
+from .errors import ClientUnavailable, LiveCallForbidden, MalformedResponse, ReplayMiss
 
 SERVICES = ("rxnorm", "annotator", "pubmed_search", "llm")
 MODES = ("record", "replay", "offline")
@@ -59,15 +60,33 @@ class ReplayStore:
         if not path.is_file():
             raise KeyError(digest)
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)["response"]
+            try:
+                payload = json.load(handle)
+            except ValueError as exc:  # JSONDecodeError, or UTF-8 cut mid-character
+                raise MalformedResponse(f"{path}: unreadable fixture: {exc}") from exc
+        if not isinstance(payload, dict) or "response" not in payload:
+            raise MalformedResponse(f"{path}: fixture has no \"response\" key")
+        return payload["response"]
 
     def put(self, service: str, digest: str, request, response) -> Path:
+        """Write the fixture atomically: a crash leaves the old file or none.
+
+        The payload goes to ``<digest>.json.tmp`` in the same directory and
+        is renamed over ``<digest>.json``; `entries` and `has` never see
+        the temp name.
+        """
         path = self._path(service, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"service": service, "request": request, "response": response}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2, ensure_ascii=False)
-            handle.write("\n")
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, sort_keys=True, indent=2, ensure_ascii=False)
+                handle.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     def entries(self, service: str) -> list[str]:

@@ -11,7 +11,7 @@ name and version, then one record object per line.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -301,7 +301,3 @@ def read_studies_jsonl(path: str | Path) -> list[CanonicalStudy]:
                 f"{path}: expected {SCHEMA_NAME} v{SCHEMA_VERSION}, got header {header}"
             )
         return [decode_study(line) for line in fh if line.strip()]
-
-
-def study_field_names() -> list[str]:
-    return [f.name for f in fields(CanonicalStudy)]

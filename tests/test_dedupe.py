@@ -3,6 +3,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from _corpus import make_dedupe_corpus, make_record
 
 from trialforge.dedupe import (
@@ -36,6 +39,58 @@ def test_levenshtein_known_values():
     assert levenshtein("abc", "abc") == 0
     assert levenshtein("", "abc") == 3
     assert levenshtein("flaw", "lawn") == 2
+
+
+def reference_levenshtein(a: str, b: str) -> int:
+    """Two-row O(n*m) dynamic program: the oracle for the bit-parallel version."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
+        prev = cur
+    return prev[-1]
+
+
+_ALPHABET = "abc xyzéñøß"
+_edit = st.tuples(st.sampled_from("ids"), st.floats(0, 1), st.sampled_from(_ALPHABET))
+# drawing the length first spreads examples over 0-200 instead of favouring short text
+_title = st.integers(0, 200).flatmap(lambda n: st.text(_ALPHABET, min_size=n, max_size=n))
+
+
+def _apply_edits(text: str, edits) -> str:
+    chars = list(text)
+    for op, where, ch in edits:
+        pos = int(where * len(chars))
+        if op == "i":
+            chars.insert(pos, ch)
+        elif chars:
+            pos = min(pos, len(chars) - 1)
+            if op == "d":
+                del chars[pos]
+            else:
+                chars[pos] = ch
+    return "".join(chars)
+
+
+@given(
+    base=_title,
+    edits=st.lists(_edit, max_size=12),
+    other=st.one_of(st.none(), _title),
+)
+def test_levenshtein_matches_reference_dp(base, edits, other):
+    # near pairs (a few random edits) sit around the 0.95 threshold; unrelated
+    # pairs exercise large distances. Lengths up to 200 span several machine words.
+    twin = _apply_edits(base, edits) if other is None else other
+    expected = reference_levenshtein(base, twin)
+    assert levenshtein(base, twin) == expected == levenshtein(twin, base)
 
 
 def test_similarity_hand_computed():

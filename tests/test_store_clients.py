@@ -1,10 +1,13 @@
 import json
+import os
 import random
+import shutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trialforge.cli import main
 from trialforge.clients import (
     MODES,
     SERVICES,
@@ -22,6 +25,7 @@ from trialforge.errors import (
     ClientUnavailable,
     ForeignKeyViolation,
     LiveCallForbidden,
+    MalformedResponse,
     ReplayMiss,
 )
 from trialforge.store import (
@@ -141,6 +145,58 @@ class TestServiceClient:
     def test_constants(self):
         assert SERVICES == ("rxnorm", "annotator", "pubmed_search", "llm")
         assert MODES == ("record", "replay", "offline")
+
+
+class TestReplayStoreDurability:
+    def test_put_failing_mid_dump_leaves_no_fixture(self, tmp_path):
+        store = ReplayStore(tmp_path)
+        digest = request_hash({"prompt": "x"})
+        # sort_keys puts "a" first, so it is written before object() fails
+        with pytest.raises(TypeError):
+            store.put("llm", digest, {"prompt": "x"}, {"a": "partial", "z": object()})
+        assert not (tmp_path / "llm" / f"{digest}.json").exists()
+        assert not store.has("llm", digest)
+        assert store.entries("llm") == []
+        assert list((tmp_path / "llm").iterdir()) == []
+        # a temp file left by a killed writer is invisible to lookups
+        (tmp_path / "llm" / f"{digest}.json.tmp").write_text('{"resp', encoding="utf-8")
+        assert not store.has("llm", digest)
+        assert store.entries("llm") == []
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"service": "llm", "resp', '{"request": {}}\n', "[]\n"],
+        ids=["truncated", "no-response-key", "not-an-object"],
+    )
+    def test_malformed_fixture_is_client_error(self, tmp_path, text):
+        store = ReplayStore(tmp_path)
+        digest = request_hash({"prompt": "x"})
+        (tmp_path / "llm").mkdir()
+        (tmp_path / "llm" / f"{digest}.json").write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedResponse):
+            ServiceClient("replay", store).call("llm", {"prompt": "x"})
+
+    def test_truncated_fixture_exits_with_client_error(self, golden, tmp_path, monkeypatch, capsys):
+        for name in list(os.environ):
+            if name.startswith("FORGE_"):
+                monkeypatch.delenv(name)
+        replay = tmp_path / "replay"
+        shutil.copytree(golden.replay, replay)
+        fixture = replay / "rxnorm" / f"{ReplayStore(replay).entries('rxnorm')[0]}.json"
+        fixture.write_bytes(fixture.read_bytes()[:40])
+        argv = [
+            "run-all",
+            "--corpus", str(golden.corpus),
+            "--out", str(tmp_path / "out"),
+            "--seed", str(golden.seed),
+            "--mode", "replay",
+            "--replay-dir", str(replay),
+            "--allow-small",
+        ]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("client error: ")
+        assert "unreadable fixture" in err
 
 
 class TestConfig:
