@@ -53,7 +53,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="let recency splits truncate instead of failing on small corpora",
     )
-    parser.add_argument("--workers", type=int, help="parallelism bound for parsing loops")
 
 
 _FLAG_TO_KEY = {
@@ -65,7 +64,6 @@ _FLAG_TO_KEY = {
     "replay_dir": "replay_dir",
     "awaiting": "awaiting",
     "allow_small": "allow_small_split",
-    "workers": "workers",
 }
 
 

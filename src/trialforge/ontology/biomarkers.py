@@ -49,7 +49,7 @@ class _Row:
 
 @dataclass(frozen=True)
 class BiomarkerIndex:
-    """Read-only after build; share freely across workers."""
+    """Read-only after build; safe to share."""
 
     exact: Mapping[str, _Row]
     token_sorted: Mapping[str, _Row]

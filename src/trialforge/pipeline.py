@@ -19,6 +19,13 @@ Expected corpus layout::
       replay/                  default replay store (override with replay_dir)
 
 Every subdirectory is optional; missing ones simply contribute nothing.
+
+Stages read the inputs they share (CT.gov docs, PubMed articles, review
+index, merged studies, dedupe aliases, document index) through a run
+context that reads each on first use and keeps it, so a skipped stage
+reads nothing. ``run_pipeline`` starts a fresh context before ``dedupe``
+and before ``database``, so one span runs ``dedupe`` to ``graph`` and
+another ``database`` and ``benchmarks``.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ import hashlib
 import json
 import logging
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -41,7 +48,6 @@ from .benchgen import (
     gen_sample_size_items,
     gen_screening_items,
     gen_search_items,
-    numeric_id_key,
     split_by_numeric_id,
     split_search_items,
     write_benchmark_files,
@@ -114,13 +120,7 @@ _BIOMARKER_MAX_TOKENS = 6
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Everything a run depends on besides the corpus bytes themselves.
-
-    ``workers`` bounds parallelism in the pure parsing loops and is
-    deliberately left out of the fingerprint: it must never change what
-    gets written, only how fast. Client-facing loops always run
-    sequentially so the replay store sees one writer.
-    """
+    """Everything a run depends on besides the corpus bytes themselves."""
 
     corpus_dir: Path
     out_dir: Path
@@ -133,15 +133,12 @@ class PipelineSettings:
     split_test_size: int = 1000
     split_validation_size: int = 500
     search_test_size: int = 100
-    workers: int = 1
     vocab_dir: Optional[Path] = None
     mapping_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     @classmethod
     def from_config(cls, config: ForgeConfig) -> "PipelineSettings":
@@ -161,7 +158,6 @@ class PipelineSettings:
             split_test_size=config.get_int("split_test_size", 1000),
             split_validation_size=config.get_int("split_validation_size", 500),
             search_test_size=config.get_int("search_test_size", 100),
-            workers=config.get_int("workers", 1),
             vocab_dir=config.get_path("vocab_dir"),
             mapping_dir=config.get_path("mapping_dir"),
         )
@@ -296,16 +292,16 @@ def _read_rows_jsonl(path: Path) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def _map_ordered(fn: Callable, items: list, workers: int) -> list:
-    """Apply ``fn`` preserving input order; threads only when asked for."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # corpus readers
+
+
+def _json_list(path: Path, sort_key: str) -> list[dict]:
+    """A JSON array of objects ordered by one field; empty when the file is absent."""
+    if not path.is_file():
+        return []
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    return sorted(rows, key=lambda row: str(row.get(sort_key, "")))
 
 
 def _corpus_registry_batches(corpus_dir: Path) -> list[tuple[str, list[dict]]]:
@@ -333,19 +329,7 @@ def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, dict]:
 
 
 def _corpus_pubmed_articles(corpus_dir: Path) -> list[dict]:
-    path = corpus_dir / "pubmed" / "articles.json"
-    if not path.is_file():
-        return []
-    articles = json.loads(path.read_text(encoding="utf-8"))
-    return sorted(articles, key=lambda a: str(a.get("pmid", "")))
-
-
-def _corpus_reviews(corpus_dir: Path) -> list[dict]:
-    path = corpus_dir / "reviews" / "index.json"
-    if not path.is_file():
-        return []
-    reviews = json.loads(path.read_text(encoding="utf-8"))
-    return sorted(reviews, key=lambda r: str(r.get("pmid", "")))
+    return _json_list(corpus_dir / "pubmed" / "articles.json", "pmid")
 
 
 def _corpus_review_xmls(corpus_dir: Path) -> list[tuple[str, str]]:
@@ -359,84 +343,11 @@ def _corpus_review_xmls(corpus_dir: Path) -> list[tuple[str, str]]:
 
 
 def _corpus_protocol_pairs(corpus_dir: Path) -> list[dict]:
-    path = corpus_dir / "protocols" / "pairs.json"
-    if not path.is_file():
-        return []
-    pairs = json.loads(path.read_text(encoding="utf-8"))
-    return sorted(pairs, key=lambda p: str(p.get("nct_id", "")))
+    return _json_list(corpus_dir / "protocols" / "pairs.json", "nct_id")
 
 
 # ---------------------------------------------------------------------------
-# stages
-
-
-def _stage_ingest(settings: PipelineSettings, clients: _Clients, out: Path) -> dict:
-    studies: list[CanonicalStudy] = []
-    counts = {"registry": 0, "ctgov": 0, "pubmed": 0}
-
-    for source_tag, rows in _corpus_registry_batches(settings.corpus_dir):
-        mapping_dir = settings.mapping_dir
-        for raw in rows:
-            studies.append(parse_registry_record(raw, source_tag, mapping_dir=mapping_dir))
-            counts["registry"] += 1
-
-    docs = _corpus_ctgov_docs(settings.corpus_dir)
-    for nct_id in sorted(docs):
-        studies.append(parse_ctgov_study(docs[nct_id]))
-        counts["ctgov"] += 1
-
-    for record in _corpus_pubmed_articles(settings.corpus_dir):
-        studies.append(extract_pubmed_study(record))
-        counts["pubmed"] += 1
-
-    studies.sort(key=lambda s: (s.source.value, s.study_id))
-    write_studies_jsonl(studies, out / "studies.jsonl")
-    counts["total"] = len(studies)
-    counts["flagged"] = sum(1 for s in studies if s.flagged)
-    return counts
-
-
-def _stage_dedupe(settings: PipelineSettings, clients: _Clients, out: Path) -> dict:
-    records = read_studies_jsonl(settings.out_dir / STAGE_DIRS["ingest"] / "studies.jsonl")
-    merged, decisions, triples = dedupe_corpus(records, threshold=settings.dedupe_threshold)
-    write_studies_jsonl(merged, out / "studies.jsonl")
-
-    with open(out / "decisions.tsv", "w", encoding="utf-8") as fh:
-        fh.write("survivor_source\tsurvivor_id\tabsorbed\tevidence\tscore\n")
-        for decision in decisions:
-            fh.write("\t".join(decision.to_row()) + "\n")
-
-    _write_rows_jsonl(out / "dup_links.jsonl", [store.relation_row(t) for t in triples])
-    return {
-        "input": len(records),
-        "output": len(merged),
-        "absorbed": len(records) - len(merged),
-        "links": len(triples),
-    }
-
-
-def _merged_studies(settings: PipelineSettings) -> list[CanonicalStudy]:
-    return read_studies_jsonl(settings.out_dir / STAGE_DIRS["dedupe"] / "studies.jsonl")
-
-
-def _alias_map(settings: PipelineSettings) -> dict[str, str]:
-    """Absorbed study id to surviving study id, from the dedupe audit."""
-    path = settings.out_dir / STAGE_DIRS["dedupe"] / "decisions.tsv"
-    aliases: dict[str, str] = {}
-    if not path.is_file():
-        return aliases
-    with open(path, encoding="utf-8") as fh:
-        next(fh, None)
-        for line in fh:
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) < 4 or not cells[2]:
-                continue
-            survivor_id = cells[1]
-            for chunk in cells[2].split(";"):
-                _, _, absorbed_id = chunk.partition(":")
-                if absorbed_id and absorbed_id != survivor_id:
-                    aliases[absorbed_id] = survivor_id
-    return aliases
+# run context
 
 
 class _DocIndex:
@@ -465,6 +376,107 @@ class _DocIndex:
         return [study_id] + sorted(self.absorbed.get(study_id, []))
 
 
+class _RunContext:
+    """Settings, clients and the stage inputs shared within one run span.
+
+    Stages share what they read here and must not mutate it. Readers are
+    module globals looked up at call time, so they can be wrapped.
+    """
+
+    def __init__(self, settings: PipelineSettings, clients: _Clients) -> None:
+        self.settings = settings
+        self.clients = clients
+
+    def stage_dir(self, name: str) -> Path:
+        return self.settings.out_dir / STAGE_DIRS[name]
+
+    @cached_property
+    def ctgov_docs(self) -> dict[str, dict]:
+        return _corpus_ctgov_docs(self.settings.corpus_dir)
+
+    @cached_property
+    def pubmed_articles(self) -> list[dict]:
+        return _corpus_pubmed_articles(self.settings.corpus_dir)
+
+    @cached_property
+    def reviews(self) -> list[dict]:
+        return _json_list(self.settings.corpus_dir / "reviews" / "index.json", "pmid")
+
+    @cached_property
+    def studies(self) -> list[CanonicalStudy]:
+        """The merged study table written by dedupe."""
+        return read_studies_jsonl(self.stage_dir("dedupe") / "studies.jsonl")
+
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        """Absorbed study id to surviving study id, from the dedupe audit."""
+        path = self.stage_dir("dedupe") / "decisions.tsv"
+        aliases: dict[str, str] = {}
+        if not path.is_file():
+            return aliases
+        with open(path, encoding="utf-8") as fh:
+            next(fh, None)
+            for line in fh:
+                cells = line.rstrip("\n").split("\t")
+                if len(cells) < 4 or not cells[2]:
+                    continue
+                survivor_id = cells[1]
+                for chunk in cells[2].split(";"):
+                    _, _, absorbed_id = chunk.partition(":")
+                    if absorbed_id and absorbed_id != survivor_id:
+                        aliases[absorbed_id] = survivor_id
+        return aliases
+
+    @cached_property
+    def doc_index(self) -> _DocIndex:
+        return _DocIndex(self.ctgov_docs, self.aliases)
+
+
+# ---------------------------------------------------------------------------
+# stages
+
+
+def _stage_ingest(run: _RunContext, out: Path) -> dict:
+    mapping_dir = run.settings.mapping_dir
+    registry = [
+        parse_registry_record(raw, source_tag, mapping_dir=mapping_dir)
+        for source_tag, rows in _corpus_registry_batches(run.settings.corpus_dir)
+        for raw in rows
+    ]
+    docs = run.ctgov_docs
+    ctgov = [parse_ctgov_study(docs[nct_id]) for nct_id in sorted(docs)]
+    pubmed = [extract_pubmed_study(record) for record in run.pubmed_articles]
+
+    studies = sorted(registry + ctgov + pubmed, key=lambda s: (s.source.value, s.study_id))
+    write_studies_jsonl(studies, out / "studies.jsonl")
+    return {
+        "registry": len(registry),
+        "ctgov": len(ctgov),
+        "pubmed": len(pubmed),
+        "total": len(studies),
+        "flagged": sum(1 for s in studies if s.flagged),
+    }
+
+
+def _stage_dedupe(run: _RunContext, out: Path) -> dict:
+    records = read_studies_jsonl(run.stage_dir("ingest") / "studies.jsonl")
+    merged, decisions, triples = dedupe_corpus(records, threshold=run.settings.dedupe_threshold)
+    write_studies_jsonl(merged, out / "studies.jsonl")
+
+    with open(out / "decisions.tsv", "w", encoding="utf-8") as fh:
+        fh.write("survivor_source\tsurvivor_id\tabsorbed\tevidence\tscore\n")
+        for decision in decisions:
+            fh.write("\t".join(decision.to_row()) + "\n")
+
+    _write_rows_jsonl(out / "dup_links.jsonl", [store.relation_row(t) for t in triples])
+    return {
+        "input": len(records),
+        "output": len(merged),
+        "absorbed": len(records) - len(merged),
+        "links": len(triples),
+    }
+
+
 def _candidate_spans(text: str) -> list[str]:
     tokens = text.split()
     spans = []
@@ -474,11 +486,10 @@ def _candidate_spans(text: str) -> list[str]:
     return spans
 
 
-def _stage_link(settings: PipelineSettings, clients: _Clients, out: Path) -> dict:
-    studies = _merged_studies(settings)
-    index = _DocIndex(_corpus_ctgov_docs(settings.corpus_dir), _alias_map(settings))
+def _stage_link(run: _RunContext, out: Path) -> dict:
+    studies, index, clients = run.studies, run.doc_index, run.clients
 
-    resources = load_drug_resources(settings.vocab_dir)
+    resources = load_drug_resources(run.settings.vocab_dir)
     drug_rows: list[dict] = []
     seen_drugs: set[tuple[str, str]] = set()
     linked: dict[str, object] = {}
@@ -515,7 +526,7 @@ def _stage_link(settings: PipelineSettings, clients: _Clients, out: Path) -> dic
             for classification in classified[text]:
                 endpoint_rows.append(store.endpoint_row(study.study_id, classification))
 
-    bio_index = load_biomarker_index(settings.vocab_dir)
+    bio_index = load_biomarker_index(run.settings.vocab_dir)
     biomarker_rows: list[dict] = []
     seen_marks: set[tuple[str, str, str]] = set()
     for study in studies:
@@ -542,13 +553,11 @@ def _stage_link(settings: PipelineSettings, clients: _Clients, out: Path) -> dic
     return counts
 
 
-def _stage_extract(settings: PipelineSettings, clients: _Clients, out: Path) -> dict:
-    studies = _merged_studies(settings)
+def _stage_extract(run: _RunContext, out: Path) -> dict:
+    studies, aliases, index, clients = run.studies, run.aliases, run.doc_index, run.clients
+    articles = run.pubmed_articles
     surviving = {s.study_id for s in studies}
-    aliases = _alias_map(settings)
-    index = _DocIndex(_corpus_ctgov_docs(settings.corpus_dir), aliases)
-    articles = _corpus_pubmed_articles(settings.corpus_dir)
-    hierarchy = load_meddra(settings.vocab_dir)
+    hierarchy = load_meddra(run.settings.vocab_dir)
 
     # (surviving id, document) pairs; rows parsed out of a document get
     # re-keyed when the document id was absorbed during dedupe.
@@ -572,12 +581,11 @@ def _stage_extract(settings: PipelineSettings, clients: _Clients, out: Path) -> 
         except MissingResultsSection:
             skipped_no_results += 1
 
-    ae_batches = _map_ordered(
-        lambda pair: rekey(pair[0], parse_adverse_events(pair[1], hierarchy)),
-        live_docs,
-        settings.workers,
-    )
-    ae_rows: list[AdverseEventRow] = [row for batch in ae_batches for row in batch]
+    ae_rows: list[AdverseEventRow] = [
+        row
+        for study_id, doc in live_docs
+        for row in rekey(study_id, parse_adverse_events(doc, hierarchy))
+    ]
 
     disposition_rows: list[DispositionRow] = []
     for study_id, doc in live_docs:
@@ -647,29 +655,21 @@ def _stage_extract(settings: PipelineSettings, clients: _Clients, out: Path) -> 
     return counts
 
 
-def _stage_graph(settings: PipelineSettings, clients: _Clients, out: Path) -> dict:
+def _stage_graph(run: _RunContext, out: Path) -> dict:
     triples: list[RelationTriple] = []
     review_ids: set[str] = set()
 
-    for pmid, xml_text in _corpus_review_xmls(settings.corpus_dir):
+    for pmid, xml_text in _corpus_review_xmls(run.settings.corpus_dir):
         review_ids.add(pmid)
-        triples.extend(extract_review_references(pmid, xml_text, awaiting=settings.awaiting))
-    for review in _corpus_reviews(settings.corpus_dir):
+        triples.extend(extract_review_references(pmid, xml_text, awaiting=run.settings.awaiting))
+    for review in run.reviews:
         review_ids.add(str(review.get("pmid", "")))
 
-    for article in _corpus_pubmed_articles(settings.corpus_dir):
+    for article in run.pubmed_articles:
         triples.extend(extract_nct_links(article))
 
-    for row in _read_rows_jsonl(settings.out_dir / STAGE_DIRS["dedupe"] / "dup_links.jsonl"):
-        triples.append(
-            RelationTriple(
-                head_id=row["head_id"],
-                relation_type=row["relation_type"],
-                tail_id=row["tail_id"],
-                head_source=Source(row["head_source"]),
-                tail_source=Source(row["tail_source"]),
-            )
-        )
+    dup_links = _read_rows_jsonl(run.stage_dir("dedupe") / "dup_links.jsonl")
+    triples.extend(store.relation_from_row(row) for row in dup_links)
 
     graph = assemble_graph(triples, review_ids=review_ids)
     for head in graph.dangling_heads:
@@ -685,14 +685,13 @@ def _stage_graph(settings: PipelineSettings, clients: _Clients, out: Path) -> di
     }
 
 
-def _stage_database(settings: PipelineSettings, clients: _Clients, out: Path) -> dict:
-    studies = _merged_studies(settings)
-    link_dir = settings.out_dir / STAGE_DIRS["link"]
-    extract_dir = settings.out_dir / STAGE_DIRS["extract"]
-    graph_dir = settings.out_dir / STAGE_DIRS["graph"]
+def _stage_database(run: _RunContext, out: Path) -> dict:
+    link_dir = run.stage_dir("link")
+    extract_dir = run.stage_dir("extract")
+    graph_dir = run.stage_dir("graph")
 
     tables = {
-        "studies": [store.study_row(s) for s in studies],
+        "studies": [store.study_row(s) for s in run.studies],
         "conditions": _read_rows_jsonl(link_dir / "conditions.jsonl"),
         "drugs": _read_rows_jsonl(link_dir / "drugs.jsonl"),
         "disposition": _read_rows_jsonl(extract_dir / "disposition.jsonl"),
@@ -709,23 +708,10 @@ def _stage_database(settings: PipelineSettings, clients: _Clients, out: Path) ->
     }
 
 
-def _stage_benchmarks(settings: PipelineSettings, clients: _Clients, out: Path) -> dict:
-    studies = _merged_studies(settings)
-    docs = _corpus_ctgov_docs(settings.corpus_dir)
-    index = _DocIndex(docs, _alias_map(settings))
-    reviews = _corpus_reviews(settings.corpus_dir)
-    articles = _corpus_pubmed_articles(settings.corpus_dir)
-    relation_rows = _read_rows_jsonl(settings.out_dir / STAGE_DIRS["graph"] / "relations.jsonl")
-    triples = [
-        RelationTriple(
-            head_id=row["head_id"],
-            relation_type=row["relation_type"],
-            tail_id=row["tail_id"],
-            head_source=Source(row["head_source"]),
-            tail_source=Source(row["tail_source"]),
-        )
-        for row in relation_rows
-    ]
+def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
+    settings, clients, reviews = run.settings, run.clients, run.reviews
+    relation_rows = _read_rows_jsonl(run.stage_dir("graph") / "relations.jsonl")
+    triples = [store.relation_from_row(row) for row in relation_rows]
 
     review_pmids = {str(r.get("pmid", "")) for r in reviews}
     review_groups: dict[str, list[str]] = {}
@@ -737,18 +723,18 @@ def _stage_benchmarks(settings: PipelineSettings, clients: _Clients, out: Path) 
 
     items = []
     for field_name in DESIGN_FIELDS:
-        items.extend(gen_design_mcq(review_groups, docs, field_name, settings.seed))
+        items.extend(gen_design_mcq(review_groups, run.ctgov_docs, field_name, settings.seed))
 
     items.extend(gen_sample_size_items(_corpus_protocol_pairs(settings.corpus_dir), clients.llm))
 
-    outcome_rows = _read_rows_jsonl(settings.out_dir / STAGE_DIRS["extract"] / "trial_outcomes.jsonl")
+    outcome_rows = _read_rows_jsonl(run.stage_dir("extract") / "trial_outcomes.jsonl")
     outcomes = {
         row["study_id"]: OutcomeLabel(row["study_id"], row["outcome_type"], row["evidence"])
         for row in outcome_rows
     }
     completion_trials = []
-    for study in sorted(studies, key=lambda s: s.study_id):
-        doc = index.doc_for(study.study_id)
+    for study in sorted(run.studies, key=lambda s: s.study_id):
+        doc = run.doc_index.doc_for(study.study_id)
         if doc is not None:
             completion_trials.append((study, doc))
     items.extend(gen_completion_items(completion_trials, outcomes))
@@ -757,7 +743,7 @@ def _stage_benchmarks(settings: PipelineSettings, clients: _Clients, out: Path) 
     items.extend(search_items)
 
     titles = {
-        str(a.get("pmid", "")): str(a.get("title") or "") for a in articles
+        str(a.get("pmid", "")): str(a.get("title") or "") for a in run.pubmed_articles
     }
     items.extend(gen_screening_items(reviews, triples, titles, settings.seed))
 
@@ -851,52 +837,50 @@ def run_pipeline(
     corpus_hash = hash_corpus(settings.corpus_dir)
     config_hash = _sha256_text(json.dumps(settings.fingerprint(), sort_keys=True))
     clients = build_clients(settings, transports)
+    run = _RunContext(settings, clients)
 
     upstream = ""
     summary: dict = {"corpus_hash": corpus_hash, "config_hash": config_hash, "stages": {}}
     for name in STAGES:
+        if name in ("dedupe", "database"):
+            # dedupe and database read no corpus file but hold every record or
+            # every table, so earlier parses are dropped before them (one context
+            # for the whole run raised peak RSS by 13% on bulk-replay).
+            run = _RunContext(settings, clients)
         stage_dir = settings.out_dir / STAGE_DIRS[name]
         manifest_path = stage_dir / "manifest.json"
         input_hash = _sha256_text(f"{corpus_hash}:{config_hash}:{upstream}")
 
+        existing = _load_manifest(manifest_path)
         if name not in wanted:
-            existing = _load_manifest(manifest_path)
             if existing is not None:
                 upstream = _sha256_file(manifest_path)
             continue
 
-        existing = _load_manifest(manifest_path)
         if (
             existing is not None
             and existing.get("input_hash") == input_hash
             and _outputs_intact(stage_dir, existing)
         ):
             logger.info("stage %s: up to date", name)
-            record = existing
-            record["skipped"] = True
+            summary["stages"][name] = {"counts": existing.get("counts", {}), "skipped": True}
         else:
             if stage_dir.exists():
                 shutil.rmtree(stage_dir)
             stage_dir.mkdir(parents=True)
             logger.info("stage %s: running", name)
             try:
-                counts = _STAGE_FUNCS[name](settings, clients, stage_dir)
+                counts = _STAGE_FUNCS[name](run, stage_dir)
             except ForgeError as exc:
                 exc.args = (f"stage {name}: {exc}",)
                 raise
-            record = {
+            _write_json(manifest_path, {
                 "stage": name,
                 "input_hash": input_hash,
                 "counts": counts,
                 "outputs": _hash_outputs(stage_dir),
-            }
-            _write_json(manifest_path, record)
-            record = dict(record)
-            record["skipped"] = False
-        summary["stages"][name] = {
-            "counts": record.get("counts", {}),
-            "skipped": record["skipped"],
-        }
+            })
+            summary["stages"][name] = {"counts": counts, "skipped": False}
         upstream = _sha256_file(manifest_path)
 
     summary["pipeline_hash"] = upstream

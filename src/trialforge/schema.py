@@ -91,6 +91,12 @@ class StudyStatus(str, Enum):
     OTHER = "other"
 
 
+_SOURCE_VALUES = frozenset(s.value for s in Source)
+_PHASE_VALUES = frozenset(p.value for p in PhaseLabel)
+_STUDY_TYPE_VALUES = frozenset(t.value for t in StudyType)
+_GENDER_VALUES = frozenset(g.value for g in GenderLabel)
+_STATUS_VALUES = frozenset(s.value for s in StudyStatus)
+
 #: Fields that make a record unusable when empty.
 CRITICAL_FIELDS = ("study_id", "title")
 
@@ -235,7 +241,7 @@ def _validate_raw(d: dict) -> list[str]:
     if not isinstance(study_id, str) or not study_id.strip():
         out.append("study_id: empty")
     src = d.get("source")
-    if src not in {s.value for s in Source}:
+    if src not in _SOURCE_VALUES:
         out.append(f"source: unknown source {src!r}")
     title = d.get("title", "")
     if not isinstance(title, str) or not title.strip():
@@ -243,18 +249,17 @@ def _validate_raw(d: dict) -> list[str]:
     if isinstance(study_id, str) and isinstance(title, str):
         if needs_flag(study_id, title) and not d.get("flagged", False):
             out.append("flagged: must be true when a critical field is empty")
-    valid_phases = {p.value for p in PhaseLabel}
     for p in d.get("phases", []):
-        if p not in valid_phases:
+        if p not in _PHASE_VALUES:
             out.append(f"phases: unknown phase {p!r}")
     st = d.get("study_type")
-    if st is not None and st not in {t.value for t in StudyType}:
+    if st is not None and st not in _STUDY_TYPE_VALUES:
         out.append(f"study_type: unknown value {st!r}")
     g = d.get("gender")
-    if g is not None and g not in {x.value for x in GenderLabel}:
+    if g is not None and g not in _GENDER_VALUES:
         out.append(f"gender: unknown value {g!r}")
     status = d.get("status", "other")
-    if status not in {x.value for x in StudyStatus}:
+    if status not in _STATUS_VALUES:
         out.append(f"status: unknown value {status!r}")
     for key in ("target_accrual", "actual_accrual", "start_year"):
         v = d.get(key)

@@ -23,7 +23,7 @@ from .ontology.biomarkers import BiomarkerMatch
 from .ontology.conditions import ConditionAnnotation
 from .ontology.drugs import DrugEntry
 from .ontology.endpoints import EndpointClassification
-from .schema import CanonicalStudy, RelationTriple
+from .schema import CanonicalStudy, RelationTriple, Source
 
 TABLE_COLUMNS = {
     "studies": (
@@ -439,3 +439,13 @@ def relation_row(triple: RelationTriple) -> dict:
         "head_source": triple.head_source.value,
         "tail_source": triple.tail_source.value,
     }
+
+
+def relation_from_row(row: dict) -> RelationTriple:
+    return RelationTriple(
+        head_id=row["head_id"],
+        relation_type=row["relation_type"],
+        tail_id=row["tail_id"],
+        head_source=Source(row["head_source"]),
+        tail_source=Source(row["tail_source"]),
+    )

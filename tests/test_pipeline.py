@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from trialforge import pipeline
 from trialforge.errors import LiveCallForbidden, ReplayMiss
 from trialforge.pipeline import (
     STAGE_DIRS,
@@ -177,6 +178,42 @@ def test_resume_detects_corrupted_output(golden, tmp_path):
     assert second["stages"]["benchmarks"]["skipped"] is False
     assert target.read_bytes() == clean
     assert second["pipeline_hash"] == first["pipeline_hash"]
+
+
+def test_inputs_are_read_once_per_context_span(golden, tmp_path, monkeypatch):
+    readers = ("_corpus_ctgov_docs", "_corpus_pubmed_articles", "read_studies_jsonl")
+    calls = dict.fromkeys(readers, 0)
+
+    def counting(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in readers:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    settings = replay_settings(golden, tmp_path / "out")
+
+    def run_and_count() -> tuple[dict, dict]:
+        calls.update(dict.fromkeys(readers, 0))
+        summary = run_pipeline(settings)
+        return summary, dict(calls)
+
+    _, cold = run_and_count()
+    assert all(1 <= count <= 3 for count in cold.values()), cold
+
+    noop, counts = run_and_count()
+    assert all(stage["skipped"] for stage in noop["stages"].values())
+    assert counts == dict.fromkeys(readers, 0)
+
+    target = tmp_path / "out" / STAGE_DIRS["extract"] / "trial_results.jsonl"
+    target.write_bytes(target.read_bytes() + b"{}\n")
+    repair, counts = run_and_count()
+    assert [name for name, stage in repair["stages"].items() if not stage["skipped"]] == ["extract"]
+    assert all(count <= 1 for count in counts.values()), counts
 
 
 def test_stage_subset_must_be_known(golden, tmp_path):

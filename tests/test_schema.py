@@ -107,11 +107,21 @@ def test_validate_is_idempotent_and_pure():
     assert s.actual_accrual == -3  # untouched
 
 
-def test_validate_raw_dict_unknown_phase():
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("source", "CTGOVX", "source: unknown source 'CTGOVX'"),
+        ("phases", ["PHASE9"], "phases: unknown phase 'PHASE9'"),
+        ("study_type", "RANDOM", "study_type: unknown value 'RANDOM'"),
+        ("gender", "ANY", "gender: unknown value 'ANY'"),
+        ("status", "paused", "status: unknown value 'paused'"),
+    ],
+    ids=["source", "phases", "study_type", "gender", "status"],
+)
+def test_validate_raw_dict_unknown_enum_value(key, value, message):
     d = make_study().to_dict()
-    d["phases"] = ["PHASE9"]
-    report = validate_study(d)
-    assert any("unknown phase" in v and "PHASE9" in v for v in report)
+    d[key] = value
+    assert validate_study(d) == [message]
 
 
 def test_validate_raw_dict_accrual_sign():
