@@ -10,7 +10,7 @@ import re
 from ..errors import MalformedResponse, SelfReferenceViolation
 from ..schema import RelationTriple, Source
 from .items import OPTION_LETTERS, BenchmarkItem
-from .splits import SplitAssignment, numeric_id_key
+from .splits import SplitAssignment, split_by_numeric_id
 
 logger = logging.getLogger(__name__)
 
@@ -110,14 +110,13 @@ def split_search_items(
     items: list[BenchmarkItem], test_size: int = SEARCH_TEST_REVIEWS
 ) -> list[SplitAssignment]:
     """Most recent ``test_size`` reviews (by numeric PMID) form the test set."""
-    ordered = sorted(
+    return split_by_numeric_id(
         items,
-        key=lambda item: (-numeric_id_key(item.provenance["review_pmid"]), item.item_id),
+        id_extractor=lambda item: item.item_id,
+        test_size=test_size,
+        validation_size=0,
+        allow_small=True,
     )
-    return [
-        SplitAssignment(item.item_id, "test" if position < test_size else "train")
-        for position, item in enumerate(ordered)
-    ]
 
 
 def gen_screening_items(

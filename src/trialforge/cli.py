@@ -15,11 +15,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from .benchgen import read_benchmark_file
 from .clients import MODES, ReplayStore, ServiceClient, pubmed_search_callable
 from .config import ForgeConfig, load_config
 from .errors import ClientError, DataError
 from .evaluate import evaluate_benchmarks, load_predictions, write_report
-from .pipeline import STAGES, PipelineSettings, run_pipeline
+from .pipeline import PipelineSettings, run_pipeline
 from .relations import AWAITING_MODES
 from .reward import score_reward
 
@@ -105,27 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_stage(args: argparse.Namespace) -> int:
     settings = _settings_from_args(args)
-    final = STAGE_VERBS[args.verb]
-    wanted = STAGES[: STAGES.index(final) + 1]
-    summary = run_pipeline(settings, stages=wanted)
-    for name in wanted:
-        stage = summary["stages"][name]
+    summary = run_pipeline(settings, until=STAGE_VERBS[args.verb])
+    for name, stage in summary["stages"].items():
         state = "skipped" if stage["skipped"] else "ran"
         print(f"{name}: {state} {json.dumps(stage['counts'], sort_keys=True)}")
     print(f"pipeline_hash: {summary['pipeline_hash']}")
     return 0
 
 
-def _read_benchmark_records(benchmarks_dir: Path, split: str) -> list[dict]:
-    records = []
-    for path in sorted(benchmarks_dir.glob(f"*.{split}.jsonl")):
-        with open(path, encoding="utf-8") as fh:
-            records.extend(json.loads(line) for line in fh if line.strip())
-    return records
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    records = _read_benchmark_records(args.benchmarks, args.split)
+    records = [
+        record
+        for path in sorted(args.benchmarks.glob(f"*.{args.split}.jsonl"))
+        for record in read_benchmark_file(path)
+    ]
     if not records:
         raise ValueError(f"no *.{args.split}.jsonl files under {args.benchmarks}")
     predictions = load_predictions(args.predictions)

@@ -318,8 +318,10 @@ def dedupe_inter(
     flagged = sorted((r for r in records if r.flagged), key=_fold_order_key)
     items = sorted((r for r in records if not r.flagged), key=_fold_order_key)
     uf = _UnionFind(len(items))
+    scores: dict[tuple[int, int], float] = {}
     for i, j in candidate_pairs(items, threshold):
-        if title_similarity(items[i].title, items[j].title) >= threshold:
+        scores[i, j] = title_similarity(items[i].title, items[j].title)
+        if scores[i, j] >= threshold:
             uf.union(i, j)
 
     clusters: dict[int, list[int]] = {}
@@ -340,10 +342,12 @@ def dedupe_inter(
             continue
         merged = merge_records(members)
         absorbed = _absorbed_keys(members, merged)
+        # Member ids ascend, so each (i, j) below is keyed like a candidate
+        # pair; only pairs that were never candidates are scored here.
         min_score = min(
-            title_similarity(members[i].title, members[j].title)
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
+            scores[i, j] if (i, j) in scores else title_similarity(items[i].title, items[j].title)
+            for pos, i in enumerate(member_ids)
+            for j in member_ids[pos + 1:]
         )
         out.append(merged)
         decisions.append(

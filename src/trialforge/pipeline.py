@@ -52,6 +52,7 @@ from .benchgen import (
     split_search_items,
     write_benchmark_files,
 )
+from .benchgen.review_tasks import _include_map
 from .clients import (
     MODES,
     ReplayStore,
@@ -286,8 +287,6 @@ def _write_rows_jsonl(path: Path, rows: Iterable[dict]) -> int:
 
 
 def _read_rows_jsonl(path: Path) -> list[dict]:
-    if not path.is_file():
-        return []
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
 
@@ -468,7 +467,7 @@ def _stage_dedupe(run: _RunContext, out: Path) -> dict:
         for decision in decisions:
             fh.write("\t".join(decision.to_row()) + "\n")
 
-    _write_rows_jsonl(out / "dup_links.jsonl", [store.relation_row(t) for t in triples])
+    _write_rows_jsonl(out / "dup_links.jsonl", [store.table_row("relations", t) for t in triples])
     return {
         "input": len(records),
         "output": len(merged),
@@ -507,12 +506,12 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
             seen_drugs.add((study.study_id, name))
             if name not in linked:
                 linked[name] = link_drug(name, resources, remote_client=clients.rxnorm)
-            drug_rows.append(store.drug_row(study.study_id, linked[name]))
+            drug_rows.append(store.table_row("drugs", linked[name], study_id=study.study_id))
 
     condition_rows: list[dict] = []
     for study in studies:
         for annotation in annotate_conditions(study, clients.annotator):
-            condition_rows.append(store.condition_row(annotation))
+            condition_rows.append(store.table_row("conditions", annotation))
 
     endpoint_rows: list[dict] = []
     classified: dict[str, list] = {}
@@ -524,7 +523,12 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
             if text not in classified:
                 classified[text] = classify_endpoint(text, clients.llm)
             for classification in classified[text]:
-                endpoint_rows.append(store.endpoint_row(study.study_id, classification))
+                endpoint_rows.append(store.table_row(
+                    "endpoints",
+                    classification,
+                    study_id=study.study_id,
+                    outcome_text=classification.outcome,
+                ))
 
     bio_index = load_biomarker_index(run.settings.vocab_dir)
     biomarker_rows: list[dict] = []
@@ -539,7 +543,7 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
                 if key in seen_marks:
                     continue
                 seen_marks.add(key)
-                biomarker_rows.append(store.biomarker_row(study.study_id, match))
+                biomarker_rows.append(store.table_row("biomarkers", match, study_id=study.study_id))
 
     counts = {}
     for name, rows in (
@@ -643,10 +647,10 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
             labels.append(label_terminated_study(study, stop_reason))
 
     tables = {
-        "trial_results": [store.trial_result_row(r) for r in result_rows],
-        "adverse_events": [store.adverse_event_row(r) for r in ae_rows],
-        "disposition": [store.disposition_row(r) for r in disposition_rows],
-        "trial_outcomes": [store.trial_outcome_row(label) for label in labels],
+        "trial_results": [store.table_row("trial_results", r) for r in result_rows],
+        "adverse_events": [store.table_row("adverse_events", r) for r in ae_rows],
+        "disposition": [store.table_row("disposition", r) for r in disposition_rows],
+        "trial_outcomes": [store.table_row("trial_outcomes", label) for label in labels],
     }
     counts = {"skipped_no_results": skipped_no_results, "pico_rows": pico_count}
     for name, rows in tables.items():
@@ -675,7 +679,7 @@ def _stage_graph(run: _RunContext, out: Path) -> dict:
     for head in graph.dangling_heads:
         logger.warning("relation head %s is not a known review", head)
 
-    _write_rows_jsonl(out / "relations.jsonl", [store.relation_row(t) for t in graph.triples])
+    _write_rows_jsonl(out / "relations.jsonl", [store.table_row("relations", t) for t in graph.triples])
     write_relations_tsv(graph, out / "relations.tsv")
     write_relation_counts_tsv(graph, out / "relation_counts.tsv")
     return {
@@ -691,7 +695,7 @@ def _stage_database(run: _RunContext, out: Path) -> dict:
     graph_dir = run.stage_dir("graph")
 
     tables = {
-        "studies": [store.study_row(s) for s in run.studies],
+        "studies": [store.table_row("studies", s) for s in run.studies],
         "conditions": _read_rows_jsonl(link_dir / "conditions.jsonl"),
         "drugs": _read_rows_jsonl(link_dir / "drugs.jsonl"),
         "disposition": _read_rows_jsonl(extract_dir / "disposition.jsonl"),
@@ -747,52 +751,37 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     }
     items.extend(gen_screening_items(reviews, triples, titles, settings.seed))
 
-    include_map: dict[str, list[str]] = {}
-    for triple in triples:
-        if triple.relation_type == "include" and triple.tail_source is Source.PUBMED:
-            include_map.setdefault(triple.head_id, []).append(triple.tail_id)
+    include_map = _include_map(triples)
     evidence_reviews = [
         {
             "pmid": str(review["pmid"]),
             "review_text": str(review.get("review_text") or ""),
-            "included_pmids": sorted(include_map.get(str(review["pmid"]), [])),
+            "included_pmids": include_map.get(str(review["pmid"]), []),
         }
         for review in reviews
         if str(review.get("review_text") or "").strip()
     ]
     items.extend(gen_evidence_mcq(evidence_reviews, clients.llm))
 
-    assignments: dict[str, str] = {}
-    recency_keys = {
-        "arm_design": lambda item: item.provenance["trial_id"],
-        "eligibility_design": lambda item: item.provenance["trial_id"],
-        "endpoint_design": lambda item: item.provenance["trial_id"],
-        "sample_size": lambda item: item.provenance["nct_id"],
-        "completion": lambda item: item.provenance["study_id"],
-        "study_screening": lambda item: item.provenance["review_pmid"],
-        "evidence_summary": lambda item: item.provenance["review_pmid"],
-    }
+    # Item ids are "<task>:<registry or PubMed id>" and no task name has a
+    # digit, so the item id itself carries the recency key.
     by_task: dict[str, list] = {}
     for item in items:
         by_task.setdefault(item.task, []).append(item)
+    assignments: dict[str, str] = {}
     for task, task_items in sorted(by_task.items()):
         if task == "study_search":
-            for assignment in split_search_items(task_items, settings.search_test_size):
-                assignments[assignment.item_id] = assignment.split
-            continue
-        extractor = recency_keys[task]
-        keyed = sorted(task_items, key=lambda item: item.item_id)
-        for assignment, item in zip(
-            split_by_numeric_id(
-                keyed,
-                id_extractor=extractor,
+            task_assignments = split_search_items(task_items, settings.search_test_size)
+        else:
+            task_assignments = split_by_numeric_id(
+                task_items,
+                id_extractor=lambda item: item.item_id,
                 test_size=settings.split_test_size,
                 validation_size=settings.split_validation_size,
                 allow_small=settings.allow_small_split,
-            ),
-            keyed,
-        ):
-            assignments[item.item_id] = assignment.split
+            )
+        for assignment in task_assignments:
+            assignments[assignment.item_id] = assignment.split
 
     corpus_hash = hash_corpus(settings.corpus_dir)
     write_benchmark_files(items, assignments, out, corpus_hash, settings.seed)
@@ -816,22 +805,21 @@ _STAGE_FUNCS = {
 def run_pipeline(
     settings: PipelineSettings | ForgeConfig,
     transports: Optional[dict] = None,
-    stages: Optional[Iterable[str]] = None,
+    until: str = "benchmarks",
 ) -> dict:
-    """Run the stage chain, skipping stages whose manifests still match.
+    """Run the stage chain from ``ingest`` through ``until``.
 
-    ``stages`` restricts the run to a prefix-closed subset (unknown names
-    are an error); dependencies must already be materialized or the run
-    fails when a stage reads missing inputs. Returns a summary dict with
-    per-stage counts and the chained pipeline hash, also written to
-    ``out_dir/pipeline_manifest.json``.
+    Stages whose manifests still match their inputs are skipped. An
+    unknown ``until`` is a ``ValueError``. Returns a summary dict with
+    per-stage counts and the chained pipeline hash (the hash of the
+    ``until`` stage's manifest); a run through ``benchmarks`` also writes
+    it to ``out_dir/pipeline_manifest.json``.
     """
     if isinstance(settings, ForgeConfig):
         settings = PipelineSettings.from_config(settings)
-    wanted = tuple(stages) if stages is not None else STAGES
-    unknown = [name for name in wanted if name not in STAGES]
-    if unknown:
-        raise ValueError(f"unknown stages {unknown}")
+    if until not in STAGES:
+        raise ValueError(f"unknown stage {until!r}; expected one of {STAGES}")
+    wanted = STAGES[: STAGES.index(until) + 1]
 
     settings.out_dir.mkdir(parents=True, exist_ok=True)
     corpus_hash = hash_corpus(settings.corpus_dir)
@@ -841,7 +829,7 @@ def run_pipeline(
 
     upstream = ""
     summary: dict = {"corpus_hash": corpus_hash, "config_hash": config_hash, "stages": {}}
-    for name in STAGES:
+    for name in wanted:
         if name in ("dedupe", "database"):
             # dedupe and database read no corpus file but hold every record or
             # every table, so earlier parses are dropped before them (one context
@@ -852,11 +840,6 @@ def run_pipeline(
         input_hash = _sha256_text(f"{corpus_hash}:{config_hash}:{upstream}")
 
         existing = _load_manifest(manifest_path)
-        if name not in wanted:
-            if existing is not None:
-                upstream = _sha256_file(manifest_path)
-            continue
-
         if (
             existing is not None
             and existing.get("input_hash") == input_hash

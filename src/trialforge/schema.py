@@ -44,12 +44,6 @@ class Source(str, Enum):
     PUBMED = "PUBMED"
 
 
-#: Registry tags, i.e. every source that is neither CT.gov nor PubMed.
-REGISTRY_SOURCES = frozenset(
-    s for s in Source if s not in (Source.CTGOV, Source.PUBMED)
-)
-
-
 def source_rank(source: Source) -> int:
     """Merge precedence: CT.gov beats registries, registries beat PubMed."""
     if source is Source.CTGOV:
@@ -96,9 +90,6 @@ _PHASE_VALUES = frozenset(p.value for p in PhaseLabel)
 _STUDY_TYPE_VALUES = frozenset(t.value for t in StudyType)
 _GENDER_VALUES = frozenset(g.value for g in GenderLabel)
 _STATUS_VALUES = frozenset(s.value for s in StudyStatus)
-
-#: Fields that make a record unusable when empty.
-CRITICAL_FIELDS = ("study_id", "title")
 
 
 @dataclass

@@ -6,8 +6,10 @@ makes two runs over the same input byte-identical. The manifest
 (row counts plus a sha256 per file and for the bundle) is written last
 so a torn run never leaves a manifest pointing at missing files.
 
-The store deals in string-valued dicts only; the ``*_row`` builders
-below turn domain objects into table rows.
+The store deals in string-valued dicts only; ``table_row`` turns a
+domain record into one, formatting every cell by one rule: ``None`` is
+empty, booleans are ``true``/``false``, enums are their value, sets
+are sorted and tuples kept in order, each joined with ``|``.
 """
 
 from __future__ import annotations
@@ -15,15 +17,11 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from .errors import ForeignKeyViolation
-from .evidence import AdverseEventRow, DispositionRow, OutcomeLabel, TrialResultRow
-from .ontology.biomarkers import BiomarkerMatch
-from .ontology.conditions import ConditionAnnotation
-from .ontology.drugs import DrugEntry
-from .ontology.endpoints import EndpointClassification
-from .schema import CanonicalStudy, RelationTriple, Source
+from .schema import RelationTriple, Source
 
 TABLE_COLUMNS = {
     "studies": (
@@ -145,14 +143,6 @@ def escape_cell(value: str) -> str:
 
 def unescape_cell(value: str) -> str:
     return _UNESCAPE_RE.sub(lambda match: _UNESCAPE_MAP[match.group(0)], value)
-
-
-def _bool_cell(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _opt_cell(value) -> str:
-    return "" if value is None else str(value)
 
 
 @dataclass(frozen=True)
@@ -316,129 +306,37 @@ def verify_manifest(out_dir: str | Path) -> list[str]:
     return problems
 
 
-# --- domain object -> row adapters ---------------------------------------------
+# --- domain object -> row ---------------------------------------------------
 
 
-def study_row(study: CanonicalStudy) -> dict:
-    return {
-        "study_id": study.study_id,
-        "source": study.source.value,
-        "title": study.title or "",
-        "brief_summary": study.brief_summary or "",
-        "study_type": _opt_cell(study.study_type.value if study.study_type else None),
-        "sponsor": study.sponsor or "",
-        "start_year": _opt_cell(study.start_year),
-        "phases": "|".join(phase.value for phase in study.phases),
-        "gender": _opt_cell(study.gender.value if study.gender else None),
-        "min_age": study.min_age or "",
-        "max_age": study.max_age or "",
-        "healthy_volunteers": "" if study.healthy_volunteers is None else _bool_cell(study.healthy_volunteers),
-        "status": _opt_cell(study.status.value if study.status else None),
-        "target_accrual": _opt_cell(study.target_accrual),
-        "actual_accrual": _opt_cell(study.actual_accrual),
-        "results_text": study.results_text or "",
-        "flagged": _bool_cell(study.flagged),
-    }
+def _cell(value) -> str:
+    """One cell's text: the single formatting rule for every table."""
+    if type(value) is str:
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, set):
+        return "|".join(sorted(_cell(item) for item in value))
+    if isinstance(value, tuple):
+        return "|".join(_cell(item) for item in value)
+    raise TypeError(f"no cell format for {type(value).__name__}: {value!r}")
 
 
-def condition_row(annotation: ConditionAnnotation) -> dict:
-    return {
-        "study_id": annotation.study_id,
-        "mesh_id": annotation.mesh_id,
-        "mesh_term": annotation.mesh_term,
-        "mesh_type": annotation.mesh_type,
-    }
+def table_row(table: str, record, **extra) -> dict:
+    """The ``table`` row of a domain record, with ``extra`` fields on top.
 
-
-def drug_row(study_id: str, entry: DrugEntry) -> dict:
-    return {
-        "study_id": study_id,
-        "raw_name": entry.raw_name,
-        "cleaned_name": entry.cleaned_name,
-        "rxcui": _opt_cell(entry.rxcui),
-        "rxnorm_method": entry.rxnorm_method,
-        "drugbank_id": _opt_cell(entry.drugbank_id),
-        "drugbank_method": entry.drugbank_method,
-        "approved_fda": _bool_cell(entry.approved_fda),
-        "approved_ema": _bool_cell(entry.approved_ema),
-        "approved_pmda": _bool_cell(entry.approved_pmda),
-    }
-
-
-def disposition_row(row: DispositionRow) -> dict:
-    return {
-        "study_id": row.study_id,
-        "design_group_id": row.design_group_id,
-        "group_type": row.group_type,
-        "intervention_id": row.intervention_id,
-        "intervention_type": row.intervention_type,
-        "treatment_name": row.treatment_name,
-        "description": row.description,
-    }
-
-
-def adverse_event_row(row: AdverseEventRow) -> dict:
-    return {
-        "study_id": row.study_id,
-        "arm_description": row.arm_description,
-        "term": row.term,
-        "organ_system": row.organ_system,
-        "num_affected": str(row.num_affected),
-        "num_at_risk": str(row.num_at_risk),
-        "is_serious": _bool_cell(row.is_serious),
-        "description": row.description,
-        "meddra_code": _opt_cell(row.meddra_code),
-    }
-
-
-def trial_result_row(row: TrialResultRow) -> dict:
-    return {
-        "study_id": row.study_id,
-        "population_text": row.population_text or "",
-        "population_n": _opt_cell(row.population_n),
-        "arm_label": row.arm_label,
-        "is_control": _bool_cell(row.is_control),
-        "outcome_text": row.outcome_text,
-    }
-
-
-def trial_outcome_row(label: OutcomeLabel) -> dict:
-    return {
-        "study_id": label.study_id,
-        "outcome_type": label.outcome_type,
-        "evidence": label.evidence,
-    }
-
-
-def endpoint_row(study_id: str, classification: EndpointClassification) -> dict:
-    return {
-        "study_id": study_id,
-        "outcome_text": classification.outcome,
-        "domain": classification.domain,
-        "subdomain": _opt_cell(classification.subdomain),
-    }
-
-
-def biomarker_row(study_id: str, match: BiomarkerMatch) -> dict:
-    return {
-        "study_id": study_id,
-        "span": match.span,
-        "biomarker_name": match.biomarker_name,
-        "biomarker_class": match.biomarker_class,
-        "biomarker_type": match.biomarker_type,
-        "biomarker_genes": "|".join(match.biomarker_genes),
-        "match_type": match.match_type,
-    }
-
-
-def relation_row(triple: RelationTriple) -> dict:
-    return {
-        "head_id": triple.head_id,
-        "relation_type": triple.relation_type,
-        "tail_id": triple.tail_id,
-        "head_source": triple.head_source.value,
-        "tail_source": triple.tail_source.value,
-    }
+    Columns are read by name from the record's fields; ``extra`` supplies
+    columns the record does not carry (a drug entry's ``study_id``) or
+    names it differently (an endpoint's ``outcome_text``).
+    """
+    fields = vars(record) | extra if extra else vars(record)
+    return {column: _cell(fields[column]) for column in TABLE_COLUMNS[table]}
 
 
 def relation_from_row(row: dict) -> RelationTriple:

@@ -412,7 +412,7 @@ def test_criterion_8_pipeline_determinism(golden, tmp_path):
 
     # crash partway through, then resume: earlier stages skip, hashes agree
     resumed_out = tmp_path / "resumed"
-    run_pipeline(settings(resumed_out), stages=["ingest", "dedupe"])
+    run_pipeline(settings(resumed_out), until="dedupe")
     resumed = run_pipeline(settings(resumed_out))
     assert resumed["stages"]["ingest"]["skipped"] is True
     assert resumed["stages"]["dedupe"]["skipped"] is True

@@ -41,9 +41,11 @@ def test_run_all_prints_stage_lines(golden, tmp_path, capsys):
     assert lines[-1].startswith("pipeline_hash: ")
 
 
-def test_stage_verb_runs_prefix_only(golden, tmp_path):
+def test_stage_verb_runs_prefix_only(golden, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(pipeline_argv("dedupe", golden, out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["ingest", "dedupe", "pipeline_hash"]
     assert (out / "01_ingest").is_dir()
     assert (out / "02_dedupe").is_dir()
     assert not (out / "03_link").exists()

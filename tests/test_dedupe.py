@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _corpus import make_dedupe_corpus, make_record
 
+from trialforge import dedupe
 from trialforge.dedupe import (
     candidate_pairs,
     dedupe_corpus,
@@ -191,6 +192,41 @@ def test_inter_cross_source_merge_emits_linked_to():
     assert t.relation_type == "linked_to"
     assert (t.head_id, t.tail_id) == ("ACTRN9", "NCT1")
     assert (t.head_source, t.tail_source) == (Source.ANZCTR, Source.CTGOV)
+
+
+def counting_similarity(monkeypatch) -> list:
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return title_similarity(a, b)
+
+    monkeypatch.setattr(dedupe, "title_similarity", counted)
+    return calls
+
+
+def test_inter_scores_a_merged_pair_once(monkeypatch):
+    calls = counting_similarity(monkeypatch)
+    a = rec("NCT1", Source.CTGOV, "Metformin versus placebo in type 2 diabetes")
+    b = rec("ACTRN9", Source.ANZCTR, "Metformin versus placebo in Type 2 Diabetes.")
+    _, decisions, _ = dedupe_inter([a, b])
+    assert len(calls) == 1
+    [merge] = [d for d in decisions if d.evidence == "title-similarity"]
+    assert merge.score == title_similarity(a.title, b.title)
+
+
+def test_inter_min_score_covers_member_pairs_that_were_never_candidates(monkeypatch):
+    calls = counting_similarity(monkeypatch)
+    a = rec("NCT1", Source.CTGOV, "Metformin versus placebo in type 2 diabetes")
+    b = rec("ACTRN9", Source.ANZCTR, "Metformin versus placebo in type 2 diabetes.")
+    c = rec("NCT2", Source.CTGOV, "Metformin versus placebo in type 2 diabetes!!")
+    _, decisions, _ = dedupe_inter([a, b, c])
+    # two cross-source candidates, then the same-source pair for min_score
+    assert len(calls) == 3
+    [merge] = [d for d in decisions if d.evidence == "title-similarity"]
+    assert merge.score == min(
+        title_similarity(x.title, y.title) for x, y in ((a, b), (a, c), (b, c))
+    )
 
 
 def test_inter_below_threshold_no_merge():

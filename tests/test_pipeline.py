@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from trialforge import pipeline
+from trialforge.benchgen import numeric_id_key
 from trialforge.errors import LiveCallForbidden, ReplayMiss
 from trialforge.pipeline import (
     STAGE_DIRS,
@@ -119,6 +121,25 @@ def test_database_bundle_counts_match_tables(golden):
         assert len(lines) - 1 == expected, table
 
 
+def test_recency_split_sends_newest_items_to_test(golden, tmp_path):
+    out = tmp_path / "out"
+    run_pipeline(replay_settings(
+        golden, out, split_test_size=1, split_validation_size=1, search_test_size=1
+    ))
+    splits: dict[str, dict[str, str]] = {}
+    for path in sorted((out / STAGE_DIRS["benchmarks"]).glob("*.jsonl")):
+        task, split, _ = path.name.split(".")
+        for record in read_jsonl(path):
+            splits.setdefault(task, {})[record["id"]] = split
+    assert splits["arm_design"]["arm_design:NCT00593450"] == "test"
+    assert splits["arm_design"]["arm_design:NCT00000150"] == "train"
+    for task, by_id in splits.items():
+        newest_first = sorted(by_id, key=lambda item_id: (-numeric_id_key(item_id), item_id))
+        assert [by_id[item_id] for item_id in newest_first[:1]] == ["test"], task
+        if task != "study_search" and len(newest_first) > 1:
+            assert by_id[newest_first[1]] == "validation", task
+
+
 # --- replay and resume -------------------------------------------------------
 
 def test_replay_run_matches_recording_without_live_calls(golden, tmp_path):
@@ -217,14 +238,18 @@ def test_inputs_are_read_once_per_context_span(golden, tmp_path, monkeypatch):
 
 
 def test_stage_subset_must_be_known(golden, tmp_path):
-    with pytest.raises(ValueError, match="unknown stages"):
-        run_pipeline(replay_settings(golden, tmp_path / "out"), stages=["ingest", "nope"])
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="unknown stage 'nope'"):
+        run_pipeline(replay_settings(golden, out), until="nope")
+    assert not out.exists()
 
 
 def test_stage_prefix_runs_without_pipeline_manifest(golden, tmp_path):
     out = tmp_path / "out"
-    summary = run_pipeline(replay_settings(golden, out), stages=["ingest", "dedupe"])
-    assert set(summary["stages"]) == {"ingest", "dedupe"}
+    summary = run_pipeline(replay_settings(golden, out), until="dedupe")
+    assert list(summary["stages"]) == ["ingest", "dedupe"]
+    manifest = out / STAGE_DIRS["dedupe"] / "manifest.json"
+    assert summary["pipeline_hash"] == hashlib.sha256(manifest.read_bytes()).hexdigest()
     assert (out / STAGE_DIRS["dedupe"]).exists()
     assert not (out / STAGE_DIRS["link"]).exists()
     assert not (out / "pipeline_manifest.json").exists()
@@ -232,7 +257,7 @@ def test_stage_prefix_runs_without_pipeline_manifest(golden, tmp_path):
 
 def test_later_stages_reuse_earlier_prefix(golden, tmp_path):
     out = tmp_path / "out"
-    run_pipeline(replay_settings(golden, out), stages=["ingest", "dedupe"])
+    run_pipeline(replay_settings(golden, out), until="dedupe")
     summary = run_pipeline(replay_settings(golden, out))
     assert summary["stages"]["ingest"]["skipped"] is True
     assert summary["stages"]["dedupe"]["skipped"] is True

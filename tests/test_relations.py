@@ -13,7 +13,7 @@ from trialforge.relations import (
     write_relations_tsv,
 )
 from trialforge.schema import RelationTriple, Source
-from trialforge.store import relation_from_row, relation_row
+from trialforge.store import relation_from_row, table_row
 
 
 REVIEW_XML = """<article>
@@ -242,7 +242,7 @@ class TestExports:
         assert lines[0] == "head_id\trelation_type\ttail_id\tsources"
         assert "123\tlinked_to\tNCT00000150\tPUBMED->CTGOV" in lines
         for t in graph.triples:
-            assert relation_from_row(relation_row(t)) == t
+            assert relation_from_row(table_row("relations", t)) == t
 
     def test_counts_tsv(self, tmp_path):
         graph = assemble_graph(

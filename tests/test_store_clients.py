@@ -2,6 +2,9 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -33,12 +36,14 @@ from trialforge.store import (
     TABLE_ORDER,
     escape_cell,
     read_database,
-    study_row,
+    table_row,
     unescape_cell,
     verify_manifest,
     write_database,
 )
-from trialforge.schema import CanonicalStudy, Source
+from trialforge.ontology.biomarkers import BiomarkerMatch
+from trialforge.ontology.endpoints import EndpointClassification
+from trialforge.schema import CanonicalStudy, GenderLabel, PhaseLabel, Source, StudyType
 
 
 class TestRequestHashing:
@@ -244,7 +249,7 @@ class TestConfig:
 
 
 def minimal_bundle():
-    study = study_row(CanonicalStudy(study_id="NCT1", source=Source.CTGOV, title="T"))
+    study = table_row("studies", CanonicalStudy(study_id="NCT1", source=Source.CTGOV, title="T"))
     return {
         "studies": [study],
         "conditions": [
@@ -260,6 +265,72 @@ class TestEscaping:
 
     def test_tab_newline_visible(self):
         assert escape_cell("a\tb\nc\\d\re") == "a\\tb\\nc\\\\d\\re"
+
+
+class TestTableRow:
+    def test_study_cells(self):
+        study = CanonicalStudy(
+            study_id="NCT1",
+            source=Source.CTGOV,
+            title="T",
+            study_type=StudyType.INTERVENTIONAL,
+            start_year=2019,
+            phases={PhaseLabel.PHASE2},
+            gender=GenderLabel.BOTH,
+            healthy_volunteers=False,
+            target_accrual=0,
+            flagged=True,
+        )
+        row = table_row("studies", study)
+        assert list(row) == list(TABLE_COLUMNS["studies"])
+        assert row["source"] == "CTGOV"
+        assert row["study_type"] == "INTERVENTIONAL"
+        assert row["start_year"] == "2019"
+        assert row["phases"] == "PHASE2"
+        assert row["gender"] == "MALE/FEMALE"
+        assert row["min_age"] == ""
+        assert row["healthy_volunteers"] == "false"
+        assert row["target_accrual"] == "0"
+        assert row["actual_accrual"] == ""
+        assert row["results_text"] == ""
+        assert row["flagged"] == "true"
+
+    def test_phases_sorted_under_any_hash_seed(self):
+        script = (
+            "from trialforge.schema import CanonicalStudy, PhaseLabel, Source\n"
+            "from trialforge.store import table_row\n"
+            "phases = {PhaseLabel.PHASE1, PhaseLabel.PHASE2, PhaseLabel.PHASE3}\n"
+            "study = CanonicalStudy(study_id='NCT1', source=Source.CTGOV, phases=phases)\n"
+            "print(table_row('studies', study)['phases'])\n"
+        )
+        src_dir = str(Path(table_row.__code__.co_filename).resolve().parents[1])
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src_dir)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            assert done.stdout.strip() == "PHASE1|PHASE2|PHASE3", seed
+
+    def test_tuple_order_kept_and_extra_fields_layered(self):
+        match = BiomarkerMatch("her2", "HER2", "protein", "predictive", ("ERBB2", "ABL1"), "exact")
+        row = table_row("biomarkers", match, study_id="NCT1")
+        assert row["biomarker_genes"] == "ERBB2|ABL1"
+        assert row["study_id"] == "NCT1"
+        endpoint = EndpointClassification(outcome="Overall survival", domain="Mortality/survival", subdomain=None)
+        row = table_row("endpoints", endpoint, study_id="NCT1", outcome_text=endpoint.outcome)
+        assert row == {
+            "study_id": "NCT1",
+            "outcome_text": "Overall survival",
+            "domain": "Mortality/survival",
+            "subdomain": "",
+        }
+
+    def test_unsupported_cell_type_raises(self):
+        # e.g. an LLM answer whose label is a list or a number, not a string
+        for domain, subdomain, kind in ((["Physiological"], None, "list"), ("Physiological", 1.5, "float")):
+            endpoint = EndpointClassification("x", domain, subdomain)
+            with pytest.raises(TypeError, match=kind):
+                table_row("endpoints", endpoint, study_id="NCT1", outcome_text="x")
 
 
 class TestWriteDatabase:
@@ -286,7 +357,7 @@ class TestWriteDatabase:
         alphabet = "ab\t\n\\\"'x "
         studies = []
         for index in range(20):
-            row = study_row(CanonicalStudy(study_id=f"S{index:03d}", source=Source.ISRCTN, title="t"))
+            row = table_row("studies", CanonicalStudy(study_id=f"S{index:03d}", source=Source.ISRCTN, title="t"))
             row["title"] = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
             studies.append(row)
         write_database({"studies": studies}, tmp_path / "db")
@@ -304,7 +375,7 @@ class TestWriteDatabase:
 
     def test_rows_sorted_by_key(self, tmp_path):
         rows = [
-            study_row(CanonicalStudy(study_id=sid, source=Source.CTGOV, title="t"))
+            table_row("studies", CanonicalStudy(study_id=sid, source=Source.CTGOV, title="t"))
             for sid in ["NCT3", "NCT1", "NCT2"]
         ]
         write_database({"studies": rows}, tmp_path / "db")
@@ -321,7 +392,7 @@ class TestWriteDatabase:
         assert not out.exists()
 
     def test_duplicate_key_rejected(self, tmp_path):
-        row = study_row(CanonicalStudy(study_id="NCT1", source=Source.CTGOV, title="t"))
+        row = table_row("studies", CanonicalStudy(study_id="NCT1", source=Source.CTGOV, title="t"))
         with pytest.raises(ValueError):
             write_database({"studies": [row, dict(row)]}, tmp_path / "db")
 
