@@ -9,6 +9,12 @@ Two lookup keys per canonical term: the whitespace-normalized lowercase
 name for exact matches, and the same tokens sorted for order-invariant
 matches ("receptor estrogen alpha" still finds "estrogen receptor
 alpha").
+
+The index also holds ``tokens``, every token of every indexed name, and
+``max_tokens``, the token count of the longest name. A span can match
+only if each of its lowercased tokens is in ``tokens`` and it has at
+most ``max_tokens`` of them, so a scan over a text can skip every other
+span without calling ``match_biomarker``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,8 @@ class BiomarkerIndex:
 
     exact: Mapping[str, _Row]
     token_sorted: Mapping[str, _Row]
+    tokens: frozenset[str]
+    max_tokens: int
 
 
 def _normalize(text: str) -> str:
@@ -89,7 +97,12 @@ def load_biomarker_index(vocab_dir: Optional[Path] = None) -> BiomarkerIndex:
     for row in sorted(rows, key=lambda r: r.name):
         exact.setdefault(row.name, row)
         token_sorted.setdefault(_sorted_key(row.name), row)
-    return BiomarkerIndex(exact=exact, token_sorted=token_sorted)
+    return BiomarkerIndex(
+        exact=exact,
+        token_sorted=token_sorted,
+        tokens=frozenset(token for name in exact for token in name.split()),
+        max_tokens=max((len(name.split()) for name in exact), default=0),
+    )
 
 
 def match_biomarker(span: str, index: BiomarkerIndex) -> Optional[BiomarkerMatch]:

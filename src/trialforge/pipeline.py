@@ -80,7 +80,7 @@ from .evidence import (
     primary_pvalues,
 )
 from .ingest import extract_pubmed_study, parse_ctgov_study, parse_registry_record
-from .ontology.biomarkers import load_biomarker_index, match_biomarker
+from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
 from .ontology.conditions import annotate_conditions
 from .ontology.drugs import link_drug, load_drug_resources
 from .ontology.endpoints import classify_endpoint
@@ -115,7 +115,9 @@ STAGE_DIRS = {
     "benchmarks": "07_benchmarks",
 }
 
-# Longest biomarker name in the vocabulary is five tokens; six gives headroom.
+# Widest span `_candidate_spans` emits: the longest default biomarker name,
+# "human epidermal growth factor receptor 2", is six tokens, with no
+# headroom. The link stage scans up to its index's `max_tokens` instead.
 _BIOMARKER_MAX_TOKENS = 6
 
 
@@ -284,6 +286,26 @@ def _write_rows_jsonl(path: Path, rows: Iterable[dict]) -> int:
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
             count += 1
     return count
+
+
+def _write_sorted_rows(path: Path, rows: list[dict]) -> int:
+    """Write ``rows`` as JSON lines in the order of their ASCII-escaped dumps.
+
+    Unescaped, the encoder leaves only DEL and non-ASCII characters raw, so
+    every other line is its own escaped dump; just the rows with such a
+    character are dumped a second time for their sort key.
+    """
+    lines = [json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows]
+    escaped = {
+        line: json.dumps(row, sort_keys=True)
+        for line, row in zip(lines, rows)
+        if not line.isascii() or "\x7f" in line
+    }
+    lines.sort(key=lambda line: escaped.get(line, line))
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+    return len(lines)
 
 
 def _read_rows_jsonl(path: Path) -> list[dict]:
@@ -485,6 +507,26 @@ def _candidate_spans(text: str) -> list[str]:
     return spans
 
 
+def _biomarker_matches(text: str, index: BiomarkerIndex) -> list[BiomarkerMatch]:
+    """Every match of a whitespace-token span of ``text``, by start then width.
+
+    A span can match only if each of its lowercased tokens is a token of
+    an indexed name, so a span stops growing at the first other token and
+    at the longest name's width.
+    """
+    tokens = text.split()
+    known = [token.lower() in index.tokens for token in tokens]
+    matches = []
+    for start in range(len(tokens)):
+        end = start
+        while end < len(tokens) and known[end] and end - start < index.max_tokens:
+            end += 1
+            match = match_biomarker(" ".join(tokens[start:end]), index)
+            if match is not None:
+                matches.append(match)
+    return matches
+
+
 def _stage_link(run: _RunContext, out: Path) -> dict:
     studies, index, clients = run.studies, run.doc_index, run.clients
 
@@ -533,12 +575,12 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
     bio_index = load_biomarker_index(run.settings.vocab_dir)
     biomarker_rows: list[dict] = []
     seen_marks: set[tuple[str, str, str]] = set()
+    matched: dict[str, list[BiomarkerMatch]] = {}
     for study in studies:
         for text in (*study.primary_outcomes, *study.secondary_outcomes):
-            for span in _candidate_spans(text):
-                match = match_biomarker(span, bio_index)
-                if match is None:
-                    continue
+            if text not in matched:
+                matched[text] = _biomarker_matches(text, bio_index)
+            for match in matched[text]:
                 key = (study.study_id, match.span, match.biomarker_name)
                 if key in seen_marks:
                     continue
@@ -552,8 +594,7 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
         ("endpoints", endpoint_rows),
         ("biomarkers", biomarker_rows),
     ):
-        rows.sort(key=lambda row: json.dumps(row, sort_keys=True))
-        counts[name] = _write_rows_jsonl(out / f"{name}.jsonl", rows)
+        counts[name] = _write_sorted_rows(out / f"{name}.jsonl", rows)
     return counts
 
 
@@ -654,8 +695,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
     }
     counts = {"skipped_no_results": skipped_no_results, "pico_rows": pico_count}
     for name, rows in tables.items():
-        rows.sort(key=lambda row: json.dumps(row, sort_keys=True))
-        counts[name] = _write_rows_jsonl(out / f"{name}.jsonl", rows)
+        counts[name] = _write_sorted_rows(out / f"{name}.jsonl", rows)
     return counts
 
 

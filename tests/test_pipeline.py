@@ -158,6 +158,21 @@ def test_replay_twice_is_byte_identical(golden, tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
+GOLDEN_PIPELINE_HASH = "2930a769afeafc8fe1805655cfd0faee0cec9c6f4bae91bc973acb8395f2d780"
+GOLDEN_BUNDLE_HASH = "ab4ca7ee8a4549461a5b531b5b7f8453e1843ae8786fb521c831da43f8ecb5fa"
+
+
+def test_golden_hashes_are_pinned(golden, tmp_path):
+    """A replay of the golden corpus produces these exact output bytes.
+
+    A change that alters output bytes on purpose updates both pins and
+    says so in CHANGES.md; any other change must leave them as they are.
+    """
+    summary = run_pipeline(replay_settings(golden, tmp_path / "out"))
+    assert summary["pipeline_hash"] == GOLDEN_PIPELINE_HASH
+    assert summary["stages"]["database"]["counts"]["bundle_hash"] == GOLDEN_BUNDLE_HASH
+
+
 def test_rerun_skips_every_intact_stage(golden, tmp_path):
     settings = replay_settings(golden, tmp_path / "out")
     first = run_pipeline(settings)
@@ -262,6 +277,33 @@ def test_later_stages_reuse_earlier_prefix(golden, tmp_path):
     assert summary["stages"]["ingest"]["skipped"] is True
     assert summary["stages"]["dedupe"]["skipped"] is True
     assert summary["stages"]["link"]["skipped"] is False
+
+
+def test_sorted_rows_match_sort_then_write(tmp_path):
+    rows = [
+        {"x": "z"},
+        {"x": "é"},
+        {"x": "e", "y": 2},
+        {"x": "ÿ"},
+        {"x": "\u2028"},
+        {"x": "\x7f"},
+        {"x": "a"},
+        {"x": "a\nb"},
+        {"x": "é"},
+        {"b": "Σ", "a": 1},
+        {"a": 1, "b": "s"},
+        {"x": ""},
+    ]
+    old = tmp_path / "old.jsonl"
+    new = tmp_path / "new.jsonl"
+    expected = pipeline._write_rows_jsonl(old, sorted(rows, key=lambda row: json.dumps(row, sort_keys=True)))
+    assert pipeline._write_sorted_rows(new, rows) == expected == len(rows)
+    assert new.read_bytes() == old.read_bytes()
+    lines = new.read_text(encoding="utf-8").split("\n")
+    # The escaped key orders "\u00e9" before "z" and "\u007f" before "a";
+    # the written lines would not.
+    assert lines.index('{"x": "é"}') < lines.index('{"x": "z"}')
+    assert lines.index('{"x": "\x7f"}') < lines.index('{"x": "a"}')
 
 
 # --- client modes ------------------------------------------------------------
