@@ -12,12 +12,12 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .benchgen import read_benchmark_file
 from .clients import MODES, ReplayStore, ServiceClient, pubmed_search_callable
-from .config import ForgeConfig, load_config
+from .config import load_config
 from .errors import ClientError, DataError
 from .evaluate import evaluate_benchmarks, load_predictions, write_report
 from .pipeline import PipelineSettings, run_pipeline
@@ -40,42 +40,31 @@ STAGE_VERBS = {
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    # Each dest is a PipelineSettings field, so a set flag overrides that config key.
     parser.add_argument("--config", type=Path, help="key=value config file")
-    parser.add_argument("--corpus", type=Path, help="corpus root directory")
-    parser.add_argument("--out", type=Path, help="output root directory")
+    parser.add_argument("--corpus", dest="corpus_dir", type=Path, help="corpus root directory")
+    parser.add_argument("--out", dest="out_dir", type=Path, help="output root directory")
     parser.add_argument("--seed", type=int, help="benchmark generation seed")
-    parser.add_argument("--threshold", type=float, help="dedupe title-similarity threshold")
+    parser.add_argument("--threshold", dest="dedupe_threshold", type=float, help="dedupe title-similarity threshold")
     parser.add_argument("--mode", choices=MODES, help="client mode")
     parser.add_argument("--replay-dir", type=Path, help="replay store root")
     parser.add_argument("--awaiting", choices=AWAITING_MODES, help="awaiting-reference handling")
     parser.add_argument(
         "--allow-small",
+        dest="allow_small_split",
         action="store_true",
         default=None,
         help="let recency splits truncate instead of failing on small corpora",
     )
 
 
-_FLAG_TO_KEY = {
-    "corpus": "corpus_dir",
-    "out": "out_dir",
-    "seed": "seed",
-    "threshold": "dedupe_threshold",
-    "mode": "mode",
-    "replay_dir": "replay_dir",
-    "awaiting": "awaiting",
-    "allow_small": "allow_small_split",
-}
-
-
 def _settings_from_args(args: argparse.Namespace) -> PipelineSettings:
-    config = load_config(args.config)
-    values = dict(config.values)
-    for flag, key in _FLAG_TO_KEY.items():
-        flag_value = getattr(args, flag, None)
+    values = load_config(args.config)
+    for setting in fields(PipelineSettings):
+        flag_value = getattr(args, setting.name, None)
         if flag_value is not None:
-            values[key] = str(flag_value)
-    return PipelineSettings.from_config(ForgeConfig(values))
+            values[setting.name] = str(flag_value)
+    return PipelineSettings.from_config(values)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,52 +4,17 @@ The config file is one ``key = value`` pair per line; ``#`` starts a
 comment, blank lines are skipped, and paired surrounding quotes on a
 value are stripped. Environment variables prefixed ``FORGE_`` override
 file values (``FORGE_DEDUPE_THRESHOLD=0.9`` beats ``dedupe_threshold``
-in the file). There are no sections and no nesting.
+in the file). There are no sections and no nesting. Values stay strings
+here; ``PipelineSettings.from_config`` parses each one by the declared
+type of the setting it names.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 ENV_PREFIX = "FORGE_"
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-@dataclass
-class ForgeConfig:
-    values: dict[str, str] = field(default_factory=dict)
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self.values.get(key)
-        return default if raw is None else int(raw)
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self.values.get(key)
-        return default if raw is None else float(raw)
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in _TRUE:
-            return True
-        if lowered in _FALSE:
-            return False
-        raise ValueError(f"config key {key!r} has non-boolean value {raw!r}")
-
-    def get_path(self, key: str, default: str | Path | None = None) -> Path | None:
-        raw = self.values.get(key)
-        if raw is None:
-            return Path(default) if default is not None else None
-        return Path(raw)
 
 
 def _strip_quotes(value: str) -> str:
@@ -74,7 +39,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def load_config(path: str | Path | None = None, env: dict | None = None) -> ForgeConfig:
+def load_config(path: str | Path | None = None, env: dict | None = None) -> dict[str, str]:
     """Read the file (when given), then layer FORGE_ environment overrides."""
     values: dict[str, str] = {}
     if path is not None:
@@ -83,4 +48,4 @@ def load_config(path: str | Path | None = None, env: dict | None = None) -> Forg
     for name, value in environment.items():
         if name.startswith(ENV_PREFIX) and len(name) > len(ENV_PREFIX):
             values[name[len(ENV_PREFIX) :].lower()] = value
-    return ForgeConfig(values)
+    return values

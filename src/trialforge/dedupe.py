@@ -17,9 +17,9 @@ yields the same records and the same decisions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .schema import CanonicalStudy, RelationTriple, Source, needs_flag, source_rank
+from .schema import CanonicalStudy, RelationTriple, Source, StudyStatus, encode_study, needs_flag, source_rank
 
 DEFAULT_THRESHOLD = 0.95
 
@@ -104,32 +104,15 @@ def _sort_key(s: CanonicalStudy) -> tuple:
 
 def _fold_order_key(s: CanonicalStudy) -> tuple:
     """Content precedence inside a cluster: CT.gov, then registries, then PubMed."""
-    from .schema import encode_study
-
     return (source_rank(s.source), s.source.value, s.study_id, encode_study(s))
 
 
-_LIST_FIELDS = ("primary_outcomes", "secondary_outcomes")
-_SCALAR_FIELDS = (
-    "title",
-    "brief_summary",
-    "study_type",
-    "sponsor",
-    "start_year",
-    "gender",
-    "min_age",
-    "max_age",
-    "healthy_volunteers",
-    "raw_status",
-    "target_accrual",
-    "actual_accrual",
-    "results_text",
-)
+# Identity comes from the survivor and the flag is recomputed; every other
+# field takes the first non-empty value in content precedence.
+_MERGED_FIELDS = tuple(f.name for f in fields(CanonicalStudy) if f.name not in ("study_id", "source", "flagged"))
 
 
 def _is_empty(value) -> bool:
-    from .schema import StudyStatus
-
     if value is None:
         return True
     if value is StudyStatus.OTHER:  # str enum: must be checked before str
@@ -155,27 +138,12 @@ def merge_records(cluster: list[CanonicalStudy]) -> CanonicalStudy:
     ordered = sorted(cluster, key=_fold_order_key)
 
     merged = CanonicalStudy(study_id=survivor.study_id, source=survivor.source)
-    for name in _SCALAR_FIELDS:
+    for name in _MERGED_FIELDS:
         for record in ordered:
             value = getattr(record, name)
             if not _is_empty(value):
-                setattr(merged, name, value)
+                setattr(merged, name, value.copy() if isinstance(value, (list, set)) else value)
                 break
-    for name in _LIST_FIELDS:
-        for record in ordered:
-            value = getattr(record, name)
-            if value:
-                setattr(merged, name, list(value))
-                break
-    # status: first non-OTHER value in precedence order, else OTHER
-    for record in ordered:
-        if not _is_empty(record.status):
-            merged.status = record.status
-            break
-    for record in ordered:
-        if record.phases:
-            merged.phases = set(record.phases)
-            break
     merged.flagged = needs_flag(merged.study_id, merged.title)
     return merged
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -178,6 +178,7 @@ _YEAR_RE = re.compile(r"\b(19|20)\d{2}\b")
 _INT_CELL_RE = re.compile(r"\d[\d,]*")
 
 
+@cache
 def _default_mapping_dir() -> Path:
     return Path(str(resources.files("trialforge").joinpath("data/sources")))
 

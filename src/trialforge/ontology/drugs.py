@@ -28,6 +28,7 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -69,6 +70,7 @@ _ARTIFACT_TABLE = str.maketrans(
 _WS_RE = re.compile(r"\s+")
 
 
+@cache
 def _default_normalization() -> tuple[tuple[str, ...], dict[str, str]]:
     from importlib import resources
 

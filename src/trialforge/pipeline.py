@@ -37,7 +37,7 @@ import shutil
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, get_type_hints
 
 from . import store
 from .benchgen import (
@@ -61,7 +61,6 @@ from .clients import (
     llm_callable,
     rxnorm_callable,
 )
-from .config import ForgeConfig
 from .dedupe import dedupe_corpus
 from .errors import ForgeError, MissingResultsSection
 from .evidence import (
@@ -74,6 +73,7 @@ from .evidence import (
     disposition_tables_from_ctgov,
     extract_pubmed_pico,
     label_terminated_study,
+    load_termination_keywords,
     parse_adverse_events,
     parse_ctgov_results,
     pico_disposition_rows,
@@ -86,6 +86,7 @@ from .ontology.drugs import link_drug, load_drug_resources
 from .ontology.endpoints import classify_endpoint
 from .ontology.meddra import load_meddra
 from .relations import (
+    AWAITING_MODES,
     assemble_graph,
     extract_nct_links,
     extract_review_references,
@@ -123,7 +124,10 @@ _BIOMARKER_MAX_TOKENS = 6
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Everything a run depends on besides the corpus bytes themselves."""
+    """Everything a run depends on besides the corpus bytes themselves.
+
+    Each field is also a config key and a ``FORGE_*`` variable.
+    """
 
     corpus_dir: Path
     out_dir: Path
@@ -142,44 +146,56 @@ class PipelineSettings:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.awaiting not in AWAITING_MODES:
+            raise ValueError(f"awaiting mode must be one of {AWAITING_MODES}, got {self.awaiting!r}")
 
     @classmethod
-    def from_config(cls, config: ForgeConfig) -> "PipelineSettings":
-        corpus_dir = config.get_path("corpus_dir")
-        out_dir = config.get_path("out_dir")
-        if corpus_dir is None or out_dir is None:
+    def from_config(cls, values: dict[str, str]) -> PipelineSettings:
+        """Parse string ``values`` by field type; absent keys keep defaults, unknown ones are ignored."""
+        if "corpus_dir" not in values or "out_dir" not in values:
             raise ValueError("config needs corpus_dir and out_dir")
-        return cls(
-            corpus_dir=corpus_dir,
-            out_dir=out_dir,
-            seed=config.get_int("seed", 7),
-            dedupe_threshold=config.get_float("dedupe_threshold", 0.95),
-            mode=config.get("mode", "replay"),
-            replay_dir=config.get_path("replay_dir"),
-            awaiting=config.get("awaiting", "emit"),
-            allow_small_split=config.get_bool("allow_small_split", False),
-            split_test_size=config.get_int("split_test_size", 1000),
-            split_validation_size=config.get_int("split_validation_size", 500),
-            search_test_size=config.get_int("search_test_size", 100),
-            vocab_dir=config.get_path("vocab_dir"),
-            mapping_dir=config.get_path("mapping_dir"),
-        )
+        return cls(**{
+            name: _parse_setting(name, kind, values[name])
+            for name, kind in _SETTING_TYPES.items()
+            if name in values
+        })
 
     def fingerprint(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dedupe_threshold": self.dedupe_threshold,
-            "mode": self.mode,
-            "awaiting": self.awaiting,
-            "allow_small_split": self.allow_small_split,
-            "split_test_size": self.split_test_size,
-            "split_validation_size": self.split_validation_size,
-            "search_test_size": self.search_test_size,
-        }
+        """The stage key's view of the settings: every field not typed as a path.
+
+        A set ``vocab_dir`` or ``mapping_dir`` adds a digest of its contents, so
+        an edit there reruns every stage; rerunning only the stages that read
+        the file needs the per-stage read traces planned in ROADMAP.md.
+        """
+        key = {name: getattr(self, name) for name, kind in _SETTING_TYPES.items() if kind not in _PATH_TYPES}
+        for name in ("vocab_dir", "mapping_dir"):
+            directory = getattr(self, name)
+            if directory is not None:
+                key[name] = hash_corpus(directory)
+        return key
 
     @property
     def replay_root(self) -> Path:
         return self.replay_dir if self.replay_dir is not None else self.corpus_dir / "replay"
+
+
+_SETTING_TYPES = get_type_hints(PipelineSettings)
+_PATH_TYPES = (Path, Optional[Path])
+_TRUE = {"1", "true", "yes", "on"}
+_FALSE = {"0", "false", "no", "off"}
+
+
+def _parse_setting(name: str, kind, raw: str):
+    if kind is bool:
+        lowered = raw.strip().lower()
+        if lowered in _TRUE:
+            return True
+        if lowered in _FALSE:
+            return False
+        raise ValueError(f"config key {name!r} has non-boolean value {raw!r}")
+    if kind in _PATH_TYPES:
+        return Path(raw)
+    return kind(raw)
 
 
 @dataclass
@@ -662,6 +678,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
                 nct_abstracts.setdefault(triple.tail_id, []).append(article)
 
     labels: list[OutcomeLabel] = []
+    keyword_sets = load_termination_keywords()
     for study in sorted(studies, key=lambda s: s.study_id):
         doc = index.doc_for(study.study_id)
         if study.status is StudyStatus.COMPLETED:
@@ -685,7 +702,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
             if doc is not None:
                 status_module = (doc.get("protocolSection") or {}).get("statusModule") or {}
             stop_reason = str(status_module.get("whyStopped") or "")
-            labels.append(label_terminated_study(study, stop_reason))
+            labels.append(label_terminated_study(study, stop_reason, keyword_sets))
 
     tables = {
         "trial_results": [store.table_row("trial_results", r) for r in result_rows],
@@ -843,7 +860,7 @@ _STAGE_FUNCS = {
 
 
 def run_pipeline(
-    settings: PipelineSettings | ForgeConfig,
+    settings: PipelineSettings,
     transports: Optional[dict] = None,
     until: str = "benchmarks",
 ) -> dict:
@@ -855,8 +872,6 @@ def run_pipeline(
     ``until`` stage's manifest); a run through ``benchmarks`` also writes
     it to ``out_dir/pipeline_manifest.json``.
     """
-    if isinstance(settings, ForgeConfig):
-        settings = PipelineSettings.from_config(settings)
     if until not in STAGES:
         raise ValueError(f"unknown stage {until!r}; expected one of {STAGES}")
     wanted = STAGES[: STAGES.index(until) + 1]

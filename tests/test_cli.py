@@ -103,6 +103,44 @@ def test_bad_config_line_is_invalid_input(tmp_path, capsys):
     assert "invalid input:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("awaiting = fold", "awaiting mode must be one of"),
+        ("allow_small_split = maybe", "non-boolean value"),
+        ("seed = seven", "invalid literal"),
+    ],
+)
+def test_bad_config_value_fails_before_any_stage(golden, tmp_path, capsys, line, message):
+    config = tmp_path / "forge.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run-all", "--config", str(config), "--corpus", str(golden.corpus), "--out", str(out),
+                 "--replay-dir", str(golden.replay)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and message in err
+    assert not out.exists()
+
+
+def test_bad_awaiting_from_environment_fails_before_any_stage(golden, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FORGE_AWAITING", "fold")
+    out = tmp_path / "out"
+    assert main(pipeline_argv("run-all", golden, out)) == 2
+    assert "awaiting mode must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_env_supplies_settings_and_a_flag_beats_it(golden, tmp_path, monkeypatch):
+    monkeypatch.setenv("FORGE_CORPUS_DIR", str(golden.corpus))
+    monkeypatch.setenv("FORGE_OUT_DIR", str(tmp_path / "from_env"))
+    monkeypatch.setenv("FORGE_REPLAY_DIR", str(golden.replay))
+    assert main(["ingest"]) == 0
+    assert (tmp_path / "from_env" / "01_ingest").is_dir()
+    assert main(["ingest", "--out", str(tmp_path / "from_flag")]) == 0
+    assert (tmp_path / "from_flag" / "01_ingest").is_dir()
+
+
 def test_replay_miss_maps_to_client_error_exit(golden, tmp_path, capsys):
     empty = tmp_path / "empty_replay"
     empty.mkdir()

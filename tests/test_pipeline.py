@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from trialforge import pipeline
 from trialforge.benchgen import numeric_id_key
 from trialforge.errors import LiveCallForbidden, ReplayMiss
+from trialforge.ingest import _default_mapping_dir
+from trialforge.ontology._vocabio import default_vocab_dir
 from trialforge.pipeline import (
     STAGE_DIRS,
     STAGES,
@@ -380,3 +384,45 @@ def test_config_changes_invalidate_resume(golden, tmp_path):
     # A different seed must force a full re-run, not a silent skip.
     summary = run_pipeline(replay_settings(golden, out, seed=golden.seed + 1))
     assert not any(stage["skipped"] for stage in summary["stages"].values())
+
+
+def test_vocab_edit_reruns_every_stage(golden, tmp_path):
+    vocab = tmp_path / "vocab"
+    shutil.copytree(default_vocab_dir(), vocab)
+    settings = replay_settings(golden, tmp_path / "out", vocab_dir=vocab)
+    run_pipeline(settings)
+    (vocab / "fda.tsv").write_text("", encoding="utf-8")
+    rerun = run_pipeline(settings)
+    fresh = run_pipeline(replace(settings, out_dir=tmp_path / "fresh"))
+    assert not any(stage["skipped"] for stage in rerun["stages"].values())
+    assert rerun["pipeline_hash"] == fresh["pipeline_hash"]
+
+
+@pytest.mark.parametrize("setting, bundled", [
+    ("vocab_dir", default_vocab_dir()),
+    ("mapping_dir", _default_mapping_dir()),
+])
+def test_fingerprint_keys_on_directory_contents_not_path(tmp_path, setting, bundled):
+    copy = shutil.copytree(bundled, tmp_path / "copy")
+    moved = shutil.copytree(bundled, tmp_path / "moved")
+    settings = PipelineSettings(corpus_dir=tmp_path / "corpus", out_dir=tmp_path / "out", **{setting: copy})
+    before = settings.fingerprint()
+    assert replace(settings, **{setting: moved}).fingerprint() == before
+    edited = sorted(copy.iterdir())[0]
+    edited.write_text(edited.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    assert settings.fingerprint() != before
+
+
+def test_fingerprint_is_every_setting_not_typed_as_a_path(tmp_path):
+    # config_hash, and with it every stage key, hashes this dict.
+    settings = PipelineSettings(corpus_dir=tmp_path / "corpus", out_dir=tmp_path / "out", replay_dir=tmp_path / "replay")
+    assert settings.fingerprint() == {
+        "seed": 7,
+        "dedupe_threshold": 0.95,
+        "mode": "replay",
+        "awaiting": "emit",
+        "allow_small_split": False,
+        "split_test_size": 1000,
+        "split_validation_size": 500,
+        "search_test_size": 100,
+    }

@@ -23,7 +23,7 @@ from trialforge.clients import (
     request_hash,
     rxnorm_callable,
 )
-from trialforge.config import ForgeConfig, load_config, parse_config_text
+from trialforge.config import load_config, parse_config_text
 from trialforge.errors import (
     ClientUnavailable,
     ForeignKeyViolation,
@@ -31,6 +31,7 @@ from trialforge.errors import (
     MalformedResponse,
     ReplayMiss,
 )
+from trialforge.pipeline import PipelineSettings
 from trialforge.store import (
     TABLE_COLUMNS,
     TABLE_ORDER,
@@ -209,21 +210,30 @@ class TestConfig:
         text = "\n".join(
             [
                 "# pipeline knobs",
+                "corpus_dir = corpus",
                 "seed = 7",
                 'out_dir = "/tmp/out"',
-                "dedupe_threshold = 0.95",
+                "dedupe_threshold = 0.9",
                 "allow_small_split = yes",
+                "vocab_dir = '/data/vocab'",
+                "workers = 4",
                 "",
-                "mode=replay",
+                "mode=offline",
             ]
         )
-        config = ForgeConfig(parse_config_text(text))
-        assert config.get_int("seed", 0) == 7
-        assert str(config.get_path("out_dir")) == "/tmp/out"
-        assert config.get_float("dedupe_threshold", 0.0) == 0.95
-        assert config.get_bool("allow_small_split", False) is True
-        assert config.get("mode") == "replay"
-        assert config.get("absent", "fallback") == "fallback"
+        values = parse_config_text(text)
+        assert values["out_dir"] == "/tmp/out"
+        assert values["seed"] == "7"
+        settings = PipelineSettings.from_config(values)
+        assert settings.seed == 7
+        assert settings.out_dir == Path("/tmp/out")
+        assert settings.dedupe_threshold == 0.9
+        assert settings.allow_small_split is True
+        assert settings.vocab_dir == Path("/data/vocab")
+        assert settings.mode == "offline"
+        # absent keys keep the dataclass defaults; `workers` names no setting
+        assert settings.mapping_dir is None
+        assert settings.split_test_size == 1000
 
     def test_bad_lines(self):
         with pytest.raises(ValueError):
@@ -232,20 +242,35 @@ class TestConfig:
             parse_config_text("= value")
 
     def test_bad_bool(self):
-        config = ForgeConfig({"flag": "maybe"})
-        with pytest.raises(ValueError):
-            config.get_bool("flag", False)
+        with pytest.raises(ValueError, match="config key 'allow_small_split' has non-boolean value 'maybe'"):
+            PipelineSettings.from_config({"corpus_dir": "c", "out_dir": "o", "allow_small_split": "maybe"})
+
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("seed", "seven", "invalid literal"),
+            ("dedupe_threshold", "high", "could not convert"),
+            ("awaiting", "fold", "awaiting mode"),
+            ("mode", "live", "mode must be one of"),
+        ],
+    )
+    def test_bad_values(self, key, raw, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineSettings.from_config({"corpus_dir": "c", "out_dir": "o", key: raw})
+
+    def test_corpus_and_out_are_required(self):
+        with pytest.raises(ValueError, match="corpus_dir and out_dir"):
+            PipelineSettings.from_config({"out_dir": "o", "seed": "7"})
 
     def test_env_override_wins(self, tmp_path):
         path = tmp_path / "forge.cfg"
         path.write_text("seed = 7\nmode = replay\n")
-        config = load_config(path, env={"FORGE_SEED": "99", "HOME": "/root"})
-        assert config.get_int("seed", 0) == 99
-        assert config.get("mode") == "replay"
+        values = load_config(path, env={"FORGE_SEED": "99", "HOME": "/root"})
+        assert values == {"seed": "99", "mode": "replay"}
 
     def test_env_only(self):
-        config = load_config(env={"FORGE_VOCAB_DIR": "/data/vocab"})
-        assert str(config.get_path("vocab_dir")) == "/data/vocab"
+        values = load_config(env={"FORGE_VOCAB_DIR": "/data/vocab", "FORGE_": "x"})
+        assert values == {"vocab_dir": "/data/vocab"}
 
 
 def minimal_bundle():
