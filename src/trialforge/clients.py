@@ -44,10 +44,14 @@ class ReplayStore:
 
     Files keep the originating request alongside the response so a human
     can tell which fixture is which; only the response is served back.
+    ``served`` maps ``"<service>/<digest>.json"`` to the sha256 of the bytes
+    of every fixture `get` read or `put` wrote since its owner last
+    cleared it, so a pipeline stage can key on the responses it used.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.served: dict[str, str] = {}
 
     def _path(self, service: str, digest: str) -> Path:
         return self.root / service / f"{digest}.json"
@@ -59,13 +63,14 @@ class ReplayStore:
         path = self._path(service, digest)
         if not path.is_file():
             raise KeyError(digest)
-        with open(path, encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except ValueError as exc:  # JSONDecodeError, or UTF-8 cut mid-character
-                raise MalformedResponse(f"{path}: unreadable fixture: {exc}") from exc
+        data = path.read_bytes()
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError, or UTF-8 cut mid-character
+            raise MalformedResponse(f"{path}: unreadable fixture: {exc}") from exc
         if not isinstance(payload, dict) or "response" not in payload:
             raise MalformedResponse(f"{path}: fixture has no \"response\" key")
+        self.served[f"{service}/{digest}.json"] = hashlib.sha256(data).hexdigest()
         return payload["response"]
 
     def put(self, service: str, digest: str, request, response) -> Path:
@@ -78,15 +83,16 @@ class ReplayStore:
         path = self._path(service, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"service": service, "request": request, "response": response}
+        data = (json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
         tmp = path.with_name(path.name + ".tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, indent=2, ensure_ascii=False)
-                handle.write("\n")
+            with open(tmp, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        self.served[f"{service}/{digest}.json"] = hashlib.sha256(data).hexdigest()
         return path
 
     def entries(self, service: str) -> list[str]:

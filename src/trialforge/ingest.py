@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from functools import cache, lru_cache
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -183,16 +183,8 @@ def _default_mapping_dir() -> Path:
     return Path(str(resources.files("trialforge").joinpath("data/sources")))
 
 
-@lru_cache(maxsize=None)
-def _load_mapping_cached(source_name: str, mapping_dir: str) -> dict:
-    path = Path(mapping_dir) / f"{source_name.lower()}.json"
-    if not path.exists():
-        raise UnknownSource(f"no field mapping for source {source_name!r} at {path}")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def load_source_mapping(source: Source | str, mapping_dir: str | Path | None = None) -> dict:
+    """Read the source's field mapping from ``mapping_dir`` (the packaged one by default)."""
     name = source.name if isinstance(source, Source) else str(source)
     try:
         tag = Source[name.upper()] if not isinstance(source, Source) else source
@@ -200,8 +192,11 @@ def load_source_mapping(source: Source | str, mapping_dir: str | Path | None = N
         raise UnknownSource(f"unknown source tag {source!r}") from None
     if tag in (Source.CTGOV, Source.PUBMED):
         raise UnknownSource(f"{tag.value} records do not use column mappings")
-    directory = str(mapping_dir) if mapping_dir else str(_default_mapping_dir())
-    return _load_mapping_cached(tag.name, directory)
+    path = Path(mapping_dir or _default_mapping_dir()) / f"{tag.name.lower()}.json"
+    if not path.exists():
+        raise UnknownSource(f"no field mapping for source {tag.name!r} at {path}")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _cell(raw: dict, column: str | None) -> str:
@@ -231,10 +226,11 @@ def _split_list_cell(text: str, separator: str) -> list[str]:
 def parse_registry_record(
     raw: dict,
     source: Source | str,
-    mapping_dir: str | Path | None = None,
+    mapping: dict | None = None,
 ) -> CanonicalStudy:
-    """Normalize one registry row using the source's field mapping config."""
-    mapping = load_source_mapping(source, mapping_dir)
+    """Normalize one registry row using the source's field mapping (the packaged one by default)."""
+    if mapping is None:
+        mapping = load_source_mapping(source)
     tag = Source(mapping["source"])
     fields = mapping["fields"]
 

@@ -2,10 +2,18 @@
 
 The pipeline is a fixed chain of seven stages, each reading files written
 by the previous one and writing its own outputs plus a ``manifest.json``.
-A stage manifest records the hash of everything the stage depended on, so
-a rerun can prove a stage is already up to date and skip it. Nothing in
-any output carries a timestamp; two runs over the same corpus with the
-same settings are byte-identical.
+A stage's key hashes the corpus files, the settings' fingerprint and the
+upstream stage's manifest; its manifest records that key and the sha256
+of each output. A replay store inside the corpus (the default
+``corpus_dir/replay``) is left out of the corpus hash, so recording
+responses does not change the key; instead each manifest lists under
+``responses`` the sha256 of every fixture served to that stage, and an
+edited fixture reruns only the stages that used it. A store outside the
+corpus is not keyed yet: editing one of its fixtures reruns nothing.
+A rerun skips a stage only when its key matches and its outputs and
+recorded responses still hash the same. Nothing in any output carries a
+timestamp; two runs over the same corpus with the same settings are
+byte-identical.
 
 Expected corpus layout::
 
@@ -33,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import shutil
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -79,7 +88,7 @@ from .evidence import (
     pico_disposition_rows,
     primary_pvalues,
 )
-from .ingest import extract_pubmed_study, parse_ctgov_study, parse_registry_record
+from .ingest import extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record
 from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
 from .ontology.conditions import annotate_conditions
 from .ontology.drugs import link_drug, load_drug_resources
@@ -203,6 +212,7 @@ class _Clients:
     llm: Callable[[str], str]
     annotator: Callable[[dict], dict]
     rxnorm: Callable[[dict], dict]
+    store: ReplayStore
     raw: dict = field(default_factory=dict)
 
     def live_calls(self) -> dict:
@@ -210,27 +220,36 @@ class _Clients:
 
 
 def build_clients(settings: PipelineSettings, transports: Optional[dict] = None) -> _Clients:
-    """One replay-backed client per external service.
+    """One client per external service, all backed by one replay store.
 
     ``transports`` maps service names to live callables and only matters
     in record mode; replay and offline runs never touch them.
     """
     transports = transports or {}
-    root = settings.replay_root
+    replay_store = ReplayStore(settings.replay_root)
     clients = {
-        name: ServiceClient(settings.mode, ReplayStore(root), transport=transports.get(name))
+        name: ServiceClient(settings.mode, replay_store, transport=transports.get(name))
         for name in ("llm", "annotator", "rxnorm")
     }
     return _Clients(
         llm=llm_callable(clients["llm"]),
         annotator=annotator_callable(clients["annotator"]),
         rxnorm=rxnorm_callable(clients["rxnorm"]),
+        store=replay_store,
         raw=clients,
     )
 
 
 # ---------------------------------------------------------------------------
 # hashing and manifests
+
+
+def _store_in_corpus(settings: PipelineSettings) -> Optional[Path]:
+    """The replay store as a path below ``corpus_dir``, or None when it lies outside."""
+    root, corpus = settings.replay_root.resolve(), settings.corpus_dir.resolve()
+    if root == corpus or not root.is_relative_to(corpus):
+        return None
+    return settings.corpus_dir / root.relative_to(corpus)
 
 
 def _sha256_text(text: str) -> str:
@@ -245,10 +264,18 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def hash_corpus(corpus_dir: Path) -> str:
-    """Order-independent digest of every file under the corpus root."""
+def hash_corpus(corpus_dir: Path, skip: Optional[Path] = None) -> str:
+    """Order-independent digest of every file under the corpus root.
+
+    ``skip``, a directory under the root, is left out with everything in it.
+    """
+    files = []
+    for dirpath, dirnames, filenames in os.walk(corpus_dir):
+        here = Path(dirpath)
+        dirnames[:] = [name for name in dirnames if here / name != skip]
+        files.extend(here / name for name in filenames)
     digest = hashlib.sha256()
-    for path in sorted(corpus_dir.rglob("*")):
+    for path in sorted(files):
         if not path.is_file():
             continue
         rel = path.relative_to(corpus_dir).as_posix()
@@ -269,23 +296,51 @@ def _hash_outputs(stage_dir: Path) -> dict:
 
 
 def _load_manifest(path: Path) -> Optional[dict]:
+    """The stage manifest, or None when it is missing, unreadable or ill-shaped."""
     if not path.is_file():
         return None
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, OSError):  # bad JSON or bad UTF-8
         return None
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("outputs"), dict)
+        and isinstance(manifest.get("responses", {}), dict)
+    ):
+        return None
+    return manifest
+
+
+def _changed_file(root: Path, recorded: dict) -> Optional[str]:
+    """The first path in ``recorded`` (relative path -> sha256) missing or changed under ``root``."""
+    for rel, expected in recorded.items():
+        path = root / rel
+        if not path.is_file() or _sha256_file(path) != expected:
+            return rel
+    return None
 
 
 def _outputs_intact(stage_dir: Path, manifest: dict) -> bool:
-    recorded = manifest.get("outputs")
-    if not isinstance(recorded, dict):
-        return False
-    for rel, expected in recorded.items():
-        path = stage_dir / rel
-        if not path.is_file() or _sha256_file(path) != expected:
-            return False
-    return True
+    return _changed_file(stage_dir, manifest["outputs"]) is None
+
+
+def _rerun_reason(stage_dir: Path, manifest: Optional[dict], input_hash: str, replay_root: Path) -> Optional[str]:
+    """Why a stage must run, or None when its manifest proves it up to date.
+
+    Up to date means the same input key, every output as recorded and
+    every recorded service response (in-corpus store only) as served.
+    """
+    if manifest is None:
+        return "no readable manifest"
+    if manifest.get("input_hash") != input_hash:
+        return "input key changed"
+    if not _outputs_intact(stage_dir, manifest):
+        return f"output {_changed_file(stage_dir, manifest['outputs'])} changed"
+    response = _changed_file(replay_root, manifest.get("responses", {}))
+    if response is not None:
+        return f"recorded response {response.removesuffix('.json')} changed"
+    return None
 
 
 def _write_json(path: Path, payload) -> None:
@@ -414,15 +469,16 @@ class _DocIndex:
 
 
 class _RunContext:
-    """Settings, clients and the stage inputs shared within one run span.
+    """Settings, clients, the run's corpus hash and the stage inputs shared within one run span.
 
     Stages share what they read here and must not mutate it. Readers are
     module globals looked up at call time, so they can be wrapped.
     """
 
-    def __init__(self, settings: PipelineSettings, clients: _Clients) -> None:
+    def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str) -> None:
         self.settings = settings
         self.clients = clients
+        self.corpus_hash = corpus_hash
 
     def stage_dir(self, name: str) -> Path:
         return self.settings.out_dir / STAGE_DIRS[name]
@@ -474,12 +530,11 @@ class _RunContext:
 
 
 def _stage_ingest(run: _RunContext, out: Path) -> dict:
-    mapping_dir = run.settings.mapping_dir
-    registry = [
-        parse_registry_record(raw, source_tag, mapping_dir=mapping_dir)
-        for source_tag, rows in _corpus_registry_batches(run.settings.corpus_dir)
-        for raw in rows
-    ]
+    registry = []
+    for source_tag, rows in _corpus_registry_batches(run.settings.corpus_dir):
+        if rows:
+            mapping = load_source_mapping(source_tag, run.settings.mapping_dir)
+            registry.extend(parse_registry_record(raw, source_tag, mapping) for raw in rows)
     docs = run.ctgov_docs
     ctgov = [parse_ctgov_study(docs[nct_id]) for nct_id in sorted(docs)]
     pubmed = [extract_pubmed_study(record) for record in run.pubmed_articles]
@@ -840,8 +895,7 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
         for assignment in task_assignments:
             assignments[assignment.item_id] = assignment.split
 
-    corpus_hash = hash_corpus(settings.corpus_dir)
-    write_benchmark_files(items, assignments, out, corpus_hash, settings.seed)
+    write_benchmark_files(items, assignments, out, run.corpus_hash, settings.seed)
 
     counts = {task: len(task_items) for task, task_items in sorted(by_task.items())}
     counts["total"] = len(items)
@@ -877,10 +931,12 @@ def run_pipeline(
     wanted = STAGES[: STAGES.index(until) + 1]
 
     settings.out_dir.mkdir(parents=True, exist_ok=True)
-    corpus_hash = hash_corpus(settings.corpus_dir)
+    store_in_corpus = _store_in_corpus(settings)
+    corpus_hash = hash_corpus(settings.corpus_dir, skip=store_in_corpus)
     config_hash = _sha256_text(json.dumps(settings.fingerprint(), sort_keys=True))
     clients = build_clients(settings, transports)
-    run = _RunContext(settings, clients)
+    served = clients.store.served
+    run = _RunContext(settings, clients, corpus_hash)
 
     upstream = ""
     summary: dict = {"corpus_hash": corpus_hash, "config_hash": config_hash, "stages": {}}
@@ -889,35 +945,36 @@ def run_pipeline(
             # dedupe and database read no corpus file but hold every record or
             # every table, so earlier parses are dropped before them (one context
             # for the whole run raised peak RSS by 13% on bulk-replay).
-            run = _RunContext(settings, clients)
+            run = _RunContext(settings, clients, corpus_hash)
         stage_dir = settings.out_dir / STAGE_DIRS[name]
         manifest_path = stage_dir / "manifest.json"
         input_hash = _sha256_text(f"{corpus_hash}:{config_hash}:{upstream}")
 
         existing = _load_manifest(manifest_path)
-        if (
-            existing is not None
-            and existing.get("input_hash") == input_hash
-            and _outputs_intact(stage_dir, existing)
-        ):
+        reason = _rerun_reason(stage_dir, existing, input_hash, settings.replay_root)
+        if reason is None:
             logger.info("stage %s: up to date", name)
             summary["stages"][name] = {"counts": existing.get("counts", {}), "skipped": True}
         else:
             if stage_dir.exists():
                 shutil.rmtree(stage_dir)
             stage_dir.mkdir(parents=True)
-            logger.info("stage %s: running", name)
+            logger.info("stage %s: running (%s)", name, reason)
+            served.clear()
             try:
                 counts = _STAGE_FUNCS[name](run, stage_dir)
             except ForgeError as exc:
                 exc.args = (f"stage {name}: {exc}",)
                 raise
-            _write_json(manifest_path, {
+            manifest = {
                 "stage": name,
                 "input_hash": input_hash,
                 "counts": counts,
                 "outputs": _hash_outputs(stage_dir),
-            })
+            }
+            if store_in_corpus is not None:
+                manifest["responses"] = dict(served)
+            _write_json(manifest_path, manifest)
             summary["stages"][name] = {"counts": counts, "skipped": False}
         upstream = _sha256_file(manifest_path)
 

@@ -8,6 +8,7 @@ responses in lockstep with the prompts the code actually sends.
 from __future__ import annotations
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,3 +48,17 @@ def golden(tmp_path_factory, replay_builder):
         seed=replay_builder.GOLDEN_SEED,
         transports=replay_builder.TRANSPORTS,
     )
+
+
+@pytest.fixture(params=["default", "explicit"])
+def in_corpus(request, tmp_path):
+    """A golden corpus copy whose replay store lives inside it.
+
+    ``default`` leaves ``replay_dir`` unset (``corpus/replay``); ``explicit``
+    sets it to a nested directory of the corpus. The store starts empty.
+    """
+    corpus = tmp_path / "corpus"
+    shutil.copytree(GOLDEN_CORPUS, corpus)
+    explicit = request.param == "explicit"
+    store = corpus / "cache" / "responses" if explicit else corpus / "replay"
+    return SimpleNamespace(corpus=corpus, store=store, replay_dir=store if explicit else None)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -306,3 +307,23 @@ def test_unknown_verb_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_deleted_served_fixture_exits_3_naming_the_stage(golden, in_corpus, tmp_path, capsys):
+    shutil.copytree(golden.replay, in_corpus.store)
+    argv = [
+        "run-all",
+        "--corpus", str(in_corpus.corpus),
+        "--out", str(tmp_path / "out"),
+        "--seed", str(golden.seed),
+        "--mode", "replay",
+        "--allow-small",
+    ]
+    if in_corpus.replay_dir is not None:
+        argv += ["--replay-dir", str(in_corpus.replay_dir)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "03_link" / "manifest.json").read_text(encoding="utf-8"))
+    (in_corpus.store / sorted(manifest["responses"])[0]).unlink()
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("client error: stage link: ")

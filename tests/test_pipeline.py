@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from trialforge import pipeline
 from trialforge.benchgen import numeric_id_key
+from trialforge.clients import ReplayStore, request_hash
 from trialforge.errors import LiveCallForbidden, ReplayMiss
 from trialforge.ingest import _default_mapping_dir
 from trialforge.ontology._vocabio import default_vocab_dir
@@ -426,3 +428,142 @@ def test_fingerprint_is_every_setting_not_typed_as_a_path(tmp_path):
         "split_validation_size": 500,
         "search_test_size": 100,
     }
+
+
+# --- stage keys over an in-corpus replay store --------------------------------
+
+def recomputed(summary: dict) -> list[str]:
+    return [name for name, stage in summary["stages"].items() if not stage["skipped"]]
+
+
+def stage_manifest(out_dir: Path, name: str) -> dict:
+    return json.loads((out_dir / STAGE_DIRS[name] / "manifest.json").read_text(encoding="utf-8"))
+
+
+def in_corpus_settings(golden, in_corpus, out_dir: Path, **overrides) -> PipelineSettings:
+    return replay_settings(golden, out_dir, corpus_dir=in_corpus.corpus, replay_dir=in_corpus.replay_dir, **overrides)
+
+
+def test_record_run_then_rerun_recomputes_nothing(golden, in_corpus, tmp_path):
+    settings = in_corpus_settings(golden, in_corpus, tmp_path / "out", mode="record")
+    first = run_pipeline(settings, transports=golden.transports)
+    second = run_pipeline(settings, transports=golden.transports)
+    assert first["live_calls"] == golden.summary["live_calls"]
+    assert recomputed(second) == []
+    assert second["live_calls"] == {"annotator": 0, "llm": 0, "rxnorm": 0}
+    assert second["pipeline_hash"] == first["pipeline_hash"]
+    # The corpus key leaves the store out, so recording does not move it.
+    assert first["corpus_hash"] == second["corpus_hash"] == hash_corpus(golden.corpus)
+    served = {}
+    for name in STAGES:
+        served.update(stage_manifest(settings.out_dir, name)["responses"])
+    assert stage_manifest(settings.out_dir, "ingest")["responses"] == {}
+    assert len(served) == sum(first["live_calls"].values())
+    for key, sha in served.items():
+        assert hashlib.sha256((in_corpus.store / key).read_bytes()).hexdigest() == sha
+
+
+def test_unrelated_fixture_recomputes_nothing(golden, in_corpus, tmp_path):
+    shutil.copytree(golden.replay, in_corpus.store)
+    settings = in_corpus_settings(golden, in_corpus, tmp_path / "out")
+    first = run_pipeline(settings)
+    request = {"prompt": "a prompt no stage sends"}
+    ReplayStore(in_corpus.store).put("llm", request_hash(request), request, {"text": "unused"})
+    second = run_pipeline(settings)
+    assert recomputed(second) == []
+    assert second["pipeline_hash"] == first["pipeline_hash"]
+
+
+def test_edited_fixture_reruns_the_stage_that_served_it(golden, in_corpus, tmp_path):
+    shutil.copytree(golden.replay, in_corpus.store)
+    settings = in_corpus_settings(golden, in_corpus, tmp_path / "out")
+    first = run_pipeline(settings)
+    fixtures = [in_corpus.store / key for key in sorted(stage_manifest(settings.out_dir, "link")["responses"])]
+    payloads = {path: json.loads(path.read_text(encoding="utf-8")) for path in fixtures if path.parent.name == "annotator"}
+    fixture = next(path for path, payload in payloads.items() if payload["response"]["annotations"])
+    payloads[fixture]["response"]["annotations"] = []
+    fixture.write_text(json.dumps(payloads[fixture]), encoding="utf-8")
+
+    rerun = run_pipeline(settings)
+    fresh = run_pipeline(replace(settings, out_dir=tmp_path / "fresh"))
+    assert rerun["stages"]["ingest"]["skipped"] is True
+    assert rerun["stages"]["dedupe"]["skipped"] is True
+    assert rerun["stages"]["link"]["skipped"] is False
+    assert rerun["pipeline_hash"] == fresh["pipeline_hash"] != first["pipeline_hash"]
+    assert tree_bytes(settings.out_dir) == tree_bytes(tmp_path / "fresh")
+
+
+def test_rerun_reasons_are_logged(golden, in_corpus, tmp_path, caplog):
+    shutil.copytree(golden.replay, in_corpus.store)
+    settings = in_corpus_settings(golden, in_corpus, tmp_path / "out")
+    caplog.set_level(logging.INFO, logger="trialforge.pipeline")
+
+    def reasons(**overrides) -> list[str]:
+        caplog.clear()
+        run_pipeline(replace(settings, **overrides))
+        return [record.getMessage() for record in caplog.records if ": running" in record.getMessage()]
+
+    assert reasons() == [f"stage {name}: running (no readable manifest)" for name in STAGES]
+    assert reasons() == []
+    assert reasons(seed=golden.seed + 1) == [f"stage {name}: running (input key changed)" for name in STAGES]
+    reasons()
+
+    tampered = settings.out_dir / STAGE_DIRS["extract"] / "trial_results.jsonl"
+    tampered.write_bytes(tampered.read_bytes() + b"{}\n")
+    assert reasons() == ["stage extract: running (output trial_results.jsonl changed)"]
+
+    key = sorted(stage_manifest(settings.out_dir, "link")["responses"])[0]
+    fixture = in_corpus.store / key
+    fixture.write_bytes(fixture.read_bytes() + b"\n")
+    assert reasons()[0] == f"stage link: running (recorded response {key.removesuffix('.json')} changed)"
+
+
+@pytest.mark.parametrize("manifest", [
+    b"\xff\xfe{",
+    b"[]\n",
+    b'{"input_hash": "x", "outputs": []}\n',
+    "responses-not-a-map",
+], ids=["not-utf8", "not-an-object", "outputs-not-a-map", "responses-not-a-map"])
+def test_corrupt_manifest_reruns_only_its_stage(golden, tmp_path, manifest):
+    settings = replay_settings(golden, tmp_path / "out")
+    first = run_pipeline(settings)
+    path = settings.out_dir / STAGE_DIRS["link"] / "manifest.json"
+    if manifest == "responses-not-a-map":
+        manifest = json.dumps(stage_manifest(settings.out_dir, "link") | {"responses": []}).encode()
+    path.write_bytes(manifest)
+    second = run_pipeline(settings)
+    fresh = run_pipeline(replace(settings, out_dir=tmp_path / "fresh"))
+    assert recomputed(second) == ["link"]
+    assert second["pipeline_hash"] == fresh["pipeline_hash"] == first["pipeline_hash"]
+
+
+def test_corpus_is_hashed_once_per_run(golden, tmp_path, monkeypatch):
+    calls = []
+    original = pipeline.hash_corpus
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "hash_corpus", counting)
+    summary = run_pipeline(replay_settings(golden, tmp_path / "out"))
+    assert len(calls) == 1
+    header, *rows = (tmp_path / "out" / STAGE_DIRS["benchmarks"] / "benchmarks.tsv").read_text(encoding="utf-8").splitlines()
+    assert header.split("\t")[3] == "corpus_hash"
+    assert {row.split("\t")[3] for row in rows} == {summary["corpus_hash"]}
+
+
+def test_ingest_rereads_an_edited_mapping(golden, tmp_path):
+    mappings = shutil.copytree(_default_mapping_dir(), tmp_path / "mappings")
+    settings = replay_settings(golden, tmp_path / "out", mapping_dir=mappings)
+    run_pipeline(settings, until="ingest")
+    studies = settings.out_dir / STAGE_DIRS["ingest"] / "studies.jsonl"
+    before = studies.read_bytes()
+    mapping = json.loads((mappings / "anzctr.json").read_text(encoding="utf-8"))
+    mapping["fields"]["title"] = "no_such_column"
+    (mappings / "anzctr.json").write_text(json.dumps(mapping), encoding="utf-8")
+
+    run_pipeline(settings, until="ingest")
+    run_pipeline(replace(settings, out_dir=tmp_path / "fresh"), until="ingest")
+    assert studies.read_bytes() != before
+    assert studies.read_bytes() == (tmp_path / "fresh" / STAGE_DIRS["ingest"] / "studies.jsonl").read_bytes()

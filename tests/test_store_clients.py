@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -154,10 +155,22 @@ class TestServiceClient:
 
 
 class TestReplayStoreDurability:
+    def test_served_holds_sha256_of_the_bytes_on_disk(self, tmp_path):
+        request = {"prompt": "x"}
+        digest = request_hash(request)
+        writer = ReplayStore(tmp_path)
+        path = writer.put("llm", digest, request, {"text": "é"})
+        key = f"llm/{digest}.json"
+        assert writer.served == {key: hashlib.sha256(path.read_bytes()).hexdigest()}
+        reader = ReplayStore(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\n")
+        assert reader.get("llm", digest) == {"text": "é"}
+        assert reader.served == {key: hashlib.sha256(path.read_bytes()).hexdigest()}
+
     def test_put_failing_mid_dump_leaves_no_fixture(self, tmp_path):
         store = ReplayStore(tmp_path)
         digest = request_hash({"prompt": "x"})
-        # sort_keys puts "a" first, so it is written before object() fails
+        # a response that cannot be encoded leaves no fixture and no temp file
         with pytest.raises(TypeError):
             store.put("llm", digest, {"prompt": "x"}, {"a": "partial", "z": object()})
         assert not (tmp_path / "llm" / f"{digest}.json").exists()
