@@ -9,7 +9,8 @@ hashed; the hash names the fixture file under ``<root>/<service>/``.
 Modes:
 
 * ``record``  — serve from the store when present, otherwise invoke the
-  live transport and persist the response.
+  live transport and persist the response. A fixture that no longer
+  parses (say, cut short by a crash) is recorded again the same way.
 * ``replay``  — store only; a miss is a `ReplayMiss`.
 * ``offline`` — store only; a miss is a `LiveCallForbidden`, signalling
   that the caller would have needed the network.
@@ -19,12 +20,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from .errors import ClientUnavailable, LiveCallForbidden, MalformedResponse, ReplayMiss
+
+logger = logging.getLogger(__name__)
 
 SERVICES = ("rxnorm", "annotator", "pubmed_search", "llm")
 MODES = ("record", "replay", "offline")
@@ -125,7 +129,12 @@ class ServiceClient:
             raise ValueError(f"unknown service {service!r}; expected one of {SERVICES}")
         digest = request_hash(request)
         if self.store.has(service, digest):
-            return self.store.get(service, digest)
+            try:
+                return self.store.get(service, digest)
+            except MalformedResponse as exc:
+                if self.mode != "record":
+                    raise
+                logger.warning("%s; recording it again", exc)
         if self.mode == "replay":
             raise ReplayMiss(f"{service}:{digest}")
         if self.mode == "offline":

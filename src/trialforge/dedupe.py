@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
+from itertools import groupby
+from typing import Iterable
 
 from .schema import CanonicalStudy, RelationTriple, Source, StudyStatus, encode_study, needs_flag, source_rank
 
@@ -102,9 +104,22 @@ def _sort_key(s: CanonicalStudy) -> tuple:
     return (s.source.value, s.study_id)
 
 
-def _fold_order_key(s: CanonicalStudy) -> tuple:
-    """Content precedence inside a cluster: CT.gov, then registries, then PubMed."""
-    return (source_rank(s.source), s.source.value, s.study_id, encode_study(s))
+def _precedence(s: CanonicalStudy) -> tuple:
+    return (source_rank(s.source), s.source.value, s.study_id)
+
+
+def _fold_order(records: Iterable[CanonicalStudy]) -> list[CanonicalStudy]:
+    """Records in content precedence: CT.gov, then registries, then PubMed.
+
+    Records that tie on (rank, source, study_id) are ordered by their
+    encoding, so the order never depends on the input order; only those
+    records are encoded.
+    """
+    ordered: list[CanonicalStudy] = []
+    for _, tied in groupby(sorted(records, key=_precedence), key=_precedence):
+        tied = list(tied)
+        ordered.extend(sorted(tied, key=encode_study) if len(tied) > 1 else tied)
+    return ordered
 
 
 # Identity comes from the survivor and the flag is recomputed; every other
@@ -135,7 +150,7 @@ def merge_records(cluster: list[CanonicalStudy]) -> CanonicalStudy:
     if not cluster:
         raise ValueError("empty cluster")
     survivor = min(cluster, key=_sort_key)
-    ordered = sorted(cluster, key=_fold_order_key)
+    ordered = _fold_order(cluster)
 
     merged = CanonicalStudy(study_id=survivor.study_id, source=survivor.source)
     for name in _MERGED_FIELDS:
@@ -186,7 +201,7 @@ def dedupe_intra(
     out: list[CanonicalStudy] = []
     decisions: list[MergeDecision] = []
     for key in sorted(groups):
-        members = sorted(groups[key], key=_fold_order_key)
+        members = _fold_order(groups[key])
         if len(members) == 1:
             out.append(members[0])
             decisions.append(
@@ -283,8 +298,8 @@ def dedupe_inter(
     missing critical fields) have a disputed identity, so they pass
     through untouched rather than being merged on shaky evidence.
     """
-    flagged = sorted((r for r in records if r.flagged), key=_fold_order_key)
-    items = sorted((r for r in records if not r.flagged), key=_fold_order_key)
+    flagged = _fold_order(r for r in records if r.flagged)
+    items = _fold_order(r for r in records if not r.flagged)
     uf = _UnionFind(len(items))
     scores: dict[tuple[int, int], float] = {}
     for i, j in candidate_pairs(items, threshold):

@@ -11,9 +11,11 @@ responses does not change the key; instead each manifest lists under
 edited fixture reruns only the stages that used it. A store outside the
 corpus is not keyed yet: editing one of its fixtures reruns nothing.
 A rerun skips a stage only when its key matches and its outputs and
-recorded responses still hash the same. Nothing in any output carries a
-timestamp; two runs over the same corpus with the same settings are
-byte-identical.
+recorded responses still hash the same. Every such check re-reads and
+re-hashes the file's bytes on every run; no mtime, size or other metadata
+is trusted and nothing is cached between runs. Nothing in any output
+carries a timestamp; two runs over the same corpus with the same settings
+are byte-identical.
 
 Expected corpus layout::
 
@@ -38,11 +40,13 @@ another ``database`` and ``benchmarks``.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
 import os
 import shutil
+import stat
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -256,12 +260,66 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
+# Reads are unbuffered; chunking keeps memory flat on large outputs.
+_CHUNK = 1 << 16
+# stat errors that `Path.is_file` reads as "not a file" rather than raising
+_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
+def _sha256_file(path) -> str:
+    """The sha256 of a file's bytes: the one content digest behind every skip check."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        while chunk := os.read(fd, _CHUNK):
             digest.update(chunk)
+    finally:
+        os.close(fd)
     return digest.hexdigest()
+
+
+def _regular_file_sha256(path: str) -> Optional[str]:
+    """The sha256 of ``path`` if it is a regular file (symlinks followed), else None.
+
+    Nothing else at the path (no entry, a directory, a FIFO, a broken link)
+    is opened, so a FIFO cannot block the check.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except OSError as exc:
+        if exc.errno in _NOT_A_FILE:
+            return None
+        raise
+    return _sha256_file(path) if stat.S_ISREG(mode) else None
+
+
+def _regular_files(root, skip: Optional[str] = None) -> list[tuple[str, str]]:
+    """``(relative posix path, path)`` of every regular file under ``root``.
+
+    Files come in the order of their path parts (``a/b`` before ``a-b/x``),
+    because each directory's entries are visited sorted by name. A symlink
+    to a file counts; a symlinked directory is not entered, and a broken
+    link or a FIFO is left out unopened. ``skip``, a relative directory
+    path, is pruned. An unreadable or missing directory adds nothing.
+    """
+    found: list[tuple[str, str]] = []
+
+    def visit(directory: str, prefix: str) -> None:
+        try:
+            with os.scandir(directory) as it:
+                entries = sorted(it, key=lambda entry: entry.name)
+        except OSError:
+            return
+        for entry in entries:
+            rel = prefix + entry.name
+            if entry.is_dir():
+                if rel != skip and not entry.is_symlink():
+                    visit(entry.path, rel + "/")
+            elif entry.is_file():
+                found.append((rel, entry.path))
+
+    visit(os.fspath(root), "")
+    return found
 
 
 def hash_corpus(corpus_dir: Path, skip: Optional[Path] = None) -> str:
@@ -269,30 +327,24 @@ def hash_corpus(corpus_dir: Path, skip: Optional[Path] = None) -> str:
 
     ``skip``, a directory under the root, is left out with everything in it.
     """
-    files = []
-    for dirpath, dirnames, filenames in os.walk(corpus_dir):
-        here = Path(dirpath)
-        dirnames[:] = [name for name in dirnames if here / name != skip]
-        files.extend(here / name for name in filenames)
+    skip_rel = None
+    if skip is not None:
+        try:
+            skip_rel = Path(skip).relative_to(corpus_dir).as_posix()
+        except ValueError:  # not under the root, so nothing to prune
+            pass
     digest = hashlib.sha256()
-    for path in sorted(files):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(corpus_dir).as_posix()
-        digest.update(rel.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(_sha256_file(path).encode("ascii"))
-        digest.update(b"\x00")
+    for rel, path in _regular_files(corpus_dir, skip_rel):
+        digest.update(f"{rel}\x00{_sha256_file(path)}\x00".encode("utf-8"))
     return digest.hexdigest()
 
 
 def _hash_outputs(stage_dir: Path) -> dict:
-    outputs = {}
-    for path in sorted(stage_dir.rglob("*")):
-        if not path.is_file() or path.name == "manifest.json":
-            continue
-        outputs[path.relative_to(stage_dir).as_posix()] = _sha256_file(path)
-    return outputs
+    return {
+        rel: _sha256_file(path)
+        for rel, path in _regular_files(stage_dir)
+        if rel.rpartition("/")[2] != "manifest.json"
+    }
 
 
 def _load_manifest(path: Path) -> Optional[dict]:
@@ -314,9 +366,10 @@ def _load_manifest(path: Path) -> Optional[dict]:
 
 def _changed_file(root: Path, recorded: dict) -> Optional[str]:
     """The first path in ``recorded`` (relative path -> sha256) missing or changed under ``root``."""
+    root = os.fspath(root)
     for rel, expected in recorded.items():
-        path = root / rel
-        if not path.is_file() or _sha256_file(path) != expected:
+        digest = _regular_file_sha256(os.path.join(root, rel))
+        if digest is None or digest != expected:
             return rel
     return None
 

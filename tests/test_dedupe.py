@@ -20,7 +20,7 @@ from trialforge.dedupe import (
     similarity,
     title_similarity,
 )
-from trialforge.schema import CanonicalStudy, PhaseLabel, Source, StudyStatus
+from trialforge.schema import CanonicalStudy, PhaseLabel, Source, StudyStatus, encode_study
 
 
 def rec(study_id, source, title, **kw) -> CanonicalStudy:
@@ -136,6 +136,47 @@ def test_merge_is_order_independent():
     orders = [[a, b, c], [c, b, a], [b, a, c]]
     merged = [merge_records(list(o)) for o in orders]
     assert merged[0] == merged[1] == merged[2]
+
+
+def counting_encodes(monkeypatch) -> Counter:
+    encoded: Counter = Counter()
+
+    def counted(study):
+        encoded[(study.source.value, study.study_id)] += 1
+        return encode_study(study)
+
+    monkeypatch.setattr(dedupe, "encode_study", counted)
+    return encoded
+
+
+def test_only_records_sharing_an_identity_are_encoded(monkeypatch):
+    encoded = counting_encodes(monkeypatch)
+    rng = random.Random(7)
+    for _ in range(30):
+        corpus = make_dedupe_corpus(rng)
+        identities = Counter((r.source.value, r.study_id) for r in corpus)
+        encoded.clear()
+        dedupe_corpus(corpus)
+        assert {key for key in encoded if identities[key] < 2} == set()
+        unique = [r for r in corpus if identities[(r.source.value, r.study_id)] == 1]
+        encoded.clear()
+        dedupe_corpus(unique)
+        assert encoded == Counter()
+
+
+def test_records_sharing_an_identity_are_ordered_by_content():
+    a = rec("A1", Source.ANZCTR, "Exercise for knee pain", sponsor="Acme Health")
+    b = rec("A1", Source.ANZCTR, "Statin therapy for prevention", sponsor="Globex Institute")
+    c = rec("A1", Source.ANZCTR, "Exercise, for KNEE pain.", sponsor="Initech")
+    by_content = sorted([a, b], key=encode_study)
+    for members in ([a, b], [b, a]):
+        out, _ = dedupe_intra(members)  # conflicting titles: both kept, flagged
+        assert [r.title for r in out] == [r.title for r in by_content]
+        passed, _, _ = dedupe_inter(out)
+        assert [r.title for r in passed] == [r.title for r in by_content]
+    # the first non-empty value of the smallest encoding wins a merge
+    first = min([a, c], key=encode_study)
+    assert merge_records([a, c]).sponsor == merge_records([c, a]).sponsor == first.sponsor
 
 
 # --- intra-source dedupe ---------------------------------------------------------

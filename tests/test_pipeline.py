@@ -1,7 +1,12 @@
+import builtins
 import hashlib
+import io
 import json
 import logging
+import os
 import shutil
+import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -380,6 +385,127 @@ def test_hash_corpus_changes_with_content(golden, tmp_path):
     assert hash_corpus(copy) != hash_corpus(golden.corpus)
 
 
+# The digest walk before it moved to os.scandir and unbuffered reads: the
+# oracles for `hash_corpus`, `_hash_outputs` and `_changed_file`.
+
+def reference_sha256_file(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def reference_hash_corpus(corpus_dir: Path, skip: Path | None = None) -> str:
+    files = []
+    for dirpath, dirnames, filenames in os.walk(corpus_dir):
+        here = Path(dirpath)
+        dirnames[:] = [name for name in dirnames if here / name != skip]
+        files.extend(here / name for name in filenames)
+    digest = hashlib.sha256()
+    for path in sorted(files):
+        if not path.is_file():
+            continue
+        rel = path.relative_to(corpus_dir).as_posix()
+        digest.update(rel.encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(reference_sha256_file(path).encode("ascii"))
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
+def reference_hash_outputs(stage_dir: Path) -> dict:
+    outputs = {}
+    for path in sorted(stage_dir.rglob("*")):
+        if not path.is_file() or path.name == "manifest.json":
+            continue
+        outputs[path.relative_to(stage_dir).as_posix()] = reference_sha256_file(path)
+    return outputs
+
+
+def reference_changed_file(root: Path, recorded: dict) -> str | None:
+    for rel, expected in recorded.items():
+        path = root / rel
+        if not path.is_file() or reference_sha256_file(path) != expected:
+            return rel
+    return None
+
+
+def within_timeout(fn, seconds: float = 10.0):
+    """``fn()``'s result; fails instead of hanging if it blocks (say, opening a FIFO)."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "blocked"
+    return result[0]
+
+
+@pytest.fixture
+def awkward_tree(tmp_path) -> Path:
+    """Names whose string order differs from their path-part order, non-ASCII
+    names, empty dirs, a store subtree to skip, links of every kind and a FIFO."""
+    root = tmp_path / "tree"
+    files = {
+        "a/b": b"ab",
+        "a-b/x": b"a-b x",
+        "a.b": b"dot",
+        "ab": b"",
+        "big.bin": bytes(range(256)) * 800,  # several read chunks
+        "données/été.json": "é".encode("utf-8"),
+        "z/深/層.txt": b"deep",
+        "replay/llm/f.json": b"{}",
+        "sub/manifest.json": b"nested manifest",
+        "manifest.json": b"top manifest",
+    }
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+    (root / "empty").mkdir()
+    (root / "z" / "empty").mkdir()
+    (root / "link-file").symlink_to(root / "a" / "b")
+    (root / "link-dir").symlink_to(root / "a", target_is_directory=True)
+    (root / "broken").symlink_to(root / "nowhere")
+    os.mkfifo(root / "fifo")
+    return root
+
+
+def test_hash_corpus_matches_reference(awkward_tree, tmp_path):
+    for skip in (None, awkward_tree / "replay", awkward_tree / "a", awkward_tree, tmp_path / "replay"):
+        assert within_timeout(lambda: pipeline.hash_corpus(awkward_tree, skip=skip)) == reference_hash_corpus(
+            awkward_tree, skip
+        )
+    assert pipeline.hash_corpus(tmp_path / "missing") == reference_hash_corpus(tmp_path / "missing")
+
+
+def test_hash_outputs_matches_reference(awkward_tree):
+    outputs = within_timeout(lambda: pipeline._hash_outputs(awkward_tree))
+    assert outputs == reference_hash_outputs(awkward_tree)
+    assert list(outputs) == list(reference_hash_outputs(awkward_tree))  # a/b before a-b/x
+    assert "link-file" in outputs and "sub/manifest.json" not in outputs
+
+
+def test_changed_file_matches_reference(awkward_tree):
+    recorded = reference_hash_outputs(awkward_tree)
+    assert within_timeout(lambda: pipeline._changed_file(awkward_tree, recorded)) is None
+    sha_of_ab = recorded["a/b"]
+    cases = {
+        "missing": {"gone.json": sha_of_ab},
+        "broken link": {"broken": sha_of_ab},
+        "a dir": {"a": sha_of_ab},
+        "a symlinked dir": {"link-dir": sha_of_ab},
+        "a FIFO": {"fifo": sha_of_ab},
+        "below a file": {"a.b/x": sha_of_ab},
+        "changed bytes": {"a.b": sha_of_ab},
+    }
+    for case, changed in cases.items():
+        checked = {"a/b": sha_of_ab, **changed}
+        [rel] = changed
+        assert within_timeout(lambda: pipeline._changed_file(awkward_tree, checked)) == rel, case
+        assert reference_changed_file(awkward_tree, checked) == rel, case
+    assert pipeline._changed_file(awkward_tree, {"link-file": sha_of_ab}) is None
+
+
 def test_config_changes_invalidate_resume(golden, tmp_path):
     out = tmp_path / "out"
     run_pipeline(replay_settings(golden, out))
@@ -461,6 +587,51 @@ def test_record_run_then_rerun_recomputes_nothing(golden, in_corpus, tmp_path):
     assert len(served) == sum(first["live_calls"].values())
     for key, sha in served.items():
         assert hashlib.sha256((in_corpus.store / key).read_bytes()).hexdigest() == sha
+
+
+def test_noop_rerun_reads_each_recorded_file_once(golden, in_corpus, tmp_path, monkeypatch):
+    settings = in_corpus_settings(golden, in_corpus, tmp_path / "out", mode="record")
+    run_pipeline(settings, transports=golden.transports)
+    manifests = {settings.out_dir / STAGE_DIRS[name] / "manifest.json" for name in STAGES}
+    outputs, responses = [], []
+    for name in STAGES:
+        manifest = stage_manifest(settings.out_dir, name)
+        outputs += [settings.out_dir / STAGE_DIRS[name] / rel for rel in manifest["outputs"]]
+        responses += [in_corpus.store / rel for rel in manifest["responses"]]
+    corpus_files = [
+        path for path in in_corpus.corpus.rglob("*")
+        if path.is_file() and not path.is_relative_to(in_corpus.store)
+    ]
+    assert responses and corpus_files
+
+    reads: Counter = Counter()
+    os_open, io_open = os.open, io.open
+
+    def counting_os_open(path, flags, *args, **kwargs):
+        if flags & os.O_ACCMODE == os.O_RDONLY:
+            reads[Path(path).resolve()] += 1
+        return os_open(path, flags, *args, **kwargs)
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and not set(mode) & set("wax+"):
+            reads[Path(file).resolve()] += 1
+        return io_open(file, mode, *args, **kwargs)
+
+    def no_live_call(service, request):
+        raise AssertionError(f"live {service} call on a no-op")
+
+    monkeypatch.setattr(os, "open", counting_os_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    summary = run_pipeline(settings, transports={name: no_live_call for name in golden.transports})
+    monkeypatch.undo()
+
+    assert recomputed(summary) == []
+    assert summary["live_calls"] == {"annotator": 0, "llm": 0, "rxnorm": 0}
+    recorded = [path.resolve() for path in outputs + responses + corpus_files]
+    assert {path: reads[path] for path in recorded} == {path: 1 for path in recorded}
+    # the rest is the stage manifests: parsed, and digested for the next stage's key
+    assert set(reads) - set(recorded) == {path.resolve() for path in manifests}
 
 
 def test_unrelated_fixture_recomputes_nothing(golden, in_corpus, tmp_path):

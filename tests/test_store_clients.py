@@ -32,7 +32,7 @@ from trialforge.errors import (
     MalformedResponse,
     ReplayMiss,
 )
-from trialforge.pipeline import PipelineSettings
+from trialforge.pipeline import PipelineSettings, run_pipeline
 from trialforge.store import (
     TABLE_COLUMNS,
     TABLE_ORDER,
@@ -194,6 +194,37 @@ class TestReplayStoreDurability:
         (tmp_path / "llm" / f"{digest}.json").write_text(text, encoding="utf-8")
         with pytest.raises(MalformedResponse):
             ServiceClient("replay", store).call("llm", {"prompt": "x"})
+
+    def test_record_mode_records_a_malformed_fixture_again(self, tmp_path, caplog):
+        request = {"prompt": "x"}
+        digest = request_hash(request)
+        path = tmp_path / "llm" / f"{digest}.json"
+        path.parent.mkdir()
+        path.write_text('{"service": "llm", "resp', encoding="utf-8")
+        log = []
+        client = ServiceClient("record", ReplayStore(tmp_path), recording_transport(log))
+        with caplog.at_level("WARNING", logger="trialforge.clients"):
+            response = client.call("llm", request)
+        assert client.live_calls == 1 and log == [("llm", request)]
+        assert "unreadable fixture" in caplog.text
+        assert ServiceClient("replay", ReplayStore(tmp_path)).call("llm", request) == response
+
+    def test_record_run_repairs_a_truncated_fixture(self, golden, tmp_path):
+        replay = shutil.copytree(golden.replay, tmp_path / "replay")
+        [name] = ReplayStore(replay).entries("rxnorm")
+        fixture = replay / "rxnorm" / f"{name}.json"
+        fixture.write_bytes(fixture.read_bytes()[:40])
+        settings = PipelineSettings(
+            corpus_dir=golden.corpus, out_dir=tmp_path / "out", seed=golden.seed,
+            mode="record", replay_dir=replay, allow_small_split=True,
+        )
+        summary = run_pipeline(settings, transports=golden.transports)
+        assert summary["live_calls"] == {"annotator": 0, "llm": 0, "rxnorm": 1}
+        assert fixture.read_bytes() == (golden.replay / "rxnorm" / f"{name}.json").read_bytes()
+        def tree(root):
+            return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+        assert tree(tmp_path / "out") == tree(golden.record_out)
 
     def test_truncated_fixture_exits_with_client_error(self, golden, tmp_path, monkeypatch, capsys):
         for name in list(os.environ):
