@@ -8,6 +8,7 @@ import random
 import re
 
 from ..errors import MalformedResponse, SelfReferenceViolation
+from ..ontology.endpoints import strip_code_fence
 from ..schema import RelationTriple, Source
 from .items import OPTION_LETTERS, BenchmarkItem
 from .splits import SplitAssignment, split_by_numeric_id
@@ -207,15 +208,6 @@ def check_self_reference(question: str) -> None:
             raise SelfReferenceViolation(f"question contains {match.group(0)!r}")
 
 
-def _strip_code_fence(text: str) -> str:
-    stripped = text.strip()
-    if stripped.startswith("```"):
-        stripped = stripped.split("\n", 1)[1] if "\n" in stripped else ""
-        if stripped.rstrip().endswith("```"):
-            stripped = stripped.rstrip()[:-3]
-    return stripped.strip()
-
-
 def gen_evidence_mcq(reviews: list[dict], llm_client) -> list[BenchmarkItem]:
     """Question generation from review conclusions, replayable offline.
 
@@ -237,7 +229,7 @@ def gen_evidence_mcq(reviews: list[dict], llm_client) -> list[BenchmarkItem]:
             continue
         raw = llm_client(EVIDENCE_MCQ_PROMPT.format(review_text=review["review_text"]))
         try:
-            payload = json.loads(_strip_code_fence(raw))
+            payload = json.loads(strip_code_fence(raw))
         except (json.JSONDecodeError, TypeError) as exc:
             raise MalformedResponse(f"review {pmid}: {exc}") from exc
         if not isinstance(payload, dict):

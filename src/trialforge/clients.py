@@ -14,6 +14,10 @@ Modes:
 * ``replay``  — store only; a miss is a `ReplayMiss`.
 * ``offline`` — store only; a miss is a `LiveCallForbidden`, signalling
   that the caller would have needed the network.
+
+`ServiceClient.call` alone decides what a failed call means. Callers only
+check what a response contains and let every `ClientError` through, so no
+output is derived from a call that failed.
 """
 
 from __future__ import annotations
@@ -125,28 +129,35 @@ class ServiceClient:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     def call(self, service: str, request):
+        """The response to ``request``, or a `ClientError` naming the service and request hash.
+
+        A miss is a `ReplayMiss` or `LiveCallForbidden`, a fixture that does
+        not parse (outside record mode) a `MalformedResponse`, and a missing
+        transport or any `OSError` from the store or the transport a
+        `ClientUnavailable`. An unknown service is a `ValueError`.
+        """
         if service not in SERVICES:
             raise ValueError(f"unknown service {service!r}; expected one of {SERVICES}")
         digest = request_hash(request)
-        if self.store.has(service, digest):
-            try:
-                return self.store.get(service, digest)
-            except MalformedResponse as exc:
-                if self.mode != "record":
-                    raise
-                logger.warning("%s; recording it again", exc)
-        if self.mode == "replay":
-            raise ReplayMiss(f"{service}:{digest}")
-        if self.mode == "offline":
-            raise LiveCallForbidden(f"{service}:{digest}")
-        if self.transport is None:
-            raise ValueError("record mode requires a transport")
         try:
+            if self.store.has(service, digest):
+                try:
+                    return self.store.get(service, digest)
+                except MalformedResponse as exc:
+                    if self.mode != "record":
+                        raise
+                    logger.warning("%s; recording it again", exc)
+            if self.mode == "replay":
+                raise ReplayMiss(f"{service}:{digest}")
+            if self.mode == "offline":
+                raise LiveCallForbidden(f"{service}:{digest}")
+            if self.transport is None:
+                raise ClientUnavailable(f"{service}:{digest}: record mode has no {service} transport")
             response = self.transport(service, request)
+            self.live_calls += 1
+            self.store.put(service, digest, request, response)
         except OSError as exc:
-            raise ClientUnavailable(f"{service}: {exc}") from exc
-        self.live_calls += 1
-        self.store.put(service, digest, request, response)
+            raise ClientUnavailable(f"{service}:{digest}: {exc}") from exc
         return response
 
 

@@ -81,14 +81,6 @@ class MalformedResponse(ClientError):
     pass
 
 
-class RemoteUnavailable(ClientError):
-    pass
-
-
-class AnnotatorUnavailable(ClientError):
-    pass
-
-
 class ReplayMiss(ClientError):
     """Raised in replay mode when no recorded response matches the request hash."""
 

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from trialforge.errors import ClientError, DanglingReference, LiveCallForbidden, MalformedResponse, MissingResultsSection, ReplayMiss
+from trialforge.errors import DanglingReference, MalformedResponse, MissingResultsSection
 from trialforge.ontology.meddra import MeddraHierarchy, map_meddra
 from trialforge.schema import CanonicalStudy
 
@@ -537,12 +537,7 @@ def _normalize_status_text(raw: Optional[str]) -> str:
 
 
 def _llm_verdict(study: CanonicalStudy, abstracts: Sequence[Mapping], llm_client: LlmClient) -> str:
-    try:
-        answer = llm_client(build_outcome_prompt(study, rank_abstracts(study.title, abstracts)[:2]))
-    except (LiveCallForbidden, ReplayMiss):
-        raise
-    except (ClientError, OSError):
-        return "unknown"
+    answer = llm_client(build_outcome_prompt(study, rank_abstracts(study.title, abstracts)[:2]))
     verdict = answer.strip().lower()
     if verdict.startswith("positive"):
         return "positive"
@@ -562,15 +557,14 @@ def classify_completed_outcome(
     1. A raw status of "approved for marketing" is recorded directly.
     2. Otherwise the model reads the title, the two most title-similar
        abstracts, and the primary outcomes; a definite verdict wins.
-    3. On an unknown verdict (or no abstracts, no client, or a client
-       failure) the smallest primary-outcome p-value decides: below 0.01
-       positive at the strict threshold, below 0.05 positive at the loose
-       one, else negative.
+    3. On an unknown verdict (or no abstracts, or no client) the smallest
+       primary-outcome p-value decides: below 0.01 positive at the strict
+       threshold, below 0.05 positive at the loose one, else negative.
     4. With nothing to go on the label is unknown.
 
-    Every input yields exactly one label; only ``LiveCallForbidden`` and
-    ``ReplayMiss`` escape, since a forbidden or unrecorded call is a
-    configuration error, not a verdict.
+    Whatever ``llm_client`` raises propagates untouched: a failed call is
+    not a verdict, and falling back to the p-values would write a label
+    that no replay of the recorded responses reproduces.
     """
     if "approved for marketing" in _normalize_status_text(study.raw_status):
         return OutcomeLabel(study.study_id, "approved-for-marketing", "status")

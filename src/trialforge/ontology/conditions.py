@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from trialforge.errors import AnnotatorUnavailable, ClientError, LiveCallForbidden, MalformedResponse, ReplayMiss
+from trialforge.errors import MalformedResponse
 from trialforge.schema import CanonicalStudy, Source
 
 MESH_TYPES = ("mesh-list", "mesh-ancestor", "mesh-ancestor-main")
@@ -52,10 +52,9 @@ def annotate_conditions(study: CanonicalStudy, annotator_client: AnnotatorClient
     """Annotate one study's title and summary with disease MeSH terms.
 
     Only ``T047`` (disease or syndrome) concepts are kept. Returns an empty
-    list for ClinicalTrials.gov studies and for studies with no text. The
-    annotator failing raises ``AnnotatorUnavailable`` (callers may skip the
-    study and log), except ``LiveCallForbidden`` and ``ReplayMiss``,
-    which always propagate.
+    list for ClinicalTrials.gov studies and for studies with no text.
+    Whatever the annotator raises propagates untouched; an answer without
+    a usable annotation list is a ``MalformedResponse``.
     """
     if study.source is Source.CTGOV:
         return []
@@ -64,13 +63,7 @@ def annotate_conditions(study: CanonicalStudy, annotator_client: AnnotatorClient
         return []
     text = "\n".join(parts)
 
-    try:
-        response = annotator_client({"text": text, "semantic_types": [DISEASE_SEMANTIC_TYPE]})
-    except (LiveCallForbidden, ReplayMiss):
-        raise
-    except (ClientError, OSError) as exc:
-        raise AnnotatorUnavailable(f"annotator call failed for {study.study_id}: {exc}") from exc
-
+    response = annotator_client({"text": text, "semantic_types": [DISEASE_SEMANTIC_TYPE]})
     if not isinstance(response, dict) or not isinstance(response.get("annotations"), list):
         raise MalformedResponse(f"annotator returned no usable annotation list for {study.study_id}")
 

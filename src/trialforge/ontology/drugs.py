@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from trialforge.dedupe import levenshtein
-from trialforge.errors import ClientError, LiveCallForbidden, MalformedResponse, RemoteUnavailable, ReplayMiss
+from trialforge.errors import MalformedResponse
 from trialforge.ontology._vocabio import default_vocab_dir, iter_tsv
 
 RXNORM_METHODS = ("local", "remote", "spelling-suggestion", "none")
@@ -195,12 +195,7 @@ def load_drug_resources(vocab_dir: Optional[Path] = None) -> DrugResources:
 
 
 def _call_remote(remote_client: RemoteClient, request: dict) -> dict:
-    try:
-        response = remote_client(request)
-    except (LiveCallForbidden, ReplayMiss):
-        raise
-    except (ClientError, OSError) as exc:
-        raise RemoteUnavailable(f"rxnorm {request.get('op')} call failed: {exc}") from exc
+    response = remote_client(request)
     if not isinstance(response, dict):
         raise MalformedResponse(f"rxnorm {request.get('op')} returned {type(response).__name__}, expected object")
     return response
@@ -223,10 +218,9 @@ def resolve_rxnorm(
 
     Stage order: local subset, remote exact lookup, then remote spelling
     suggestions retried through local-then-remote lookup. Without a client
-    the remote stages are skipped. ``RemoteUnavailable`` is raised only
-    when the local stage missed and the client failed; ``LiveCallForbidden``
-    and ``ReplayMiss`` from an offline or replay client always propagate
-    untouched.
+    the remote stages are skipped, and the client is called only when the
+    local stage missed. Whatever the client raises propagates untouched; an
+    answer that is not a JSON object is a ``MalformedResponse``.
     """
     key = name.lower()
     rxcui = local_index.get(key)
@@ -345,8 +339,7 @@ def link_drug(
 ) -> DrugEntry:
     """Run the full normalize / RxNorm / DrugBank / approval chain.
 
-    ``RemoteUnavailable`` propagates; callers that prefer to degrade should
-    catch it and retry with ``remote_client=None``.
+    Errors from ``remote_client`` propagate untouched (see `resolve_rxnorm`).
     """
     cleaned = normalize_drug_name(raw_name, suffixes=suffixes, substitutions=substitutions)
     rxcui, rxnorm_method = resolve_rxnorm(cleaned, resources.rxnorm_local, remote_client)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from trialforge.errors import ClientError, ClientUnavailable, MalformedResponse, TaxonomyViolation
+from trialforge.errors import MalformedResponse, TaxonomyViolation
 
 LlmClient = Callable[[str], str]
 
@@ -161,16 +161,18 @@ def validate_endpoint_label(domain: str, subdomain: Optional[str]) -> None:
         raise TaxonomyViolation(f"subdomain {subdomain!r} not valid under domain {domain!r}")
 
 
-def _strip_code_fence(text: str) -> str:
+def strip_code_fence(text: str) -> str:
+    """A model answer without a Markdown code fence around it.
+
+    Drops the opening fence line and a closing fence, whether or not the
+    closing fence has a line of its own.
+    """
     stripped = text.strip()
-    if not stripped.startswith("```"):
-        return stripped
-    lines = stripped.splitlines()
-    if lines and lines[0].startswith("```"):
-        lines = lines[1:]
-    if lines and lines[-1].strip() == "```":
-        lines = lines[:-1]
-    return "\n".join(lines).strip()
+    if stripped.startswith("```"):
+        stripped = stripped.split("\n", 1)[1] if "\n" in stripped else ""
+        if stripped.rstrip().endswith("```"):
+            stripped = stripped.rstrip()[:-3]
+    return stripped.strip()
 
 
 def classify_endpoint(outcome_text: str, llm_client: LlmClient) -> list[EndpointClassification]:
@@ -179,16 +181,9 @@ def classify_endpoint(outcome_text: str, llm_client: LlmClient) -> list[Endpoint
     Returns one to a few classifications in the model's order. Raises
     ``MalformedResponse`` when the answer is not the expected JSON list
     and ``TaxonomyViolation`` when any pair falls outside the taxonomy.
+    Whatever ``llm_client`` raises propagates untouched.
     """
-    prompt = build_endpoint_prompt(outcome_text)
-    try:
-        raw = llm_client(prompt)
-    except ClientError:
-        raise
-    except OSError as exc:
-        raise ClientUnavailable(f"endpoint classification call failed: {exc}") from exc
-
-    payload = _strip_code_fence(raw)
+    payload = strip_code_fence(llm_client(build_endpoint_prompt(outcome_text)))
     try:
         parsed = json.loads(payload)
     except json.JSONDecodeError as exc:

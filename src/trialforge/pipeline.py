@@ -347,21 +347,25 @@ def _hash_outputs(stage_dir: Path) -> dict:
     }
 
 
-def _load_manifest(path: Path) -> Optional[dict]:
-    """The stage manifest, or None when it is missing, unreadable or ill-shaped."""
+def _load_manifest(path: Path) -> tuple[Optional[dict], str]:
+    """The stage manifest and the sha256 of its bytes, read once.
+
+    The manifest is None when it is missing, unreadable or ill-shaped.
+    """
     if not path.is_file():
-        return None
+        return None, ""
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        manifest = json.loads(data.decode("utf-8"))
     except (ValueError, OSError):  # bad JSON or bad UTF-8
-        return None
+        return None, ""
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("outputs"), dict)
         and isinstance(manifest.get("responses", {}), dict)
     ):
-        return None
-    return manifest
+        return None, ""
+    return manifest, hashlib.sha256(data).hexdigest()
 
 
 def _changed_file(root: Path, recorded: dict) -> Optional[str]:
@@ -374,8 +378,9 @@ def _changed_file(root: Path, recorded: dict) -> Optional[str]:
     return None
 
 
-def _outputs_intact(stage_dir: Path, manifest: dict) -> bool:
-    return _changed_file(stage_dir, manifest["outputs"]) is None
+def _outputs_intact(stage_dir: Path, manifest: dict) -> Optional[str]:
+    """The first recorded output missing or changed, or None when all are intact."""
+    return _changed_file(stage_dir, manifest["outputs"])
 
 
 def _rerun_reason(stage_dir: Path, manifest: Optional[dict], input_hash: str, replay_root: Path) -> Optional[str]:
@@ -388,19 +393,20 @@ def _rerun_reason(stage_dir: Path, manifest: Optional[dict], input_hash: str, re
         return "no readable manifest"
     if manifest.get("input_hash") != input_hash:
         return "input key changed"
-    if not _outputs_intact(stage_dir, manifest):
-        return f"output {_changed_file(stage_dir, manifest['outputs'])} changed"
+    output = _outputs_intact(stage_dir, manifest)
+    if output is not None:
+        return f"output {output} changed"
     response = _changed_file(replay_root, manifest.get("responses", {}))
     if response is not None:
         return f"recorded response {response.removesuffix('.json')} changed"
     return None
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+def _write_json(path: Path, payload) -> str:
+    """Write ``payload`` as indented JSON; return the sha256 of the bytes written."""
+    data = (json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_rows_jsonl(path: Path, rows: Iterable[dict]) -> int:
@@ -441,23 +447,26 @@ def _read_rows_jsonl(path: Path) -> list[dict]:
 # corpus readers
 
 
+def _json_objects(path: Path) -> list[dict]:
+    """A corpus file holding a JSON array of objects; any other shape is a ValueError."""
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError(f"{path}: expected a JSON array of objects")
+    return rows
+
+
 def _json_list(path: Path, sort_key: str) -> list[dict]:
     """A JSON array of objects ordered by one field; empty when the file is absent."""
     if not path.is_file():
         return []
-    rows = json.loads(path.read_text(encoding="utf-8"))
-    return sorted(rows, key=lambda row: str(row.get(sort_key, "")))
+    return sorted(_json_objects(path), key=lambda row: str(row.get(sort_key, "")))
 
 
 def _corpus_registry_batches(corpus_dir: Path) -> list[tuple[str, list[dict]]]:
     registry_dir = corpus_dir / "registry"
     if not registry_dir.is_dir():
         return []
-    batches = []
-    for path in sorted(registry_dir.glob("*.json")):
-        rows = json.loads(path.read_text(encoding="utf-8"))
-        batches.append((path.stem, rows))
-    return batches
+    return [(path.stem, _json_objects(path)) for path in sorted(registry_dir.glob("*.json"))]
 
 
 def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, dict]:
@@ -467,6 +476,8 @@ def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, dict]:
         return docs
     for path in sorted(ctgov_dir.glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: expected a JSON object")
         nct_id = str(doc.get("nctId", "")).strip()
         if nct_id:
             docs[nct_id] = doc
@@ -1003,11 +1014,12 @@ def run_pipeline(
         manifest_path = stage_dir / "manifest.json"
         input_hash = _sha256_text(f"{corpus_hash}:{config_hash}:{upstream}")
 
-        existing = _load_manifest(manifest_path)
+        existing, existing_digest = _load_manifest(manifest_path)
         reason = _rerun_reason(stage_dir, existing, input_hash, settings.replay_root)
         if reason is None:
             logger.info("stage %s: up to date", name)
             summary["stages"][name] = {"counts": existing.get("counts", {}), "skipped": True}
+            upstream = existing_digest
         else:
             if stage_dir.exists():
                 shutil.rmtree(stage_dir)
@@ -1027,9 +1039,8 @@ def run_pipeline(
             }
             if store_in_corpus is not None:
                 manifest["responses"] = dict(served)
-            _write_json(manifest_path, manifest)
+            upstream = _write_json(manifest_path, manifest)
             summary["stages"][name] = {"counts": counts, "skipped": False}
-        upstream = _sha256_file(manifest_path)
 
     summary["pipeline_hash"] = upstream
     summary["live_calls"] = clients.live_calls()

@@ -19,8 +19,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_CORPUS = Path(__file__).resolve().parent / "golden_corpus"
 
 
-def load_script(name: str):
-    path = REPO_ROOT / "scripts" / f"{name}.py"
+def load_script(name: str, directory: str = "scripts"):
+    """Import ``<repo>/<directory>/<name>.py`` by path as module ``name``."""
+    path = REPO_ROOT / directory / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module

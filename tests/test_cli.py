@@ -151,6 +151,29 @@ def test_replay_miss_maps_to_client_error_exit(golden, tmp_path, capsys):
     assert err.startswith("client error: stage link:")
 
 
+def test_record_without_transports_maps_to_client_error_exit(golden, tmp_path, capsys):
+    argv = pipeline_argv("run-all", golden, tmp_path / "out", mode="record", **{"replay-dir": tmp_path / "empty"})
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("client error: stage link: rxnorm:")
+    assert "record mode has no rxnorm transport" in err
+
+
+@pytest.mark.parametrize("rel, text, shape", [
+    ("registry/ANZCTR.json", '{"a": 1}', "array of objects"),
+    ("registry/ANZCTR.json", "[1, 2]", "array of objects"),
+    ("ctgov/NCT00000150.json", "[]", "object"),
+    ("pubmed/articles.json", '{"pmid": "1"}', "array of objects"),
+], ids=["registry-object", "registry-numbers", "ctgov-array", "pubmed-object"])
+def test_wrong_shaped_corpus_file_is_invalid_input(golden, tmp_path, capsys, rel, text, shape):
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    (corpus / rel).write_text(text, encoding="utf-8")
+    assert main(pipeline_argv("ingest", golden, tmp_path / "out", corpus=corpus)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ")
+    assert f"{corpus / rel}: expected a JSON {shape}" in err
+
+
 # --- evaluate verb ---------------------------------------------------------
 
 @pytest.fixture()

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from trialforge.errors import DanglingReference, LiveCallForbidden, MalformedResponse, MissingResultsSection, ReplayMiss
+from trialforge.errors import (
+    ClientUnavailable,
+    DanglingReference,
+    LiveCallForbidden,
+    MalformedResponse,
+    MissingResultsSection,
+    ReplayMiss,
+)
 from trialforge.evidence import (
     TERMINATION_CATEGORIES,
     AdverseEventRow,
@@ -440,20 +447,17 @@ class TestCompletedCascade:
         label = classify_completed_outcome(make_study(), [], None, [])
         assert (label.outcome_type, label.evidence) == ("unknown", "llm")
 
-    def test_client_failure_degrades(self):
-        def broken(prompt):
-            raise MalformedResponse("model spoke gibberish")
-
-        label = classify_completed_outcome(make_study(), [{"title": "t", "abstract": "a"}], broken, [0.2])
-        assert (label.outcome_type, label.evidence) == ("negative", "pvalue@0.05")
-
-    @pytest.mark.parametrize("exc", [LiveCallForbidden, ReplayMiss])
+    # every client error `ServiceClient.call` raises; none falls back to the p-values
+    @pytest.mark.parametrize("exc", [LiveCallForbidden, ReplayMiss, MalformedResponse, ClientUnavailable])
     def test_mode_errors_propagate(self, exc):
-        def offline(prompt):
-            raise exc("mode violation")
+        error = exc("llm:abc123")
 
-        with pytest.raises(exc):
-            classify_completed_outcome(make_study(), [{"title": "t", "abstract": "a"}], offline, [])
+        def failing(prompt):
+            raise error
+
+        with pytest.raises(exc) as excinfo:
+            classify_completed_outcome(make_study(), [{"title": "t", "abstract": "a"}], failing, [0.2])
+        assert excinfo.value is error
 
     def test_prompt_slots_filled(self):
         prompts = []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trialforge.errors import LiveCallForbidden, RemoteUnavailable
+from trialforge.errors import ClientUnavailable, LiveCallForbidden, MalformedResponse, ReplayMiss
 from trialforge.ontology.drugs import (
     DrugEntry,
     DrugResources,
@@ -112,19 +112,28 @@ class TestResolveRxnorm:
         client = fake_rxnorm_client(suggestions={"mystery": ["also unknown"]})
         assert resolve_rxnorm("mystery", {}, client) == (None, "none")
 
-    def test_client_failure_wrapped(self):
-        def broken(request):
-            raise OSError("connection refused")
-
-        with pytest.raises(RemoteUnavailable):
-            resolve_rxnorm("unknowndrug", {}, broken)
-
     def test_live_call_forbidden_propagates_unwrapped(self):
         def offline(request):
             raise LiveCallForbidden("offline miss abc123")
 
         with pytest.raises(LiveCallForbidden):
             resolve_rxnorm("unknowndrug", {}, offline)
+
+    # the other client errors `ServiceClient.call` raises
+    @pytest.mark.parametrize("exc", [ReplayMiss, MalformedResponse, ClientUnavailable])
+    def test_mode_errors_propagate(self, exc):
+        error = exc("rxnorm:abc123")
+
+        def failing(request):
+            raise error
+
+        with pytest.raises(exc) as excinfo:
+            resolve_rxnorm("unknowndrug", {}, failing)
+        assert excinfo.value is error
+
+    def test_non_object_answer_is_malformed(self):
+        with pytest.raises(MalformedResponse, match="returned list"):
+            resolve_rxnorm("unknowndrug", {}, lambda request: [])
 
 
 class TestResolveDrugbank:

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from trialforge.errors import (
-    AnnotatorUnavailable,
     ClientUnavailable,
     LiveCallForbidden,
     MalformedResponse,
@@ -113,20 +112,17 @@ class TestConditions:
             ("D000", "mesh-ancestor-main"),
         ]
 
-    def test_client_failure_wrapped(self):
-        def broken(request):
-            raise ClientUnavailable("annotator down")
-
-        with pytest.raises(AnnotatorUnavailable):
-            annotate_conditions(make_study(), broken)
-
-    @pytest.mark.parametrize("exc", [LiveCallForbidden, ReplayMiss])
+    # every client error `ServiceClient.call` raises
+    @pytest.mark.parametrize("exc", [LiveCallForbidden, ReplayMiss, MalformedResponse, ClientUnavailable])
     def test_mode_errors_propagate(self, exc):
-        def offline(request):
-            raise exc("mode violation")
+        error = exc("annotator:abc123")
 
-        with pytest.raises(exc):
-            annotate_conditions(make_study(), offline)
+        def failing(request):
+            raise error
+
+        with pytest.raises(exc) as excinfo:
+            annotate_conditions(make_study(), failing)
+        assert excinfo.value is error
 
     def test_malformed_response(self):
         with pytest.raises(MalformedResponse):
@@ -279,9 +275,11 @@ class TestClassifyEndpoint:
         ]
 
     def test_code_fenced_answer_accepted(self):
-        answer = '```json\n[{"outcome": "os", "domain": "Mortality/survival", "subdomain": null}]\n```'
-        out = classify_endpoint("text", lambda prompt: answer)
-        assert out[0].domain == "Mortality/survival"
+        entry = '{"outcome": "os", "domain": "Mortality/survival", "subdomain": null}'
+        # closing fence on a line of its own, and on the answer's last line
+        for answer in (f"```json\n[{entry}]\n```", f"```json\n[{entry}]```"):
+            out = classify_endpoint("text", lambda prompt: answer)
+            assert out[0].domain == "Mortality/survival", answer
 
     def test_non_json_rejected(self):
         with pytest.raises(MalformedResponse):
@@ -296,16 +294,21 @@ class TestClassifyEndpoint:
         with pytest.raises(TaxonomyViolation):
             classify_endpoint("text", lambda prompt: answer)
 
-    def test_client_os_error_wrapped(self):
-        def broken(prompt):
-            raise OSError("boom")
-
-        with pytest.raises(ClientUnavailable):
-            classify_endpoint("text", broken)
-
     def test_live_call_forbidden_propagates(self):
         def offline(prompt):
             raise LiveCallForbidden("offline miss")
 
         with pytest.raises(LiveCallForbidden):
             classify_endpoint("text", offline)
+
+    # the other client errors `ServiceClient.call` raises
+    @pytest.mark.parametrize("exc", [ReplayMiss, MalformedResponse, ClientUnavailable])
+    def test_mode_errors_propagate(self, exc):
+        error = exc("llm:abc123")
+
+        def failing(prompt):
+            raise error
+
+        with pytest.raises(exc) as excinfo:
+            classify_endpoint("text", failing)
+        assert excinfo.value is error

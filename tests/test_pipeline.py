@@ -628,10 +628,9 @@ def test_noop_rerun_reads_each_recorded_file_once(golden, in_corpus, tmp_path, m
 
     assert recomputed(summary) == []
     assert summary["live_calls"] == {"annotator": 0, "llm": 0, "rxnorm": 0}
-    recorded = [path.resolve() for path in outputs + responses + corpus_files]
-    assert {path: reads[path] for path in recorded} == {path: 1 for path in recorded}
-    # the rest is the stage manifests: parsed, and digested for the next stage's key
-    assert set(reads) - set(recorded) == {path.resolve() for path in manifests}
+    # the stage manifests too: one read is parsed and digested for the next stage's key
+    recorded = [path.resolve() for path in outputs + responses + corpus_files + sorted(manifests)]
+    assert reads == Counter({path: 1 for path in recorded})
 
 
 def test_unrelated_fixture_recomputes_nothing(golden, in_corpus, tmp_path):
@@ -687,6 +686,28 @@ def test_rerun_reasons_are_logged(golden, in_corpus, tmp_path, caplog):
     fixture = in_corpus.store / key
     fixture.write_bytes(fixture.read_bytes() + b"\n")
     assert reasons()[0] == f"stage link: running (recorded response {key.removesuffix('.json')} changed)"
+
+
+def test_repair_rerun_hashes_each_extract_output_twice(golden, tmp_path, monkeypatch):
+    settings = replay_settings(golden, tmp_path / "out")
+    run_pipeline(settings)
+    extract_dir = settings.out_dir / STAGE_DIRS["extract"]
+    outputs = sorted(stage_manifest(settings.out_dir, "extract")["outputs"])
+    tampered = extract_dir / "trial_results.jsonl"
+    tampered.write_bytes(tampered.read_bytes() + b"{}\n")
+
+    hashed: Counter = Counter()
+    sha256_file = pipeline._sha256_file
+
+    def counting(path):
+        hashed[Path(path).resolve()] += 1
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "_sha256_file", counting)
+    summary = run_pipeline(settings)
+    assert recomputed(summary) == ["extract"]
+    # once to find the changed output, once to record the recomputed ones
+    assert {rel: hashed[(extract_dir / rel).resolve()] for rel in outputs} == {rel: 2 for rel in outputs}
 
 
 @pytest.mark.parametrize("manifest", [

@@ -112,7 +112,7 @@ class TestServiceClient:
 
     def test_record_requires_transport(self, tmp_path):
         client = ServiceClient("record", ReplayStore(tmp_path))
-        with pytest.raises(ValueError):
+        with pytest.raises(ClientUnavailable, match=f"llm:{request_hash({'prompt': 'x'})}: record mode has no llm transport"):
             client.call("llm", {"prompt": "x"})
 
     def test_transport_oserror_wrapped(self, tmp_path):
@@ -122,6 +122,24 @@ class TestServiceClient:
         client = ServiceClient("record", ReplayStore(tmp_path), broken)
         with pytest.raises(ClientUnavailable):
             client.call("llm", {"prompt": "x"})
+
+    def test_unwritable_store_is_client_unavailable(self, tmp_path):
+        (tmp_path / "llm").write_text("not a directory", encoding="utf-8")
+        client = ServiceClient("record", ReplayStore(tmp_path), recording_transport([]))
+        with pytest.raises(ClientUnavailable, match=f"llm:{request_hash({'prompt': 'x'})}: .*File exists"):
+            client.call("llm", {"prompt": "x"})
+
+    def test_unreadable_fixture_is_client_unavailable(self, tmp_path, monkeypatch):
+        store = ReplayStore(tmp_path)
+        store.put("llm", request_hash({"prompt": "x"}), {"prompt": "x"}, {"text": "y"})
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_bytes", unreadable)
+        for mode in MODES:
+            with pytest.raises(ClientUnavailable, match="Permission denied"):
+                ServiceClient(mode, store, recording_transport([])).call("llm", {"prompt": "x"})
 
     def test_store_file_keeps_request_for_debugging(self, tmp_path):
         store = ReplayStore(tmp_path)
@@ -226,13 +244,21 @@ class TestReplayStoreDurability:
 
         assert tree(tmp_path / "out") == tree(golden.record_out)
 
-    def test_truncated_fixture_exits_with_client_error(self, golden, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("service, prompt", [
+        ("rxnorm", None),
+        ("annotator", None),
+        # the outcome prompt used to fall back to the p-values on any client failure
+        ("llm", "NCT ID NCT00056836"),
+    ], ids=["rxnorm", "annotator", "llm-outcome"])
+    def test_truncated_fixture_exits_with_client_error(self, golden, tmp_path, monkeypatch, capsys, service, prompt):
         for name in list(os.environ):
             if name.startswith("FORGE_"):
                 monkeypatch.delenv(name)
-        replay = tmp_path / "replay"
-        shutil.copytree(golden.replay, replay)
-        fixture = replay / "rxnorm" / f"{ReplayStore(replay).entries('rxnorm')[0]}.json"
+        replay = shutil.copytree(golden.replay, tmp_path / "replay")
+        fixture = next(
+            path for path in sorted((replay / service).glob("*.json"))
+            if prompt is None or prompt in json.loads(path.read_text(encoding="utf-8"))["request"]["prompt"]
+        )
         fixture.write_bytes(fixture.read_bytes()[:40])
         argv = [
             "run-all",
@@ -247,6 +273,20 @@ class TestReplayStoreDurability:
         err = capsys.readouterr().err
         assert err.startswith("client error: ")
         assert "unreadable fixture" in err
+
+    def test_record_run_with_a_failing_transport_stops(self, golden, tmp_path):
+        def llm(service, request):
+            if "NCT ID NCT00056836" in request["prompt"]:
+                raise ConnectionResetError("connection reset")
+            return golden.transports["llm"](service, request)
+
+        settings = PipelineSettings(
+            corpus_dir=golden.corpus, out_dir=tmp_path / "out", seed=golden.seed,
+            mode="record", replay_dir=tmp_path / "replay", allow_small_split=True,
+        )
+        with pytest.raises(ClientUnavailable, match="^stage extract: llm:.*connection reset"):
+            run_pipeline(settings, transports={**golden.transports, "llm": llm})
+        assert not (tmp_path / "out" / "04_extract" / "manifest.json").exists()
 
 
 class TestConfig:
