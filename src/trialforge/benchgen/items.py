@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..store import write_jsonl, write_tsv
 
 TASKS = (
     "arm_design",
@@ -108,26 +109,9 @@ def write_benchmark_files(
     manifest_rows = []
     for (task, split), members in sorted(grouped.items()):
         members.sort(key=lambda item: item.item_id)
-        file_path = out_path / f"{task}.{split}.jsonl"
-        with open(file_path, "w", encoding="utf-8") as handle:
-            for item in members:
-                handle.write(json.dumps(item.to_json_dict(), sort_keys=True, ensure_ascii=False))
-                handle.write("\n")
-        manifest_rows.append((task, split, len(members)))
+        write_jsonl(out_path / f"{task}.{split}.jsonl", (item.to_json_dict() for item in members))
+        manifest_rows.append((task, split, str(len(members)), corpus_hash, str(seed)))
 
     manifest_path = out_path / "benchmarks.tsv"
-    lines = ["task\tsplit\tcount\tcorpus_hash\tseed"]
-    for task, split, count in manifest_rows:
-        lines.append(f"{task}\t{split}\t{count}\t{corpus_hash}\t{seed}")
-    manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(manifest_path, ("task", "split", "count", "corpus_hash", "seed"), manifest_rows)
     return manifest_path
-
-
-def read_benchmark_file(path: str | Path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -15,16 +15,20 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .benchgen import read_benchmark_file
-from .clients import MODES, ReplayStore, ServiceClient, pubmed_search_callable
+from .clients import ReplayStore, ServiceClient, pubmed_search_callable
 from .config import load_config
 from .errors import ClientError, DataError
 from .evaluate import evaluate_benchmarks, load_predictions, write_report
 from .pipeline import PipelineSettings, run_pipeline
 from .relations import AWAITING_MODES
 from .reward import score_reward
+from .store import read_jsonl
 
 logger = logging.getLogger(__name__)
+
+# Record mode needs transports, which only run_pipeline(settings, transports=...)
+# can be given; from the command line it could only serve stored fixtures.
+CLI_MODES = ("replay", "offline")
 
 # verb -> final pipeline stage it materializes
 STAGE_VERBS = {
@@ -46,7 +50,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", dest="out_dir", type=Path, help="output root directory")
     parser.add_argument("--seed", type=int, help="benchmark generation seed")
     parser.add_argument("--threshold", dest="dedupe_threshold", type=float, help="dedupe title-similarity threshold")
-    parser.add_argument("--mode", choices=MODES, help="client mode")
+    parser.add_argument("--mode", choices=CLI_MODES, help="client mode")
     parser.add_argument("--replay-dir", type=Path, help="replay store root")
     parser.add_argument("--awaiting", choices=AWAITING_MODES, help="awaiting-reference handling")
     parser.add_argument(
@@ -86,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     reward.add_argument("--task", required=True, choices=("sample_size", "study_search"))
     reward.add_argument("--truth", required=True, help="JSON truth value (integer or PMID list)")
     reward.add_argument("response", type=Path, help="file holding the raw model output")
-    reward.add_argument("--mode", choices=MODES, default="replay")
+    reward.add_argument("--mode", choices=CLI_MODES, default="replay")
     reward.add_argument("--replay-dir", type=Path, help="replay store root (for study_search retrieval)")
     reward.add_argument("--k", type=int, default=100, help="retrieval depth for study_search")
 
@@ -107,7 +111,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     records = [
         record
         for path in sorted(args.benchmarks.glob(f"*.{args.split}.jsonl"))
-        for record in read_benchmark_file(path)
+        for record in read_jsonl(path)
     ]
     if not records:
         raise ValueError(f"no *.{args.split}.jsonl files under {args.benchmarks}")

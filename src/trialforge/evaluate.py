@@ -5,12 +5,12 @@ Raw outputs are parsed per task shape (letter, integer, label, PMID list,
 per-candidate labels); an output the parser cannot read counts as a wrong
 answer except for sample size, where unparseable predictions are excluded
 from the error statistics and surfaced through ``parse_rate`` instead of
-poisoning the MAE.
+poisoning the MAE. Predictions are read with ``store.read_jsonl`` and the
+report is written with ``store.write_tsv``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -18,6 +18,7 @@ from .benchgen.items import OPTION_LETTERS, TASKS
 from .evidence import TERMINATION_CATEGORIES
 from .metrics import macro_f1, mae_and_within20, precision_recall_accuracy, recall_at_k
 from .reward import extract_answer
+from .store import read_jsonl, write_tsv
 
 _INT_RE = re.compile(r"-?\d[\d,]*")
 _PMID_RE = re.compile(r"\b\d{1,9}\b")
@@ -27,15 +28,7 @@ MCQ_TASKS = ("arm_design", "eligibility_design", "endpoint_design", "evidence_su
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:
-    predictions: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            predictions[str(record["item_id"])] = str(record.get("raw_output", ""))
-    return predictions
+    return {str(record["item_id"]): str(record.get("raw_output", "")) for record in read_jsonl(path)}
 
 
 def _answer_region(raw_output: str) -> str:
@@ -181,7 +174,7 @@ def evaluate_benchmarks(records: list[dict], predictions: dict[str, str]) -> dic
 
 def write_report(report: dict[str, dict], path: str | Path) -> None:
     """TSV rows: task, metric, value. Undefined metrics print as NA."""
-    lines = ["task\tmetric\tvalue"]
+    rows = []
     for task in sorted(report):
         for metric in sorted(report[task]):
             value = report[task][metric]
@@ -191,5 +184,5 @@ def write_report(report: dict[str, dict], path: str | Path) -> None:
                 rendered = f"{value:.6f}"
             else:
                 rendered = str(value)
-            lines.append(f"{task}\t{metric}\t{rendered}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            rows.append((task, metric, rendered))
+    write_tsv(path, ("task", "metric", "value"), rows)

@@ -4,49 +4,3 @@ Each submodule owns one vocabulary. Everything operates on small TSV
 subsets shipped with the package (full payloads are licensed and must be
 supplied by the user, pointed at via config).
 """
-
-from trialforge.ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
-from trialforge.ontology.conditions import ConditionAnnotation, annotate_conditions
-from trialforge.ontology.drugs import (
-    DrugEntry,
-    DrugResources,
-    annotate_approval,
-    link_drug,
-    load_drug_resources,
-    normalize_drug_name,
-    resolve_drugbank,
-    resolve_rxnorm,
-)
-from trialforge.ontology.endpoints import (
-    COMET_TAXONOMY,
-    EndpointClassification,
-    build_endpoint_prompt,
-    classify_endpoint,
-    validate_endpoint_label,
-)
-from trialforge.ontology.meddra import MeddraHierarchy, load_meddra, map_meddra
-
-__all__ = [
-    "BiomarkerIndex",
-    "BiomarkerMatch",
-    "COMET_TAXONOMY",
-    "ConditionAnnotation",
-    "DrugEntry",
-    "DrugResources",
-    "EndpointClassification",
-    "MeddraHierarchy",
-    "annotate_approval",
-    "annotate_conditions",
-    "build_endpoint_prompt",
-    "classify_endpoint",
-    "link_drug",
-    "load_biomarker_index",
-    "load_drug_resources",
-    "load_meddra",
-    "map_meddra",
-    "match_biomarker",
-    "normalize_drug_name",
-    "resolve_drugbank",
-    "resolve_rxnorm",
-    "validate_endpoint_label",
-]

@@ -50,7 +50,7 @@ import stat
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Optional, get_type_hints
+from typing import Callable, Optional, get_type_hints
 
 from . import store
 from .benchgen import (
@@ -409,15 +409,6 @@ def _write_json(path: Path, payload) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_rows_jsonl(path: Path, rows: Iterable[dict]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
-            count += 1
-    return count
-
-
 def _write_sorted_rows(path: Path, rows: list[dict]) -> int:
     """Write ``rows`` as JSON lines in the order of their ASCII-escaped dumps.
 
@@ -436,11 +427,6 @@ def _write_sorted_rows(path: Path, rows: list[dict]) -> int:
         for line in lines:
             fh.write(line + "\n")
     return len(lines)
-
-
-def _read_rows_jsonl(path: Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +557,14 @@ class _RunContext:
         aliases: dict[str, str] = {}
         if not path.is_file():
             return aliases
-        with open(path, encoding="utf-8") as fh:
-            next(fh, None)
-            for line in fh:
-                cells = line.rstrip("\n").split("\t")
-                if len(cells) < 4 or not cells[2]:
-                    continue
-                survivor_id = cells[1]
-                for chunk in cells[2].split(";"):
-                    _, _, absorbed_id = chunk.partition(":")
-                    if absorbed_id and absorbed_id != survivor_id:
-                        aliases[absorbed_id] = survivor_id
+        for cells in store.read_tsv(path)[1]:
+            if len(cells) < 4 or not cells[2]:
+                continue
+            survivor_id = cells[1]
+            for chunk in cells[2].split(";"):
+                _, _, absorbed_id = chunk.partition(":")
+                if absorbed_id and absorbed_id != survivor_id:
+                    aliases[absorbed_id] = survivor_id
         return aliases
 
     @cached_property
@@ -619,12 +602,12 @@ def _stage_dedupe(run: _RunContext, out: Path) -> dict:
     merged, decisions, triples = dedupe_corpus(records, threshold=run.settings.dedupe_threshold)
     write_studies_jsonl(merged, out / "studies.jsonl")
 
-    with open(out / "decisions.tsv", "w", encoding="utf-8") as fh:
-        fh.write("survivor_source\tsurvivor_id\tabsorbed\tevidence\tscore\n")
-        for decision in decisions:
-            fh.write("\t".join(decision.to_row()) + "\n")
-
-    _write_rows_jsonl(out / "dup_links.jsonl", [store.table_row("relations", t) for t in triples])
+    store.write_tsv(
+        out / "decisions.tsv",
+        ("survivor_source", "survivor_id", "absorbed", "evidence", "score"),
+        (decision.to_row() for decision in decisions),
+    )
+    store.write_jsonl(out / "dup_links.jsonl", [store.table_row("relations", t) for t in triples])
     return {
         "input": len(records),
         "output": len(merged),
@@ -848,14 +831,14 @@ def _stage_graph(run: _RunContext, out: Path) -> dict:
     for article in run.pubmed_articles:
         triples.extend(extract_nct_links(article))
 
-    dup_links = _read_rows_jsonl(run.stage_dir("dedupe") / "dup_links.jsonl")
+    dup_links = store.read_jsonl(run.stage_dir("dedupe") / "dup_links.jsonl")
     triples.extend(store.relation_from_row(row) for row in dup_links)
 
     graph = assemble_graph(triples, review_ids=review_ids)
     for head in graph.dangling_heads:
         logger.warning("relation head %s is not a known review", head)
 
-    _write_rows_jsonl(out / "relations.jsonl", [store.table_row("relations", t) for t in graph.triples])
+    store.write_jsonl(out / "relations.jsonl", [store.table_row("relations", t) for t in graph.triples])
     write_relations_tsv(graph, out / "relations.tsv")
     write_relation_counts_tsv(graph, out / "relation_counts.tsv")
     return {
@@ -872,15 +855,15 @@ def _stage_database(run: _RunContext, out: Path) -> dict:
 
     tables = {
         "studies": [store.table_row("studies", s) for s in run.studies],
-        "conditions": _read_rows_jsonl(link_dir / "conditions.jsonl"),
-        "drugs": _read_rows_jsonl(link_dir / "drugs.jsonl"),
-        "disposition": _read_rows_jsonl(extract_dir / "disposition.jsonl"),
-        "adverse_events": _read_rows_jsonl(extract_dir / "adverse_events.jsonl"),
-        "trial_results": _read_rows_jsonl(extract_dir / "trial_results.jsonl"),
-        "trial_outcomes": _read_rows_jsonl(extract_dir / "trial_outcomes.jsonl"),
-        "endpoints": _read_rows_jsonl(link_dir / "endpoints.jsonl"),
-        "biomarkers": _read_rows_jsonl(link_dir / "biomarkers.jsonl"),
-        "relations": _read_rows_jsonl(graph_dir / "relations.jsonl"),
+        "conditions": store.read_jsonl(link_dir / "conditions.jsonl"),
+        "drugs": store.read_jsonl(link_dir / "drugs.jsonl"),
+        "disposition": store.read_jsonl(extract_dir / "disposition.jsonl"),
+        "adverse_events": store.read_jsonl(extract_dir / "adverse_events.jsonl"),
+        "trial_results": store.read_jsonl(extract_dir / "trial_results.jsonl"),
+        "trial_outcomes": store.read_jsonl(extract_dir / "trial_outcomes.jsonl"),
+        "endpoints": store.read_jsonl(link_dir / "endpoints.jsonl"),
+        "biomarkers": store.read_jsonl(link_dir / "biomarkers.jsonl"),
+        "relations": store.read_jsonl(graph_dir / "relations.jsonl"),
     }
     bundle = store.write_database(tables, out / "db")
     return {name: len(rows) for name, rows in tables.items()} | {
@@ -890,7 +873,7 @@ def _stage_database(run: _RunContext, out: Path) -> dict:
 
 def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     settings, clients, reviews = run.settings, run.clients, run.reviews
-    relation_rows = _read_rows_jsonl(run.stage_dir("graph") / "relations.jsonl")
+    relation_rows = store.read_jsonl(run.stage_dir("graph") / "relations.jsonl")
     triples = [store.relation_from_row(row) for row in relation_rows]
 
     review_pmids = {str(r.get("pmid", "")) for r in reviews}
@@ -907,7 +890,7 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
 
     items.extend(gen_sample_size_items(_corpus_protocol_pairs(settings.corpus_dir), clients.llm))
 
-    outcome_rows = _read_rows_jsonl(run.stage_dir("extract") / "trial_outcomes.jsonl")
+    outcome_rows = store.read_jsonl(run.stage_dir("extract") / "trial_outcomes.jsonl")
     outcomes = {
         row["study_id"]: OutcomeLabel(row["study_id"], row["outcome_type"], row["evidence"])
         for row in outcome_rows

@@ -8,11 +8,13 @@ Three edge producers feed one assembler:
   registration sentences in the abstract,
 * :func:`assemble_graph` deduplicates everything, rejects self-loops, and
   computes the per-source-pair tallies used for the counts export.
+
+The edge list and the counts export are written with ``store.write_tsv``,
+so their cells are escaped exactly as the database's ``relations.tsv``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedXml, SelfLoop
 from .schema import RELATION_TYPES, RelationTriple, Source
+from .store import write_tsv
 
 NCT_PATTERN = re.compile(r"\bNCT\d{8}\b")
 
@@ -207,33 +210,23 @@ def assemble_graph(
 
 def write_relations_tsv(graph: RelationGraph, path) -> None:
     """Write the edge list: head_id, relation_type, tail_id, sources."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
-        writer.writerow(["head_id", "relation_type", "tail_id", "sources"])
-        for triple in graph.triples:
-            writer.writerow(
-                [
-                    triple.head_id,
-                    triple.relation_type,
-                    triple.tail_id,
-                    f"{triple.head_source.value}->{triple.tail_source.value}",
-                ]
-            )
+    write_tsv(
+        path,
+        ("head_id", "relation_type", "tail_id", "sources"),
+        (
+            (t.head_id, t.relation_type, t.tail_id, f"{t.head_source.value}->{t.tail_source.value}")
+            for t in graph.triples
+        ),
+    )
 
 
 def write_relation_counts_tsv(graph: RelationGraph, path) -> None:
     """Write per-source-pair tallies with share-of-total percentages."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
-        writer.writerow(["head_source", "relation_type", "tail_source", "count", "percentage"])
-        for key in sorted(graph.source_counts):
-            head_source, relation_type, tail_source = key
-            writer.writerow(
-                [
-                    head_source,
-                    relation_type,
-                    tail_source,
-                    graph.source_counts[key],
-                    f"{graph.percentages[key]:.3f}",
-                ]
-            )
+    write_tsv(
+        path,
+        ("head_source", "relation_type", "tail_source", "count", "percentage"),
+        (
+            (*key, str(graph.source_counts[key]), f"{graph.percentages[key]:.3f}")
+            for key in sorted(graph.source_counts)
+        ),
+    )

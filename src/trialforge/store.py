@@ -1,10 +1,17 @@
-"""Ten-table TSV database with a manifest.
+r"""Ten-table TSV database with a manifest, and the tabular file codec.
 
-Tables are written with a header row, cells escaped so tabs and
-newlines survive the round trip, and rows sorted by primary key, which
-makes two runs over the same input byte-identical. The manifest
-(row counts plus a sha256 per file and for the bundle) is written last
-so a torn run never leaves a manifest pointing at missing files.
+Every TSV file trialforge writes goes through ``write_tsv``/``read_tsv``,
+and every JSON-lines row file through ``write_jsonl``/``read_jsonl``
+(the study table, with its header line, is ``schema``'s own). A TSV
+cell escapes backslash, tab, newline and CR as ``\\``, ``\t``, ``\n``
+and ``\r``, so any text survives the round trip; a JSON line is the
+key-sorted dump of one row, non-ASCII text kept as is.
+
+Database tables are written with a header row and rows sorted by
+primary key, which makes two runs over the same input byte-identical.
+The manifest (row counts plus a sha256 per file and for the bundle) is
+written last so a torn run never leaves a manifest pointing at missing
+files.
 
 The store deals in string-valued dicts only; ``table_row`` turns a
 domain record into one, formatting every cell by one rule: ``None`` is
@@ -15,7 +22,9 @@ are sorted and tuples kept in order, each joined with ``|``.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -145,6 +154,48 @@ def unescape_cell(value: str) -> str:
     return _UNESCAPE_RE.sub(lambda match: _UNESCAPE_MAP[match.group(0)], value)
 
 
+def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> bytes:
+    """Write a header line and one line per row; return the bytes written.
+
+    Every cell must be a ``str`` and goes through :func:`escape_cell`;
+    lines end in ``\\n``.
+    """
+    lines = ["\t".join(map(escape_cell, header))]
+    lines.extend("\t".join(map(escape_cell, row)) for row in rows)
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    Path(path).write_bytes(payload)
+    return payload
+
+
+def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a file written by :func:`write_tsv`, cells unescaped."""
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # Unescaping leaves a line without a backslash as it is.
+    table = [
+        line.split("\t") if "\\" not in line else [unescape_cell(cell) for cell in line.split("\t")]
+        for line in lines
+    ]
+    return (table[0] if table else []), table[1:]
+
+
+def write_jsonl(path: str | Path, rows: Iterable) -> int:
+    """Write one key-sorted JSON dump per line; return the number of rows."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+            count += 1
+    return count
+
+
+def read_jsonl(path: str | Path) -> list:
+    """Every non-blank line of a JSON-lines file, decoded."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
 @dataclass(frozen=True)
 class DatabaseBundle:
     out_dir: Path
@@ -199,6 +250,13 @@ def _check_unique_keys(full: dict[str, list[dict]]) -> None:
             seen.add(key)
 
 
+def _bundle_hash(file_hashes: dict[str, str]) -> str:
+    """The bundle digest: sha256 over every table's name and file digest, in table order."""
+    return hashlib.sha256(
+        "".join(f"{name}:{file_hashes[name]}" for name in TABLE_ORDER).encode("ascii")
+    ).hexdigest()
+
+
 def write_database(tables: dict, out_dir: str | Path) -> DatabaseBundle:
     """Validate, then write all ten tables plus the manifest.
 
@@ -219,42 +277,27 @@ def write_database(tables: dict, out_dir: str | Path) -> DatabaseBundle:
         columns = TABLE_COLUMNS[name]
         key_columns = TABLE_KEYS[name]
         rows = sorted(full[name], key=lambda row: tuple(row[c] for c in key_columns))
-        lines = ["\t".join(columns)]
-        for row in rows:
-            lines.append("\t".join(escape_cell(row[column]) for column in columns))
-        payload = ("\n".join(lines) + "\n").encode("utf-8")
-        (out_path / f"{name}.tsv").write_bytes(payload)
+        payload = write_tsv(out_path / f"{name}.tsv", columns, ([row[c] for c in columns] for row in rows))
         counts[name] = len(rows)
         file_hashes[name] = hashlib.sha256(payload).hexdigest()
 
-    bundle_hash = hashlib.sha256(
-        "".join(f"{name}:{file_hashes[name]}" for name in TABLE_ORDER).encode("ascii")
-    ).hexdigest()
-
-    manifest_lines = ["table\trows\tsha256"]
-    for name in TABLE_ORDER:
-        manifest_lines.append(f"{name}\t{counts[name]}\t{file_hashes[name]}")
-    manifest_lines.append(f"bundle\t{sum(counts.values())}\t{bundle_hash}")
-    (out_path / MANIFEST_NAME).write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+    bundle_hash = _bundle_hash(file_hashes)
+    manifest_rows = [(name, str(counts[name]), file_hashes[name]) for name in TABLE_ORDER]
+    manifest_rows.append(("bundle", str(sum(counts.values())), bundle_hash))
+    write_tsv(out_path / MANIFEST_NAME, ("table", "rows", "sha256"), manifest_rows)
 
     return DatabaseBundle(out_path, counts, file_hashes, bundle_hash)
 
 
 def read_table(path: str | Path, name: str) -> list[dict]:
     columns = TABLE_COLUMNS[name]
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or tuple(lines[0].split("\t")) != columns:
+    header, rows = read_tsv(path)
+    if tuple(header) != columns:
         raise ValueError(f"table {name}: header mismatch")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split("\t")
+    for cells in rows:
         if len(cells) != len(columns):
             raise ValueError(f"table {name}: row has {len(cells)} cells, expected {len(columns)}")
-        rows.append({column: unescape_cell(cell) for column, cell in zip(columns, cells)})
-    return rows
+    return [dict(zip(columns, cells)) for cells in rows]
 
 
 def read_database(out_dir: str | Path) -> dict[str, list[dict]]:
@@ -268,12 +311,15 @@ def verify_manifest(out_dir: str | Path) -> list[str]:
     manifest_path = out_path / MANIFEST_NAME
     if not manifest_path.is_file():
         return ["manifest missing"]
-    recorded = {}
-    for line in manifest_path.read_text(encoding="utf-8").splitlines()[1:]:
-        name, count, digest = line.split("\t")
-        recorded[name] = (int(count), digest)
-
     problems = []
+    recorded = {}
+    for lineno, cells in enumerate(read_tsv(manifest_path)[1], start=2):
+        try:
+            name, count, digest = cells
+            recorded[name] = (int(count), digest)
+        except ValueError:
+            problems.append(f"manifest line {lineno}: expected table, row count and sha256, got {cells}")
+
     derived_hashes = {}
     total = 0
     for name in TABLE_ORDER:
@@ -295,11 +341,8 @@ def verify_manifest(out_dir: str | Path) -> list[str]:
         if want_digest != digest:
             problems.append(f"{name}: content hash mismatch")
     if "bundle" in recorded and len(derived_hashes) == len(TABLE_ORDER):
-        bundle_hash = hashlib.sha256(
-            "".join(f"{name}:{derived_hashes[name]}" for name in TABLE_ORDER).encode("ascii")
-        ).hexdigest()
         want_count, want_digest = recorded["bundle"]
-        if want_digest != bundle_hash:
+        if want_digest != _bundle_hash(derived_hashes):
             problems.append("bundle: content hash mismatch")
         if want_count != total:
             problems.append(f"bundle: manifest says {want_count} rows, files have {total}")

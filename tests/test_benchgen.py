@@ -14,7 +14,6 @@ from trialforge.benchgen import (
     gen_screening_items,
     gen_search_items,
     numeric_id_key,
-    read_benchmark_file,
     render_arms,
     render_eligibility,
     render_endpoints,
@@ -34,6 +33,7 @@ from trialforge.errors import (
 )
 from trialforge.evidence import OutcomeLabel
 from trialforge.schema import CanonicalStudy, RelationTriple, Source, StudyStatus
+from trialforge.store import read_jsonl
 
 
 class TestNumericKey:
@@ -138,10 +138,10 @@ class TestBenchmarkItem:
             "study_screening:77": "test",
         }
         manifest = write_benchmark_files(items, assignments, tmp_path, "deadbeef", 7)
-        records = read_benchmark_file(tmp_path / "arm_design.train.jsonl")
+        records = read_jsonl(tmp_path / "arm_design.train.jsonl")
         assert [r["id"] for r in records] == ["arm_design:N1"]
         assert records[0]["options"] == ["a", "b"]
-        screening = read_benchmark_file(tmp_path / "study_screening.test.jsonl")
+        screening = read_jsonl(tmp_path / "study_screening.test.jsonl")
         assert screening[0]["answer"] == {"1": "include", "2": "exclude"}
         lines = manifest.read_text().splitlines()
         assert lines[0] == "task\tsplit\tcount\tcorpus_hash\tseed"

@@ -151,12 +151,27 @@ def test_replay_miss_maps_to_client_error_exit(golden, tmp_path, capsys):
     assert err.startswith("client error: stage link:")
 
 
-def test_record_without_transports_maps_to_client_error_exit(golden, tmp_path, capsys):
-    argv = pipeline_argv("run-all", golden, tmp_path / "out", mode="record", **{"replay-dir": tmp_path / "empty"})
+def test_record_without_transports_maps_to_client_error_exit(golden, tmp_path, capsys, monkeypatch):
+    # The CLI does not offer --mode record; a config value can still select it.
+    monkeypatch.setenv("FORGE_MODE", "record")
+    argv = pipeline_argv("run-all", golden, tmp_path / "out", **{"replay-dir": tmp_path / "empty"})
+    mode_at = argv.index("--mode")
+    del argv[mode_at:mode_at + 2]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("client error: stage link: rxnorm:")
     assert "record mode has no rxnorm transport" in err
+
+
+@pytest.mark.parametrize("verb", ["run-all", "reward"])
+def test_cli_does_not_offer_record_mode(tmp_path, capsys, verb):
+    argv = [verb, "--mode", "record"]
+    if verb == "reward":
+        argv += ["--task", "sample_size", "--truth", "1", str(tmp_path / "response.txt")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'record'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rel, text, shape", [

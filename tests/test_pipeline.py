@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from trialforge import pipeline
+from trialforge import pipeline, store
 from trialforge.benchgen import numeric_id_key
 from trialforge.clients import ReplayStore, request_hash
 from trialforge.errors import LiveCallForbidden, ReplayMiss
@@ -108,6 +108,25 @@ def test_merge_rekeys_absorbed_registry_document(golden):
         rows = read_jsonl(golden.record_out / STAGE_DIRS["extract"] / f"{table}.jsonl")
         assert any(row["study_id"] == survivor for row in rows), table
         assert not any(row["study_id"] == "NCT01000001" for row in rows), table
+
+
+def test_alias_survives_a_tab_in_the_survivor_id(tmp_path):
+    corpus = tmp_path / "corpus"
+    (corpus / "registry").mkdir(parents=True)
+    (corpus / "pubmed").mkdir()
+    title = "Intravitreal Aflibercept for Persistent Diabetic Macular Edema"
+    registry = [{"Registration number": "ACTRN126\t0001", "Public title": title, "Study type": "Interventional"}]
+    (corpus / "registry" / "ANZCTR.json").write_text(json.dumps(registry), encoding="utf-8")
+    articles = [{"pmid": "111", "title": title, "year": 2009}]
+    (corpus / "pubmed" / "articles.json").write_text(json.dumps(articles), encoding="utf-8")
+    settings = PipelineSettings(corpus_dir=corpus, out_dir=tmp_path / "out", mode="offline", replay_dir=tmp_path / "replay")
+    run_pipeline(settings, until="dedupe")
+
+    decisions = tmp_path / "out" / STAGE_DIRS["dedupe"] / "decisions.tsv"
+    lines = decisions.read_text(encoding="utf-8").splitlines()
+    assert "ANZCTR\tACTRN126\\t0001\tPUBMED:111\ttitle-similarity\t1.0000" in lines
+    assert {len(line.split("\t")) for line in lines} == {5}
+    assert pipeline._RunContext(settings, None, "").aliases == {"111": "ACTRN126\t0001"}
 
 
 def test_outcome_labels_cover_completed_and_terminated(golden):
@@ -307,7 +326,7 @@ def test_sorted_rows_match_sort_then_write(tmp_path):
     ]
     old = tmp_path / "old.jsonl"
     new = tmp_path / "new.jsonl"
-    expected = pipeline._write_rows_jsonl(old, sorted(rows, key=lambda row: json.dumps(row, sort_keys=True)))
+    expected = store.write_jsonl(old, sorted(rows, key=lambda row: json.dumps(row, sort_keys=True)))
     assert pipeline._write_sorted_rows(new, rows) == expected == len(rows)
     assert new.read_bytes() == old.read_bytes()
     lines = new.read_text(encoding="utf-8").split("\n")

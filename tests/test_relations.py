@@ -13,7 +13,7 @@ from trialforge.relations import (
     write_relations_tsv,
 )
 from trialforge.schema import RelationTriple, Source
-from trialforge.store import relation_from_row, table_row
+from trialforge.store import read_tsv, relation_from_row, table_row, write_database
 
 
 REVIEW_XML = """<article>
@@ -243,6 +243,17 @@ class TestExports:
         assert "123\tlinked_to\tNCT00000150\tPUBMED->CTGOV" in lines
         for t in graph.triples:
             assert relation_from_row(table_row("relations", t)) == t
+
+    def test_cells_escaped_as_in_database(self, tmp_path):
+        edge = RelationTriple("ACTRN126\t0001", "linked_to", "111", Source.ANZCTR, Source.PUBMED)
+        graph = assemble_graph([edge])
+        write_relations_tsv(graph, tmp_path / "relations.tsv")
+        write_database({"relations": [table_row("relations", edge)]}, tmp_path / "db")
+        line = (tmp_path / "relations.tsv").read_text().splitlines()[1]
+        db_line = (tmp_path / "db" / "relations.tsv").read_text().splitlines()[1]
+        assert line == "ACTRN126\\t0001\tlinked_to\t111\tANZCTR->PUBMED"
+        assert line.split("\t")[:3] == db_line.split("\t")[:3]
+        assert read_tsv(tmp_path / "relations.tsv")[1] == [["ACTRN126\t0001", "linked_to", "111", "ANZCTR->PUBMED"]]
 
     def test_counts_tsv(self, tmp_path):
         graph = assemble_graph(

@@ -38,10 +38,12 @@ from trialforge.store import (
     TABLE_ORDER,
     escape_cell,
     read_database,
+    read_tsv,
     table_row,
     unescape_cell,
     verify_manifest,
     write_database,
+    write_tsv,
 )
 from trialforge.ontology.biomarkers import BiomarkerMatch
 from trialforge.ontology.endpoints import EndpointClassification
@@ -367,10 +369,30 @@ def minimal_bundle():
     }
 
 
+# Cells lean on the characters the codec escapes, plus any other text.
+_CELLS = st.text(st.one_of(st.sampled_from('\\\t\n\r"é→'), st.characters(codec="utf-8")), max_size=12)
+
+
+@st.composite
+def tsv_tables(draw):
+    width = draw(st.integers(1, 4))
+    row = st.lists(_CELLS, min_size=width, max_size=width)
+    return draw(row), draw(st.lists(row, max_size=5))
+
+
 class TestEscaping:
     @given(st.text(max_size=200))
     def test_roundtrip(self, text):
         assert unescape_cell(escape_cell(text)) == text
+
+    @given(tsv_tables())
+    def test_tsv_file_roundtrip(self, tmp_path_factory, table):
+        header, rows = table
+        path = tmp_path_factory.getbasetemp() / "roundtrip.tsv"
+        payload = write_tsv(path, header, rows)
+        assert payload == path.read_bytes()
+        assert payload.count(b"\n") == 1 + len(rows)
+        assert read_tsv(path) == (header, rows)
 
     def test_tab_newline_visible(self):
         assert escape_cell("a\tb\nc\\d\re") == "a\\tb\\nc\\\\d\\re"
@@ -522,6 +544,24 @@ class TestWriteDatabase:
         path.write_text(path.read_text() + "NCT1\tD0\tx\tmesh-list\n")
         problems = verify_manifest(tmp_path / "db")
         assert any("conditions" in p for p in problems)
+
+    @pytest.mark.parametrize("line", [
+        "conditions\t1\tabc\textra",
+        "conditions\t1",
+        "conditions\tone\tabc",
+    ], ids=["extra-cell", "missing-cell", "non-integer-count"])
+    def test_verify_manifest_reports_malformed_line(self, tmp_path, line):
+        write_database(minimal_bundle(), tmp_path / "db")
+        manifest = tmp_path / "db" / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        assert lines[2].startswith("conditions\t")
+        lines[2] = line
+        manifest.write_text("\n".join(lines) + "\n")
+        cells = line.split("\t")
+        assert verify_manifest(tmp_path / "db") == [
+            f"manifest line 3: expected table, row count and sha256, got {cells}",
+            "conditions: not in manifest",
+        ]
 
     def test_verify_missing_manifest(self, tmp_path):
         assert verify_manifest(tmp_path) == ["manifest missing"]
