@@ -1,95 +1,1 @@
 """Benchmark generation: eight tasks, recency splits, deterministic output."""
-
-from .design import (
-    DESIGN_FIELDS,
-    DESIGN_INSTRUCTIONS,
-    DESIGN_TASKS,
-    OPTIONS_PER_ITEM,
-    doc_summary,
-    doc_title,
-    gen_design_mcq,
-    render_arms,
-    render_eligibility,
-    render_endpoints,
-)
-from .items import (
-    OPTION_LETTERS,
-    SPLITS,
-    TASKS,
-    BenchmarkItem,
-    answer_letter,
-    write_benchmark_files,
-)
-from .protocol import (
-    COMPLETION_INSTRUCTION,
-    SAMPLE_SIZE_INSTRUCTION,
-    SAMPLE_SIZE_SUMMARY_PROMPT,
-    check_completion_leakage,
-    completion_leakage_vocabulary,
-    gen_completion_items,
-    gen_sample_size_items,
-    render_completion_input,
-    stated_numbers,
-)
-from .review_tasks import (
-    EVIDENCE_MCQ_PROMPT,
-    MAX_INCLUDED_STUDIES,
-    SCREENING_CAP,
-    SEARCH_TEST_REVIEWS,
-    check_self_reference,
-    gen_evidence_mcq,
-    gen_screening_items,
-    gen_search_items,
-    split_search_items,
-)
-from .splits import (
-    TEST_SIZE,
-    VALIDATION_SIZE,
-    SplitAssignment,
-    numeric_id_key,
-    split_by_numeric_id,
-    split_sizes,
-)
-
-__all__ = [
-    "BenchmarkItem",
-    "COMPLETION_INSTRUCTION",
-    "DESIGN_FIELDS",
-    "DESIGN_INSTRUCTIONS",
-    "DESIGN_TASKS",
-    "EVIDENCE_MCQ_PROMPT",
-    "MAX_INCLUDED_STUDIES",
-    "OPTIONS_PER_ITEM",
-    "OPTION_LETTERS",
-    "SAMPLE_SIZE_INSTRUCTION",
-    "SAMPLE_SIZE_SUMMARY_PROMPT",
-    "SCREENING_CAP",
-    "SEARCH_TEST_REVIEWS",
-    "SPLITS",
-    "SplitAssignment",
-    "TASKS",
-    "TEST_SIZE",
-    "VALIDATION_SIZE",
-    "answer_letter",
-    "check_completion_leakage",
-    "check_self_reference",
-    "completion_leakage_vocabulary",
-    "doc_summary",
-    "doc_title",
-    "gen_completion_items",
-    "gen_design_mcq",
-    "gen_evidence_mcq",
-    "gen_sample_size_items",
-    "gen_screening_items",
-    "gen_search_items",
-    "numeric_id_key",
-    "render_arms",
-    "render_completion_input",
-    "render_eligibility",
-    "render_endpoints",
-    "split_by_numeric_id",
-    "split_search_items",
-    "split_sizes",
-    "stated_numbers",
-    "write_benchmark_files",
-]

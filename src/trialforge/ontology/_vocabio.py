@@ -1,13 +1,13 @@
 """Plain TSV readers for the vocabulary subset files.
 
 These files are hand-curated and never contain embedded tabs or newlines,
-so no escaping layer is needed (unlike the database writer in
-``trialforge.store``).
+so each line splits on tab as it stands: no quoting or escaping layer
+(unlike the database writer in ``trialforge.store``), and a ``"`` is an
+ordinary character.
 """
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Iterator
 
@@ -19,9 +19,10 @@ def iter_tsv(path: Path, columns: int) -> Iterator[list[str]]:
     can rely on a fixed width; longer rows raise to surface editing slips
     in the curated files.
     """
-    with path.open(encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-            if not row or row[0].lstrip().startswith("#"):
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            row = line.rstrip("\n").split("\t")
+            if row == [""] or row[0].lstrip().startswith("#"):
                 continue
             if len(row) > columns:
                 raise ValueError(f"{path.name}:{lineno}: expected at most {columns} columns, got {len(row)}")

@@ -53,19 +53,17 @@ from pathlib import Path
 from typing import Callable, Optional, get_type_hints
 
 from . import store
-from .benchgen import (
-    DESIGN_FIELDS,
-    gen_completion_items,
-    gen_design_mcq,
+from .benchgen.design import DESIGN_FIELDS, gen_design_mcq
+from .benchgen.items import write_benchmark_files
+from .benchgen.protocol import gen_completion_items, gen_sample_size_items
+from .benchgen.review_tasks import (
+    _include_map,
     gen_evidence_mcq,
-    gen_sample_size_items,
     gen_screening_items,
     gen_search_items,
-    split_by_numeric_id,
     split_search_items,
-    write_benchmark_files,
 )
-from .benchgen.review_tasks import _include_map
+from .benchgen.splits import split_by_numeric_id
 from .clients import (
     MODES,
     ReplayStore,
@@ -552,20 +550,15 @@ class _RunContext:
 
     @cached_property
     def aliases(self) -> dict[str, str]:
-        """Absorbed study id to surviving study id, from the dedupe audit."""
-        path = self.stage_dir("dedupe") / "decisions.tsv"
-        aliases: dict[str, str] = {}
+        """Absorbed study id to surviving study id, from the dedupe links."""
+        path = self.stage_dir("dedupe") / "dup_links.jsonl"
         if not path.is_file():
-            return aliases
-        for cells in store.read_tsv(path)[1]:
-            if len(cells) < 4 or not cells[2]:
-                continue
-            survivor_id = cells[1]
-            for chunk in cells[2].split(";"):
-                _, _, absorbed_id = chunk.partition(":")
-                if absorbed_id and absorbed_id != survivor_id:
-                    aliases[absorbed_id] = survivor_id
-        return aliases
+            return {}
+        return {
+            row["tail_id"]: row["head_id"]
+            for row in store.read_jsonl(path)
+            if row["tail_id"] != row["head_id"]
+        }
 
     @cached_property
     def doc_index(self) -> _DocIndex:

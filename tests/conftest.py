@@ -2,7 +2,9 @@
 
 The replay store is generated, not checked in. scripts/build_golden_replay.py
 holds the scripted transports; building the store here keeps the recorded
-responses in lockstep with the prompts the code actually sends.
+responses in lockstep with the prompts the code actually sends. The corpus
+itself is committed as the only copy; tests/README.md says why each record
+is there and how to change it.
 """
 
 from __future__ import annotations

@@ -2,28 +2,24 @@ import json
 
 import pytest
 
-from trialforge.benchgen import (
-    BenchmarkItem,
+from trialforge.benchgen.design import gen_design_mcq, render_arms, render_eligibility, render_endpoints
+from trialforge.benchgen.items import BenchmarkItem, write_benchmark_files
+from trialforge.benchgen.protocol import (
     check_completion_leakage,
-    check_self_reference,
     completion_leakage_vocabulary,
     gen_completion_items,
-    gen_design_mcq,
-    gen_evidence_mcq,
     gen_sample_size_items,
+    stated_numbers,
+)
+from trialforge.benchgen.review_tasks import (
+    EVIDENCE_MCQ_PROMPT,
+    check_self_reference,
+    gen_evidence_mcq,
     gen_screening_items,
     gen_search_items,
-    numeric_id_key,
-    render_arms,
-    render_eligibility,
-    render_endpoints,
-    split_by_numeric_id,
     split_search_items,
-    split_sizes,
-    stated_numbers,
-    write_benchmark_files,
 )
-from trialforge.benchgen.review_tasks import EVIDENCE_MCQ_PROMPT
+from trialforge.benchgen.splits import numeric_id_key, split_by_numeric_id, split_sizes
 from trialforge.errors import (
     CorpusTooSmall,
     FieldMissing,

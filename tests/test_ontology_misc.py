@@ -12,6 +12,7 @@ from trialforge.errors import (
     ReplayMiss,
     TaxonomyViolation,
 )
+from trialforge.ontology._vocabio import iter_tsv
 from trialforge.ontology.biomarkers import load_biomarker_index, match_biomarker
 from trialforge.ontology.conditions import annotate_conditions
 from trialforge.ontology.endpoints import (
@@ -218,6 +219,23 @@ class TestBiomarkers:
         (tmp_path / "themarker.tsv").write_text("weird marker\tprotein\tXXX\t\n", encoding="utf-8")
         with pytest.raises(TaxonomyViolation):
             load_biomarker_index(tmp_path)
+
+
+class TestVocabTsv:
+    def test_quotes_are_ordinary_characters(self, tmp_path):
+        path = tmp_path / "brands.tsv"
+        path.write_text('"Tylenol" Extra\tDB00316\n# note\n\n"Advil\tDB01050\nMotrin\n', encoding="utf-8")
+        assert list(iter_tsv(path, 2)) == [
+            ['"Tylenol" Extra', "DB00316"],
+            ['"Advil', "DB01050"],
+            ["Motrin", ""],
+        ]
+
+    def test_over_wide_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "brands.tsv"
+        path.write_text('# name\tdrugbank id\nTylenol\t"DB00316\tDB01050"\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^brands\.tsv:2: expected at most 2 columns, got 3$"):
+            list(iter_tsv(path, 2))
 
 
 class TestEndpointTaxonomy:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from trialforge import pipeline, store
-from trialforge.benchgen import numeric_id_key
+from trialforge.benchgen.splits import numeric_id_key
 from trialforge.clients import ReplayStore, request_hash
 from trialforge.errors import LiveCallForbidden, ReplayMiss
 from trialforge.ingest import _default_mapping_dir
@@ -110,23 +110,33 @@ def test_merge_rekeys_absorbed_registry_document(golden):
         assert not any(row["study_id"] == "NCT01000001" for row in rows), table
 
 
-def test_alias_survives_a_tab_in_the_survivor_id(tmp_path):
+def dedupe_registry_and_article(tmp_path, registry_id, pmid):
+    """Run ``until="dedupe"`` on one ANZCTR row and one PubMed article sharing a title."""
     corpus = tmp_path / "corpus"
     (corpus / "registry").mkdir(parents=True)
     (corpus / "pubmed").mkdir()
     title = "Intravitreal Aflibercept for Persistent Diabetic Macular Edema"
-    registry = [{"Registration number": "ACTRN126\t0001", "Public title": title, "Study type": "Interventional"}]
+    registry = [{"Registration number": registry_id, "Public title": title, "Study type": "Interventional"}]
     (corpus / "registry" / "ANZCTR.json").write_text(json.dumps(registry), encoding="utf-8")
-    articles = [{"pmid": "111", "title": title, "year": 2009}]
+    articles = [{"pmid": pmid, "title": title, "year": 2009}]
     (corpus / "pubmed" / "articles.json").write_text(json.dumps(articles), encoding="utf-8")
     settings = PipelineSettings(corpus_dir=corpus, out_dir=tmp_path / "out", mode="offline", replay_dir=tmp_path / "replay")
     run_pipeline(settings, until="dedupe")
-
     decisions = tmp_path / "out" / STAGE_DIRS["dedupe"] / "decisions.tsv"
-    lines = decisions.read_text(encoding="utf-8").splitlines()
+    return settings, decisions.read_text(encoding="utf-8").splitlines()
+
+
+def test_alias_survives_a_tab_in_the_survivor_id(tmp_path):
+    settings, lines = dedupe_registry_and_article(tmp_path, "ACTRN126\t0001", "111")
     assert "ANZCTR\tACTRN126\\t0001\tPUBMED:111\ttitle-similarity\t1.0000" in lines
     assert {len(line.split("\t")) for line in lines} == {5}
     assert pipeline._RunContext(settings, None, "").aliases == {"111": "ACTRN126\t0001"}
+
+
+def test_alias_keeps_a_semicolon_in_the_absorbed_id(tmp_path):
+    settings, lines = dedupe_registry_and_article(tmp_path, "ACTRN1", "11;1")
+    assert "ANZCTR\tACTRN1\tPUBMED:11;1\ttitle-similarity\t1.0000" in lines
+    assert pipeline._RunContext(settings, None, "").aliases == {"11;1": "ACTRN1"}
 
 
 def test_outcome_labels_cover_completed_and_terminated(golden):
