@@ -54,7 +54,9 @@ def annotate_conditions(study: CanonicalStudy, annotator_client: AnnotatorClient
     Only ``T047`` (disease or syndrome) concepts are kept. Returns an empty
     list for ClinicalTrials.gov studies and for studies with no text.
     Whatever the annotator raises propagates untouched; an answer without
-    a usable annotation list is a ``MalformedResponse``.
+    a usable annotation list, or whose kept annotation or one of its
+    ancestors is not an object with ``mesh_id`` and ``mesh_term``, is a
+    ``MalformedResponse``.
     """
     if study.source is Source.CTGOV:
         return []
@@ -82,14 +84,21 @@ def annotate_conditions(study: CanonicalStudy, annotator_client: AnnotatorClient
             raise MalformedResponse(f"annotation entry is {type(annotation).__name__}, expected object")
         if annotation.get("semantic_type") != DISEASE_SEMANTIC_TYPE:
             continue
-        try:
-            mesh_id = annotation["mesh_id"]
-            mesh_term = annotation["mesh_term"]
-            ancestors = annotation.get("ancestors") or []
-        except KeyError as exc:
-            raise MalformedResponse(f"annotation entry missing {exc}") from exc
-        emit(mesh_id, mesh_term, "mesh-list")
+        emit(*_mesh_concept(annotation, "annotation"), "mesh-list")
+        ancestors = annotation.get("ancestors") or []
+        if not isinstance(ancestors, list):
+            raise MalformedResponse(f"annotation ancestors are {type(ancestors).__name__}, expected list")
         for position, ancestor in enumerate(ancestors):
             label = "mesh-ancestor-main" if position == len(ancestors) - 1 else "mesh-ancestor"
-            emit(ancestor["mesh_id"], ancestor["mesh_term"], label)
+            emit(*_mesh_concept(ancestor, "ancestor"), label)
     return out
+
+
+def _mesh_concept(entry, kind: str) -> tuple[str, str]:
+    """An annotation or ancestor entry's ``(mesh_id, mesh_term)``; any other shape is a ``MalformedResponse``."""
+    if not isinstance(entry, dict):
+        raise MalformedResponse(f"{kind} entry is {type(entry).__name__}, expected object")
+    try:
+        return entry["mesh_id"], entry["mesh_term"]
+    except KeyError as exc:
+        raise MalformedResponse(f"{kind} entry missing {exc}") from exc

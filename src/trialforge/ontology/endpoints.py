@@ -1,9 +1,9 @@
 """Primary-endpoint classification against the COMET outcome taxonomy.
 
 The taxonomy is embedded as a constant: five domains, each with a fixed
-subdomain list. Two special cases: Mortality/survival has no subdomains
-(so only a null subdomain validates) and Adverse events/effects accepts
-any subdomain string.
+subdomain list. The prompt's domain list is rendered from it. Two special
+cases: Mortality/survival has no subdomains (so only a null subdomain
+validates) and Adverse events/effects accepts any subdomain string.
 
 Classification is delegated to a language model through an injected
 callable ``(prompt: str) -> str`` (live endpoint or replay wrapper,
@@ -68,6 +68,22 @@ COMET_TAXONOMY: Mapping[str, Optional[tuple[str, ...]]] = {
     "Adverse events/effects": None,
 }
 
+
+def _taxonomy_text() -> str:
+    """The prompt's numbered domain list, rendered from ``COMET_TAXONOMY``.
+
+    No name holds a brace, so formatting the template leaves the list as is.
+    """
+    sections = []
+    for number, (domain, subdomains) in enumerate(COMET_TAXONOMY.items(), start=1):
+        if subdomains is None:
+            subdomains = ("Any subdomain",)
+        elif not subdomains:
+            subdomains = ("No subdomains",)
+        sections.append("\n".join([f"{number}. {domain}", *(f"   - {name}" for name in subdomains)]))
+    return "\n\n".join(sections)
+
+
 ENDPOINT_PROMPT_TEMPLATE = """You are a clinical research expert. Given a clinical trial abstract or description, extract the PRIMARY OUTCOME MEASUREMENT (usually only one or at most three), and classify them using the COMET taxonomy.
 
 Follow these steps:
@@ -76,50 +92,7 @@ Follow these steps:
 
 COMET Taxonomy:
 
-1. Mortality/survival
-   - No subdomains
-
-2. Physiological/clinical
-   - Blood and lymphatic system outcomes
-   - Cardiovascular outcomes
-   - Endocrine outcomes
-   - Gastrointestinal outcomes
-   - General outcomes
-   - Immune system outcomes
-   - Infections and infestations outcomes
-   - Metabolic and nutritional outcomes
-   - Musculoskeletal and connective tissue outcomes
-   - Neoplasms and related outcomes
-   - Nervous system outcomes
-   - Pregnancy and childbirth outcomes
-   - Renal and urinary outcomes
-   - Reproductive system and breast outcomes
-   - Respiratory outcomes
-   - Skin and subcutaneous tissue outcomes
-   - Surgical and medical procedures outcomes
-   - Vascular outcomes
-
-3. Life impact
-   - Delivery of care
-   - Global quality of life
-   - Perceived health status
-   - Personal circumstances
-   - Physical functioning
-   - Role functioning
-   - Social functioning
-   - Emotional functioning/wellbeing
-   - Cognitive functioning
-   - Sleep
-   - Fatigue
-
-4. Resource use
-   - Hospital
-   - Need for further intervention
-   - Societal/carer burden
-   - Other resource use
-
-5. Adverse events/effects
-   - Any subdomain
+""" + _taxonomy_text() + """
 
 Return your output as a list of JSON objects, one per outcome, in the following format:
 

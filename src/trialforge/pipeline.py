@@ -23,9 +23,10 @@ Expected corpus layout::
       registry/<SOURCE>.json   JSON array of raw rows, filename = source tag
       ctgov/<nctid>.json       one registry document per trial
       pubmed/articles.json     JSON array of {pmid, title, abstract, ...}
-      reviews/index.json       JSON array of review metadata dicts
+      reviews/index.json       JSON array of review metadata dicts, each with a pmid
       reviews/<pmid>.xml       full-text reference sections (JATS-style)
-      protocols/pairs.json     JSON array of protocol/registry pairs
+      protocols/pairs.json     JSON array of protocol/registry pairs, each with an
+                               nct_id and an integer registry_enrollment
       replay/                  default replay store (override with replay_dir)
 
 Every subdirectory is optional; missing ones simply contribute nothing.
@@ -109,6 +110,7 @@ from .schema import (
     RelationTriple,
     Source,
     StudyStatus,
+    decode_record,
     read_studies_jsonl,
     write_studies_jsonl,
 )
@@ -439,11 +441,19 @@ def _json_objects(path: Path) -> list[dict]:
     return rows
 
 
-def _json_list(path: Path, sort_key: str) -> list[dict]:
-    """A JSON array of objects ordered by one field; empty when the file is absent."""
+def _json_list(path: Path, sort_key: str, required: tuple[str, ...] = ()) -> list[dict]:
+    """A JSON array of objects ordered by one field; empty when the file is absent.
+
+    An object without one of the ``required`` keys is a ValueError naming the file.
+    """
     if not path.is_file():
         return []
-    return sorted(_json_objects(path), key=lambda row: str(row.get(sort_key, "")))
+    rows = _json_objects(path)
+    for position, row in enumerate(rows):
+        for key in required:
+            if key not in row:
+                raise ValueError(f"{path}: entry {position} has no {key!r}")
+    return sorted(rows, key=lambda row: str(row.get(sort_key, "")))
 
 
 def _corpus_registry_batches(corpus_dir: Path) -> list[tuple[str, list[dict]]]:
@@ -483,7 +493,13 @@ def _corpus_review_xmls(corpus_dir: Path) -> list[tuple[str, str]]:
 
 
 def _corpus_protocol_pairs(corpus_dir: Path) -> list[dict]:
-    return _json_list(corpus_dir / "protocols" / "pairs.json", "nct_id")
+    path = corpus_dir / "protocols" / "pairs.json"
+    pairs = _json_list(path, "nct_id", required=("nct_id", "registry_enrollment"))
+    for pair in pairs:
+        enrollment = pair["registry_enrollment"]
+        if isinstance(enrollment, bool) or not isinstance(enrollment, int):
+            raise ValueError(f"{path}: registry_enrollment of {pair['nct_id']} is {enrollment!r}, expected an integer")
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +557,7 @@ class _RunContext:
 
     @cached_property
     def reviews(self) -> list[dict]:
-        return _json_list(self.settings.corpus_dir / "reviews" / "index.json", "pmid")
+        return _json_list(self.settings.corpus_dir / "reviews" / "index.json", "pmid", required=("pmid",))
 
     @cached_property
     def studies(self) -> list[CanonicalStudy]:
@@ -825,7 +841,7 @@ def _stage_graph(run: _RunContext, out: Path) -> dict:
         triples.extend(extract_nct_links(article))
 
     dup_links = store.read_jsonl(run.stage_dir("dedupe") / "dup_links.jsonl")
-    triples.extend(store.relation_from_row(row) for row in dup_links)
+    triples.extend(decode_record(RelationTriple, row) for row in dup_links)
 
     graph = assemble_graph(triples, review_ids=review_ids)
     for head in graph.dangling_heads:
@@ -867,7 +883,7 @@ def _stage_database(run: _RunContext, out: Path) -> dict:
 def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     settings, clients, reviews = run.settings, run.clients, run.reviews
     relation_rows = store.read_jsonl(run.stage_dir("graph") / "relations.jsonl")
-    triples = [store.relation_from_row(row) for row in relation_rows]
+    triples = [decode_record(RelationTriple, row) for row in relation_rows]
 
     review_pmids = {str(r.get("pmid", "")) for r in reviews}
     review_groups: dict[str, list[str]] = {}
@@ -883,11 +899,11 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
 
     items.extend(gen_sample_size_items(_corpus_protocol_pairs(settings.corpus_dir), clients.llm))
 
-    outcome_rows = store.read_jsonl(run.stage_dir("extract") / "trial_outcomes.jsonl")
-    outcomes = {
-        row["study_id"]: OutcomeLabel(row["study_id"], row["outcome_type"], row["evidence"])
-        for row in outcome_rows
-    }
+    labels = (
+        decode_record(OutcomeLabel, row)
+        for row in store.read_jsonl(run.stage_dir("extract") / "trial_outcomes.jsonl")
+    )
+    outcomes = {label.study_id: label for label in labels}
     completion_trials = []
     for study in sorted(run.studies, key=lambda s: s.study_id):
         doc = run.doc_index.doc_for(study.study_id)

@@ -4,19 +4,35 @@ One CanonicalStudy per registration or publication. Validation is
 deliberately non-throwing: `validate_study` returns a list of violation
 strings so callers can decide whether to flag, drop, or repair a record.
 
+One codec (`encode_record`/`decode_record`) reads a dataclass's fields
+and type hints, so a record's shape is declared only in its class; studies,
+relation rows and outcome labels all go through it. Enums are written as
+their value, sets of enums as sorted lists. Reading looks enums up and
+checks `int` and `list[str]` fields; text and flag fields are kept as
+written (the CT.gov parser copies age and healthy-volunteer values as is).
+
 Serialized form is JSONL with a single header line carrying the schema
-name and version, then one record object per line.
+name and version, then one record object per line. `decode_study` takes a
+record that `validate_study` finds clean, or a flagged one whose only
+faults are an empty `study_id` or `title`: ingest keeps such records and
+dedupe passes them through.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Optional, TypeVar, get_args, get_origin, get_type_hints
 
 from .errors import SchemaVersionMismatch
+from .store import write_jsonl
+
+T = TypeVar("T")
 
 SCHEMA_NAME = "trialforge.studies"
 SCHEMA_VERSION = "1"
@@ -85,13 +101,6 @@ class StudyStatus(str, Enum):
     OTHER = "other"
 
 
-_SOURCE_VALUES = frozenset(s.value for s in Source)
-_PHASE_VALUES = frozenset(p.value for p in PhaseLabel)
-_STUDY_TYPE_VALUES = frozenset(t.value for t in StudyType)
-_GENDER_VALUES = frozenset(g.value for g in GenderLabel)
-_STATUS_VALUES = frozenset(s.value for s in StudyStatus)
-
-
 @dataclass
 class CanonicalStudy:
     study_id: str
@@ -114,58 +123,6 @@ class CanonicalStudy:
     flagged: bool = False
     primary_outcomes: list[str] = field(default_factory=list)
     secondary_outcomes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "study_id": self.study_id,
-            "source": self.source.value,
-            "title": self.title,
-            "brief_summary": self.brief_summary,
-            "study_type": self.study_type.value if self.study_type else None,
-            "sponsor": self.sponsor,
-            "start_year": self.start_year,
-            "phases": sorted(p.value for p in self.phases),
-            "gender": self.gender.value if self.gender else None,
-            "min_age": self.min_age,
-            "max_age": self.max_age,
-            "healthy_volunteers": self.healthy_volunteers,
-            "status": self.status.value,
-            "raw_status": self.raw_status,
-            "target_accrual": self.target_accrual,
-            "actual_accrual": self.actual_accrual,
-            "results_text": self.results_text,
-            "flagged": self.flagged,
-            "primary_outcomes": list(self.primary_outcomes),
-            "secondary_outcomes": list(self.secondary_outcomes),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CanonicalStudy":
-        problems = validate_study(d)
-        if problems:
-            raise ValueError("invalid study record: " + "; ".join(problems))
-        return cls(
-            study_id=d["study_id"],
-            source=Source(d["source"]),
-            title=d.get("title", ""),
-            brief_summary=d.get("brief_summary", ""),
-            study_type=StudyType(d["study_type"]) if d.get("study_type") else None,
-            sponsor=d.get("sponsor", ""),
-            start_year=d.get("start_year"),
-            phases={PhaseLabel(p) for p in d.get("phases", [])},
-            gender=GenderLabel(d["gender"]) if d.get("gender") else None,
-            min_age=d.get("min_age"),
-            max_age=d.get("max_age"),
-            healthy_volunteers=d.get("healthy_volunteers"),
-            status=StudyStatus(d.get("status", "other")),
-            raw_status=d.get("raw_status"),
-            target_accrual=d.get("target_accrual"),
-            actual_accrual=d.get("actual_accrual"),
-            results_text=d.get("results_text"),
-            flagged=bool(d.get("flagged", False)),
-            primary_outcomes=list(d.get("primary_outcomes", [])),
-            secondary_outcomes=list(d.get("secondary_outcomes", [])),
-        )
 
 
 #: Relation vocabulary for the knowledge-graph edges.
@@ -201,89 +158,139 @@ def needs_flag(study_id: str, title: str) -> bool:
     return not study_id.strip() or not title.strip()
 
 
-def validate_study(record: "CanonicalStudy | dict") -> list[str]:
+#: The faults a flagged record may keep.
+_FLAGGED_FAULTS = ("study_id: empty", "title: empty")
+
+
+def validate_study(study: CanonicalStudy) -> list[str]:
     """Return a violation report. Empty list means the record is clean.
 
-    Accepts either a decoded CanonicalStudy or a raw dict (pre-decode),
-    never raises, and is idempotent: validating twice reports the same
+    Never raises, and is idempotent: validating twice reports the same
     violations.
     """
-    if isinstance(record, CanonicalStudy):
-        return _validate_decoded(record)
-    return _validate_raw(record)
-
-
-def _validate_decoded(s: CanonicalStudy) -> list[str]:
-    out: list[str] = []
-    if not s.study_id.strip():
-        out.append("study_id: empty")
-    if not s.title.strip():
-        out.append("title: empty")
-    if needs_flag(s.study_id, s.title) and not s.flagged:
+    out = []
+    for name in ("study_id", "title"):
+        value = getattr(study, name)
+        if not isinstance(value, str):
+            out.append(f"{name}: not a string")
+        elif not value.strip():
+            out.append(f"{name}: empty")
+    if out and not study.flagged and set(out) <= set(_FLAGGED_FAULTS):
         out.append("flagged: must be true when a critical field is empty")
-    if s.actual_accrual is not None and s.actual_accrual <= 0:
-        out.append(f"actual_accrual: must be positive, got {s.actual_accrual}")
+    if study.actual_accrual is not None and study.actual_accrual <= 0:
+        out.append(f"actual_accrual: must be positive, got {study.actual_accrual}")
     return out
 
 
-def _validate_raw(d: dict) -> list[str]:
-    out: list[str] = []
-    study_id = d.get("study_id")
-    if not isinstance(study_id, str) or not study_id.strip():
-        out.append("study_id: empty")
-    src = d.get("source")
-    if src not in _SOURCE_VALUES:
-        out.append(f"source: unknown source {src!r}")
-    title = d.get("title", "")
-    if not isinstance(title, str) or not title.strip():
-        out.append("title: empty")
-    if isinstance(study_id, str) and isinstance(title, str):
-        if needs_flag(study_id, title) and not d.get("flagged", False):
-            out.append("flagged: must be true when a critical field is empty")
-    for p in d.get("phases", []):
-        if p not in _PHASE_VALUES:
-            out.append(f"phases: unknown phase {p!r}")
-    st = d.get("study_type")
-    if st is not None and st not in _STUDY_TYPE_VALUES:
-        out.append(f"study_type: unknown value {st!r}")
-    g = d.get("gender")
-    if g is not None and g not in _GENDER_VALUES:
-        out.append(f"gender: unknown value {g!r}")
-    status = d.get("status", "other")
-    if status not in _STATUS_VALUES:
-        out.append(f"status: unknown value {status!r}")
-    for key in ("target_accrual", "actual_accrual", "start_year"):
-        v = d.get(key)
-        if v is not None and not isinstance(v, int):
-            out.append(f"{key}: not an integer")
-    aa = d.get("actual_accrual")
-    if isinstance(aa, int) and aa <= 0:
-        out.append(f"actual_accrual: must be positive, got {aa}")
-    for key in ("primary_outcomes", "secondary_outcomes"):
-        v = d.get(key, [])
-        if not isinstance(v, list) or any(not isinstance(x, str) for x in v):
-            out.append(f"{key}: not a list of strings")
-    return out
+# --- record codec --------------------------------------------------------------
+
+
+def _optional(convert: Callable) -> Callable:
+    return lambda value: None if value is None else convert(value)
+
+
+def _integer(value):
+    if not isinstance(value, int):
+        raise ValueError("not an integer")
+    return value
+
+
+def _list_of(kind: type) -> Callable:
+    def convert(values):
+        if not isinstance(values, list) or not all(isinstance(value, kind) for value in values):
+            raise ValueError(f"not a list of {kind.__name__}")
+        return list(values)
+
+    return convert
+
+
+def _converters(hint) -> tuple[Optional[Callable], Optional[Callable]]:
+    """(encode, decode) for one field type; None keeps the value as written."""
+    args = get_args(hint)
+    if type(None) in args:
+        (inner,) = (arg for arg in args if arg is not type(None))
+        encode, decode = _converters(inner)
+        return (encode and _optional(encode)), (decode and _optional(decode))
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return attrgetter("value"), hint
+    if get_origin(hint) is set:
+        (kind,) = args
+        return (lambda members: sorted(member.value for member in members)), (
+            lambda values: {kind(value) for value in values}
+        )
+    if get_origin(hint) is list:
+        return list, _list_of(args[0])
+    if hint is int:
+        return None, _integer
+    return None, None
+
+
+@cache
+def _field_codecs(cls: type) -> tuple[tuple[str, ...], tuple, tuple]:
+    """The field names, then ``(name, encode)`` and ``(name, decode)`` for each converted field."""
+    hints = get_type_hints(cls)
+    names = tuple(f.name for f in fields(cls))
+    converters = [(name, *_converters(hints[name])) for name in names]
+    return (
+        names,
+        tuple((name, encode) for name, encode, _ in converters if encode is not None),
+        tuple((name, decode) for name, _, decode in converters if decode is not None),
+    )
+
+
+def encode_record(record) -> dict:
+    """The JSON form of a dataclass record: one key per field."""
+    _, encoders, _ = _field_codecs(type(record))
+    row = dict(vars(record))
+    for name, encode in encoders:
+        row[name] = encode(row[name])
+    return row
+
+
+def decode_record(cls: type[T], row) -> T:
+    """The ``cls`` record of a JSON object written by :func:`encode_record`.
+
+    Absent keys take the field's default and unknown keys are ignored. A
+    value that does not convert to its field's type, or a missing value
+    the field has no default for, is a ``ValueError`` naming the field.
+    """
+    if not isinstance(row, dict):
+        raise ValueError(f"invalid {cls.__name__}: expected a JSON object, got {type(row).__name__}")
+    names, _, decoders = _field_codecs(cls)
+    values = {name: row[name] for name in names if name in row}
+    for name, decode in decoders:
+        if name in values:
+            try:
+                values[name] = decode(values[name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"invalid {cls.__name__}: {name}: {exc}") from None
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ValueError(f"invalid {cls.__name__}: {exc}") from None
 
 
 # --- JSONL serialization ----------------------------------------------------
 
+
 def encode_study(study: CanonicalStudy) -> str:
-    return json.dumps(study.to_dict(), sort_keys=True, ensure_ascii=False)
+    return json.dumps(encode_record(study), sort_keys=True, ensure_ascii=False)
 
 
 def decode_study(line: str) -> CanonicalStudy:
-    return CanonicalStudy.from_dict(json.loads(line))
+    """One study line; a ``ValueError`` for any fault but a flagged record's empty id or title."""
+    study = decode_record(CanonicalStudy, json.loads(line))
+    problems = validate_study(study)
+    if study.flagged:
+        problems = [problem for problem in problems if problem not in _FLAGGED_FAULTS]
+    if problems:
+        raise ValueError("invalid CanonicalStudy: " + "; ".join(problems))
+    return study
 
 
 def write_studies_jsonl(studies: Iterable[CanonicalStudy], path: str | Path) -> None:
-    header = json.dumps(
-        {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}, sort_keys=True
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for s in studies:
-            fh.write(encode_study(s) + "\n")
+    header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
+    write_jsonl(path, chain([header], map(encode_record, studies)))
 
 
 def read_studies_jsonl(path: str | Path) -> list[CanonicalStudy]:

@@ -1,11 +1,13 @@
 r"""Ten-table TSV database with a manifest, and the tabular file codec.
 
 Every TSV file trialforge writes goes through ``write_tsv``/``read_tsv``,
-and every JSON-lines row file through ``write_jsonl``/``read_jsonl``
-(the study table, with its header line, is ``schema``'s own). A TSV
-cell escapes backslash, tab, newline and CR as ``\\``, ``\t``, ``\n``
-and ``\r``, so any text survives the round trip; a JSON line is the
-key-sorted dump of one row, non-ASCII text kept as is.
+and every JSON-lines row file through ``write_jsonl``/``read_jsonl``.
+The study file is written by ``write_jsonl`` too, its header line as the
+first row; ``schema`` reads it back, checking the header. A TSV cell
+escapes backslash, tab, newline and CR as ``\\``, ``\t``, ``\n`` and
+``\r``, so any text survives the round trip; a JSON line is the
+key-sorted dump of one row, non-ASCII text kept as is. Rows read back are
+plain dicts; ``schema.decode_record`` turns one into a record.
 
 Database tables are written with a header row and rows sorted by
 primary key, which makes two runs over the same input byte-identical.
@@ -30,7 +32,6 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ForeignKeyViolation
-from .schema import RelationTriple, Source
 
 TABLE_COLUMNS = {
     "studies": (
@@ -381,12 +382,3 @@ def table_row(table: str, record, **extra) -> dict:
     fields = vars(record) | extra if extra else vars(record)
     return {column: _cell(fields[column]) for column in TABLE_COLUMNS[table]}
 
-
-def relation_from_row(row: dict) -> RelationTriple:
-    return RelationTriple(
-        head_id=row["head_id"],
-        relation_type=row["relation_type"],
-        tail_id=row["tail_id"],
-        head_source=Source(row["head_source"]),
-        tail_source=Source(row["tail_source"]),
-    )

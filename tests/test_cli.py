@@ -189,6 +189,24 @@ def test_wrong_shaped_corpus_file_is_invalid_input(golden, tmp_path, capsys, rel
     assert f"{corpus / rel}: expected a JSON {shape}" in err
 
 
+@pytest.mark.parametrize("rel, key, value, message", [
+    ("reviews/index.json", "pmid", None, "entry 0 has no 'pmid'"),
+    ("protocols/pairs.json", "nct_id", None, "entry 0 has no 'nct_id'"),
+    ("protocols/pairs.json", "registry_enrollment", None, "entry 0 has no 'registry_enrollment'"),
+    ("protocols/pairs.json", "registry_enrollment", "about 80", "registry_enrollment of NCT06330298 is 'about 80', expected an integer"),
+], ids=["review-pmid", "pair-nct-id", "pair-enrollment", "pair-enrollment-text"])
+def test_malformed_corpus_entry_is_invalid_input(golden, tmp_path, capsys, rel, key, value, message):
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    entries = json.loads((corpus / rel).read_text(encoding="utf-8"))
+    if value is None:
+        del entries[0][key]
+    else:
+        entries[0][key] = value
+    (corpus / rel).write_text(json.dumps(entries), encoding="utf-8")
+    assert main(pipeline_argv("run-all", golden, tmp_path / "out", corpus=corpus)) == 2
+    assert capsys.readouterr().err == f"invalid input: {corpus / rel}: {message}\n"
+
+
 # --- evaluate verb ---------------------------------------------------------
 
 @pytest.fixture()

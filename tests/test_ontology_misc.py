@@ -129,6 +129,18 @@ class TestConditions:
         with pytest.raises(MalformedResponse):
             annotate_conditions(make_study(), lambda request: {"nope": 1})
 
+    @pytest.mark.parametrize("ancestors, message", [
+        (["D000"], "ancestor entry is str, expected object"),
+        ([None], "ancestor entry is NoneType, expected object"),
+        ([{"mesh_term": "Top"}], "ancestor entry missing 'mesh_id'"),
+        ([{"mesh_id": "D000"}], "ancestor entry missing 'mesh_term'"),
+        ({"mesh_id": "D000", "mesh_term": "Top"}, "annotation ancestors are dict, expected list"),
+    ], ids=["string", "null", "no-id", "no-term", "object"])
+    def test_malformed_ancestor(self, ancestors, message):
+        annotation = {"mesh_id": "D001", "mesh_term": "Thing", "semantic_type": "T047", "ancestors": ancestors}
+        with pytest.raises(MalformedResponse, match=message):
+            annotate_conditions(make_study(), lambda request: {"annotations": [annotation]})
+
 
 @pytest.fixture(scope="module")
 def hierarchy():

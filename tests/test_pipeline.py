@@ -139,6 +139,22 @@ def test_alias_keeps_a_semicolon_in_the_absorbed_id(tmp_path):
     assert pipeline._RunContext(settings, None, "").aliases == {"11;1": "ACTRN1"}
 
 
+def test_untitled_article_passes_dedupe_flagged(golden, tmp_path):
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    path = corpus / "pubmed" / "articles.json"
+    articles = json.loads(path.read_text(encoding="utf-8"))
+    articles.append({"pmid": "39000001", "title": "", "year": 2024})
+    path.write_text(json.dumps(articles), encoding="utf-8")
+
+    summary = run_pipeline(replay_settings(golden, tmp_path / "out", corpus_dir=corpus))
+    assert list(summary["stages"]) == list(STAGES)
+    dedupe_dir = tmp_path / "out" / STAGE_DIRS["dedupe"]
+    kept = [row for row in read_jsonl(dedupe_dir / "studies.jsonl")[1:] if row["study_id"] == "39000001"]
+    assert [(row["title"], row["flagged"]) for row in kept] == [("", True)]
+    decisions = (dedupe_dir / "decisions.tsv").read_text(encoding="utf-8").splitlines()
+    assert "PUBMED\t39000001\t\tflagged-passthrough\t" in decisions
+
+
 def test_outcome_labels_cover_completed_and_terminated(golden):
     outcomes = {
         row["study_id"]: (row["outcome_type"], row["evidence"])

@@ -12,8 +12,8 @@ from trialforge.relations import (
     write_relation_counts_tsv,
     write_relations_tsv,
 )
-from trialforge.schema import RelationTriple, Source
-from trialforge.store import read_tsv, relation_from_row, table_row, write_database
+from trialforge.schema import RelationTriple, Source, decode_record
+from trialforge.store import read_tsv, table_row, write_database
 
 
 REVIEW_XML = """<article>
@@ -242,7 +242,7 @@ class TestExports:
         assert lines[0] == "head_id\trelation_type\ttail_id\tsources"
         assert "123\tlinked_to\tNCT00000150\tPUBMED->CTGOV" in lines
         for t in graph.triples:
-            assert relation_from_row(table_row("relations", t)) == t
+            assert decode_record(RelationTriple, table_row("relations", t)) == t
 
     def test_cells_escaped_as_in_database(self, tmp_path):
         edge = RelationTriple("ACTRN126\t0001", "linked_to", "111", Source.ANZCTR, Source.PUBMED)

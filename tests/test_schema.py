@@ -4,8 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trialforge.errors import SchemaVersionMismatch
+from trialforge.ingest import parse_ctgov_study
 from trialforge.schema import (
     CanonicalStudy,
     GenderLabel,
@@ -13,7 +16,9 @@ from trialforge.schema import (
     Source,
     StudyStatus,
     StudyType,
+    decode_record,
     decode_study,
+    encode_record,
     encode_study,
     needs_flag,
     read_studies_jsonl,
@@ -110,24 +115,27 @@ def test_validate_is_idempotent_and_pure():
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("source", "CTGOVX", "source: unknown source 'CTGOVX'"),
-        ("phases", ["PHASE9"], "phases: unknown phase 'PHASE9'"),
-        ("study_type", "RANDOM", "study_type: unknown value 'RANDOM'"),
-        ("gender", "ANY", "gender: unknown value 'ANY'"),
-        ("status", "paused", "status: unknown value 'paused'"),
+        ("source", "CTGOVX", "source: 'CTGOVX' is not a valid Source"),
+        ("phases", ["PHASE9"], "phases: 'PHASE9' is not a valid PhaseLabel"),
+        ("study_type", "RANDOM", "study_type: 'RANDOM' is not a valid StudyType"),
+        ("gender", "ANY", "gender: 'ANY' is not a valid GenderLabel"),
+        ("status", "paused", "status: 'paused' is not a valid StudyStatus"),
     ],
     ids=["source", "phases", "study_type", "gender", "status"],
 )
 def test_validate_raw_dict_unknown_enum_value(key, value, message):
-    d = make_study().to_dict()
+    d = encode_record(make_study())
     d[key] = value
-    assert validate_study(d) == [message]
+    with pytest.raises(ValueError) as excinfo:
+        decode_study(json.dumps(d))
+    assert str(excinfo.value) == f"invalid CanonicalStudy: {message}"
 
 
 def test_validate_raw_dict_accrual_sign():
-    d = make_study().to_dict()
+    d = encode_record(make_study())
     d["actual_accrual"] = 0
-    assert any("actual_accrual" in v for v in validate_study(d))
+    with pytest.raises(ValueError, match="actual_accrual: must be positive, got 0"):
+        decode_study(json.dumps(d))
 
 
 def test_needs_flag_rule():
@@ -138,7 +146,7 @@ def test_needs_flag_rule():
 
 def test_from_dict_rejects_garbage():
     with pytest.raises(ValueError):
-        CanonicalStudy.from_dict({"study_id": "x", "source": "NOT_A_SOURCE"})
+        decode_record(CanonicalStudy, {"study_id": "x", "source": "NOT_A_SOURCE"})
 
 
 def test_jsonl_header_and_roundtrip(tmp_path):
@@ -150,6 +158,74 @@ def test_jsonl_header_and_roundtrip(tmp_path):
     header = json.loads(lines[0])
     assert header == {"schema": "trialforge.studies", "version": "1"}
     assert read_studies_jsonl(path) == studies
+
+
+def test_decode_keeps_a_flagged_record_with_an_empty_critical_field():
+    for overrides in ({"title": ""}, {"study_id": " "}, {"study_id": "", "title": ""}):
+        line = encode_study(make_study(flagged=True, **overrides))
+        assert decode_study(line) == make_study(flagged=True, **overrides)
+        with pytest.raises(ValueError, match="flagged: must be true"):
+            decode_study(encode_study(make_study(flagged=False, **overrides)))
+
+
+@pytest.mark.parametrize("key", ["study_id", "title"])
+def test_decode_rejects_a_critical_field_that_is_not_text(key):
+    d = encode_record(make_study(flagged=True))
+    d[key] = 5
+    with pytest.raises(ValueError, match=f"{key}: not a string"):
+        decode_study(json.dumps(d))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def studies(draw) -> CanonicalStudy:
+    study_id = draw(st.sampled_from(["", " ", "NCT01000001", "ACTRN\t1;2"]))
+    title = draw(st.sampled_from(["", "\u00c9tude", "Trial of X"]) | st.text())
+    return make_study(
+        study_id=study_id,
+        source=draw(st.sampled_from(Source)),
+        title=title,
+        brief_summary=draw(st.text()),
+        study_type=draw(st.none() | st.sampled_from(StudyType)),
+        phases=draw(st.sets(st.sampled_from(PhaseLabel))),
+        gender=draw(st.none() | st.sampled_from(GenderLabel)),
+        status=draw(st.sampled_from(StudyStatus)),
+        start_year=draw(st.none() | st.integers()),
+        target_accrual=draw(st.none() | st.integers()),
+        actual_accrual=draw(st.none() | st.integers(min_value=1)),
+        flagged=needs_flag(study_id, title) or draw(st.booleans()),
+        primary_outcomes=draw(st.lists(st.text(), max_size=3)),
+    )
+
+
+@st.composite
+def ctgov_studies(draw) -> CanonicalStudy:
+    doc = {
+        "nctId": draw(st.sampled_from(["", "NCT02823470"])),
+        "protocolSection": {
+            "identificationModule": {"briefTitle": draw(st.text(max_size=8))},
+            "eligibilityModule": {
+                key: draw(JSON_VALUES) for key in ("minimumAge", "maximumAge", "healthyVolunteers")
+            },
+        },
+    }
+    return parse_ctgov_study(doc)
+
+
+@given(st.lists(studies() | ctgov_studies(), max_size=4))
+def test_read_after_write_gives_back_the_studies(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("roundtrip") / "studies.jsonl"
+    write_studies_jsonl(records, path)
+    written = path.read_bytes()
+    assert read_studies_jsonl(path) == records
+    write_studies_jsonl(read_studies_jsonl(path), path)
+    assert path.read_bytes() == written
 
 
 def test_jsonl_rejects_wrong_version(tmp_path):
