@@ -22,10 +22,12 @@ output is derived from a call that failed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -55,23 +57,35 @@ class ReplayStore:
     ``served`` maps ``"<service>/<digest>.json"`` to the sha256 of the bytes
     of every fixture `get` read or `put` wrote since its owner last
     cleared it, so a pipeline stage can key on the responses it used.
+
+    A fixture is ``<root>/<service>/<digest>.json``, a path built as text.
+    `has` is one ``stat`` that counts only a regular file, so a directory
+    or a FIFO there is a miss and is never opened; `get`, called after it,
+    is one open and read. `put` creates the service directory only when
+    opening its temp file fails for want of it.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._prefix = os.fspath(self.root) + os.sep
         self.served: dict[str, str] = {}
 
-    def _path(self, service: str, digest: str) -> Path:
-        return self.root / service / f"{digest}.json"
+    def _path(self, service: str, digest: str) -> str:
+        return f"{self._prefix}{service}{os.sep}{digest}.json"
 
     def has(self, service: str, digest: str) -> bool:
-        return self._path(service, digest).is_file()
+        try:
+            return stat.S_ISREG(os.stat(self._path(service, digest)).st_mode)
+        except (FileNotFoundError, NotADirectoryError):
+            return False
 
     def get(self, service: str, digest: str):
         path = self._path(service, digest)
-        if not path.is_file():
-            raise KeyError(digest)
-        data = path.read_bytes()
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except (FileNotFoundError, NotADirectoryError):
+            raise KeyError(digest) from None
         try:
             payload = json.loads(data.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError, or UTF-8 cut mid-character
@@ -89,19 +103,24 @@ class ReplayStore:
         the temp name.
         """
         path = self._path(service, digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"service": service, "request": request, "response": response}
-        data = (json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = path + ".tmp"
         try:
-            with open(tmp, "wb") as handle:
+            handle = open(tmp, "wb")
+        except (FileNotFoundError, NotADirectoryError):
+            os.makedirs(os.path.dirname(tmp), exist_ok=True)
+            handle = open(tmp, "wb")
+        try:
+            with handle:
+                payload = {"service": service, "request": request, "response": response}
+                data = (json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
                 handle.write(data)
             os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise
         self.served[f"{service}/{digest}.json"] = hashlib.sha256(data).hexdigest()
-        return path
+        return Path(path)
 
     def entries(self, service: str) -> list[str]:
         directory = self.root / service

@@ -352,6 +352,14 @@ _CTGOV_TYPES = {
 }
 
 
+def _ctgov_text(nct_id: str, field: str, value, kinds: tuple[type, ...] = (str,)):
+    """``value`` when it is null or one of ``kinds``; any other JSON value is a ValueError."""
+    if value is None or isinstance(value, kinds):
+        return value
+    expected = " or ".join(kind.__name__ for kind in kinds)
+    raise ValueError(f"CT.gov study {nct_id}: {field} is {value!r}, expected {expected} or null")
+
+
 def render_outcome(measure: str, time_frame: str | None) -> str:
     if time_frame:
         return f"{measure} (time frame: {time_frame})"
@@ -371,6 +379,10 @@ def parse_ctgov_study(doc: dict) -> CanonicalStudy:
                                          healthyVolunteers}
       protocolSection.outcomesModule.{primaryOutcomes, secondaryOutcomes}
       protocolSection.sponsorCollaboratorsModule.leadSponsor.name
+
+    The ages and the sponsor name must be text and ``healthyVolunteers`` a
+    boolean or text, each or null; any other value is a ValueError naming
+    the trial and the field.
     """
     proto = doc.get("protocolSection", {})
     ident = proto.get("identificationModule", {})
@@ -412,8 +424,10 @@ def parse_ctgov_study(doc: dict) -> CanonicalStudy:
             if o.get("measure")
         ]
 
-    sponsor = (
-        proto.get("sponsorCollaboratorsModule", {}).get("leadSponsor", {}).get("name", "")
+    sponsor = _ctgov_text(
+        nct_id,
+        "leadSponsor.name",
+        proto.get("sponsorCollaboratorsModule", {}).get("leadSponsor", {}).get("name", ""),
     )
 
     return CanonicalStudy(
@@ -426,9 +440,9 @@ def parse_ctgov_study(doc: dict) -> CanonicalStudy:
         start_year=start_year,
         phases=phases,
         gender=_CTGOV_SEX.get((elig.get("sex") or "").upper()),
-        min_age=elig.get("minimumAge"),
-        max_age=elig.get("maximumAge"),
-        healthy_volunteers=elig.get("healthyVolunteers"),
+        min_age=_ctgov_text(nct_id, "minimumAge", elig.get("minimumAge")),
+        max_age=_ctgov_text(nct_id, "maximumAge", elig.get("maximumAge")),
+        healthy_volunteers=_ctgov_text(nct_id, "healthyVolunteers", elig.get("healthyVolunteers"), (bool, str)),
         status=status,
         raw_status=raw_status or None,
         target_accrual=target,

@@ -32,11 +32,11 @@ Expected corpus layout::
 Every subdirectory is optional; missing ones simply contribute nothing.
 
 Stages read the inputs they share (CT.gov docs, PubMed articles, review
-index, merged studies, dedupe aliases, document index) through a run
-context that reads each on first use and keeps it, so a skipped stage
-reads nothing. ``run_pipeline`` starts a fresh context before ``dedupe``
-and before ``database``, so one span runs ``dedupe`` to ``graph`` and
-another ``database`` and ``benchmarks``.
+index, merged studies, dedupe aliases, document index) through one run
+context that reads each on first use and keeps it for the whole run, so a
+skipped stage reads nothing. Before ``database``, which holds every table
+and reads no CT.gov document, ``run_pipeline`` drops the parsed documents
+and their index; ``benchmarks`` parses the documents again.
 """
 
 from __future__ import annotations
@@ -416,7 +416,7 @@ def _write_sorted_rows(path: Path, rows: list[dict]) -> int:
     every other line is its own escaped dump; just the rows with such a
     character are dumped a second time for their sort key.
     """
-    lines = [json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows]
+    lines = [store.encode_row(row) for row in rows]
     escaped = {
         line: json.dumps(row, sort_keys=True)
         for line, row in zip(lines, rows)
@@ -533,10 +533,12 @@ class _DocIndex:
 
 
 class _RunContext:
-    """Settings, clients, the run's corpus hash and the stage inputs shared within one run span.
+    """Settings, clients, the run's corpus hash and the stage inputs shared by a run's stages.
 
-    Stages share what they read here and must not mutate it. Readers are
-    module globals looked up at call time, so they can be wrapped.
+    ``run_pipeline`` keeps one context for the whole run. Stages share what
+    they read here and must not mutate it; an input read again after
+    `drop` comes from its reader anew. Readers are module globals looked
+    up at call time, so they can be wrapped.
     """
 
     def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str) -> None:
@@ -579,6 +581,11 @@ class _RunContext:
     @cached_property
     def doc_index(self) -> _DocIndex:
         return _DocIndex(self.ctgov_docs, self.aliases)
+
+    def drop(self, *names: str) -> None:
+        """Forget the named inputs, so the next use reads them again."""
+        for name in names:
+            self.__dict__.pop(name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -997,11 +1004,10 @@ def run_pipeline(
     upstream = ""
     summary: dict = {"corpus_hash": corpus_hash, "config_hash": config_hash, "stages": {}}
     for name in wanted:
-        if name in ("dedupe", "database"):
-            # dedupe and database read no corpus file but hold every record or
-            # every table, so earlier parses are dropped before them (one context
-            # for the whole run raised peak RSS by 13% on bulk-replay).
-            run = _RunContext(settings, clients, corpus_hash)
+        if name == "database":
+            # database holds every table and reads no CT.gov document, so the
+            # parsed documents are not kept through it; benchmarks parses them again.
+            run.drop("ctgov_docs", "doc_index")
         stage_dir = settings.out_dir / STAGE_DIRS[name]
         manifest_path = stage_dir / "manifest.json"
         input_hash = _sha256_text(f"{corpus_hash}:{config_hash}:{upstream}")

@@ -9,7 +9,8 @@ and type hints, so a record's shape is declared only in its class; studies,
 relation rows and outcome labels all go through it. Enums are written as
 their value, sets of enums as sorted lists. Reading looks enums up and
 checks `int` and `list[str]` fields; text and flag fields are kept as
-written (the CT.gov parser copies age and healthy-volunteer values as is).
+written (the CT.gov parser lets through only text or null ages and a
+boolean, text or null healthy-volunteer value).
 
 Serialized form is JSONL with a single header line carrying the schema
 name and version, then one record object per line. `decode_study` takes a
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar, get_args, get_origin, get_type_hints
 
 from .errors import SchemaVersionMismatch
-from .store import write_jsonl
+from .store import encode_row, write_jsonl
 
 T = TypeVar("T")
 
@@ -274,7 +275,7 @@ def decode_record(cls: type[T], row) -> T:
 
 
 def encode_study(study: CanonicalStudy) -> str:
-    return json.dumps(encode_record(study), sort_keys=True, ensure_ascii=False)
+    return encode_row(encode_record(study))
 
 
 def decode_study(line: str) -> CanonicalStudy:

@@ -29,6 +29,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from .errors import ForeignKeyViolation
@@ -158,11 +159,17 @@ def unescape_cell(value: str) -> str:
 def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> bytes:
     """Write a header line and one line per row; return the bytes written.
 
-    Every cell must be a ``str`` and goes through :func:`escape_cell`;
-    lines end in ``\\n``.
+    Every cell must be a ``str``; a line is the row's cells passed through
+    :func:`escape_cell` and joined by tabs, and ends in ``\\n``. A row that
+    escaping leaves unchanged (no backslash, newline or CR, and a tab only
+    between cells) is joined once, without escaping each cell.
     """
-    lines = ["\t".join(map(escape_cell, header))]
-    lines.extend("\t".join(map(escape_cell, row)) for row in rows)
+    lines = []
+    for cells in chain([header], rows):
+        line = "\t".join(cells)
+        if "\\" in line or "\n" in line or "\r" in line or line.count("\t") != len(cells) - 1:
+            line = "\t".join(map(escape_cell, cells))
+        lines.append(line)
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     Path(path).write_bytes(payload)
     return payload
@@ -181,12 +188,17 @@ def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return (table[0] if table else []), table[1:]
 
 
+#: The one JSON-lines row encoder: a key-sorted dump, non-ASCII text kept
+#: as is. Built once, where ``json.dumps`` with these options builds one a call.
+encode_row = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+
 def write_jsonl(path: str | Path, rows: Iterable) -> int:
-    """Write one key-sorted JSON dump per line; return the number of rows."""
+    """Write one :func:`encode_row` dump per line; return the number of rows."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(encode_row(row) + "\n")
             count += 1
     return count
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.util
 import shutil
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +30,16 @@ def load_script(name: str, directory: str = "scripts"):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def within_timeout(fn, seconds: float = 10.0):
+    """``fn()``'s result; fails instead of hanging if it blocks (say, opening a FIFO)."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "blocked"
+    return result[0]
 
 
 @pytest.fixture(scope="session")

@@ -207,6 +207,25 @@ def test_malformed_corpus_entry_is_invalid_input(golden, tmp_path, capsys, rel, 
     assert capsys.readouterr().err == f"invalid input: {corpus / rel}: {message}\n"
 
 
+@pytest.mark.parametrize("module, key, value", [
+    ("eligibilityModule", "minimumAge", {"value": 18}),
+    ("eligibilityModule", "maximumAge", ["65 Years"]),
+    ("eligibilityModule", "healthyVolunteers", {"value": False}),
+    ("sponsorCollaboratorsModule", "leadSponsor", {"name": {"en": "National Eye Institute"}}),
+], ids=["minimum-age", "maximum-age", "healthy-volunteers", "sponsor-name"])
+def test_non_text_ctgov_value_is_invalid_input(golden, tmp_path, capsys, module, key, value):
+    # such a value used to pass ingest and crash the database stage with a TypeError
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    path = corpus / "ctgov" / "NCT00000150.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["protocolSection"][module][key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(pipeline_argv("run-all", golden, tmp_path / "out", corpus=corpus)) == 2
+    field = "leadSponsor.name" if key == "leadSponsor" else key
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: CT.gov study NCT00000150: {field} is "), err
+
+
 # --- evaluate verb ---------------------------------------------------------
 
 @pytest.fixture()

@@ -204,18 +204,36 @@ def studies(draw) -> CanonicalStudy:
     )
 
 
+# Every eligibility value the CT.gov parser takes; `test_ctgov_refuses_other_eligibility_values`
+# checks that it refuses the rest of JSON_VALUES.
+CTGOV_ELIGIBILITY = {
+    "minimumAge": st.none() | st.text(),
+    "maximumAge": st.none() | st.text(),
+    "healthyVolunteers": st.none() | st.booleans() | st.text(),
+}
+
+
 @st.composite
 def ctgov_studies(draw) -> CanonicalStudy:
     doc = {
         "nctId": draw(st.sampled_from(["", "NCT02823470"])),
         "protocolSection": {
             "identificationModule": {"briefTitle": draw(st.text(max_size=8))},
-            "eligibilityModule": {
-                key: draw(JSON_VALUES) for key in ("minimumAge", "maximumAge", "healthyVolunteers")
-            },
+            "eligibilityModule": {key: draw(values) for key, values in CTGOV_ELIGIBILITY.items()},
         },
     }
     return parse_ctgov_study(doc)
+
+
+@given(st.sampled_from(sorted(CTGOV_ELIGIBILITY)), JSON_VALUES)
+def test_ctgov_refuses_other_eligibility_values(key, value):
+    doc = {"nctId": "NCT02823470", "protocolSection": {"eligibilityModule": {key: value}}}
+    if value is None or isinstance(value, str) or (key == "healthyVolunteers" and isinstance(value, bool)):
+        field = {"minimumAge": "min_age", "maximumAge": "max_age", "healthyVolunteers": "healthy_volunteers"}[key]
+        assert getattr(parse_ctgov_study(doc), field) is value
+    else:
+        with pytest.raises(ValueError, match=f"^CT.gov study NCT02823470: {key} is "):
+            parse_ctgov_study(doc)
 
 
 @given(st.lists(studies() | ctgov_studies(), max_size=4))

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import within_timeout
 
+from trialforge import clients
 from trialforge.cli import main
 from trialforge.clients import (
     MODES,
@@ -131,14 +133,33 @@ class TestServiceClient:
         with pytest.raises(ClientUnavailable, match=f"llm:{request_hash({'prompt': 'x'})}: .*File exists"):
             client.call("llm", {"prompt": "x"})
 
+    @pytest.mark.parametrize("mode, error", [("replay", ReplayMiss), ("offline", LiveCallForbidden)])
+    @pytest.mark.parametrize("occupant", ["directory", "fifo", "under-a-file"])
+    def test_non_file_at_fixture_path_is_a_miss(self, tmp_path, mode, error, occupant):
+        request = {"prompt": "x"}
+        digest = request_hash(request)
+        if occupant == "under-a-file":
+            (tmp_path / "llm").write_text("not a directory", encoding="utf-8")
+        else:
+            (tmp_path / "llm").mkdir()
+            fixture = tmp_path / "llm" / f"{digest}.json"
+            fixture.mkdir() if occupant == "directory" else os.mkfifo(fixture)
+        store = ReplayStore(tmp_path)
+        # the probe must not open a FIFO, which would block
+        assert within_timeout(lambda: store.has("llm", digest)) is False
+        with pytest.raises(error, match=digest):
+            ServiceClient(mode, store).call("llm", request)
+        assert store.served == {}
+
     def test_unreadable_fixture_is_client_unavailable(self, tmp_path, monkeypatch):
         store = ReplayStore(tmp_path)
         store.put("llm", request_hash({"prompt": "x"}), {"prompt": "x"}, {"text": "y"})
 
-        def unreadable(path):
+        def unreadable(path, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))
 
-        monkeypatch.setattr(Path, "read_bytes", unreadable)
+        # `get` reads a fixture through the `open` the clients module sees
+        monkeypatch.setattr(clients, "open", unreadable, raising=False)
         for mode in MODES:
             with pytest.raises(ClientUnavailable, match="Permission denied"):
                 ServiceClient(mode, store, recording_transport([])).call("llm", {"prompt": "x"})
@@ -384,6 +405,13 @@ class TestEscaping:
     @given(st.text(max_size=200))
     def test_roundtrip(self, text):
         assert unescape_cell(escape_cell(text)) == text
+
+    @given(tsv_tables())
+    def test_tsv_bytes_are_the_escaped_cells_joined(self, tmp_path_factory, table):
+        header, rows = table
+        path = tmp_path_factory.getbasetemp() / "joined.tsv"
+        expected = "".join("\t".join(map(escape_cell, cells)) + "\n" for cells in (header, *rows))
+        assert write_tsv(path, header, rows) == expected.encode("utf-8")
 
     @given(tsv_tables())
     def test_tsv_file_roundtrip(self, tmp_path_factory, table):
