@@ -13,7 +13,7 @@ from .items import BenchmarkItem
 logger = logging.getLogger(__name__)
 
 #: Deterministic prompt for condensing a protocol's power calculation;
-#: offline runs ship pre-summarized fixtures instead of calling out.
+#: replay runs serve pre-summarized fixtures instead of calling out.
 SAMPLE_SIZE_SUMMARY_PROMPT = (
     "Summarize the statistical assumptions behind the planned sample size in the "
     "protocol excerpt below, in at most three sentences. Keep the design, expected "

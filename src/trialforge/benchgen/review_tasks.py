@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
 
+from ..clients import json_answer
 from ..errors import MalformedResponse, SelfReferenceViolation
-from ..ontology.endpoints import strip_code_fence
 from ..schema import RelationTriple, Source
 from .items import OPTION_LETTERS, BenchmarkItem
 from .splits import SplitAssignment, split_by_numeric_id
@@ -209,7 +208,7 @@ def check_self_reference(question: str) -> None:
 
 
 def gen_evidence_mcq(reviews: list[dict], llm_client) -> list[BenchmarkItem]:
-    """Question generation from review conclusions, replayable offline.
+    """Question generation from review conclusions, replayable from a store.
 
     Reviews carry ``pmid``, ``review_text``, and ``included_pmids``;
     reviews with zero or more than twenty included studies are discarded
@@ -228,10 +227,7 @@ def gen_evidence_mcq(reviews: list[dict], llm_client) -> list[BenchmarkItem]:
             )
             continue
         raw = llm_client(EVIDENCE_MCQ_PROMPT.format(review_text=review["review_text"]))
-        try:
-            payload = json.loads(strip_code_fence(raw))
-        except (json.JSONDecodeError, TypeError) as exc:
-            raise MalformedResponse(f"review {pmid}: {exc}") from exc
+        payload = json_answer(f"evidence answer for review {pmid}", raw)
         if not isinstance(payload, dict):
             raise MalformedResponse(f"review {pmid}: expected a JSON object")
 

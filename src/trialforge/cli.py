@@ -4,6 +4,9 @@ Exit codes: 0 on success, 2 on data errors (including bad config), 3 on
 client errors. Each stage verb runs the chain up to and including its
 stage; stages whose manifests still match their inputs are skipped, so
 ``forge dedupe`` after ``forge ingest`` does not redo the ingest.
+
+The verbs take no mode flag: recording needs transports, which only
+``run_pipeline(settings, transports=...)`` can be given.
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ from .store import read_jsonl
 
 logger = logging.getLogger(__name__)
 
-# Record mode needs transports, which only run_pipeline(settings, transports=...)
-# can be given; from the command line it could only serve stored fixtures.
-CLI_MODES = ("replay", "offline")
-
 # verb -> final pipeline stage it materializes
 STAGE_VERBS = {
     "ingest": "ingest",
@@ -50,7 +49,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", dest="out_dir", type=Path, help="output root directory")
     parser.add_argument("--seed", type=int, help="benchmark generation seed")
     parser.add_argument("--threshold", dest="dedupe_threshold", type=float, help="dedupe title-similarity threshold")
-    parser.add_argument("--mode", choices=CLI_MODES, help="client mode")
     parser.add_argument("--replay-dir", type=Path, help="replay store root")
     parser.add_argument("--awaiting", choices=AWAITING_MODES, help="awaiting-reference handling")
     parser.add_argument(
@@ -90,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     reward.add_argument("--task", required=True, choices=("sample_size", "study_search"))
     reward.add_argument("--truth", required=True, help="JSON truth value (integer or PMID list)")
     reward.add_argument("response", type=Path, help="file holding the raw model output")
-    reward.add_argument("--mode", choices=CLI_MODES, default="replay")
     reward.add_argument("--replay-dir", type=Path, help="replay store root (for study_search retrieval)")
     reward.add_argument("--k", type=int, default=100, help="retrieval depth for study_search")
 
@@ -138,7 +135,7 @@ def _cmd_reward(args: argparse.Namespace) -> int:
     if args.task == "study_search":
         if args.replay_dir is None:
             raise ValueError("study_search reward needs --replay-dir for retrieval")
-        client = ServiceClient(args.mode, ReplayStore(args.replay_dir))
+        client = ServiceClient("replay", ReplayStore(args.replay_dir))
         retrieval_fn = pubmed_search_callable(client, k=args.k)
     outcome = score_reward(raw_output, truth, args.task, retrieval_fn=retrieval_fn, k=args.k)
     print(json.dumps(asdict(outcome), sort_keys=True))

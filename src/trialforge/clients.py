@@ -2,22 +2,24 @@
 
 Every remote dependency (RxNorm resolution, the condition annotator,
 PubMed search, the LLM) goes through one choke point, `ServiceClient.call`,
-so tests and offline runs can serve canned responses from disk instead of
+so tests and replay runs can serve canned responses from disk instead of
 the network. Requests are canonicalized to JSON with sorted keys and
 hashed; the hash names the fixture file under ``<root>/<service>/``.
 
 Modes:
 
-* ``record``  — serve from the store when present, otherwise invoke the
+* ``record`` — serve from the store when present, otherwise invoke the
   live transport and persist the response. A fixture that no longer
   parses (say, cut short by a crash) is recorded again the same way.
-* ``replay``  — store only; a miss is a `ReplayMiss`.
-* ``offline`` — store only; a miss is a `LiveCallForbidden`, signalling
-  that the caller would have needed the network.
+* ``replay`` — store only; a miss is a `ReplayMiss`.
+
+The mode decides only what a miss does: a hit serves the same bytes in
+both, so a record run and a replay of its store give the same outputs.
 
 `ServiceClient.call` alone decides what a failed call means. Callers only
 check what a response contains and let every `ClientError` through, so no
-output is derived from a call that failed.
+output is derived from a call that failed. The adapters and `json_answer`
+refuse a response of the wrong shape as a `MalformedResponse`.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import ClientUnavailable, LiveCallForbidden, MalformedResponse, ReplayMiss
+from .errors import ClientUnavailable, MalformedResponse, ReplayMiss
 
 logger = logging.getLogger(__name__)
 
 SERVICES = ("rxnorm", "annotator", "pubmed_search", "llm")
-MODES = ("record", "replay", "offline")
+MODES = ("record", "replay")
 
 
 def canonical_request(request) -> str:
@@ -135,7 +137,7 @@ class ServiceClient:
 
     ``transport(service, request) -> response`` is only ever invoked in
     record mode; ``live_calls`` counts those invocations so tests can
-    assert that replay and offline runs never touch the network.
+    assert that replay runs never touch the network.
     """
 
     mode: str
@@ -150,8 +152,8 @@ class ServiceClient:
     def call(self, service: str, request):
         """The response to ``request``, or a `ClientError` naming the service and request hash.
 
-        A miss is a `ReplayMiss` or `LiveCallForbidden`, a fixture that does
-        not parse (outside record mode) a `MalformedResponse`, and a missing
+        A miss in replay mode is a `ReplayMiss`, a fixture that does not
+        parse (outside record mode) a `MalformedResponse`, and a missing
         transport or any `OSError` from the store or the transport a
         `ClientUnavailable`. An unknown service is a `ValueError`.
         """
@@ -168,8 +170,6 @@ class ServiceClient:
                     logger.warning("%s; recording it again", exc)
             if self.mode == "replay":
                 raise ReplayMiss(f"{service}:{digest}")
-            if self.mode == "offline":
-                raise LiveCallForbidden(f"{service}:{digest}")
             if self.transport is None:
                 raise ClientUnavailable(f"{service}:{digest}: record mode has no {service} transport")
             response = self.transport(service, request)
@@ -190,21 +190,36 @@ def annotator_callable(client: ServiceClient) -> Callable[[dict], dict]:
     return lambda request: client.call("annotator", request)
 
 
+def _checked_call(client: ServiceClient, service: str, request, key: str, kind: type):
+    """``response[key]`` of the call; a response without a ``kind`` there is a `MalformedResponse`."""
+    response = client.call(service, request)
+    value = response.get(key) if isinstance(response, dict) else None
+    if isinstance(value, kind):
+        return value
+    raise MalformedResponse(f"{service}:{request_hash(request)}: expected a {kind.__name__} {key!r}, got {response!r:.120}")
+
+
 def llm_callable(client: ServiceClient) -> Callable[[str], str]:
     """Adapter matching the prompt-in, text-out LLM signature."""
-
-    def call(prompt: str) -> str:
-        response = client.call("llm", {"prompt": prompt})
-        return response["text"]
-
-    return call
+    return lambda prompt: _checked_call(client, "llm", {"prompt": prompt}, "text", str)
 
 
 def pubmed_search_callable(client: ServiceClient, k: int = 500) -> Callable[[str], list]:
     """Adapter returning the top-k PMID list for a query string."""
+    return lambda query: _checked_call(client, "pubmed_search", {"query": query, "k": k}, "ids", list)
 
-    def call(query: str) -> list:
-        response = client.call("pubmed_search", {"query": query, "k": k})
-        return list(response["ids"])
 
-    return call
+def json_answer(task: str, text: str):
+    """The JSON value of a model answer, without its opening code-fence line and closing fence.
+
+    An answer that does not parse is a `MalformedResponse` naming ``task``.
+    """
+    answer = text.strip()
+    if answer.startswith("```"):
+        answer = answer.split("\n", 1)[1] if "\n" in answer else ""
+        if answer.rstrip().endswith("```"):
+            answer = answer.rstrip()[:-3]
+    try:
+        return json.loads(answer)
+    except ValueError as exc:
+        raise MalformedResponse(f"{task} is not JSON: {answer.strip()[:120]!r}") from exc

@@ -83,7 +83,3 @@ class MalformedResponse(ClientError):
 
 class ReplayMiss(ClientError):
     """Raised in replay mode when no recorded response matches the request hash."""
-
-
-class LiveCallForbidden(ClientError):
-    """Raised in offline mode for any request that is not already recorded."""

@@ -3,8 +3,8 @@
 Structured inputs are CT.gov-style JSON documents; the key paths consumed
 here are documented on each parser. Publication-side inputs flow through
 two language-model prompts shipped as module constants, with injected
-``(prompt: str) -> str`` clients doing the actual calls so everything runs
-offline against replay fixtures.
+``(prompt: str) -> str`` clients doing the actual calls so everything can
+run against replay fixtures.
 
 Outcome labeling runs two independent tracks. Completed trials go through
 a decision cascade (registry status, model verdict over matched abstracts,
@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+from trialforge.clients import json_answer
 from trialforge.errors import DanglingReference, MalformedResponse, MissingResultsSection
 from trialforge.ontology.meddra import MeddraHierarchy, map_meddra
 from trialforge.schema import CanonicalStudy
@@ -455,11 +456,7 @@ def extract_pubmed_pico(study_id: str, title: str, abstract: str, llm_client: Ll
     Outcome entries without an intervention are dropped (no valid arm
     label); a non-positive population_n is treated as absent.
     """
-    raw = llm_client(build_pico_prompt(title, abstract))
-    try:
-        parsed = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedResponse(f"pico answer for {study_id} is not JSON: {raw[:120]!r}") from exc
+    parsed = json_answer(f"pico answer for {study_id}", llm_client(build_pico_prompt(title, abstract)))
     if not isinstance(parsed, dict) or not isinstance(parsed.get("outcomes"), list):
         raise MalformedResponse(f"pico answer for {study_id} has no outcomes list")
 

@@ -352,14 +352,6 @@ _CTGOV_TYPES = {
 }
 
 
-def _ctgov_text(nct_id: str, field: str, value, kinds: tuple[type, ...] = (str,)):
-    """``value`` when it is null or one of ``kinds``; any other JSON value is a ValueError."""
-    if value is None or isinstance(value, kinds):
-        return value
-    expected = " or ".join(kind.__name__ for kind in kinds)
-    raise ValueError(f"CT.gov study {nct_id}: {field} is {value!r}, expected {expected} or null")
-
-
 def render_outcome(measure: str, time_frame: str | None) -> str:
     if time_frame:
         return f"{measure} (time frame: {time_frame})"
@@ -371,7 +363,7 @@ def parse_ctgov_study(doc: dict) -> CanonicalStudy:
 
     Expected key paths (all optional unless noted):
       nctId                                   required
-      protocolSection.identificationModule.briefTitle
+      protocolSection.identificationModule.{briefTitle, officialTitle}
       protocolSection.descriptionModule.briefSummary
       protocolSection.statusModule.{overallStatus, startDateStruct.date}
       protocolSection.designModule.{studyType, phases, enrollmentInfo}
@@ -380,69 +372,84 @@ def parse_ctgov_study(doc: dict) -> CanonicalStudy:
       protocolSection.outcomesModule.{primaryOutcomes, secondaryOutcomes}
       protocolSection.sponsorCollaboratorsModule.leadSponsor.name
 
-    The ages and the sponsor name must be text and ``healthyVolunteers`` a
-    boolean or text, each or null; any other value is a ValueError naming
-    the trial and the field.
+    Every value read must be null or of its one JSON type: a module or
+    struct an object, ``phases`` and the outcome lists arrays (of text and
+    of objects), ``enrollmentInfo.count`` an integer, ``healthyVolunteers``
+    a boolean or text, and every other value text. A null or absent object
+    reads as empty. Any other value is a ValueError naming the trial and
+    the key path below its module.
     """
-    proto = doc.get("protocolSection", {})
-    ident = proto.get("identificationModule", {})
-    status_mod = proto.get("statusModule", {})
-    design = proto.get("designModule", {})
-    elig = proto.get("eligibilityModule", {})
-    outcomes = proto.get("outcomesModule", {})
-
     nct_id = str(doc.get("nctId", "")).strip()
-    title = (ident.get("briefTitle") or ident.get("officialTitle") or "").strip()
 
-    raw_status = status_mod.get("overallStatus", "") or ""
+    def check(field: str, value, kinds: tuple[type, ...] = (str,)):
+        # exact JSON types: a boolean is not an integer
+        if value is None or type(value) in kinds:
+            return value
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"CT.gov study {nct_id}: {field} is {value!r}, expected {expected} or null")
+
+    def obj(parent: dict, key: str) -> dict:
+        return check(key, parent.get(key), (dict,)) or {}
+
+    proto = obj(doc, "protocolSection")
+    ident = obj(proto, "identificationModule")
+    status_mod = obj(proto, "statusModule")
+    design = obj(proto, "designModule")
+    elig = obj(proto, "eligibilityModule")
+    outcomes = obj(proto, "outcomesModule")
+
+    title = (
+        check("briefTitle", ident.get("briefTitle")) or check("officialTitle", ident.get("officialTitle")) or ""
+    ).strip()
+
+    raw_status = check("overallStatus", status_mod.get("overallStatus")) or ""
     status = _CTGOV_STATUS.get(raw_status.upper(), StudyStatus.OTHER)
 
     start_year = None
-    start_date = (status_mod.get("startDateStruct") or {}).get("date", "")
+    start_date = check("startDateStruct.date", obj(status_mod, "startDateStruct").get("date"))
     if start_date:
         start_year = _parse_year(start_date)
 
     phases = {
         _CTGOV_PHASES[p]
-        for p in design.get("phases", [])
-        if p in _CTGOV_PHASES
+        for i, p in enumerate(check("phases", design.get("phases"), (list,)) or [])
+        if check(f"phases[{i}]", p) in _CTGOV_PHASES
     }
 
     target = actual = None
-    enrollment = design.get("enrollmentInfo") or {}
-    count = enrollment.get("count")
-    if isinstance(count, int) and count > 0:
-        if enrollment.get("type", "ESTIMATED").upper() == "ACTUAL":
+    enrollment = obj(design, "enrollmentInfo")
+    count = check("enrollmentInfo.count", enrollment.get("count"), (int,))
+    if count is not None and count > 0:
+        if (check("enrollmentInfo.type", enrollment.get("type")) or "ESTIMATED").upper() == "ACTUAL":
             actual = count
         else:
             target = count
 
     def _outs(key: str) -> list[str]:
-        return [
-            render_outcome(o.get("measure", ""), o.get("timeFrame"))
-            for o in outcomes.get(key, [])
-            if o.get("measure")
-        ]
+        rendered = []
+        for i, entry in enumerate(check(key, outcomes.get(key), (list,)) or []):
+            at = f"{key}[{i}]"
+            entry = check(at, entry, (dict,)) or {}
+            measure = check(f"{at}.measure", entry.get("measure"))
+            if measure:
+                rendered.append(render_outcome(measure, check(f"{at}.timeFrame", entry.get("timeFrame"))))
+        return rendered
 
-    sponsor = _ctgov_text(
-        nct_id,
-        "leadSponsor.name",
-        proto.get("sponsorCollaboratorsModule", {}).get("leadSponsor", {}).get("name", ""),
-    )
+    sponsor = check("leadSponsor.name", obj(obj(proto, "sponsorCollaboratorsModule"), "leadSponsor").get("name", ""))
 
     return CanonicalStudy(
         study_id=nct_id,
         source=Source.CTGOV,
         title=title,
-        brief_summary=(proto.get("descriptionModule", {}).get("briefSummary") or "").strip(),
-        study_type=_CTGOV_TYPES.get(design.get("studyType", "").upper()),
+        brief_summary=(check("briefSummary", obj(proto, "descriptionModule").get("briefSummary")) or "").strip(),
+        study_type=_CTGOV_TYPES.get((check("studyType", design.get("studyType")) or "").upper()),
         sponsor=sponsor,
         start_year=start_year,
         phases=phases,
-        gender=_CTGOV_SEX.get((elig.get("sex") or "").upper()),
-        min_age=_ctgov_text(nct_id, "minimumAge", elig.get("minimumAge")),
-        max_age=_ctgov_text(nct_id, "maximumAge", elig.get("maximumAge")),
-        healthy_volunteers=_ctgov_text(nct_id, "healthyVolunteers", elig.get("healthyVolunteers"), (bool, str)),
+        gender=_CTGOV_SEX.get((check("sex", elig.get("sex")) or "").upper()),
+        min_age=check("minimumAge", elig.get("minimumAge")),
+        max_age=check("maximumAge", elig.get("maximumAge")),
+        healthy_volunteers=check("healthyVolunteers", elig.get("healthyVolunteers"), (bool, str)),
         status=status,
         raw_status=raw_status or None,
         target_accrual=target,

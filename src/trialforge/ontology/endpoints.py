@@ -14,10 +14,10 @@ taxonomy before anything is returned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
+from trialforge.clients import json_answer
 from trialforge.errors import MalformedResponse, TaxonomyViolation
 
 LlmClient = Callable[[str], str]
@@ -134,20 +134,6 @@ def validate_endpoint_label(domain: str, subdomain: Optional[str]) -> None:
         raise TaxonomyViolation(f"subdomain {subdomain!r} not valid under domain {domain!r}")
 
 
-def strip_code_fence(text: str) -> str:
-    """A model answer without a Markdown code fence around it.
-
-    Drops the opening fence line and a closing fence, whether or not the
-    closing fence has a line of its own.
-    """
-    stripped = text.strip()
-    if stripped.startswith("```"):
-        stripped = stripped.split("\n", 1)[1] if "\n" in stripped else ""
-        if stripped.rstrip().endswith("```"):
-            stripped = stripped.rstrip()[:-3]
-    return stripped.strip()
-
-
 def classify_endpoint(outcome_text: str, llm_client: LlmClient) -> list[EndpointClassification]:
     """Classify the primary outcome(s) described by ``outcome_text``.
 
@@ -156,11 +142,7 @@ def classify_endpoint(outcome_text: str, llm_client: LlmClient) -> list[Endpoint
     and ``TaxonomyViolation`` when any pair falls outside the taxonomy.
     Whatever ``llm_client`` raises propagates untouched.
     """
-    payload = strip_code_fence(llm_client(build_endpoint_prompt(outcome_text)))
-    try:
-        parsed = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise MalformedResponse(f"endpoint answer is not JSON: {payload[:120]!r}") from exc
+    parsed = json_answer("endpoint answer", llm_client(build_endpoint_prompt(outcome_text)))
     if not isinstance(parsed, list) or not parsed:
         raise MalformedResponse("endpoint answer must be a non-empty JSON list")
 

@@ -174,13 +174,16 @@ class PipelineSettings:
         })
 
     def fingerprint(self) -> dict:
-        """The stage key's view of the settings: every field not typed as a path.
+        """The stage key's view of the settings: every field not typed as a path, except ``mode``.
 
+        The mode decides only what a store miss does, never what a stage
+        computes, so a record run and a replay of its store share every key.
         A set ``vocab_dir`` or ``mapping_dir`` adds a digest of its contents, so
         an edit there reruns every stage; rerunning only the stages that read
         the file needs the per-stage read traces planned in ROADMAP.md.
         """
         key = {name: getattr(self, name) for name, kind in _SETTING_TYPES.items() if kind not in _PATH_TYPES}
+        del key["mode"]
         for name in ("vocab_dir", "mapping_dir"):
             directory = getattr(self, name)
             if directory is not None:
@@ -227,7 +230,7 @@ def build_clients(settings: PipelineSettings, transports: Optional[dict] = None)
     """One client per external service, all backed by one replay store.
 
     ``transports`` maps service names to live callables and only matters
-    in record mode; replay and offline runs never touch them.
+    in record mode; replay runs never touch them.
     """
     transports = transports or {}
     replay_store = ReplayStore(settings.replay_root)

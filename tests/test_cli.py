@@ -22,7 +22,6 @@ def pipeline_argv(verb, golden, out_dir, **extra):
         "--corpus", str(golden.corpus),
         "--out", str(out_dir),
         "--seed", str(golden.seed),
-        "--mode", "replay",
         "--replay-dir", str(golden.replay),
         "--allow-small",
     ]
@@ -152,11 +151,9 @@ def test_replay_miss_maps_to_client_error_exit(golden, tmp_path, capsys):
 
 
 def test_record_without_transports_maps_to_client_error_exit(golden, tmp_path, capsys, monkeypatch):
-    # The CLI does not offer --mode record; a config value can still select it.
+    # The CLI has no --mode flag; a config value can still select record mode.
     monkeypatch.setenv("FORGE_MODE", "record")
     argv = pipeline_argv("run-all", golden, tmp_path / "out", **{"replay-dir": tmp_path / "empty"})
-    mode_at = argv.index("--mode")
-    del argv[mode_at:mode_at + 2]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("client error: stage link: rxnorm:")
@@ -165,13 +162,16 @@ def test_record_without_transports_maps_to_client_error_exit(golden, tmp_path, c
 
 @pytest.mark.parametrize("verb", ["run-all", "reward"])
 def test_cli_does_not_offer_record_mode(tmp_path, capsys, verb):
-    argv = [verb, "--mode", "record"]
-    if verb == "reward":
-        argv += ["--task", "sample_size", "--truth", "1", str(tmp_path / "response.txt")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "invalid choice: 'record'" in capsys.readouterr().err
+    # no verb takes a mode flag at all
+    for mode in ("record", "replay"):
+        argv = [verb]
+        if verb == "reward":
+            argv += ["--task", "sample_size", "--truth", "1", str(tmp_path / "response.txt")]
+        argv += ["--mode", mode]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --mode {mode}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rel, text, shape", [
@@ -224,6 +224,42 @@ def test_non_text_ctgov_value_is_invalid_input(golden, tmp_path, capsys, module,
     field = "leadSponsor.name" if key == "leadSponsor" else key
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: CT.gov study NCT00000150: {field} is "), err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (["protocolSection"], None, None),
+    (["protocolSection", "statusModule"], None, None),
+    (["protocolSection", "designModule", "phases"], None, None),
+    (["protocolSection", "statusModule", "overallStatus"], {"value": "COMPLETED"}, "overallStatus is {'value': 'COMPLETED'}, expected str or null"),
+    (["protocolSection", "identificationModule", "briefTitle"], 5, "briefTitle is 5, expected str or null"),
+    (["protocolSection", "descriptionModule", "briefSummary"], ["A trial"], "briefSummary is ['A trial'], expected str or null"),
+    (["protocolSection", "designModule", "studyType"], 3, "studyType is 3, expected str or null"),
+    (["protocolSection", "eligibilityModule", "sex"], ["ALL"], "sex is ['ALL'], expected str or null"),
+    (["protocolSection", "outcomesModule", "primaryOutcomes", 0], "Visual acuity", "primaryOutcomes[0] is 'Visual acuity', expected dict or null"),
+    (["protocolSection", "statusModule", "startDateStruct", "date"], 2001, "startDateStruct.date is 2001, expected str or null"),
+    (["protocolSection", "designModule", "enrollmentInfo", "type"], 1, "enrollmentInfo.type is 1, expected str or null"),
+    (["protocolSection", "designModule", "enrollmentInfo", "count"], True, "enrollmentInfo.count is True, expected int or null"),
+], ids=[
+    "protocol-section-null", "status-module-null", "phases-null", "overall-status-object", "brief-title-number",
+    "brief-summary-array", "study-type-number", "sex-array", "primary-outcome-text", "start-date-number",
+    "enrollment-type-number", "enrollment-count-boolean",
+])
+def test_ctgov_value_of_another_shape(golden, tmp_path, capsys, path, value, message):
+    # each used to stop ingest with a traceback (exit 1); a null object reads as empty
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    doc_path = corpus / "ctgov" / "NCT00000150.json"
+    doc = json.loads(doc_path.read_text(encoding="utf-8"))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(pipeline_argv("ingest", golden, tmp_path / "out", corpus=corpus))
+    if message is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"invalid input: CT.gov study NCT00000150: {message}\n"
 
 
 # --- evaluate verb ---------------------------------------------------------
@@ -391,7 +427,6 @@ def test_deleted_served_fixture_exits_3_naming_the_stage(golden, in_corpus, tmp_
         "--corpus", str(in_corpus.corpus),
         "--out", str(tmp_path / "out"),
         "--seed", str(golden.seed),
-        "--mode", "replay",
         "--allow-small",
     ]
     if in_corpus.replay_dir is not None:

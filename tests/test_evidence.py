@@ -7,7 +7,6 @@ import pytest
 from trialforge.errors import (
     ClientUnavailable,
     DanglingReference,
-    LiveCallForbidden,
     MalformedResponse,
     MissingResultsSection,
     ReplayMiss,
@@ -394,6 +393,12 @@ class TestPicoExtraction:
         rows = extract_pubmed_pico("1", "t", "a", lambda prompt: answer)
         assert rows[0].population_n is None
 
+    def test_code_fenced_answer_accepted(self):
+        # read like the endpoint and evidence answers, through `clients.json_answer`
+        answer = json.dumps({"population": "x", "outcomes": [{"intervention": "I", "outcome": "O"}]})
+        rows = extract_pubmed_pico("1", "t", "a", lambda prompt: f"```json\n{answer}\n```")
+        assert [row.arm_label for row in rows] == ["I"]
+
 
 class TestAbstractRanking:
     def test_title_cosine_hand_value(self):
@@ -448,7 +453,7 @@ class TestCompletedCascade:
         assert (label.outcome_type, label.evidence) == ("unknown", "llm")
 
     # every client error `ServiceClient.call` raises; none falls back to the p-values
-    @pytest.mark.parametrize("exc", [LiveCallForbidden, ReplayMiss, MalformedResponse, ClientUnavailable])
+    @pytest.mark.parametrize("exc", [ReplayMiss, MalformedResponse, ClientUnavailable])
     def test_mode_errors_propagate(self, exc):
         error = exc("llm:abc123")
 

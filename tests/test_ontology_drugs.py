@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trialforge.errors import ClientUnavailable, LiveCallForbidden, MalformedResponse, ReplayMiss
+from trialforge.errors import ClientUnavailable, MalformedResponse, ReplayMiss
 from trialforge.ontology.drugs import (
     DrugEntry,
     DrugResources,
@@ -112,14 +112,7 @@ class TestResolveRxnorm:
         client = fake_rxnorm_client(suggestions={"mystery": ["also unknown"]})
         assert resolve_rxnorm("mystery", {}, client) == (None, "none")
 
-    def test_live_call_forbidden_propagates_unwrapped(self):
-        def offline(request):
-            raise LiveCallForbidden("offline miss abc123")
-
-        with pytest.raises(LiveCallForbidden):
-            resolve_rxnorm("unknowndrug", {}, offline)
-
-    # the other client errors `ServiceClient.call` raises
+    # every client error `ServiceClient.call` raises
     @pytest.mark.parametrize("exc", [ReplayMiss, MalformedResponse, ClientUnavailable])
     def test_mode_errors_propagate(self, exc):
         error = exc("rxnorm:abc123")

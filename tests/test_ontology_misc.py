@@ -7,7 +7,6 @@ import pytest
 
 from trialforge.errors import (
     ClientUnavailable,
-    LiveCallForbidden,
     MalformedResponse,
     ReplayMiss,
     TaxonomyViolation,
@@ -114,7 +113,7 @@ class TestConditions:
         ]
 
     # every client error `ServiceClient.call` raises
-    @pytest.mark.parametrize("exc", [LiveCallForbidden, ReplayMiss, MalformedResponse, ClientUnavailable])
+    @pytest.mark.parametrize("exc", [ReplayMiss, MalformedResponse, ClientUnavailable])
     def test_mode_errors_propagate(self, exc):
         error = exc("annotator:abc123")
 
@@ -324,14 +323,7 @@ class TestClassifyEndpoint:
         with pytest.raises(TaxonomyViolation):
             classify_endpoint("text", lambda prompt: answer)
 
-    def test_live_call_forbidden_propagates(self):
-        def offline(prompt):
-            raise LiveCallForbidden("offline miss")
-
-        with pytest.raises(LiveCallForbidden):
-            classify_endpoint("text", offline)
-
-    # the other client errors `ServiceClient.call` raises
+    # every client error `ServiceClient.call` raises
     @pytest.mark.parametrize("exc", [ReplayMiss, MalformedResponse, ClientUnavailable])
     def test_mode_errors_propagate(self, exc):
         error = exc("llm:abc123")

@@ -15,7 +15,7 @@ from conftest import within_timeout
 from trialforge import pipeline, store
 from trialforge.benchgen.splits import numeric_id_key
 from trialforge.clients import ReplayStore, request_hash
-from trialforge.errors import LiveCallForbidden, ReplayMiss
+from trialforge.errors import ReplayMiss
 from trialforge.ingest import _default_mapping_dir
 from trialforge.ontology._vocabio import default_vocab_dir
 from trialforge.pipeline import (
@@ -120,7 +120,7 @@ def dedupe_registry_and_article(tmp_path, registry_id, pmid):
     (corpus / "registry" / "ANZCTR.json").write_text(json.dumps(registry), encoding="utf-8")
     articles = [{"pmid": pmid, "title": title, "year": 2009}]
     (corpus / "pubmed" / "articles.json").write_text(json.dumps(articles), encoding="utf-8")
-    settings = PipelineSettings(corpus_dir=corpus, out_dir=tmp_path / "out", mode="offline", replay_dir=tmp_path / "replay")
+    settings = PipelineSettings(corpus_dir=corpus, out_dir=tmp_path / "out", replay_dir=tmp_path / "replay")
     run_pipeline(settings, until="dedupe")
     decisions = tmp_path / "out" / STAGE_DIRS["dedupe"] / "decisions.tsv"
     return settings, decisions.read_text(encoding="utf-8").splitlines()
@@ -214,19 +214,19 @@ def test_replay_twice_is_byte_identical(golden, tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
-GOLDEN_PIPELINE_HASH = "2930a769afeafc8fe1805655cfd0faee0cec9c6f4bae91bc973acb8395f2d780"
+GOLDEN_PIPELINE_HASH = "e22397124f1ff8f2843baa43da4abd7675e491fd0dc41b245eae0d1bd33dc3b1"
 GOLDEN_BUNDLE_HASH = "ab4ca7ee8a4549461a5b531b5b7f8453e1843ae8786fb521c831da43f8ecb5fa"
 
 
 def test_golden_hashes_are_pinned(golden, tmp_path):
-    """A replay of the golden corpus produces these exact output bytes.
+    """The record run of the golden corpus and a replay of it produce these exact output bytes.
 
     A change that alters output bytes on purpose updates both pins and
     says so in CHANGES.md; any other change must leave them as they are.
     """
-    summary = run_pipeline(replay_settings(golden, tmp_path / "out"))
-    assert summary["pipeline_hash"] == GOLDEN_PIPELINE_HASH
-    assert summary["stages"]["database"]["counts"]["bundle_hash"] == GOLDEN_BUNDLE_HASH
+    for summary in (golden.summary, run_pipeline(replay_settings(golden, tmp_path / "out"))):
+        assert summary["pipeline_hash"] == GOLDEN_PIPELINE_HASH
+        assert summary["stages"]["database"]["counts"]["bundle_hash"] == GOLDEN_BUNDLE_HASH
 
 
 def test_rerun_skips_every_intact_stage(golden, tmp_path):
@@ -377,24 +377,13 @@ def test_replay_miss_names_stage_service_and_digest(golden, tmp_path):
     assert "rxnorm:" in message
 
 
-def test_offline_mode_forbids_unrecorded_calls(golden, tmp_path):
-    empty_replay = tmp_path / "empty_replay"
-    empty_replay.mkdir()
-    settings = replay_settings(
-        golden, tmp_path / "out", mode="offline", replay_dir=empty_replay
-    )
-    with pytest.raises(LiveCallForbidden) as excinfo:
-        run_pipeline(settings)
-    assert str(excinfo.value).startswith("stage link: ")
-
-
-def test_offline_mode_with_complete_store_succeeds(golden, tmp_path):
-    summary = run_pipeline(replay_settings(golden, tmp_path / "out", mode="offline"))
-    assert summary["live_calls"] == {"annotator": 0, "llm": 0, "rxnorm": 0}
-    assert (
-        summary["stages"]["database"]["counts"]["bundle_hash"]
-        == golden.summary["stages"]["database"]["counts"]["bundle_hash"]
-    )
+def test_switching_mode_over_an_external_store_recomputes_nothing(golden, tmp_path):
+    settings = replay_settings(golden, tmp_path / "out", mode="record", replay_dir=tmp_path / "replay")
+    recorded = run_pipeline(settings, transports=golden.transports)
+    for mode in ("replay", "record"):
+        rerun = run_pipeline(replace(settings, mode=mode), transports=golden.transports)
+        assert recomputed(rerun) == [], mode
+        assert rerun["pipeline_hash"] == recorded["pipeline_hash"] == GOLDEN_PIPELINE_HASH
 
 
 def test_record_mode_short_circuits_on_store_hits(golden, tmp_path):
@@ -579,12 +568,11 @@ def test_fingerprint_keys_on_directory_contents_not_path(tmp_path, setting, bund
 
 
 def test_fingerprint_is_every_setting_not_typed_as_a_path(tmp_path):
-    # config_hash, and with it every stage key, hashes this dict.
+    # config_hash, and with it every stage key, hashes this dict; the mode decides only what a miss does.
     settings = PipelineSettings(corpus_dir=tmp_path / "corpus", out_dir=tmp_path / "out", replay_dir=tmp_path / "replay")
-    assert settings.fingerprint() == {
+    assert replace(settings, mode="record").fingerprint() == settings.fingerprint() == {
         "seed": 7,
         "dedupe_threshold": 0.95,
-        "mode": "replay",
         "awaiting": "emit",
         "allow_small_split": False,
         "split_test_size": 1000,
@@ -624,6 +612,18 @@ def test_record_run_then_rerun_recomputes_nothing(golden, in_corpus, tmp_path):
     assert len(served) == sum(first["live_calls"].values())
     for key, sha in served.items():
         assert hashlib.sha256((in_corpus.store / key).read_bytes()).hexdigest() == sha
+
+
+def test_switching_mode_over_an_in_corpus_store_recomputes_nothing(golden, in_corpus, tmp_path):
+    settings = in_corpus_settings(golden, in_corpus, tmp_path / "out", mode="record")
+    recorded = run_pipeline(settings, transports=golden.transports)
+    for mode in ("replay", "record"):
+        rerun = run_pipeline(replace(settings, mode=mode), transports=golden.transports)
+        assert recomputed(rerun) == [], mode
+        assert rerun["pipeline_hash"] == recorded["pipeline_hash"]
+    # a replay into a fresh out dir writes the record run's manifests, served fixtures and all
+    fresh = run_pipeline(replace(settings, mode="replay", out_dir=tmp_path / "fresh"))
+    assert tree_bytes(tmp_path / "fresh") == tree_bytes(settings.out_dir)
 
 
 def test_noop_rerun_reads_each_recorded_file_once(golden, in_corpus, tmp_path, monkeypatch):

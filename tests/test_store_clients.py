@@ -30,7 +30,6 @@ from trialforge.config import load_config, parse_config_text
 from trialforge.errors import (
     ClientUnavailable,
     ForeignKeyViolation,
-    LiveCallForbidden,
     MalformedResponse,
     ReplayMiss,
 )
@@ -93,19 +92,6 @@ class TestServiceClient:
             client.call("llm", request)
         assert request_hash(request) in str(excinfo.value)
 
-    def test_offline_miss_is_live_call_forbidden(self, tmp_path):
-        client = ServiceClient("offline", ReplayStore(tmp_path))
-        with pytest.raises(LiveCallForbidden) as excinfo:
-            client.call("rxnorm", {"op": "rxcui", "name": "aspirin"})
-        assert "rxnorm" in str(excinfo.value)
-
-    def test_offline_serves_recorded(self, tmp_path):
-        store = ReplayStore(tmp_path)
-        digest = request_hash({"q": "a"})
-        store.put("pubmed_search", digest, {"q": "a"}, {"ids": [1, 2]})
-        client = ServiceClient("offline", store)
-        assert client.call("pubmed_search", {"q": "a"}) == {"ids": [1, 2]}
-
     def test_unknown_service_and_mode(self, tmp_path):
         store = ReplayStore(tmp_path)
         with pytest.raises(ValueError):
@@ -133,7 +119,8 @@ class TestServiceClient:
         with pytest.raises(ClientUnavailable, match=f"llm:{request_hash({'prompt': 'x'})}: .*File exists"):
             client.call("llm", {"prompt": "x"})
 
-    @pytest.mark.parametrize("mode, error", [("replay", ReplayMiss), ("offline", LiveCallForbidden)])
+    # record mode without a transport: the miss reaches the transport check
+    @pytest.mark.parametrize("mode, error", [("replay", ReplayMiss), ("record", ClientUnavailable)])
     @pytest.mark.parametrize("occupant", ["directory", "fifo", "under-a-file"])
     def test_non_file_at_fixture_path_is_a_miss(self, tmp_path, mode, error, occupant):
         request = {"prompt": "x"}
@@ -190,9 +177,23 @@ class TestServiceClient:
         assert annotator_callable(client)({"text": "t"}) == {"annotations": []}
         assert pubmed_search_callable(client)("amd") == ["111", "222"]
 
+    def test_adapters_refuse_a_response_of_another_shape(self, tmp_path):
+        store = ReplayStore(tmp_path)
+        for prompt, response in [("no-text", {"txt": "out"}), ("number", {"text": 5}), ("bare", "out")]:
+            store.put("llm", request_hash({"prompt": prompt}), {"prompt": prompt}, response)
+        request = {"query": "amd", "k": 500}
+        store.put("pubmed_search", request_hash(request), request, {"ids": "111"})
+        client = ServiceClient("replay", store)
+        for prompt in ("no-text", "number", "bare"):
+            digest = request_hash({"prompt": prompt})
+            with pytest.raises(MalformedResponse, match=f"^llm:{digest}: expected a str 'text', got "):
+                llm_callable(client)(prompt)
+        with pytest.raises(MalformedResponse, match="^pubmed_search:.*expected a list 'ids', got "):
+            pubmed_search_callable(client)("amd")
+
     def test_constants(self):
         assert SERVICES == ("rxnorm", "annotator", "pubmed_search", "llm")
-        assert MODES == ("record", "replay", "offline")
+        assert MODES == ("record", "replay")
 
 
 class TestReplayStoreDurability:
@@ -288,7 +289,6 @@ class TestReplayStoreDurability:
             "--corpus", str(golden.corpus),
             "--out", str(tmp_path / "out"),
             "--seed", str(golden.seed),
-            "--mode", "replay",
             "--replay-dir", str(replay),
             "--allow-small",
         ]
@@ -296,6 +296,30 @@ class TestReplayStoreDurability:
         err = capsys.readouterr().err
         assert err.startswith("client error: ")
         assert "unreadable fixture" in err
+
+    @pytest.mark.parametrize("response", [{"txt": "positive"}, {"text": None}], ids=["no-text-key", "null-text"])
+    def test_llm_fixture_without_text_exits_with_client_error(self, golden, tmp_path, monkeypatch, capsys, response):
+        for name in list(os.environ):
+            if name.startswith("FORGE_"):
+                monkeypatch.delenv(name)
+        replay = shutil.copytree(golden.replay, tmp_path / "replay")
+        fixture = next(
+            path for path in sorted((replay / "llm").glob("*.json"))
+            if "NCT ID NCT00056836" in json.loads(path.read_text(encoding="utf-8"))["request"]["prompt"]
+        )
+        payload = json.loads(fixture.read_text(encoding="utf-8"))
+        fixture.write_text(json.dumps({**payload, "response": response}), encoding="utf-8")
+        argv = [
+            "run-all",
+            "--corpus", str(golden.corpus),
+            "--out", str(tmp_path / "out"),
+            "--seed", str(golden.seed),
+            "--replay-dir", str(replay),
+            "--allow-small",
+        ]
+        # used to stop with KeyError: 'text' and exit 1
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"client error: stage extract: llm:{fixture.stem}: expected a str 'text', got ")
 
     def test_record_run_with_a_failing_transport_stops(self, golden, tmp_path):
         def llm(service, request):
@@ -325,7 +349,7 @@ class TestConfig:
                 "vocab_dir = '/data/vocab'",
                 "workers = 4",
                 "",
-                "mode=offline",
+                "mode=record",
             ]
         )
         values = parse_config_text(text)
@@ -337,7 +361,7 @@ class TestConfig:
         assert settings.dedupe_threshold == 0.9
         assert settings.allow_small_split is True
         assert settings.vocab_dir == Path("/data/vocab")
-        assert settings.mode == "offline"
+        assert settings.mode == "record"
         # absent keys keep the dataclass defaults; `workers` names no setting
         assert settings.mapping_dir is None
         assert settings.split_test_size == 1000
