@@ -358,6 +358,16 @@ def render_outcome(measure: str, time_frame: str | None) -> str:
     return measure
 
 
+def ctgov_nct_id(doc: dict) -> str:
+    """A CT.gov document's ``nctId``, stripped: empty when absent or null, a ValueError when not text."""
+    nct_id = doc.get("nctId")
+    if nct_id is None:
+        return ""
+    if type(nct_id) is not str:
+        raise ValueError(f"nctId is {nct_id!r}, expected str or null")
+    return nct_id.strip()
+
+
 def parse_ctgov_study(doc: dict) -> CanonicalStudy:
     """Parse a CT.gov-style structured document into a canonical row.
 
@@ -377,9 +387,10 @@ def parse_ctgov_study(doc: dict) -> CanonicalStudy:
     of objects), ``enrollmentInfo.count`` an integer, ``healthyVolunteers``
     a boolean or text, and every other value text. A null or absent object
     reads as empty. Any other value is a ValueError naming the trial and
-    the key path below its module.
+    the key path below its module; a ``nctId`` not text is one too
+    (:func:`ctgov_nct_id`).
     """
-    nct_id = str(doc.get("nctId", "")).strip()
+    nct_id = ctgov_nct_id(doc)
 
     def check(field: str, value, kinds: tuple[type, ...] = (str,)):
         # exact JSON types: a boolean is not an integer

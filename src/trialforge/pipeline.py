@@ -37,6 +37,13 @@ context that reads each on first use and keeps it for the whole run, so a
 skipped stage reads nothing. Before ``database``, which holds every table
 and reads no CT.gov document, ``run_pipeline`` drops the parsed documents
 and their index; ``benchmarks`` parses the documents again.
+
+A stage's outputs reach later stages through the same context: a stage
+that runs hands on the studies or table rows it wrote, and a later stage
+reads the file only when its writer was skipped in this run, so a cold
+run decodes none of its own outputs. Ingest's studies are released after
+dedupe, the link and extract tables after database (except the outcome
+labels, which benchmarks reads), and the rest when the run ends.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ from .evidence import (
     pico_disposition_rows,
     primary_pvalues,
 )
-from .ingest import extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record
+from .ingest import ctgov_nct_id, extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record
 from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
 from .ontology.conditions import annotate_conditions
 from .ontology.drugs import link_drug, load_drug_resources
@@ -110,6 +117,7 @@ from .schema import (
     RelationTriple,
     Source,
     StudyStatus,
+    check_study,
     decode_record,
     read_studies_jsonl,
     write_studies_jsonl,
@@ -412,8 +420,8 @@ def _write_json(path: Path, payload) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_sorted_rows(path: Path, rows: list[dict]) -> int:
-    """Write ``rows`` as JSON lines in the order of their ASCII-escaped dumps.
+def _write_sorted_rows(path: Path, rows: list[dict]) -> list[dict]:
+    """Write ``rows`` as JSON lines in the order of their ASCII-escaped dumps; return them in that order.
 
     Unescaped, the encoder leaves only DEL and non-ASCII characters raw, so
     every other line is its own escaped dump; just the rows with such a
@@ -425,11 +433,11 @@ def _write_sorted_rows(path: Path, rows: list[dict]) -> int:
         for line, row in zip(lines, rows)
         if not line.isascii() or "\x7f" in line
     }
-    lines.sort(key=lambda line: escaped.get(line, line))
+    ordered = sorted(zip(lines, rows), key=lambda pair: escaped.get(pair[0], pair[0]))
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
+        for line, _ in ordered:
             fh.write(line + "\n")
-    return len(lines)
+    return [row for _, row in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +483,10 @@ def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, dict]:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: expected a JSON object")
-        nct_id = str(doc.get("nctId", "")).strip()
+        try:
+            nct_id = ctgov_nct_id(doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if nct_id:
             docs[nct_id] = doc
     return docs
@@ -536,21 +547,56 @@ class _DocIndex:
 
 
 class _RunContext:
-    """Settings, clients, the run's corpus hash and the stage inputs shared by a run's stages.
+    """Settings, clients, corpus hash, shared stage inputs and handed-on stage outputs of one run.
 
     ``run_pipeline`` keeps one context for the whole run. Stages share what
     they read here and must not mutate it; an input read again after
     `drop` comes from its reader anew. Readers are module globals looked
     up at call time, so they can be wrapped.
+
+    A stage that runs passes each output a later stage reads to `hold`,
+    keyed by its path: the study list it wrote, or a table file's rows in
+    file order. `output_studies` and `output_rows` return the held value
+    and read the file only when the stage that writes it was skipped in
+    this run; handed-over studies pass the same `check_study` as decoded
+    ones. ``run_pipeline`` releases a held output once its last reader has
+    run (`_RELEASED_AFTER`); the rest go with the context.
     """
 
     def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str) -> None:
         self.settings = settings
         self.clients = clients
         self.corpus_hash = corpus_hash
+        self._held: dict[Path, list] = {}
 
     def stage_dir(self, name: str) -> Path:
         return self.settings.out_dir / STAGE_DIRS[name]
+
+    def hold(self, path: Path, value: list) -> list:
+        """Keep ``value``, the content of ``path`` as written in this run, for later readers; return it."""
+        self._held[path] = value
+        return value
+
+    def release(self, outputs) -> None:
+        """Forget the held ``(stage, file name)`` outputs."""
+        for stage, name in outputs:
+            self._held.pop(self.stage_dir(stage) / name, None)
+
+    def output_rows(self, stage: str, name: str) -> list[dict]:
+        """The rows of ``stage``'s JSON-lines file ``name``."""
+        path = self.stage_dir(stage) / name
+        rows = self._held.get(path)
+        return store.read_jsonl(path) if rows is None else rows
+
+    def output_studies(self, stage: str) -> list[CanonicalStudy]:
+        """The studies ``stage`` wrote, each passed through `check_study`."""
+        path = self.stage_dir(stage) / "studies.jsonl"
+        studies = self._held.get(path)
+        if studies is None:
+            return read_studies_jsonl(path)
+        for study in studies:
+            check_study(study)
+        return studies
 
     @cached_property
     def ctgov_docs(self) -> dict[str, dict]:
@@ -567,17 +613,14 @@ class _RunContext:
     @cached_property
     def studies(self) -> list[CanonicalStudy]:
         """The merged study table written by dedupe."""
-        return read_studies_jsonl(self.stage_dir("dedupe") / "studies.jsonl")
+        return self.output_studies("dedupe")
 
     @cached_property
     def aliases(self) -> dict[str, str]:
         """Absorbed study id to surviving study id, from the dedupe links."""
-        path = self.stage_dir("dedupe") / "dup_links.jsonl"
-        if not path.is_file():
-            return {}
         return {
             row["tail_id"]: row["head_id"]
-            for row in store.read_jsonl(path)
+            for row in self.output_rows("dedupe", "dup_links.jsonl")
             if row["tail_id"] != row["head_id"]
         }
 
@@ -606,7 +649,7 @@ def _stage_ingest(run: _RunContext, out: Path) -> dict:
     pubmed = [extract_pubmed_study(record) for record in run.pubmed_articles]
 
     studies = sorted(registry + ctgov + pubmed, key=lambda s: (s.source.value, s.study_id))
-    write_studies_jsonl(studies, out / "studies.jsonl")
+    write_studies_jsonl(run.hold(out / "studies.jsonl", studies), out / "studies.jsonl")
     return {
         "registry": len(registry),
         "ctgov": len(ctgov),
@@ -617,16 +660,17 @@ def _stage_ingest(run: _RunContext, out: Path) -> dict:
 
 
 def _stage_dedupe(run: _RunContext, out: Path) -> dict:
-    records = read_studies_jsonl(run.stage_dir("ingest") / "studies.jsonl")
+    records = run.output_studies("ingest")
     merged, decisions, triples = dedupe_corpus(records, threshold=run.settings.dedupe_threshold)
-    write_studies_jsonl(merged, out / "studies.jsonl")
+    write_studies_jsonl(run.hold(out / "studies.jsonl", merged), out / "studies.jsonl")
 
     store.write_tsv(
         out / "decisions.tsv",
         ("survivor_source", "survivor_id", "absorbed", "evidence", "score"),
         (decision.to_row() for decision in decisions),
     )
-    store.write_jsonl(out / "dup_links.jsonl", [store.table_row("relations", t) for t in triples])
+    links = [store.table_row("relations", t) for t in triples]
+    store.write_jsonl(out / "dup_links.jsonl", run.hold(out / "dup_links.jsonl", links))
     return {
         "input": len(records),
         "output": len(merged),
@@ -731,7 +775,8 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
         ("endpoints", endpoint_rows),
         ("biomarkers", biomarker_rows),
     ):
-        counts[name] = _write_sorted_rows(out / f"{name}.jsonl", rows)
+        path = out / f"{name}.jsonl"
+        counts[name] = len(run.hold(path, _write_sorted_rows(path, rows)))
     return counts
 
 
@@ -833,7 +878,8 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
     }
     counts = {"skipped_no_results": skipped_no_results, "pico_rows": pico_count}
     for name, rows in tables.items():
-        counts[name] = _write_sorted_rows(out / f"{name}.jsonl", rows)
+        path = out / f"{name}.jsonl"
+        counts[name] = len(run.hold(path, _write_sorted_rows(path, rows)))
     return counts
 
 
@@ -850,14 +896,15 @@ def _stage_graph(run: _RunContext, out: Path) -> dict:
     for article in run.pubmed_articles:
         triples.extend(extract_nct_links(article))
 
-    dup_links = store.read_jsonl(run.stage_dir("dedupe") / "dup_links.jsonl")
+    dup_links = run.output_rows("dedupe", "dup_links.jsonl")
     triples.extend(decode_record(RelationTriple, row) for row in dup_links)
 
     graph = assemble_graph(triples, review_ids=review_ids)
     for head in graph.dangling_heads:
         logger.warning("relation head %s is not a known review", head)
 
-    store.write_jsonl(out / "relations.jsonl", [store.table_row("relations", t) for t in graph.triples])
+    relation_rows = [store.table_row("relations", t) for t in graph.triples]
+    store.write_jsonl(out / "relations.jsonl", run.hold(out / "relations.jsonl", relation_rows))
     write_relations_tsv(graph, out / "relations.tsv")
     write_relation_counts_tsv(graph, out / "relation_counts.tsv")
     return {
@@ -868,21 +915,17 @@ def _stage_graph(run: _RunContext, out: Path) -> dict:
 
 
 def _stage_database(run: _RunContext, out: Path) -> dict:
-    link_dir = run.stage_dir("link")
-    extract_dir = run.stage_dir("extract")
-    graph_dir = run.stage_dir("graph")
-
     tables = {
         "studies": [store.table_row("studies", s) for s in run.studies],
-        "conditions": store.read_jsonl(link_dir / "conditions.jsonl"),
-        "drugs": store.read_jsonl(link_dir / "drugs.jsonl"),
-        "disposition": store.read_jsonl(extract_dir / "disposition.jsonl"),
-        "adverse_events": store.read_jsonl(extract_dir / "adverse_events.jsonl"),
-        "trial_results": store.read_jsonl(extract_dir / "trial_results.jsonl"),
-        "trial_outcomes": store.read_jsonl(extract_dir / "trial_outcomes.jsonl"),
-        "endpoints": store.read_jsonl(link_dir / "endpoints.jsonl"),
-        "biomarkers": store.read_jsonl(link_dir / "biomarkers.jsonl"),
-        "relations": store.read_jsonl(graph_dir / "relations.jsonl"),
+        "conditions": run.output_rows("link", "conditions.jsonl"),
+        "drugs": run.output_rows("link", "drugs.jsonl"),
+        "disposition": run.output_rows("extract", "disposition.jsonl"),
+        "adverse_events": run.output_rows("extract", "adverse_events.jsonl"),
+        "trial_results": run.output_rows("extract", "trial_results.jsonl"),
+        "trial_outcomes": run.output_rows("extract", "trial_outcomes.jsonl"),
+        "endpoints": run.output_rows("link", "endpoints.jsonl"),
+        "biomarkers": run.output_rows("link", "biomarkers.jsonl"),
+        "relations": run.output_rows("graph", "relations.jsonl"),
     }
     bundle = store.write_database(tables, out / "db")
     return {name: len(rows) for name, rows in tables.items()} | {
@@ -892,8 +935,7 @@ def _stage_database(run: _RunContext, out: Path) -> dict:
 
 def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     settings, clients, reviews = run.settings, run.clients, run.reviews
-    relation_rows = store.read_jsonl(run.stage_dir("graph") / "relations.jsonl")
-    triples = [decode_record(RelationTriple, row) for row in relation_rows]
+    triples = [decode_record(RelationTriple, row) for row in run.output_rows("graph", "relations.jsonl")]
 
     review_pmids = {str(r.get("pmid", "")) for r in reviews}
     review_groups: dict[str, list[str]] = {}
@@ -909,10 +951,7 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
 
     items.extend(gen_sample_size_items(_corpus_protocol_pairs(settings.corpus_dir), clients.llm))
 
-    labels = (
-        decode_record(OutcomeLabel, row)
-        for row in store.read_jsonl(run.stage_dir("extract") / "trial_outcomes.jsonl")
-    )
+    labels = (decode_record(OutcomeLabel, row) for row in run.output_rows("extract", "trial_outcomes.jsonl"))
     outcomes = {label.study_id: label for label in labels}
     completion_trials = []
     for study in sorted(run.studies, key=lambda s: s.study_id):
@@ -967,6 +1006,17 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     counts["total"] = len(items)
     return counts
 
+
+# Held outputs whose last reader is the key stage, released once it is done
+# or skipped. Dedupe's outputs, graph's relations and extract's outcome
+# labels are read up to benchmarks, the last stage.
+_RELEASED_AFTER = {
+    "dedupe": [("ingest", "studies.jsonl")],
+    "database": [
+        *(("link", f"{name}.jsonl") for name in ("conditions", "drugs", "endpoints", "biomarkers")),
+        *(("extract", f"{name}.jsonl") for name in ("trial_results", "adverse_events", "disposition")),
+    ],
+}
 
 _STAGE_FUNCS = {
     "ingest": _stage_ingest,
@@ -1042,6 +1092,7 @@ def run_pipeline(
                 manifest["responses"] = dict(served)
             upstream = _write_json(manifest_path, manifest)
             summary["stages"][name] = {"counts": counts, "skipped": False}
+        run.release(_RELEASED_AFTER.get(name, ()))
 
     summary["pipeline_hash"] = upstream
     summary["live_calls"] = clients.live_calls()

@@ -13,10 +13,11 @@ written (the CT.gov parser lets through only text or null ages and a
 boolean, text or null healthy-volunteer value).
 
 Serialized form is JSONL with a single header line carrying the schema
-name and version, then one record object per line. `decode_study` takes a
+name and version, then one record object per line. `check_study` passes a
 record that `validate_study` finds clean, or a flagged one whose only
 faults are an empty `study_id` or `title`: ingest keeps such records and
-dedupe passes them through.
+dedupe passes them through. `decode_study` applies it to every line read,
+and the pipeline to every study one stage hands the next in memory.
 """
 
 from __future__ import annotations
@@ -278,15 +279,19 @@ def encode_study(study: CanonicalStudy) -> str:
     return encode_row(encode_record(study))
 
 
-def decode_study(line: str) -> CanonicalStudy:
-    """One study line; a ``ValueError`` for any fault but a flagged record's empty id or title."""
-    study = decode_record(CanonicalStudy, json.loads(line))
+def check_study(study: CanonicalStudy) -> CanonicalStudy:
+    """``study`` itself; a ``ValueError`` for any fault but a flagged record's empty id or title."""
     problems = validate_study(study)
     if study.flagged:
         problems = [problem for problem in problems if problem not in _FLAGGED_FAULTS]
     if problems:
         raise ValueError("invalid CanonicalStudy: " + "; ".join(problems))
     return study
+
+
+def decode_study(line: str) -> CanonicalStudy:
+    """One study line, decoded and passed through :func:`check_study`."""
+    return check_study(decode_record(CanonicalStudy, json.loads(line)))
 
 
 def write_studies_jsonl(studies: Iterable[CanonicalStudy], path: str | Path) -> None:

@@ -2,8 +2,11 @@ import json
 import os
 import shutil
 
+from dataclasses import replace
+
 import pytest
 
+from trialforge import pipeline
 from trialforge.cli import main
 from trialforge.clients import ReplayStore, request_hash
 
@@ -260,6 +263,49 @@ def test_ctgov_value_of_another_shape(golden, tmp_path, capsys, path, value, mes
     else:
         assert code == 2
         assert capsys.readouterr().err == f"invalid input: CT.gov study NCT00000150: {message}\n"
+
+
+@pytest.mark.parametrize("value", [None, 5, ["NCT1"]], ids=["null", "number", "array"])
+def test_ctgov_nct_id_must_be_text_or_null(golden, tmp_path, capsys, value):
+    # a null used to ingest a study "None", an array one "['NCT1']"
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    doc_path = corpus / "ctgov" / "NCT00000150.json"
+    doc = json.loads(doc_path.read_text(encoding="utf-8"))
+    doc["nctId"] = value
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(pipeline_argv("ingest", golden, out, corpus=corpus))
+    if value is None:
+        assert code == 0
+        rows = (out / "01_ingest" / "studies.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        ids = {json.loads(row)["study_id"] for row in rows}
+        assert "None" not in ids and "NCT00000150" not in ids
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"invalid input: {doc_path}: nctId is {value!r}, expected str or null\n"
+
+
+def test_invalid_study_stops_dedupe_alike_in_memory_and_from_file(golden, tmp_path, capsys, monkeypatch):
+    # ingest writes an invalid study; dedupe refuses it whether ingest ran in
+    # the same run (handed over in memory) or in an earlier one (read back)
+    parse = pipeline.extract_pubmed_study
+    monkeypatch.setattr(pipeline, "extract_pubmed_study", lambda record: replace(parse(record), actual_accrual=-5))
+    message = "invalid input: invalid CanonicalStudy: actual_accrual: must be positive, got -5\n"
+
+    in_memory = tmp_path / "in_memory"
+    assert main(pipeline_argv("run-all", golden, in_memory)) == 2
+    assert capsys.readouterr().err == message
+
+    from_file = tmp_path / "from_file"
+    assert main(pipeline_argv("ingest", golden, from_file)) == 0
+    capsys.readouterr()
+    assert main(pipeline_argv("run-all", golden, from_file)) == 2
+    assert capsys.readouterr().err == message
+
+    for out in (in_memory, from_file):
+        assert (out / "01_ingest" / "manifest.json").is_file()
+        assert (out / "02_dedupe").is_dir()
+        assert not (out / "02_dedupe" / "manifest.json").exists()
 
 
 # --- evaluate verb ---------------------------------------------------------

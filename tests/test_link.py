@@ -110,6 +110,7 @@ def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_di
         doc_index=SimpleNamespace(doc_for=lambda study_id: None),
         clients=SimpleNamespace(llm=llm, annotator=None, rxnorm=None),
         settings=SimpleNamespace(vocab_dir=vocab_dir),
+        hold=lambda path, value: value,
     )
     out = tmp_path / "link"
     out.mkdir(parents=True)

@@ -239,24 +239,21 @@ def test_rerun_skips_every_intact_stage(golden, tmp_path):
 
 
 def test_resume_after_lost_stage_recomputes_only_that_stage(golden, tmp_path):
-    settings = replay_settings(golden, tmp_path / "out")
+    # A cold run hands every stage's outputs on in memory; a stage rerun on
+    # its own reads them from the files of the skipped stages instead, and
+    # must write the same bytes. Its manifest is then byte-identical too, so
+    # the downstream input hashes still match and those stages skip.
+    out = tmp_path / "out"
+    settings = replay_settings(golden, out)
     first = run_pipeline(settings)
-    (tmp_path / "out" / STAGE_DIRS["extract"] / "manifest.json").unlink()
-
-    # The recomputed manifest is byte-identical, so the downstream input
-    # hashes still match and those stages skip.
-    second = run_pipeline(settings)
-    skipped = {name: stage["skipped"] for name, stage in second["stages"].items()}
-    assert skipped == {
-        "ingest": True,
-        "dedupe": True,
-        "link": True,
-        "extract": False,
-        "graph": True,
-        "database": True,
-        "benchmarks": True,
-    }
-    assert second["pipeline_hash"] == first["pipeline_hash"]
+    cold = tree_bytes(out)
+    for name in STAGES[1:]:
+        (out / STAGE_DIRS[name] / "manifest.json").unlink()
+        second = run_pipeline(settings)
+        skipped = {stage: state["skipped"] for stage, state in second["stages"].items()}
+        assert skipped == {stage: stage != name for stage in STAGES}
+        assert second["pipeline_hash"] == first["pipeline_hash"]
+        assert tree_bytes(out) == cold, name
 
 
 def test_resume_detects_corrupted_output(golden, tmp_path):
@@ -274,7 +271,8 @@ def test_resume_detects_corrupted_output(golden, tmp_path):
 
 def test_inputs_are_read_once_per_context_span(golden, tmp_path, monkeypatch):
     readers = ("_corpus_ctgov_docs", "_corpus_pubmed_articles", "read_studies_jsonl")
-    calls = dict.fromkeys(readers, 0)
+    counted = (*readers, "own_output_rows")
+    calls = dict.fromkeys(counted, 0)
 
     def counting(name):
         original = getattr(pipeline, name)
@@ -287,21 +285,36 @@ def test_inputs_are_read_once_per_context_span(golden, tmp_path, monkeypatch):
 
     for name in readers:
         monkeypatch.setattr(pipeline, name, counting(name))
-    settings = replay_settings(golden, tmp_path / "out")
+    out = tmp_path / "out"
+    read_jsonl = store.read_jsonl
+
+    def counting_read_jsonl(path):
+        if Path(path).is_relative_to(out):
+            calls["own_output_rows"] += 1
+        return read_jsonl(path)
+
+    monkeypatch.setattr(store, "read_jsonl", counting_read_jsonl)
+    settings = replay_settings(golden, out)
 
     def run_and_count() -> tuple[dict, dict]:
-        calls.update(dict.fromkeys(readers, 0))
+        calls.update(dict.fromkeys(counted, 0))
         summary = run_pipeline(settings)
         return summary, dict(calls)
 
     # One context for the run: the docs are parsed again only after database
-    # dropped them, the studies decoded once as ingest's and once as dedupe's.
+    # dropped them, and every stage takes the studies and rows an earlier
+    # stage wrote in this run from memory, never from its files.
     _, cold = run_and_count()
-    assert cold == {"_corpus_ctgov_docs": 2, "_corpus_pubmed_articles": 1, "read_studies_jsonl": 2}
+    assert cold == {
+        "_corpus_ctgov_docs": 2,
+        "_corpus_pubmed_articles": 1,
+        "read_studies_jsonl": 0,
+        "own_output_rows": 0,
+    }
 
     noop, counts = run_and_count()
     assert all(stage["skipped"] for stage in noop["stages"].values())
-    assert counts == dict.fromkeys(readers, 0)
+    assert counts == dict.fromkeys(counted, 0)
 
     target = tmp_path / "out" / STAGE_DIRS["extract"] / "trial_results.jsonl"
     target.write_bytes(target.read_bytes() + b"{}\n")
@@ -354,8 +367,11 @@ def test_sorted_rows_match_sort_then_write(tmp_path):
     ]
     old = tmp_path / "old.jsonl"
     new = tmp_path / "new.jsonl"
-    expected = store.write_jsonl(old, sorted(rows, key=lambda row: json.dumps(row, sort_keys=True)))
-    assert pipeline._write_sorted_rows(new, rows) == expected == len(rows)
+    ordered = sorted(rows, key=lambda row: json.dumps(row, sort_keys=True))
+    expected = store.write_jsonl(old, ordered)
+    written = pipeline._write_sorted_rows(new, rows)
+    assert written == ordered
+    assert len(written) == expected == len(rows)
     assert new.read_bytes() == old.read_bytes()
     lines = new.read_text(encoding="utf-8").split("\n")
     # The escaped key orders "\u00e9" before "z" and "\u007f" before "a";
