@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import random
 
+from ..ctgov import CtgovDoc
 from ..errors import FieldMissing
 from .items import BenchmarkItem, answer_letter
 
@@ -42,30 +43,14 @@ DESIGN_INSTRUCTIONS = {
 OPTIONS_PER_ITEM = 4
 
 
-def _protocol(doc: dict) -> dict:
-    return doc.get("protocolSection") or {}
-
-
-def doc_title(doc: dict) -> str:
-    module = _protocol(doc).get("identificationModule") or {}
-    return str(module.get("officialTitle") or module.get("briefTitle") or "").strip()
-
-
-def doc_summary(doc: dict) -> str:
-    module = _protocol(doc).get("descriptionModule") or {}
-    return str(module.get("briefSummary") or "").strip()
-
-
-def render_arms(doc: dict) -> str:
-    module = _protocol(doc).get("armsInterventionsModule") or {}
-    interventions = module.get("interventions") or []
+def render_arms(doc: CtgovDoc) -> str:
     lines = []
-    for intervention in interventions:
-        name = str(intervention.get("name") or "").strip()
+    for intervention in doc.interventions:
+        name = intervention.name.strip()
         if not name:
             continue
-        kind = str(intervention.get("type") or "OTHER").strip()
-        labels = [str(label).strip() for label in intervention.get("armGroupLabels") or []]
+        kind = (intervention.type or "OTHER").strip()
+        labels = [label.strip() for label in intervention.arm_group_labels]
         assigned = ", ".join(label for label in labels if label) or "N/A"
         lines.append(f"Intervention Type: {kind}; Name: {name}; Assigned to Arm(s): {assigned}")
     if not lines:
@@ -73,23 +58,20 @@ def render_arms(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def render_eligibility(doc: dict) -> str:
-    module = _protocol(doc).get("eligibilityModule") or {}
-    criteria = str(module.get("eligibilityCriteria") or "").strip()
+def render_eligibility(doc: CtgovDoc) -> str:
+    criteria = doc.eligibility_criteria.strip()
     if not criteria:
         raise FieldMissing("no eligibility criteria")
     return criteria
 
 
-def render_endpoints(doc: dict) -> str:
-    module = _protocol(doc).get("outcomesModule") or {}
-    outcomes = module.get("primaryOutcomes") or []
+def render_endpoints(doc: CtgovDoc) -> str:
     lines = []
-    for outcome in outcomes:
-        measure = str(outcome.get("measure") or "").strip()
+    for outcome in doc.primary_outcomes:
+        measure = outcome.measure.strip()
         if not measure:
             continue
-        time_frame = str(outcome.get("timeFrame") or "").strip() or "N/A"
+        time_frame = outcome.time_frame.strip() or "N/A"
         lines.append(f"Outcome Measure: {measure}; Time Frame: {time_frame}")
     if not lines:
         raise FieldMissing("no primary outcomes")
@@ -105,14 +87,14 @@ FIELD_RENDERERS = {
 
 def gen_design_mcq(
     review_groups: dict[str, list[str]],
-    documents: dict[str, dict],
+    documents: dict[str, CtgovDoc],
     field: str,
     seed: int,
 ) -> list[BenchmarkItem]:
     """One MCQ per co-cited trial whose field text renders.
 
     ``review_groups`` maps a review id to the trial ids it cites
-    together; ``documents`` maps trial ids to their registry documents.
+    together; ``documents`` maps trial ids to their CT.gov documents.
     A trial cited by several reviews yields one item, claimed by the
     first review in sorted order. Trials whose field cannot be rendered
     are skipped with a logged reason, mirroring the upstream corpus
@@ -153,8 +135,8 @@ def gen_design_mcq(
             if correct is None:
                 continue
             doc = documents[target_id]
-            title = doc_title(doc)
-            summary = doc_summary(doc)
+            title = (doc.official_title or doc.brief_title).strip()
+            summary = doc.brief_summary.strip()
             if not title and not summary:
                 logger.info("skip %s for %s: no title or summary", target_id, task)
                 continue

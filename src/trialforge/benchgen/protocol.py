@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import re
 
+from ..ctgov import CtgovDoc
 from ..errors import LeakageDetected
 from ..evidence import TERMINATION_CATEGORIES
 from ..schema import CanonicalStudy, StudyStatus
@@ -109,33 +110,26 @@ def check_completion_leakage(input_text: str) -> None:
             raise LeakageDetected(f"input contains {phrase!r}")
 
 
-def render_completion_input(doc: dict) -> str:
+def render_completion_input(doc: CtgovDoc) -> str:
     """The design-only view of a trial: no status, no outcomes, no reasons."""
-    protocol = doc.get("protocolSection") or {}
-    design = protocol.get("designModule") or {}
-    info = design.get("designInfo") or {}
-    masking = (info.get("maskingInfo") or {}).get("masking") or info.get("masking") or ""
-
     lines = []
-    phases = design.get("phases") or []
-    if phases:
-        lines.append("Phase: " + ", ".join(str(phase) for phase in phases))
+    if doc.phases:
+        lines.append("Phase: " + ", ".join(doc.phases))
     for label, value in (
-        ("Allocation", info.get("allocation")),
-        ("Intervention model", info.get("interventionModel")),
-        ("Masking", masking),
-        ("Primary purpose", info.get("primaryPurpose")),
+        ("Allocation", doc.allocation),
+        ("Intervention model", doc.intervention_model),
+        ("Masking", doc.masking or doc.design_masking),
+        ("Primary purpose", doc.primary_purpose),
     ):
         if value:
             lines.append(f"{label}: {value}")
 
-    arms_module = protocol.get("armsInterventionsModule") or {}
-    for arm in arms_module.get("armGroups") or []:
-        arm_label = str(arm.get("label") or "").strip()
+    for arm in doc.arm_groups:
+        arm_label = arm.label.strip()
         if not arm_label:
             continue
-        description = str(arm.get("description") or "").strip()
-        arm_type = str(arm.get("type") or "").strip()
+        description = arm.description.strip()
+        arm_type = arm.type.strip()
         piece = f"Arm: {arm_label}"
         if arm_type:
             piece += f" ({arm_type})"
@@ -143,16 +137,14 @@ def render_completion_input(doc: dict) -> str:
             piece += f" - {description}"
         lines.append(piece)
 
-    eligibility = str(
-        (protocol.get("eligibilityModule") or {}).get("eligibilityCriteria") or ""
-    ).strip()
+    eligibility = doc.eligibility_criteria.strip()
     if eligibility:
         lines.append("Eligibility criteria:\n" + eligibility)
     return "\n".join(lines)
 
 
 def gen_completion_items(
-    trials: list[tuple[CanonicalStudy, dict]],
+    trials: list[tuple[CanonicalStudy, CtgovDoc]],
     outcomes: dict[str, object],
 ) -> list[BenchmarkItem]:
     """One item per completed/terminated trial with leak-free design text.

@@ -1,7 +1,7 @@
 """Results, adverse events, dispositions, and outcome labels.
 
-Structured inputs are CT.gov-style JSON documents; the key paths consumed
-here are documented on each parser. Publication-side inputs flow through
+Structured inputs are CT.gov documents, read through the checked view of
+`trialforge.ctgov`. Publication-side inputs flow through
 two language-model prompts shipped as module constants, with injected
 ``(prompt: str) -> str`` clients doing the actual calls so everything can
 run against replay fixtures.
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from trialforge.clients import json_answer
+from trialforge.ctgov import CtgovDoc
 from trialforge.errors import DanglingReference, MalformedResponse, MissingResultsSection
 from trialforge.ontology.meddra import MeddraHierarchy, map_meddra
 from trialforge.schema import CanonicalStudy
@@ -156,84 +157,50 @@ class OutcomeLabel:
 # structured results
 
 
-def _doc_study_id(record: Mapping) -> str:
-    protocol = record.get("protocolSection") or {}
-    identification = protocol.get("identificationModule") or {}
-    return identification.get("nctId") or record.get("nctId") or ""
-
-
-def parse_ctgov_results(record: Mapping) -> list[TrialResultRow]:
+def parse_ctgov_results(doc: CtgovDoc) -> list[TrialResultRow]:
     """Emit one row per (arm, outcome) for POSTED outcome measures.
 
-    Consumed key paths::
-
-        resultsSection.baselineCharacteristicsModule{populationDescription, totalCount}
-        resultsSection.outcomeMeasuresModule.outcomeMeasures[]{
-            title, reportingStatus, unitOfMeasure,
-            groups[]{id, title, isControl},
-            measurements[]{groupId, value}}
-
-    Population text and count describe the whole study and repeat on every
-    row. Groups without a title cannot form a valid row and are skipped.
-    Raises ``MissingResultsSection`` when the document carries no results
-    or no outcome measures at all.
+    Reads the baseline population and the outcome measures with their
+    groups and measurements. Population text and count describe the whole
+    study and repeat on every row. Groups without a title cannot form a
+    valid row and are skipped. Raises ``MissingResultsSection`` when the
+    document carries no outcome measures at all.
     """
-    results = record.get("resultsSection") or {}
-    measures = ((results.get("outcomeMeasuresModule") or {}).get("outcomeMeasures")) or []
-    if not measures:
-        raise MissingResultsSection(f"no results posted for {_doc_study_id(record) or 'record'}")
-
-    baseline = results.get("baselineCharacteristicsModule") or {}
-    population_text = baseline.get("populationDescription") or ""
-    total = baseline.get("totalCount")
-    population_n = total if isinstance(total, int) and total > 0 else None
-    study_id = _doc_study_id(record)
+    if not doc.outcome_measures:
+        raise MissingResultsSection(f"no results posted for {doc.nct_id}")
+    population_n = doc.total_count if (doc.total_count or 0) > 0 else None
 
     rows: list[TrialResultRow] = []
-    for measure in measures:
-        if measure.get("reportingStatus") != "POSTED":
+    for measure in doc.outcome_measures:
+        if measure.reporting_status != "POSTED":
             continue
-        title = measure.get("title") or ""
-        unit = measure.get("unitOfMeasure") or ""
-        values = {m.get("groupId"): m.get("value") for m in measure.get("measurements") or []}
-        for group in measure.get("groups") or []:
-            arm_label = group.get("title") or ""
-            if not arm_label:
+        values = {measurement.group_id: measurement.value for measurement in measure.measurements}
+        for group in measure.groups:
+            if not group.title:
                 continue
-            outcome_text = title
-            value = values.get(group.get("id"))
+            value = values.get(group.id)
+            outcome_text = measure.title
             if value is not None:
-                outcome_text = f"{title}; value: {value}{' ' + unit if unit else ''}"
-            rows.append(
-                TrialResultRow(
-                    study_id=study_id,
-                    population_text=population_text,
-                    population_n=population_n,
-                    arm_label=arm_label,
-                    is_control=bool(group.get("isControl")),
-                    outcome_text=outcome_text,
-                )
-            )
+                outcome_text = f"{measure.title}; value: {value}{' ' + measure.unit if measure.unit else ''}"
+            rows.append(TrialResultRow(
+                study_id=doc.nct_id, population_text=doc.population_description, population_n=population_n,
+                arm_label=group.title, is_control=bool(group.is_control), outcome_text=outcome_text,
+            ))
     return rows
 
 
-def primary_pvalues(record: Mapping) -> list[float]:
-    """Collect p-values reported on POSTED primary outcome measures.
+def primary_pvalues(doc: CtgovDoc) -> list[float]:
+    """Collect the p-values of POSTED primary outcome measures, sorted.
 
-    Key path: ``outcomeMeasures[].analyses[].pValue`` where the measure has
-    ``type == "PRIMARY"``. Values may be numbers or strings with a leading
-    comparator ("<0.001"); unparseable entries are ignored.
+    Values may be numbers or text with a leading comparator ("<0.001");
+    unparseable entries are ignored.
     """
-    results = record.get("resultsSection") or {}
-    measures = ((results.get("outcomeMeasuresModule") or {}).get("outcomeMeasures")) or []
     out: list[float] = []
-    for measure in measures:
-        if measure.get("type") != "PRIMARY" or measure.get("reportingStatus") != "POSTED":
+    for measure in doc.outcome_measures:
+        if measure.type != "PRIMARY" or measure.reporting_status != "POSTED":
             continue
-        for analysis in measure.get("analyses") or []:
-            raw = analysis.get("pValue")
-            if raw is None:
-                continue
+        for analysis in measure.analyses:
+            raw = analysis.p_value
             if isinstance(raw, str):
                 raw = raw.lstrip("<=~ ")
             try:
@@ -247,56 +214,32 @@ def primary_pvalues(record: Mapping) -> list[float]:
 # adverse events
 
 
-def parse_adverse_events(record: Mapping, hierarchy: Optional[MeddraHierarchy] = None) -> list[AdverseEventRow]:
+def parse_adverse_events(doc: CtgovDoc, hierarchy: Optional[MeddraHierarchy] = None) -> list[AdverseEventRow]:
     """Emit adverse-event rows from serious and other event categories.
 
-    Consumed key paths::
-
-        resultsSection.adverseEventsModule{
-            eventGroups[]{id, title, description},
-            seriousEvents[]{term, organSystem, stats[]{groupId, numAffected, numAtRisk}},
-            otherEvents[]{...same shape...}}
-
-    Rows with ``numAffected`` of zero, or counts that fail
-    0 < affected <= at risk, are dropped. A missing module yields an empty
-    list. When a MedDRA hierarchy is supplied the term is mapped to its PT
-    code.
+    Stats whose counts are not both integers, or fail
+    0 < affected <= at risk, are dropped. A document without events yields
+    an empty list. When a MedDRA hierarchy is supplied the term is mapped
+    to its PT code.
     """
-    module = (record.get("resultsSection") or {}).get("adverseEventsModule") or {}
-    if not module:
-        return []
-    study_id = _doc_study_id(record)
-    group_labels = {
-        g.get("id"): (g.get("title") or g.get("description") or "")
-        for g in module.get("eventGroups") or []
-    }
+    group_labels = {group.id: group.title or group.description for group in doc.event_groups}
 
     rows: list[AdverseEventRow] = []
-    for is_serious, key in ((True, "seriousEvents"), (False, "otherEvents")):
-        for event in module.get(key) or []:
-            term = event.get("term") or ""
-            organ_system = event.get("organSystem") or ""
-            meddra_code = map_meddra(term, hierarchy) if hierarchy is not None and term else None
-            for stat in event.get("stats") or []:
-                affected = stat.get("numAffected")
-                at_risk = stat.get("numAtRisk")
-                if not isinstance(affected, int) or not isinstance(at_risk, int):
+    for is_serious, events in ((True, doc.serious_events), (False, doc.other_events)):
+        for event in events:
+            meddra_code = map_meddra(event.term, hierarchy) if hierarchy is not None and event.term else None
+            for stat in event.stats:
+                affected, at_risk = stat.num_affected, stat.num_at_risk
+                if type(affected) is not int or type(at_risk) is not int:
                     continue
                 if not 0 < affected <= at_risk:
                     continue
-                rows.append(
-                    AdverseEventRow(
-                        study_id=study_id,
-                        arm_description=group_labels.get(stat.get("groupId"), ""),
-                        term=term,
-                        organ_system=organ_system,
-                        num_affected=affected,
-                        num_at_risk=at_risk,
-                        is_serious=is_serious,
-                        description=FREQUENCY_TEMPLATE.format(num_affected=affected, num_at_risk=at_risk),
-                        meddra_code=meddra_code,
-                    )
-                )
+                rows.append(AdverseEventRow(
+                    study_id=doc.nct_id, arm_description=group_labels.get(stat.group_id, ""), term=event.term,
+                    organ_system=event.organ_system, num_affected=affected, num_at_risk=at_risk, is_serious=is_serious,
+                    description=FREQUENCY_TEMPLATE.format(num_affected=affected, num_at_risk=at_risk),
+                    meddra_code=meddra_code,
+                ))
     return rows
 
 
@@ -352,58 +295,37 @@ def build_disposition(
     return out
 
 
-def disposition_tables_from_ctgov(record: Mapping) -> tuple[list[dict], list[dict], list[dict]]:
-    """Flatten a CT.gov-style arms module into the three disposition tables.
+def disposition_tables_from_ctgov(doc: CtgovDoc) -> tuple[list[dict], list[dict], list[dict]]:
+    """Flatten a CT.gov document's arm groups and interventions into the three disposition tables.
 
-    Consumed key paths::
-
-        protocolSection.armsInterventionsModule{
-            armGroups[]{label, type, description},
-            interventions[]{type, name, description, armGroupLabels[]}}
-
-    Links are synthesized from ``armGroupLabels``; a label that names no
-    group still produces a link row, which ``build_disposition`` will then
-    report as dangling.
+    Links are synthesized from each intervention's ``armGroupLabels``; a
+    label that names no group still produces a link row, which
+    ``build_disposition`` will then report as dangling.
     """
-    nct_id = _doc_study_id(record)
-    module = (record.get("protocolSection") or {}).get("armsInterventionsModule") or {}
-
+    nct_id = doc.nct_id
     design_groups = []
     label_to_id = {}
-    for position, arm in enumerate(module.get("armGroups") or []):
+    for position, arm in enumerate(doc.arm_groups):
         group_id = f"{nct_id}:g{position}"
-        label_to_id[arm.get("label")] = group_id
-        design_groups.append(
-            {
-                "nct_id": nct_id,
-                "design_group_id": group_id,
-                "group_type": arm.get("type") or "",
-                "title": arm.get("label") or "",
-                "description": arm.get("description") or "",
-            }
-        )
+        label_to_id[arm.label] = group_id
+        design_groups.append({
+            "nct_id": nct_id, "design_group_id": group_id, "group_type": arm.type,
+            "title": arm.label, "description": arm.description,
+        })
 
     interventions = []
     links = []
-    for position, drug in enumerate(module.get("interventions") or []):
+    for position, drug in enumerate(doc.interventions):
         intervention_id = f"{nct_id}:i{position}"
-        interventions.append(
-            {
-                "nct_id": nct_id,
-                "intervention_id": intervention_id,
-                "intervention_type": drug.get("type") or "",
-                "name": drug.get("name") or "",
-                "description": drug.get("description") or "",
-            }
+        interventions.append({
+            "nct_id": nct_id, "intervention_id": intervention_id, "intervention_type": drug.type,
+            "name": drug.name, "description": drug.description,
+        })
+        links.extend(
+            {"nct_id": nct_id, "design_group_id": label_to_id.get(label, f"missing:{label}"),
+             "intervention_id": intervention_id}
+            for label in drug.arm_group_labels
         )
-        for label in drug.get("armGroupLabels") or []:
-            links.append(
-                {
-                    "nct_id": nct_id,
-                    "design_group_id": label_to_id.get(label, f"missing:{label}"),
-                    "intervention_id": intervention_id,
-                }
-            )
     return design_groups, interventions, links
 
 

@@ -4,11 +4,12 @@ Registry rows arrive as flat column->value maps; each registry carries a
 field-mapping config under data/sources/<tag>.json so new registries can
 be onboarded without code changes. PubMed records are free text, handled
 with a small rule-based extraction layer (phase mentions, accrual
-phrases, labeled abstract sections). CT.gov-style structured documents
-are parsed directly.
+phrases, labeled abstract sections). CT.gov documents arrive as the
+checked view of `ctgov.parse_ctgov_doc`.
 
 None of the parsers throw on messy text: a record missing critical
-fields comes back flagged instead.
+fields comes back flagged instead, and the ingest stage refuses one
+without an id.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
+from .ctgov import CtgovDoc
 from .errors import UnknownSource
 from .schema import (
     CanonicalStudy,
@@ -322,151 +324,42 @@ def extract_pubmed_study(record: dict) -> CanonicalStudy:
 
 # --- CT.gov structured documents ------------------------------------------------
 
-_CTGOV_PHASES = {
-    "EARLY_PHASE1": PhaseLabel.EARLY_PHASE1,
-    "PHASE1": PhaseLabel.PHASE1,
-    "PHASE2": PhaseLabel.PHASE2,
-    "PHASE3": PhaseLabel.PHASE3,
-    "PHASE4": PhaseLabel.PHASE4,
-    "NA": PhaseLabel.NA,
-}
-
-_CTGOV_SEX = {
-    "ALL": GenderLabel.BOTH,
-    "MALE": GenderLabel.MALE,
-    "FEMALE": GenderLabel.FEMALE,
-}
-
-_CTGOV_STATUS = {
-    "COMPLETED": StudyStatus.COMPLETED,
-    "TERMINATED": StudyStatus.TERMINATED,
-    "WITHDRAWN": StudyStatus.WITHDRAWN,
-    "SUSPENDED": StudyStatus.SUSPENDED,
-    "RECRUITING": StudyStatus.RECRUITING,
-}
-
-_CTGOV_TYPES = {
-    "INTERVENTIONAL": StudyType.INTERVENTIONAL,
-    "OBSERVATIONAL": StudyType.OBSERVATIONAL,
-    "EXPANDED_ACCESS": StudyType.EXPANDED_ACCESS,
-}
+# CT.gov writes phases and study types as the labels' values and statuses in
+# upper case; an unlisted status is "other", an unlisted study type none.
+_CTGOV_PHASES = {label.value: label for label in PhaseLabel}
+_CTGOV_SEX = {"ALL": GenderLabel.BOTH, "MALE": GenderLabel.MALE, "FEMALE": GenderLabel.FEMALE}
+_CTGOV_STATUS = {status.value.upper(): status for status in StudyStatus}
+_CTGOV_TYPES = {kind.value: kind for kind in (StudyType.INTERVENTIONAL, StudyType.OBSERVATIONAL, StudyType.EXPANDED_ACCESS)}
 
 
-def render_outcome(measure: str, time_frame: str | None) -> str:
-    if time_frame:
-        return f"{measure} (time frame: {time_frame})"
-    return measure
+def parse_ctgov_study(doc: CtgovDoc) -> CanonicalStudy:
+    """Turn a checked CT.gov document into a canonical row."""
+    title = (doc.brief_title or doc.official_title).strip()
+    count = doc.enrollment_count if (doc.enrollment_count or 0) > 0 else None
+    actual = doc.enrollment_type.upper() == "ACTUAL"
 
-
-def ctgov_nct_id(doc: dict) -> str:
-    """A CT.gov document's ``nctId``, stripped: empty when absent or null, a ValueError when not text."""
-    nct_id = doc.get("nctId")
-    if nct_id is None:
-        return ""
-    if type(nct_id) is not str:
-        raise ValueError(f"nctId is {nct_id!r}, expected str or null")
-    return nct_id.strip()
-
-
-def parse_ctgov_study(doc: dict) -> CanonicalStudy:
-    """Parse a CT.gov-style structured document into a canonical row.
-
-    Expected key paths (all optional unless noted):
-      nctId                                   required
-      protocolSection.identificationModule.{briefTitle, officialTitle}
-      protocolSection.descriptionModule.briefSummary
-      protocolSection.statusModule.{overallStatus, startDateStruct.date}
-      protocolSection.designModule.{studyType, phases, enrollmentInfo}
-      protocolSection.eligibilityModule.{sex, minimumAge, maximumAge,
-                                         healthyVolunteers}
-      protocolSection.outcomesModule.{primaryOutcomes, secondaryOutcomes}
-      protocolSection.sponsorCollaboratorsModule.leadSponsor.name
-
-    Every value read must be null or of its one JSON type: a module or
-    struct an object, ``phases`` and the outcome lists arrays (of text and
-    of objects), ``enrollmentInfo.count`` an integer, ``healthyVolunteers``
-    a boolean or text, and every other value text. A null or absent object
-    reads as empty. Any other value is a ValueError naming the trial and
-    the key path below its module; a ``nctId`` not text is one too
-    (:func:`ctgov_nct_id`).
-    """
-    nct_id = ctgov_nct_id(doc)
-
-    def check(field: str, value, kinds: tuple[type, ...] = (str,)):
-        # exact JSON types: a boolean is not an integer
-        if value is None or type(value) in kinds:
-            return value
-        expected = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"CT.gov study {nct_id}: {field} is {value!r}, expected {expected} or null")
-
-    def obj(parent: dict, key: str) -> dict:
-        return check(key, parent.get(key), (dict,)) or {}
-
-    proto = obj(doc, "protocolSection")
-    ident = obj(proto, "identificationModule")
-    status_mod = obj(proto, "statusModule")
-    design = obj(proto, "designModule")
-    elig = obj(proto, "eligibilityModule")
-    outcomes = obj(proto, "outcomesModule")
-
-    title = (
-        check("briefTitle", ident.get("briefTitle")) or check("officialTitle", ident.get("officialTitle")) or ""
-    ).strip()
-
-    raw_status = check("overallStatus", status_mod.get("overallStatus")) or ""
-    status = _CTGOV_STATUS.get(raw_status.upper(), StudyStatus.OTHER)
-
-    start_year = None
-    start_date = check("startDateStruct.date", obj(status_mod, "startDateStruct").get("date"))
-    if start_date:
-        start_year = _parse_year(start_date)
-
-    phases = {
-        _CTGOV_PHASES[p]
-        for i, p in enumerate(check("phases", design.get("phases"), (list,)) or [])
-        if check(f"phases[{i}]", p) in _CTGOV_PHASES
-    }
-
-    target = actual = None
-    enrollment = obj(design, "enrollmentInfo")
-    count = check("enrollmentInfo.count", enrollment.get("count"), (int,))
-    if count is not None and count > 0:
-        if (check("enrollmentInfo.type", enrollment.get("type")) or "ESTIMATED").upper() == "ACTUAL":
-            actual = count
-        else:
-            target = count
-
-    def _outs(key: str) -> list[str]:
-        rendered = []
-        for i, entry in enumerate(check(key, outcomes.get(key), (list,)) or []):
-            at = f"{key}[{i}]"
-            entry = check(at, entry, (dict,)) or {}
-            measure = check(f"{at}.measure", entry.get("measure"))
-            if measure:
-                rendered.append(render_outcome(measure, check(f"{at}.timeFrame", entry.get("timeFrame"))))
-        return rendered
-
-    sponsor = check("leadSponsor.name", obj(obj(proto, "sponsorCollaboratorsModule"), "leadSponsor").get("name", ""))
+    def rendered(outcomes) -> list[str]:
+        return [f"{o.measure} (time frame: {o.time_frame})" if o.time_frame else o.measure for o in outcomes if o.measure]
 
     return CanonicalStudy(
-        study_id=nct_id,
+        study_id=doc.nct_id,
         source=Source.CTGOV,
         title=title,
-        brief_summary=(check("briefSummary", obj(proto, "descriptionModule").get("briefSummary")) or "").strip(),
-        study_type=_CTGOV_TYPES.get((check("studyType", design.get("studyType")) or "").upper()),
-        sponsor=sponsor,
-        start_year=start_year,
-        phases=phases,
-        gender=_CTGOV_SEX.get((check("sex", elig.get("sex")) or "").upper()),
-        min_age=check("minimumAge", elig.get("minimumAge")),
-        max_age=check("maximumAge", elig.get("maximumAge")),
-        healthy_volunteers=check("healthyVolunteers", elig.get("healthyVolunteers"), (bool, str)),
-        status=status,
-        raw_status=raw_status or None,
-        target_accrual=target,
-        actual_accrual=actual,
+        brief_summary=doc.brief_summary.strip(),
+        study_type=_CTGOV_TYPES.get(doc.study_type.upper()),
+        sponsor=doc.sponsor,
+        start_year=_parse_year(doc.start_date),
+        phases={_CTGOV_PHASES[p] for p in doc.phases if p in _CTGOV_PHASES},
+        gender=_CTGOV_SEX.get(doc.sex.upper()),
+        min_age=doc.minimum_age,
+        max_age=doc.maximum_age,
+        healthy_volunteers=doc.healthy_volunteers,
+        status=_CTGOV_STATUS.get(doc.overall_status.upper(), StudyStatus.OTHER),
+        raw_status=doc.overall_status or None,
+        target_accrual=None if actual else count,
+        actual_accrual=count if actual else None,
         results_text=None,
-        flagged=needs_flag(nct_id, title),
-        primary_outcomes=_outs("primaryOutcomes"),
-        secondary_outcomes=_outs("secondaryOutcomes"),
+        flagged=needs_flag(doc.nct_id, title),
+        primary_outcomes=rendered(doc.primary_outcomes),
+        secondary_outcomes=rendered(doc.secondary_outcomes),
     )

@@ -34,9 +34,8 @@ Every subdirectory is optional; missing ones simply contribute nothing.
 Stages read the inputs they share (CT.gov docs, PubMed articles, review
 index, merged studies, dedupe aliases, document index) through one run
 context that reads each on first use and keeps it for the whole run, so a
-skipped stage reads nothing. Before ``database``, which holds every table
-and reads no CT.gov document, ``run_pipeline`` drops the parsed documents
-and their index; ``benchmarks`` parses the documents again.
+skipped stage reads nothing. CT.gov docs are kept as their checked view
+(`ctgov.CtgovDoc`), parsed once per run.
 
 A stage's outputs reach later stages through the same context: a stage
 that runs hands on the studies or table rows it wrote, and a later stage
@@ -80,6 +79,7 @@ from .clients import (
     llm_callable,
     rxnorm_callable,
 )
+from .ctgov import CtgovDoc, ctgov_study_id, parse_ctgov_doc
 from .dedupe import dedupe_corpus
 from .errors import ForgeError, MissingResultsSection
 from .evidence import (
@@ -98,7 +98,7 @@ from .evidence import (
     pico_disposition_rows,
     primary_pvalues,
 )
-from .ingest import ctgov_nct_id, extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record
+from .ingest import extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record
 from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
 from .ontology.conditions import annotate_conditions
 from .ontology.drugs import link_drug, load_drug_resources
@@ -455,26 +455,29 @@ def _json_objects(path: Path) -> list[dict]:
 def _json_list(path: Path, sort_key: str, required: tuple[str, ...] = ()) -> list[dict]:
     """A JSON array of objects ordered by one field; empty when the file is absent.
 
-    An object without one of the ``required`` keys is a ValueError naming the file.
+    An object whose value for one of the ``required`` keys is absent, null
+    or blank text is a ValueError naming the file and the entry.
     """
     if not path.is_file():
         return []
     rows = _json_objects(path)
     for position, row in enumerate(rows):
         for key in required:
-            if key not in row:
+            value = row.get(key)
+            if value is None or (type(value) is str and not value.strip()):
                 raise ValueError(f"{path}: entry {position} has no {key!r}")
     return sorted(rows, key=lambda row: str(row.get(sort_key, "")))
 
 
-def _corpus_registry_batches(corpus_dir: Path) -> list[tuple[str, list[dict]]]:
+def _corpus_registry_batches(corpus_dir: Path) -> list[tuple[Path, list[dict]]]:
     registry_dir = corpus_dir / "registry"
     if not registry_dir.is_dir():
         return []
-    return [(path.stem, _json_objects(path)) for path in sorted(registry_dir.glob("*.json"))]
+    return [(path, _json_objects(path)) for path in sorted(registry_dir.glob("*.json"))]
 
 
-def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, dict]:
+def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, CtgovDoc]:
+    """Each CT.gov document's checked view, keyed by its NCT id."""
     ctgov_dir = corpus_dir / "ctgov"
     docs = {}
     if not ctgov_dir.is_dir():
@@ -484,16 +487,15 @@ def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, dict]:
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: expected a JSON object")
         try:
-            nct_id = ctgov_nct_id(doc)
+            nct_id = ctgov_study_id(doc)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        if nct_id:
-            docs[nct_id] = doc
+        docs[nct_id] = parse_ctgov_doc(doc)
     return docs
 
 
 def _corpus_pubmed_articles(corpus_dir: Path) -> list[dict]:
-    return _json_list(corpus_dir / "pubmed" / "articles.json", "pmid")
+    return _json_list(corpus_dir / "pubmed" / "articles.json", "pmid", required=("pmid",))
 
 
 def _corpus_review_xmls(corpus_dir: Path) -> list[tuple[str, str]]:
@@ -528,7 +530,7 @@ class _DocIndex:
     follow the dedupe aliases in both directions.
     """
 
-    def __init__(self, docs: dict[str, dict], aliases: dict[str, str]) -> None:
+    def __init__(self, docs: dict[str, CtgovDoc], aliases: dict[str, str]) -> None:
         self.docs = docs
         self.by_survivor: dict[str, str] = {}
         for doc_id in sorted(docs):
@@ -538,7 +540,7 @@ class _DocIndex:
         for absorbed_id, survivor in aliases.items():
             self.absorbed.setdefault(survivor, []).append(absorbed_id)
 
-    def doc_for(self, study_id: str) -> Optional[dict]:
+    def doc_for(self, study_id: str) -> Optional[CtgovDoc]:
         doc_id = self.by_survivor.get(study_id)
         return self.docs.get(doc_id) if doc_id else None
 
@@ -550,9 +552,8 @@ class _RunContext:
     """Settings, clients, corpus hash, shared stage inputs and handed-on stage outputs of one run.
 
     ``run_pipeline`` keeps one context for the whole run. Stages share what
-    they read here and must not mutate it; an input read again after
-    `drop` comes from its reader anew. Readers are module globals looked
-    up at call time, so they can be wrapped.
+    they read here and must not mutate it. Readers are module globals
+    looked up at call time, so they can be wrapped.
 
     A stage that runs passes each output a later stage reads to `hold`,
     keyed by its path: the study list it wrote, or a table file's rows in
@@ -599,7 +600,7 @@ class _RunContext:
         return studies
 
     @cached_property
-    def ctgov_docs(self) -> dict[str, dict]:
+    def ctgov_docs(self) -> dict[str, CtgovDoc]:
         return _corpus_ctgov_docs(self.settings.corpus_dir)
 
     @cached_property
@@ -628,11 +629,6 @@ class _RunContext:
     def doc_index(self) -> _DocIndex:
         return _DocIndex(self.ctgov_docs, self.aliases)
 
-    def drop(self, *names: str) -> None:
-        """Forget the named inputs, so the next use reads them again."""
-        for name in names:
-            self.__dict__.pop(name, None)
-
 
 # ---------------------------------------------------------------------------
 # stages
@@ -640,10 +636,14 @@ class _RunContext:
 
 def _stage_ingest(run: _RunContext, out: Path) -> dict:
     registry = []
-    for source_tag, rows in _corpus_registry_batches(run.settings.corpus_dir):
+    for path, rows in _corpus_registry_batches(run.settings.corpus_dir):
         if rows:
-            mapping = load_source_mapping(source_tag, run.settings.mapping_dir)
-            registry.extend(parse_registry_record(raw, source_tag, mapping) for raw in rows)
+            mapping = load_source_mapping(path.stem, run.settings.mapping_dir)
+            for position, raw in enumerate(rows):
+                study = parse_registry_record(raw, path.stem, mapping)
+                if not study.study_id:
+                    raise ValueError(f"{path}: entry {position} has no {mapping['fields'].get('study_id')!r}")
+                registry.append(study)
     docs = run.ctgov_docs
     ctgov = [parse_ctgov_study(docs[nct_id]) for nct_id in sorted(docs)]
     pubmed = [extract_pubmed_study(record) for record in run.pubmed_articles]
@@ -719,11 +719,10 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
         doc = index.doc_for(study.study_id)
         if doc is None:
             continue
-        module = (doc.get("protocolSection") or {}).get("armsInterventionsModule") or {}
-        for intervention in module.get("interventions") or []:
-            if str(intervention.get("type", "")).upper() != "DRUG":
+        for intervention in doc.interventions:
+            if intervention.type.upper() != "DRUG":
                 continue
-            name = str(intervention.get("name") or "").strip()
+            name = intervention.name.strip()
             if not name or (study.study_id, name) in seen_drugs:
                 continue
             seen_drugs.add((study.study_id, name))
@@ -788,11 +787,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
 
     # (surviving id, document) pairs; rows parsed out of a document get
     # re-keyed when the document id was absorbed during dedupe.
-    live_docs = []
-    for study_id in sorted(surviving):
-        doc = index.doc_for(study_id)
-        if doc is not None:
-            live_docs.append((study_id, doc))
+    live_docs = [(study_id, doc) for study_id in sorted(surviving) if (doc := index.doc_for(study_id)) is not None]
 
     def rekey(study_id: str, rows: list) -> list:
         return [
@@ -848,12 +843,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
     for study in sorted(studies, key=lambda s: s.study_id):
         doc = index.doc_for(study.study_id)
         if study.status is StudyStatus.COMPLETED:
-            pvalues: list[float] = []
-            if doc is not None:
-                try:
-                    pvalues = primary_pvalues(doc)
-                except MissingResultsSection:
-                    pvalues = []
+            pvalues = primary_pvalues(doc) if doc is not None else []
             linked = []
             seen_pmids: set[str] = set()
             for alias in index.all_ids(study.study_id):
@@ -864,10 +854,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
                         linked.append(article)
             labels.append(classify_completed_outcome(study, linked, clients.llm, pvalues))
         elif study.status is StudyStatus.TERMINATED:
-            status_module = {}
-            if doc is not None:
-                status_module = (doc.get("protocolSection") or {}).get("statusModule") or {}
-            stop_reason = str(status_module.get("whyStopped") or "")
+            stop_reason = doc.why_stopped if doc is not None else ""
             labels.append(label_terminated_study(study, stop_reason, keyword_sets))
 
     tables = {
@@ -953,11 +940,11 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
 
     labels = (decode_record(OutcomeLabel, row) for row in run.output_rows("extract", "trial_outcomes.jsonl"))
     outcomes = {label.study_id: label for label in labels}
-    completion_trials = []
-    for study in sorted(run.studies, key=lambda s: s.study_id):
-        doc = run.doc_index.doc_for(study.study_id)
-        if doc is not None:
-            completion_trials.append((study, doc))
+    completion_trials = [
+        (study, doc)
+        for study in sorted(run.studies, key=lambda s: s.study_id)
+        if (doc := run.doc_index.doc_for(study.study_id)) is not None
+    ]
     items.extend(gen_completion_items(completion_trials, outcomes))
 
     search_items = gen_search_items(reviews, triples)
@@ -1057,10 +1044,6 @@ def run_pipeline(
     upstream = ""
     summary: dict = {"corpus_hash": corpus_hash, "config_hash": config_hash, "stages": {}}
     for name in wanted:
-        if name == "database":
-            # database holds every table and reads no CT.gov document, so the
-            # parsed documents are not kept through it; benchmarks parses them again.
-            run.drop("ctgov_docs", "doc_index")
         stage_dir = settings.out_dir / STAGE_DIRS[name]
         manifest_path = stage_dir / "manifest.json"
         input_hash = _sha256_text(f"{corpus_hash}:{config_hash}:{upstream}")

@@ -15,8 +15,8 @@ boolean, text or null healthy-volunteer value).
 Serialized form is JSONL with a single header line carrying the schema
 name and version, then one record object per line. `check_study` passes a
 record that `validate_study` finds clean, or a flagged one whose only
-faults are an empty `study_id` or `title`: ingest keeps such records and
-dedupe passes them through. `decode_study` applies it to every line read,
+faults are an empty `study_id` or `title`: ingest keeps a record without a
+title (it refuses one without an id) and dedupe passes it through. `decode_study` applies it to every line read,
 and the pipeline to every study one stage hands the next in memory.
 """
 

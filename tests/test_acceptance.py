@@ -22,6 +22,7 @@ from _corpus import make_dedupe_corpus
 from trialforge.benchgen.splits import split_by_numeric_id, split_sizes
 from trialforge.dedupe import dedupe_corpus
 from trialforge.errors import CorpusTooSmall
+from trialforge.ctgov import parse_ctgov_doc
 from trialforge.evidence import parse_adverse_events
 from trialforge.metrics import (
     macro_f1,
@@ -478,7 +479,7 @@ def test_criterion_9_adverse_event_conservation():
             if type(stat["numAffected"]) is int
             and 0 < stat["numAffected"] <= stat["numAtRisk"]
         )
-        rows = parse_adverse_events(record)
+        rows = parse_adverse_events(parse_ctgov_doc(record))
         assert len(rows) == valid, i
         for row in rows:
             assert 0 < row.num_affected <= row.num_at_risk

@@ -20,6 +20,7 @@ from trialforge.benchgen.review_tasks import (
     split_search_items,
 )
 from trialforge.benchgen.splits import numeric_id_key, split_by_numeric_id, split_sizes
+from trialforge.ctgov import parse_ctgov_doc
 from trialforge.errors import (
     CorpusTooSmall,
     FieldMissing,
@@ -176,7 +177,7 @@ def make_doc(
         protocol["outcomesModule"] = {"primaryOutcomes": outcomes}
     if design is not None:
         protocol["designModule"] = design
-    return {"protocolSection": protocol}
+    return parse_ctgov_doc({"protocolSection": protocol})
 
 
 def design_corpus():
@@ -292,9 +293,7 @@ class TestDesignMcq:
 
     def test_identical_rendering_excluded_from_candidates(self):
         groups, documents = design_corpus()
-        documents["NCT00000002"]["protocolSection"]["eligibilityModule"][
-            "eligibilityCriteria"
-        ] = "Adults with condition 1."
+        documents["NCT00000002"] = documents["NCT00000002"]._replace(eligibility_criteria="Adults with condition 1.")
         items = gen_design_mcq(groups, documents, "eligibility", seed=11)
         item = next(i for i in items if i.provenance["trial_id"] == "NCT00000001")
         assert "NCT00000002" not in item.provenance["distractor_ids"]

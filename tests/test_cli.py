@@ -242,13 +242,20 @@ def test_non_text_ctgov_value_is_invalid_input(golden, tmp_path, capsys, module,
     (["protocolSection", "statusModule", "startDateStruct", "date"], 2001, "startDateStruct.date is 2001, expected str or null"),
     (["protocolSection", "designModule", "enrollmentInfo", "type"], 1, "enrollmentInfo.type is 1, expected str or null"),
     (["protocolSection", "designModule", "enrollmentInfo", "count"], True, "enrollmentInfo.count is True, expected int or null"),
+    (["protocolSection", "armsInterventionsModule", "interventions"], "oops", "interventions is 'oops', expected list or null"),
+    (["protocolSection", "armsInterventionsModule", "armGroups"], "oops", "armGroups is 'oops', expected list or null"),
+    (["resultsSection"], "oops", "resultsSection is 'oops', expected dict or null"),
+    (["protocolSection", "eligibilityModule", "eligibilityCriteria"], {"x": 1}, "eligibilityCriteria is {'x': 1}, expected str or null"),
+    (["protocolSection", "armsInterventionsModule", "interventions", 0, "name"], ["x"], "interventions[0].name is ['x'], expected str or null"),
 ], ids=[
     "protocol-section-null", "status-module-null", "phases-null", "overall-status-object", "brief-title-number",
     "brief-summary-array", "study-type-number", "sex-array", "primary-outcome-text", "start-date-number",
-    "enrollment-type-number", "enrollment-count-boolean",
+    "enrollment-type-number", "enrollment-count-boolean", "interventions-text", "arm-groups-text",
+    "results-section-text", "eligibility-object", "intervention-name-array",
 ])
 def test_ctgov_value_of_another_shape(golden, tmp_path, capsys, path, value, message):
-    # each used to stop ingest with a traceback (exit 1); a null object reads as empty
+    # a null object reads as empty; any other shape is refused at ingest, before a later
+    # stage trips over it or writes it into items and service requests
     corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
     doc_path = corpus / "ctgov" / "NCT00000150.json"
     doc = json.loads(doc_path.read_text(encoding="utf-8"))
@@ -267,7 +274,7 @@ def test_ctgov_value_of_another_shape(golden, tmp_path, capsys, path, value, mes
 
 @pytest.mark.parametrize("value", [None, 5, ["NCT1"]], ids=["null", "number", "array"])
 def test_ctgov_nct_id_must_be_text_or_null(golden, tmp_path, capsys, value):
-    # a null used to ingest a study "None", an array one "['NCT1']"
+    # a null leaves the id to identificationModule.nctId; a number or an array is refused
     corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
     doc_path = corpus / "ctgov" / "NCT00000150.json"
     doc = json.loads(doc_path.read_text(encoding="utf-8"))
@@ -279,10 +286,76 @@ def test_ctgov_nct_id_must_be_text_or_null(golden, tmp_path, capsys, value):
         assert code == 0
         rows = (out / "01_ingest" / "studies.jsonl").read_text(encoding="utf-8").splitlines()[1:]
         ids = {json.loads(row)["study_id"] for row in rows}
-        assert "None" not in ids and "NCT00000150" not in ids
+        assert "None" not in ids and "NCT00000150" in ids
     else:
         assert code == 2
         assert capsys.readouterr().err == f"invalid input: {doc_path}: nctId is {value!r}, expected str or null\n"
+
+
+@pytest.mark.parametrize("top, inner, message", [
+    ("NCT00056836", "NCT09999999", "nctId 'NCT00056836' and identificationModule.nctId 'NCT09999999' differ"),
+    (None, None, "no nctId"),
+    ("", " ", "no nctId"),
+    (None, 7, "identificationModule.nctId is 7, expected str or null"),
+], ids=["ids-differ", "no-id", "blank-ids", "inner-id-number"])
+def test_ctgov_study_id_is_one_nct_id(golden, tmp_path, capsys, top, inner, message):
+    # with two ids the study and its disposition rows could be keyed apart;
+    # a document without an id must not be dropped silently
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    doc_path = corpus / "ctgov" / "NCT00056836.json"
+    doc = json.loads(doc_path.read_text(encoding="utf-8"))
+    doc["nctId"] = top
+    doc["protocolSection"]["identificationModule"]["nctId"] = inner
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(pipeline_argv("run-all", golden, tmp_path / "out", corpus=corpus)) == 2
+    assert capsys.readouterr().err == f"invalid input: {doc_path}: {message}\n"
+
+
+def test_ctgov_study_id_may_come_from_the_identification_module(golden, tmp_path):
+    # CT.gov API v2 documents carry the id only there
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    for doc_path in (corpus / "ctgov").glob("*.json"):
+        doc = json.loads(doc_path.read_text(encoding="utf-8"))
+        del doc["nctId"]
+        doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    summaries = []
+    for name, source in (("golden", golden.corpus), ("inner", corpus)):
+        assert main(pipeline_argv("run-all", golden, tmp_path / name, corpus=source)) == 0
+        summaries.append(json.loads((tmp_path / name / "06_database" / "manifest.json").read_text(encoding="utf-8")))
+    assert summaries[0]["counts"] == summaries[1]["counts"]
+    assert summaries[0]["outputs"] == summaries[1]["outputs"]
+
+
+def test_ctgov_stop_reason_of_another_shape_exits_2(golden, tmp_path, capsys):
+    # the terminated trial must not be labelled from the text "['x']"
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    doc_path = corpus / "ctgov" / "NCT02823470.json"
+    doc = json.loads(doc_path.read_text(encoding="utf-8"))
+    assert doc["protocolSection"]["statusModule"]["overallStatus"] == "TERMINATED"
+    doc["protocolSection"]["statusModule"]["whyStopped"] = ["x"]
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(pipeline_argv("run-all", golden, tmp_path / "out", corpus=corpus)) == 2
+    assert capsys.readouterr().err == "invalid input: CT.gov study NCT02823470: whyStopped is ['x'], expected str or null\n"
+
+
+ANZCTR_ROW_WITHOUT_ID = {"Registration number": " ", "Public title": "Aflibercept for macular edema"}
+ARTICLE_WITHOUT_ID = {"pmid": "", "title": "Lamotrigine in partial epilepsy"}
+
+
+@pytest.mark.parametrize("registry, articles, rel, message", [
+    ([ANZCTR_ROW_WITHOUT_ID], [ARTICLE_WITHOUT_ID], "registry/ANZCTR.json", "entry 0 has no 'Registration number'"),
+    ([], [ARTICLE_WITHOUT_ID], "pubmed/articles.json", "entry 0 has no 'pmid'"),
+], ids=["registry-row", "pubmed-article"])
+def test_record_without_an_id_is_invalid_input(tmp_path, capsys, registry, articles, rel, message):
+    # such records would pass dedupe as flagged and collide in the studies
+    # table as "duplicate key ('',)"
+    corpus = tmp_path / "corpus"
+    for name, rows in (("registry/ANZCTR.json", registry), ("pubmed/articles.json", articles)):
+        (corpus / name).parent.mkdir(parents=True)
+        (corpus / name).write_text(json.dumps(rows), encoding="utf-8")
+    argv = ["run-all", "--corpus", str(corpus), "--out", str(tmp_path / "out"), "--replay-dir", str(tmp_path / "replay")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"invalid input: {corpus / rel}: {message}\n"
 
 
 def test_invalid_study_stops_dedupe_alike_in_memory_and_from_file(golden, tmp_path, capsys, monkeypatch):

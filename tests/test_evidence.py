@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from trialforge.ctgov import parse_ctgov_doc
 from trialforge.errors import (
     ClientUnavailable,
     DanglingReference,
@@ -135,7 +136,7 @@ class TestRowInvariants:
 
 class TestParseResults:
     def test_posted_outcome_two_arms(self):
-        rows = parse_ctgov_results(RESULTS_DOC)
+        rows = parse_ctgov_results(parse_ctgov_doc(RESULTS_DOC))
         assert len(rows) == 2
         treated, control = rows
         assert treated.study_id == "NCT01000001"
@@ -148,14 +149,17 @@ class TestParseResults:
         assert control.arm_label == "Sham injection"
 
     def test_not_posted_outcome_dropped(self):
-        rows = parse_ctgov_results(RESULTS_DOC)
+        rows = parse_ctgov_results(parse_ctgov_doc(RESULTS_DOC))
         assert all("Serious ocular events" not in row.outcome_text for row in rows)
 
     def test_missing_results_section(self):
         with pytest.raises(MissingResultsSection):
-            parse_ctgov_results({"protocolSection": {"identificationModule": {"nctId": "NCT9"}}})
+            parse_ctgov_results(parse_ctgov_doc({"protocolSection": {"identificationModule": {"nctId": "NCT9"}}}))
         with pytest.raises(MissingResultsSection):
-            parse_ctgov_results({"resultsSection": {"outcomeMeasuresModule": {"outcomeMeasures": []}}})
+            parse_ctgov_results(parse_ctgov_doc({
+                "nctId": "NCT9",
+                "resultsSection": {"outcomeMeasuresModule": {"outcomeMeasures": []}},
+            }))
 
     def test_untitled_group_skipped(self):
         doc = {
@@ -172,14 +176,15 @@ class TestParseResults:
                 }
             },
         }
-        rows = parse_ctgov_results(doc)
+        rows = parse_ctgov_results(parse_ctgov_doc(doc))
         assert [row.arm_label for row in rows] == ["Arm B"]
 
     def test_primary_pvalues(self):
-        assert primary_pvalues(RESULTS_DOC) == [0.004]
+        assert primary_pvalues(parse_ctgov_doc(RESULTS_DOC)) == [0.004]
 
     def test_primary_pvalues_parses_strings_and_sorts(self):
         doc = {
+            "nctId": "NCT4",
             "resultsSection": {
                 "outcomeMeasuresModule": {
                     "outcomeMeasures": [
@@ -198,13 +203,13 @@ class TestParseResults:
                 }
             }
         }
-        assert primary_pvalues(doc) == [0.001, 0.03]
+        assert primary_pvalues(parse_ctgov_doc(doc)) == [0.001, 0.03]
 
 
 class TestAdverseEvents:
     def test_serious_and_other_rows(self):
         hierarchy = load_meddra()
-        rows = parse_adverse_events(RESULTS_DOC, hierarchy)
+        rows = parse_adverse_events(parse_ctgov_doc(RESULTS_DOC), hierarchy)
         assert len(rows) == 2
 
         nausea = rows[0]
@@ -219,13 +224,13 @@ class TestAdverseEvents:
         assert bleed.meddra_code == "10010719"
 
     def test_zero_affected_omitted(self):
-        rows = parse_adverse_events(RESULTS_DOC)
+        rows = parse_adverse_events(parse_ctgov_doc(RESULTS_DOC))
         assert all(row.num_affected > 0 for row in rows)
         # the sham arm stat for Nausea had numAffected 0
         assert sum(row.term == "Nausea" for row in rows) == 1
 
     def test_no_module_empty(self):
-        assert parse_adverse_events({"nctId": "NCT3", "resultsSection": {}}) == []
+        assert parse_adverse_events(parse_ctgov_doc({"nctId": "NCT3", "resultsSection": {}})) == []
 
     def test_conservation_under_fuzz(self):
         rng = random.Random(20250819)
@@ -251,7 +256,7 @@ class TestAdverseEvents:
                     }
                 },
             }
-            rows = parse_adverse_events(doc)
+            rows = parse_adverse_events(parse_ctgov_doc(doc))
             assert len(rows) == expected_valid
             assert all(0 < row.num_affected <= row.num_at_risk for row in rows)
 
@@ -315,7 +320,7 @@ class TestDisposition:
                 },
             }
         }
-        rows = build_disposition(*disposition_tables_from_ctgov(doc))
+        rows = build_disposition(*disposition_tables_from_ctgov(parse_ctgov_doc(doc)))
         assert [(row.treatment_name, row.group_type) for row in rows] == [
             ("Lamotrigine", "EXPERIMENTAL"),
             ("Placebo", "PLACEBO_COMPARATOR"),
@@ -332,7 +337,7 @@ class TestDisposition:
             }
         }
         with pytest.raises(DanglingReference):
-            build_disposition(*disposition_tables_from_ctgov(doc))
+            build_disposition(*disposition_tables_from_ctgov(parse_ctgov_doc(doc)))
 
     def test_pico_pairs(self):
         pico = [

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from trialforge.ctgov import parse_ctgov_doc
 from trialforge.errors import UnknownSource
 from trialforge.ingest import (
     detect_phase,
@@ -255,7 +256,7 @@ CTGOV_DOC = {
 
 
 def test_parse_ctgov_study():
-    s = parse_ctgov_study(CTGOV_DOC)
+    s = parse_ctgov_study(parse_ctgov_doc(CTGOV_DOC))
     assert s.study_id == "NCT01000001"
     assert s.source is Source.CTGOV
     assert s.title == "Metformin in T2D"
@@ -280,7 +281,7 @@ def test_parse_ctgov_estimated_enrollment_is_target():
             "designModule": {"enrollmentInfo": {"count": 84, "type": "ESTIMATED"}},
         },
     }
-    s = parse_ctgov_study(doc)
+    s = parse_ctgov_study(parse_ctgov_doc(doc))
     assert s.target_accrual == 84
     assert s.actual_accrual is None
 
@@ -293,6 +294,6 @@ def test_parse_ctgov_unusual_status_preserves_raw():
             "statusModule": {"overallStatus": "APPROVED_FOR_MARKETING"},
         },
     }
-    s = parse_ctgov_study(doc)
+    s = parse_ctgov_study(parse_ctgov_doc(doc))
     assert s.status is StudyStatus.OTHER
     assert s.raw_status == "APPROVED_FOR_MARKETING"

@@ -301,12 +301,12 @@ def test_inputs_are_read_once_per_context_span(golden, tmp_path, monkeypatch):
         summary = run_pipeline(settings)
         return summary, dict(calls)
 
-    # One context for the run: the docs are parsed again only after database
-    # dropped them, and every stage takes the studies and rows an earlier
-    # stage wrote in this run from memory, never from its files.
+    # One context for the run: the docs are parsed once and kept, and every
+    # stage takes the studies and rows an earlier stage wrote in this run
+    # from memory, never from its files.
     _, cold = run_and_count()
     assert cold == {
-        "_corpus_ctgov_docs": 2,
+        "_corpus_ctgov_docs": 1,
         "_corpus_pubmed_articles": 1,
         "read_studies_jsonl": 0,
         "own_output_rows": 0,

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trialforge.ctgov import parse_ctgov_doc
 from trialforge.errors import SchemaVersionMismatch
 from trialforge.ingest import parse_ctgov_study
 from trialforge.schema import (
@@ -204,7 +206,7 @@ def studies(draw) -> CanonicalStudy:
     )
 
 
-# Every eligibility value the CT.gov parser takes; `test_ctgov_refuses_other_eligibility_values`
+# Every eligibility value the CT.gov parser takes; `test_ctgov_refuses_other_leaf_values`
 # checks that it refuses the rest of JSON_VALUES.
 CTGOV_ELIGIBILITY = {
     "minimumAge": st.none() | st.text(),
@@ -216,24 +218,85 @@ CTGOV_ELIGIBILITY = {
 @st.composite
 def ctgov_studies(draw) -> CanonicalStudy:
     doc = {
-        "nctId": draw(st.sampled_from(["", "NCT02823470"])),
+        "nctId": "NCT02823470",
         "protocolSection": {
             "identificationModule": {"briefTitle": draw(st.text(max_size=8))},
             "eligibilityModule": {key: draw(values) for key, values in CTGOV_ELIGIBILITY.items()},
         },
     }
-    return parse_ctgov_study(doc)
+    return parse_ctgov_study(parse_ctgov_doc(doc))
 
 
-@given(st.sampled_from(sorted(CTGOV_ELIGIBILITY)), JSON_VALUES)
-def test_ctgov_refuses_other_eligibility_values(key, value):
-    doc = {"nctId": "NCT02823470", "protocolSection": {"eligibilityModule": {key: value}}}
-    if value is None or isinstance(value, str) or (key == "healthyVolunteers" and isinstance(value, bool)):
-        field = {"minimumAge": "min_age", "maximumAge": "max_age", "healthyVolunteers": "healthy_volunteers"}[key]
-        assert getattr(parse_ctgov_study(doc), field) is value
+_P, _R, _NUMBER = "protocolSection.", "resultsSection.", (str, int, float)
+
+# Every leaf path the CT.gov view reads, with the JSON types it takes besides null.
+CTGOV_LEAVES = {
+    **dict.fromkeys([
+        _P + "identificationModule.briefTitle",
+        _P + "identificationModule.officialTitle",
+        _P + "descriptionModule.briefSummary",
+        _P + "statusModule.overallStatus",
+        _P + "statusModule.whyStopped",
+        _P + "statusModule.startDateStruct.date",
+        _P + "designModule.studyType",
+        _P + "designModule.phases[0]",
+        *(_P + f"designModule.designInfo.{key}" for key in (
+            "allocation", "interventionModel", "maskingInfo.masking", "masking", "primaryPurpose")),
+        _P + "designModule.enrollmentInfo.type",
+        *(_P + f"eligibilityModule.{key}" for key in ("eligibilityCriteria", "sex", "minimumAge", "maximumAge")),
+        _P + "sponsorCollaboratorsModule.leadSponsor.name",
+        *(_P + f"armsInterventionsModule.armGroups[0].{key}" for key in ("label", "type", "description")),
+        *(_P + f"armsInterventionsModule.interventions[0].{key}" for key in (
+            "type", "name", "description", "armGroupLabels[0]")),
+        *(_P + f"outcomesModule.{outcomes}[0].{key}"
+          for outcomes in ("primaryOutcomes", "secondaryOutcomes") for key in ("measure", "timeFrame")),
+        _R + "baselineCharacteristicsModule.populationDescription",
+        *(_R + f"outcomeMeasuresModule.outcomeMeasures[0].{key}" for key in (
+            "type", "title", "reportingStatus", "unitOfMeasure", "groups[0].id", "groups[0].title",
+            "measurements[0].groupId")),
+        *(_R + f"adverseEventsModule.eventGroups[0].{key}" for key in ("id", "title", "description")),
+        *(_R + f"adverseEventsModule.{events}[0].{key}"
+          for events in ("seriousEvents", "otherEvents") for key in ("term", "organSystem", "stats[0].groupId")),
+    ], (str,)),
+    _P + "designModule.enrollmentInfo.count": (int,),
+    _P + "eligibilityModule.healthyVolunteers": (bool, str),
+    _R + "baselineCharacteristicsModule.totalCount": (int,),
+    _R + "outcomeMeasuresModule.outcomeMeasures[0].groups[0].isControl": (bool,),
+    _R + "outcomeMeasuresModule.outcomeMeasures[0].measurements[0].value": _NUMBER,
+    _R + "outcomeMeasuresModule.outcomeMeasures[0].analyses[0].pValue": _NUMBER,
+    **{
+        _R + f"adverseEventsModule.{events}[0].stats[0].{key}": _NUMBER
+        for events in ("seriousEvents", "otherEvents") for key in ("numAffected", "numAtRisk")
+    },
+}
+
+
+def _view_leaves(node):
+    # a view record and an array of them are both tuples
+    if isinstance(node, tuple):
+        for entry in node:
+            yield from _view_leaves(entry)
     else:
-        with pytest.raises(ValueError, match=f"^CT.gov study NCT02823470: {key} is "):
-            parse_ctgov_study(doc)
+        yield node
+
+
+@given(st.sampled_from(sorted(CTGOV_LEAVES)), JSON_VALUES)
+def test_ctgov_refuses_other_leaf_values(path, value):
+    node = value
+    for key in reversed(re.findall(r"\w+", path)):  # a digit is an array index
+        node = [node] if key.isdigit() else {key: node}
+    doc = {"nctId": "NCT02823470", **node}
+    label = path.split("Module.")[-1]
+    if value is None or type(value) in CTGOV_LEAVES[path]:
+        view = parse_ctgov_doc(doc)
+        if value is not None:
+            assert any(type(leaf) is type(value) and leaf == value for leaf in _view_leaves(view))
+        field = {"minimumAge": "min_age", "maximumAge": "max_age", "healthyVolunteers": "healthy_volunteers"}.get(label)
+        if field:
+            assert getattr(parse_ctgov_study(view), field) is value
+    else:
+        with pytest.raises(ValueError, match=f"^CT.gov study NCT02823470: {re.escape(label)} is "):
+            parse_ctgov_doc(doc)
 
 
 @given(st.lists(studies() | ctgov_studies(), max_size=4))
