@@ -84,9 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out", type=Path, required=True, help="report TSV path")
     evaluate.add_argument("--split", default="test", help="benchmark split to score (default test)")
 
-    reward = subparsers.add_parser("reward", help="score one model response for a verifiable task")
-    reward.add_argument("--task", required=True, choices=("sample_size", "study_search"))
-    reward.add_argument("--truth", required=True, help="JSON truth value (integer or PMID list)")
+    reward = subparsers.add_parser("reward", help="score one model response against its benchmark item")
+    reward.add_argument("--item", required=True, help="the benchmark item as JSON, one line of a gen-bench file")
     reward.add_argument("response", type=Path, help="file holding the raw model output")
     reward.add_argument("--replay-dir", type=Path, help="replay store root (for study_search retrieval)")
     reward.add_argument("--k", type=int, default=100, help="retrieval depth for study_search")
@@ -130,14 +129,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_reward(args: argparse.Namespace) -> int:
     raw_output = args.response.read_text(encoding="utf-8")
-    truth = json.loads(args.truth)
     retrieval_fn = None
-    if args.task == "study_search":
-        if args.replay_dir is None:
-            raise ValueError("study_search reward needs --replay-dir for retrieval")
+    if args.replay_dir is not None:
         client = ServiceClient("replay", ReplayStore(args.replay_dir))
         retrieval_fn = pubmed_search_callable(client, k=args.k)
-    outcome = score_reward(raw_output, truth, args.task, retrieval_fn=retrieval_fn, k=args.k)
+    outcome = score_reward(raw_output, json.loads(args.item), retrieval_fn=retrieval_fn, k=args.k)
     print(json.dumps(asdict(outcome), sort_keys=True))
     return 0
 

@@ -71,14 +71,15 @@ def macro_f1(
     return total / len(classes)
 
 
+def within20(pred: float, truth: float) -> bool:
+    """Whether ``pred`` lies within +/-20% of a positive ``truth``, both edges included."""
+    return abs(pred - truth) / truth <= 0.20
+
+
 def mae_and_within20(
     preds: Sequence[float], truths: Sequence[float]
 ) -> tuple[float, float]:
-    """Mean absolute error plus the fraction of predictions within +/-20% of truth.
-
-    The 20% band is inclusive on both edges and is measured relative to
-    the true value, which must be positive.
-    """
+    """Mean absolute error plus the fraction of predictions `within20` of truth."""
     if len(preds) != len(truths):
         raise ValueError(f"length mismatch: {len(preds)} predictions, {len(truths)} truths")
     if not preds:
@@ -86,5 +87,5 @@ def mae_and_within20(
     if any(t <= 0 for t in truths):
         raise ValueError("truth values must be positive")
     mae = sum(abs(p - t) for p, t in zip(preds, truths)) / len(preds)
-    within = sum(1 for p, t in zip(preds, truths) if abs(p - t) / t <= 0.20) / len(preds)
+    within = sum(1 for p, t in zip(preds, truths) if within20(p, t)) / len(preds)
     return mae, within

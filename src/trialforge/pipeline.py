@@ -477,11 +477,12 @@ def _corpus_registry_batches(corpus_dir: Path) -> list[tuple[Path, list[dict]]]:
 
 
 def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, CtgovDoc]:
-    """Each CT.gov document's checked view, keyed by its NCT id."""
+    """Each CT.gov document's checked view, keyed by its NCT id; two files with one id exit 2."""
     ctgov_dir = corpus_dir / "ctgov"
     docs = {}
     if not ctgov_dir.is_dir():
         return docs
+    paths: dict[str, Path] = {}
     for path in sorted(ctgov_dir.glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
@@ -490,6 +491,9 @@ def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, CtgovDoc]:
             nct_id = ctgov_study_id(doc)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if nct_id in paths:
+            raise ValueError(f"{paths[nct_id]} and {path} both hold CT.gov study {nct_id}")
+        paths[nct_id] = path
         docs[nct_id] = parse_ctgov_doc(doc)
     return docs
 

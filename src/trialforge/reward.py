@@ -5,34 +5,24 @@ The reward contract: a response must carry its final answer inside
 unusable and scores a flat -2. Otherwise the answer earns a small
 formatting bonus of 0.1 on top of its task performance, but only when
 the performance itself is positive.
+
+Every benchmark task has a reward: the record's per-item score in
+``evaluate.SCORERS``, read from the answer. The one fork is
+``study_search``, whose answer is a query for a retrieval function and
+whose performance is recall@k over the ids it returns.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
-from .errors import EmptyTruth
+from .evaluate import check_record, extract_answer
 from .metrics import recall_at_k
-
-ANSWER_TAG_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
-_INT_RE = re.compile(r"-?\d[\d,]*")
 
 FORMAT_BONUS = 0.1
 MALFORMED_TOTAL = -2.0
-
-#: Tasks with a verifiable reward definition.
-REWARD_TASKS = ("sample_size", "study_search")
-
-
-def extract_answer(raw_output: str) -> str | None:
-    """Pull the answer from the LAST well-formed <answer> pair, or None."""
-    matches = ANSWER_TAG_RE.findall(raw_output)
-    if not matches:
-        return None
-    return matches[-1].strip()
 
 
 @dataclass
@@ -46,23 +36,19 @@ class RewardOutcome:
 
 def score_reward(
     raw_output: str,
-    truth: object,
-    task: str,
+    record: object,
     retrieval_fn: Callable[[str], Sequence[str]] | None = None,
     k: int = 100,
 ) -> RewardOutcome:
-    """Score one model response for a verifiable task.
+    """Score one model response against its benchmark record, as ``gen-bench`` writes it.
 
-    sample_size: truth is the target integer; performance is 1.0 when the
-    predicted count lands inside [0.8 * truth, 1.2 * truth] (inclusive),
-    else 0.0.
-
-    study_search: truth is the relevant PMID collection; the answer is a
-    query handed to retrieval_fn, and performance is recall@k over the
-    ranked ids it returns.
+    A record ``evaluate.check_record`` refuses, or a ``study_search``
+    record without ``retrieval_fn``, is a ``ValueError``.
     """
-    if task not in REWARD_TASKS:
-        raise ValueError(f"no reward defined for task {task!r}")
+    scorer = check_record(record)
+    search = record["task"] == "study_search"
+    if search and retrieval_fn is None:
+        raise ValueError("study_search reward needs a retrieval_fn (forge reward: --replay-dir)")
     answer = extract_answer(raw_output)
     if answer is None:
         return RewardOutcome(
@@ -73,44 +59,20 @@ def score_reward(
             reason="missing_answer_tag",
         )
 
-    if task == "sample_size":
-        perf, reason = _score_sample_size(answer, truth)
+    if search:
+        parsed = list(retrieval_fn(answer))
+        perf = recall_at_k(parsed, record["answer"], k=k)
     else:
-        perf, reason = _score_study_search(answer, truth, retrieval_fn, k)
-
+        parsed = scorer.parse(answer, record)
+        perf = scorer.item_score(parsed, record)
     total = perf + FORMAT_BONUS if perf > 0 else perf
     return RewardOutcome(
         total=total,
         performance=perf,
         format_ok=True,
         parsed_answer=answer,
-        reason=reason,
+        reason="ok" if parsed is not None else "unparseable_answer",
     )
-
-
-def _score_sample_size(answer: str, truth: object) -> tuple[float, str]:
-    if not isinstance(truth, int) or truth <= 0:
-        raise ValueError(f"sample_size truth must be a positive int, got {truth!r}")
-    m = _INT_RE.search(answer)
-    if m is None:
-        return 0.0, "unparseable_answer"
-    pred = int(m.group().replace(",", ""))
-    ok = 0.8 * truth <= pred <= 1.2 * truth
-    return (1.0 if ok else 0.0), "ok"
-
-
-def _score_study_search(
-    answer: str,
-    truth: object,
-    retrieval_fn: Callable[[str], Sequence[str]] | None,
-    k: int,
-) -> tuple[float, str]:
-    if retrieval_fn is None:
-        raise ValueError("study_search reward needs a retrieval_fn")
-    if not isinstance(truth, Collection) or isinstance(truth, (str, bytes)):
-        raise ValueError(f"study_search truth must be a PMID collection, got {truth!r}")
-    retrieved = list(retrieval_fn(answer))
-    return recall_at_k(retrieved, list(truth), k=k), "ok"
 
 
 # --- group-relative advantage and clipped surrogate --------------------------

@@ -157,7 +157,7 @@ def test_criterion_3_reward_table():
     checked = 0
     for state, template in tag_states.items():
         for payload, want_perf, want_total in payloads:
-            out = score_reward(template.format(p=payload), truth=100, task="sample_size")
+            out = score_reward(template.format(p=payload), {"task": "sample_size", "answer": 100})
             if state == "present":
                 assert out.format_ok is True
                 assert out.performance == want_perf

@@ -169,7 +169,7 @@ def test_cli_does_not_offer_record_mode(tmp_path, capsys, verb):
     for mode in ("record", "replay"):
         argv = [verb]
         if verb == "reward":
-            argv += ["--task", "sample_size", "--truth", "1", str(tmp_path / "response.txt")]
+            argv += ["--item", '{"task": "sample_size", "answer": 1}', str(tmp_path / "response.txt")]
         argv += ["--mode", mode]
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -190,6 +190,20 @@ def test_wrong_shaped_corpus_file_is_invalid_input(golden, tmp_path, capsys, rel
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ")
     assert f"{corpus / rel}: expected a JSON {shape}" in err
+
+
+def test_two_ctgov_files_with_one_nct_id_exit_2_naming_both(golden, tmp_path, capsys):
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    original = corpus / "ctgov" / "NCT00000150.json"
+    doc = json.loads(original.read_text(encoding="utf-8"))
+    doc["protocolSection"]["identificationModule"]["briefTitle"] = "A second copy of this trial"
+    copy = corpus / "ctgov" / "NCT00000150-copy.json"
+    copy.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(pipeline_argv("ingest", golden, tmp_path / "out", corpus=corpus)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ")
+    assert str(original) in err and str(copy) in err
+    assert "NCT00000150" in err
 
 
 @pytest.mark.parametrize("rel, key, value, message", [
@@ -453,8 +467,9 @@ def test_evaluate_missing_split_is_invalid_input(tiny_benchmarks, tmp_path, caps
 
 # --- reward verb -----------------------------------------------------------
 
-def reward_argv(task, truth, response_path, **extra):
-    argv = ["reward", "--task", task, "--truth", truth, str(response_path)]
+def reward_argv(task, answer, response_path, **extra):
+    item = {"id": f"{task}:x", "task": task, "answer": json.loads(answer)}
+    argv = ["reward", "--item", json.dumps(item), str(response_path)]
     for flag, value in extra.items():
         argv.extend([f"--{flag}", str(value)])
     return argv
@@ -531,6 +546,37 @@ def test_reward_unrecorded_query_is_client_error(tmp_path, capsys):
     )
     assert code == 3
     assert "client error: pubmed_search:" in capsys.readouterr().err
+
+
+def test_reward_scores_an_mcq_item_as_gen_bench_writes_it(tmp_path, capsys):
+    item = {
+        "id": "arm_design:NCT1",
+        "task": "arm_design",
+        "instruction": "pick",
+        "input": "trial",
+        "options": ["a", "b", "c", "d"],
+        "answer": "B",
+        "provenance": {},
+    }
+    response = tmp_path / "response.txt"
+    response.write_text("<answer>B</answer>", encoding="utf-8")
+    assert main(["reward", "--item", json.dumps(item), str(response)]) == 0
+    outcome = json.loads(capsys.readouterr().out)
+    assert outcome["performance"] == 1.0
+    assert outcome["total"] == pytest.approx(1.1)
+
+
+@pytest.mark.parametrize("item, message", [
+    ("not json", "invalid input: "),
+    ('["sample_size", 100]', "invalid input: benchmark record of unknown task None"),
+    ('{"task": "made_up", "answer": 1}', "invalid input: benchmark record of unknown task 'made_up'"),
+    ('{"id": "sample_size:x", "task": "sample_size", "answer": "100"}', "invalid input: sample_size:x: task sample_size cannot score"),
+], ids=["not-json", "not-object", "unknown-task", "text-answer"])
+def test_reward_bad_item_is_invalid_input(tmp_path, capsys, item, message):
+    response = tmp_path / "response.txt"
+    response.write_text("<answer>100</answer>", encoding="utf-8")
+    assert main(["reward", "--item", item, str(response)]) == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_unknown_verb_is_a_usage_error():

@@ -13,9 +13,9 @@ from trialforge.metrics import (
     precision_recall_accuracy,
     recall_at_k,
 )
+from trialforge.evaluate import extract_answer
 from trialforge.reward import (
     ClipConfig,
-    extract_answer,
     grpo_advantages,
     grpo_clipped_term,
     score_reward,
@@ -181,8 +181,23 @@ def test_extract_answer_absent_or_unclosed():
     assert extract_answer("84</answer>") is None
 
 
+def sample_size_item(answer=100):
+    return {"id": "sample_size:NCT1", "task": "sample_size", "answer": answer}
+
+
+def search_item(answer):
+    return {"id": "study_search:r", "task": "study_search", "answer": answer}
+
+
+def arm_item(answer="C", options=("arm 0", "arm 1", "arm 2", "arm 3")):
+    record = {"id": "arm_design:NCT1", "task": "arm_design", "answer": answer}
+    if options is not None:
+        record["options"] = list(options)
+    return record
+
+
 def test_reward_missing_tag_is_flat_penalty():
-    out = score_reward("the answer is 84", truth=84, task="sample_size")
+    out = score_reward("the answer is 84", sample_size_item(84))
     assert out.total == -2.0
     assert out.format_ok is False
     assert out.performance == 0.0
@@ -191,19 +206,19 @@ def test_reward_missing_tag_is_flat_penalty():
 def test_reward_sample_size_window_inclusive():
     # truth 100: [80, 120] scores, outside does not
     for pred, perf in [(80, 1.0), (100, 1.0), (120, 1.0), (79, 0.0), (121, 0.0)]:
-        out = score_reward(f"<answer>{pred}</answer>", truth=100, task="sample_size")
+        out = score_reward(f"<answer>{pred}</answer>", sample_size_item(100))
         assert out.performance == perf
         assert out.total == (1.1 if perf else 0.0)
 
 
 def test_reward_bonus_requires_positive_performance():
-    out = score_reward("<answer>5</answer>", truth=100, task="sample_size")
+    out = score_reward("<answer>5</answer>", sample_size_item(100))
     assert out.performance == 0.0
     assert out.total == 0.0  # no format bonus on zero performance
 
 
 def test_reward_unparseable_number():
-    out = score_reward("<answer>roughly eighty</answer>", truth=100, task="sample_size")
+    out = score_reward("<answer>roughly eighty</answer>", sample_size_item(100))
     assert out.format_ok is True
     assert out.reason == "unparseable_answer"
     assert out.total == 0.0
@@ -218,8 +233,7 @@ def test_reward_study_search_recall():
 
     out = score_reward(
         "<answer>epilepsy lamotrigine add-on</answer>",
-        truth=truth,
-        task="study_search",
+        search_item(truth),
         retrieval_fn=retrieval,
     )
     assert out.performance == 0.4
@@ -229,17 +243,68 @@ def test_reward_study_search_recall():
 def test_reward_study_search_zero_recall_gets_no_bonus():
     out = score_reward(
         "<answer>unrelated</answer>",
-        truth=["p1"],
-        task="study_search",
+        search_item(["p1"]),
         retrieval_fn=lambda q: ["x", "y"],
     )
     assert out.performance == 0.0
     assert out.total == 0.0
 
 
+def test_reward_study_search_needs_retrieval_fn():
+    with pytest.raises(ValueError, match="retrieval_fn"):
+        score_reward("<answer>query</answer>", search_item(["1"]))
+
+
+def test_reward_scores_arm_design():
+    right = score_reward("<answer>C</answer>", arm_item("C"))
+    assert (right.performance, right.total, right.reason) == (1.0, 1.1, "ok")
+    wrong = score_reward("<answer>A</answer>", arm_item("C"))
+    assert (wrong.performance, wrong.total, wrong.reason) == (0.0, 0.0, "ok")
+    unreadable = score_reward("<answer>none of them</answer>", arm_item("C"))
+    assert (unreadable.performance, unreadable.reason) == (0.0, "unparseable_answer")
+
+
+# --- record checks: each is a ValueError, the CLI's exit 2 --------------------
+
 def test_reward_unknown_task():
-    with pytest.raises(ValueError):
-        score_reward("<answer>A</answer>", truth="A", task="arm_design")
+    with pytest.raises(ValueError, match="unknown task 'made_up'"):
+        score_reward("<answer>A</answer>", {"task": "made_up", "answer": "A"})
+
+
+@pytest.mark.parametrize("answer", [0, -5, 12.0, "100", True, None])
+def test_reward_sample_size_answer_must_be_positive_int(answer):
+    with pytest.raises(ValueError, match="cannot score answer"):
+        score_reward("<answer>100</answer>", sample_size_item(answer))
+
+
+@pytest.mark.parametrize("answer", [[], "123", [""], [123], None])
+def test_reward_search_answer_must_be_nonempty_pmid_list(answer):
+    with pytest.raises(ValueError, match="cannot score answer"):
+        score_reward("<answer>q</answer>", search_item(answer), retrieval_fn=lambda q: ["1"])
+
+
+@pytest.mark.parametrize("task, answer", [
+    ("completion", None),
+    ("completion", ["completed"]),
+    ("study_screening", {}),
+    ("study_screening", ["17021318"]),
+    ("study_screening", {"17021318": True}),
+])
+def test_reward_label_answers_must_fit_their_task(task, answer):
+    with pytest.raises(ValueError, match="cannot score answer"):
+        score_reward("<answer>completed</answer>", {"task": task, "answer": answer})
+
+
+@pytest.mark.parametrize("options", [None, []])
+def test_reward_mcq_needs_options(options):
+    with pytest.raises(ValueError, match="cannot score answer 'A' with options"):
+        score_reward("<answer>A</answer>", arm_item("A", options))
+
+
+@pytest.mark.parametrize("answer", ["E", "a", "", None])
+def test_reward_mcq_answer_must_be_an_option_letter(answer):
+    with pytest.raises(ValueError, match="cannot score answer"):
+        score_reward("<answer>A</answer>", arm_item(answer))
 
 
 # --- group-relative advantages ------------------------------------------------
