@@ -11,8 +11,8 @@ from __future__ import annotations
 import logging
 import random
 
-from ..ctgov import CtgovDoc
 from ..errors import FieldMissing
+from ..views import CtgovDoc
 from .items import BenchmarkItem, answer_letter
 
 logger = logging.getLogger(__name__)

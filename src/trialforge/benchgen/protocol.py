@@ -5,10 +5,10 @@ from __future__ import annotations
 import logging
 import re
 
-from ..ctgov import CtgovDoc
 from ..errors import LeakageDetected
 from ..evidence import TERMINATION_CATEGORIES
 from ..schema import CanonicalStudy, StudyStatus
+from ..views import CtgovDoc, ProtocolPair
 from .items import BenchmarkItem
 
 logger = logging.getLogger(__name__)
@@ -44,40 +44,36 @@ def stated_numbers(text: str) -> set[int]:
     return {int(token.replace(",", "")) for token in _NUMBER_RE.findall(text)}
 
 
-def gen_sample_size_items(linked_protocols: list[dict], llm_client=None) -> list[BenchmarkItem]:
+def gen_sample_size_items(linked_protocols: list[ProtocolPair], llm_client=None) -> list[BenchmarkItem]:
     """Items for protocol/registry pairs whose enrollment numbers agree.
 
-    Each pair carries ``nct_id``, ``title``, ``section_text`` (the
-    protocol's sample-size section), ``registry_enrollment``, and
-    optionally ``assumptions_summary``. Pairs whose section never states
-    the registry count are filtered out; pairs with neither a summary nor
-    a client to produce one are skipped with a log line.
+    A pair's ``section_text`` is the protocol's sample-size section. Pairs
+    whose section never states the registry count are filtered out; pairs
+    with neither an ``assumptions_summary`` nor a client to produce one are
+    skipped with a log line.
     """
     items = []
     filtered = 0
     for pair in linked_protocols:
-        nct_id = str(pair["nct_id"])
-        section = str(pair.get("section_text") or "")
-        enrollment = int(pair["registry_enrollment"])
-        if enrollment not in stated_numbers(section):
+        section = pair.section_text
+        if pair.registry_enrollment not in stated_numbers(section):
             filtered += 1
             continue
-        summary = str(pair.get("assumptions_summary") or "").strip()
+        summary = pair.assumptions_summary.strip()
         if not summary and llm_client is not None:
             summary = llm_client(SAMPLE_SIZE_SUMMARY_PROMPT.format(section=section)).strip()
         if not summary:
-            logger.info("skip %s for sample_size: no assumptions summary", nct_id)
+            logger.info("skip %s for sample_size: no assumptions summary", pair.nct_id)
             continue
-        title = str(pair.get("title") or "").strip()
-        input_text = f"{title}\n\nStatistical assumptions: {summary}".strip()
+        input_text = f"{pair.title.strip()}\n\nStatistical assumptions: {summary}".strip()
         items.append(
             BenchmarkItem(
                 task="sample_size",
-                item_id=f"sample_size:{nct_id}",
+                item_id=f"sample_size:{pair.nct_id}",
                 instruction=SAMPLE_SIZE_INSTRUCTION,
                 input_text=input_text,
-                answer=enrollment,
-                provenance={"nct_id": nct_id, "explanation": section},
+                answer=pair.registry_enrollment,
+                provenance={"nct_id": pair.nct_id, "explanation": section},
             )
         )
     if filtered:

@@ -9,6 +9,7 @@ import re
 from ..clients import json_answer
 from ..errors import MalformedResponse, SelfReferenceViolation
 from ..schema import RelationTriple, Source
+from ..views import Review
 from .items import OPTION_LETTERS, BenchmarkItem
 from .splits import SplitAssignment, split_by_numeric_id
 
@@ -66,25 +67,21 @@ def _include_map(triples: list[RelationTriple]) -> dict[str, list[str]]:
     return {head: sorted(tails) for head, tails in grouped.items()}
 
 
-def _review_setup(review: dict) -> str:
-    parts = []
-    for label, key in (
-        ("Background", "background"),
-        ("Objectives", "objectives"),
-        ("Selection criteria", "criteria"),
-    ):
-        text = str(review.get(key) or "").strip()
-        if text:
-            parts.append(f"{label}: {text}")
-    return "\n\n".join(parts)
+def _review_setup(review: Review) -> str:
+    parts = (
+        ("Background", review.background.strip()),
+        ("Objectives", review.objectives.strip()),
+        ("Selection criteria", review.criteria.strip()),
+    )
+    return "\n\n".join(f"{label}: {text}" for label, text in parts if text)
 
 
-def gen_search_items(reviews: list[dict], include_triples: list[RelationTriple]) -> list[BenchmarkItem]:
+def gen_search_items(reviews: list[Review], include_triples: list[RelationTriple]) -> list[BenchmarkItem]:
     """One retrieval item per review with at least one included PubMed id."""
     includes = _include_map(include_triples)
     items = []
     for review in reviews:
-        pmid = str(review["pmid"])
+        pmid = review.pmid
         truth = includes.get(pmid) or []
         if not truth:
             logger.info("skip review %s for study_search: no include links", pmid)
@@ -120,7 +117,7 @@ def split_search_items(
 
 
 def gen_screening_items(
-    reviews: list[dict],
+    reviews: list[Review],
     triples: list[RelationTriple],
     titles: dict[str, str],
     seed: int,
@@ -144,8 +141,7 @@ def gen_screening_items(
 
     items = []
     for review in reviews:
-        pmid = str(review["pmid"])
-        criteria = str(review.get("criteria") or "").strip()
+        pmid, criteria = review.pmid, review.criteria.strip()
         if not criteria:
             logger.info("skip review %s for study_screening: no criteria", pmid)
             continue
@@ -179,7 +175,7 @@ def gen_screening_items(
 
         lines = [f"Selection criteria: {criteria}", "", "Candidate studies:"]
         for candidate in candidates:
-            title = str(titles.get(candidate) or "").strip() or "(title unavailable)"
+            title = titles.get(candidate, "").strip() or "(title unavailable)"
             lines.append(f"PMID {candidate}: {title}")
 
         items.append(
@@ -207,18 +203,21 @@ def check_self_reference(question: str) -> None:
             raise SelfReferenceViolation(f"question contains {match.group(0)!r}")
 
 
-def gen_evidence_mcq(reviews: list[dict], llm_client) -> list[BenchmarkItem]:
+def gen_evidence_mcq(reviews: list[Review], includes: dict[str, list[str]], llm_client) -> list[BenchmarkItem]:
     """Question generation from review conclusions, replayable from a store.
 
-    Reviews carry ``pmid``, ``review_text``, and ``included_pmids``;
-    reviews with zero or more than twenty included studies are discarded
-    before any client call. Bad client JSON is a `MalformedResponse`;
-    questions that cite their source review are a `SelfReferenceViolation`.
+    ``includes`` maps a review pmid to its included PubMed ids (`_include_map`).
+    Reviews without review text, or with zero or more than twenty included
+    studies, are discarded before any client call. Bad client JSON is a
+    `MalformedResponse`; questions that cite their source review are a
+    `SelfReferenceViolation`.
     """
     items = []
     for review in reviews:
-        pmid = str(review["pmid"])
-        included = review.get("included_pmids") or []
+        if not review.review_text.strip():
+            continue
+        pmid = review.pmid
+        included = includes.get(pmid, [])
         if not (1 <= len(included) <= MAX_INCLUDED_STUDIES):
             logger.info(
                 "skip review %s for evidence_summary: %d included studies",
@@ -226,7 +225,7 @@ def gen_evidence_mcq(reviews: list[dict], llm_client) -> list[BenchmarkItem]:
                 len(included),
             )
             continue
-        raw = llm_client(EVIDENCE_MCQ_PROMPT.format(review_text=review["review_text"]))
+        raw = llm_client(EVIDENCE_MCQ_PROMPT.format(review_text=review.review_text))
         payload = json_answer(f"evidence answer for review {pmid}", raw)
         if not isinstance(payload, dict):
             raise MalformedResponse(f"review {pmid}: expected a JSON object")

@@ -109,6 +109,12 @@ def _exact(parsed: str, record: dict) -> float:
     return float(parsed == record["answer"])
 
 
+def _screening_parse(raw_output: str, record: dict) -> dict[str, str] | None:
+    """The labels given to the record's candidates; None when the answer labels none of them."""
+    labels = parse_screening_labels(raw_output)
+    return {candidate: labels[candidate] for candidate in record["answer"] if candidate in labels} or None
+
+
 def _screening_score(labels: dict[str, str], record: dict) -> float:
     """Fraction of candidates labelled right; an unmentioned candidate counts as "exclude"."""
     answer = record["answer"]
@@ -130,7 +136,7 @@ SCORERS: dict[str, Scorer] = {
         lambda raw, record: parse_pmid_list(raw),
         lambda pmids, record: recall_at_k(pmids, record["answer"], 100),
     ),
-    "study_screening": Scorer(lambda raw, record: parse_screening_labels(raw), _screening_score),
+    "study_screening": Scorer(_screening_parse, _screening_score),
     "evidence_summary": _MCQ,
 }
 
@@ -187,7 +193,7 @@ def evaluate_task(task: str, records: list[dict], predictions: dict[str, str]) -
         for labels, record in zip(parsed, records):
             for candidate, label in record["answer"].items():
                 truths.append(label)
-                preds.append(labels.get(candidate, "exclude"))
+                preds.append((labels or {}).get(candidate, "exclude"))
         report["precision"], report["recall"], report["accuracy"] = precision_recall_accuracy(truths, preds, "include")
     else:
         mean = sum(scorer.item_score(value, record) for value, record in zip(parsed, records)) / len(records)

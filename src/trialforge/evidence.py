@@ -1,7 +1,7 @@
 """Results, adverse events, dispositions, and outcome labels.
 
-Structured inputs are CT.gov documents, read through the checked view of
-`trialforge.ctgov`. Publication-side inputs flow through
+Structured inputs are CT.gov documents and PubMed articles, read through
+their checked views in `trialforge.views`. Publication-side inputs flow through
 two language-model prompts shipped as module constants, with injected
 ``(prompt: str) -> str`` clients doing the actual calls so everything can
 run against replay fixtures.
@@ -9,9 +9,8 @@ run against replay fixtures.
 Outcome labeling runs two independent tracks. Completed trials go through
 a decision cascade (registry status, model verdict over matched abstracts,
 p-value thresholds, fallback). Terminated trials map their stop reason to
-a curated category taxonomy by mean keyword similarity; the default scorer
-is lexical Jaccard so no model is needed, and a cross-encoder style scorer
-can be plugged in unchanged.
+a curated category taxonomy by mean lexical Jaccard keyword similarity,
+so no model is needed.
 """
 
 from __future__ import annotations
@@ -23,13 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from trialforge.clients import json_answer
-from trialforge.ctgov import CtgovDoc
 from trialforge.errors import DanglingReference, MalformedResponse, MissingResultsSection
 from trialforge.ontology.meddra import MeddraHierarchy, map_meddra
 from trialforge.schema import CanonicalStudy
+from trialforge.views import Article, CtgovDoc
 
 LlmClient = Callable[[str], str]
-Scorer = Callable[[str, str], float]
 
 TERMINATION_CATEGORIES = (
     "enrollment issues",
@@ -423,25 +421,22 @@ def title_cosine(a: str, b: str) -> float:
     return len(set_a & set_b) / math.sqrt(len(set_a) * len(set_b))
 
 
-def rank_abstracts(title: str, abstracts: Sequence[Mapping]) -> list[Mapping]:
+def rank_abstracts(title: str, abstracts: Sequence[Article]) -> list[Article]:
     """Order candidate abstracts by title similarity, stable on ties."""
-    return sorted(
-        abstracts,
-        key=lambda item: -title_cosine(title, item.get("title") or ""),
-    )
+    return sorted(abstracts, key=lambda article: -title_cosine(title, article.title))
 
 
-def build_outcome_prompt(study: CanonicalStudy, top_two: Sequence[Mapping]) -> str:
-    first = top_two[0] if len(top_two) > 0 else {}
-    second = top_two[1] if len(top_two) > 1 else {}
+def build_outcome_prompt(study: CanonicalStudy, top_two: Sequence[Article]) -> str:
+    slots = [(article.title, article.abstract) for article in top_two[:2]]
+    (title_1, abstract_1), (title_2, abstract_2) = slots + [("", "")] * (2 - len(slots))
     replacements = {
         "[nct_id]": study.study_id,
         "[official_title]": study.title,
         "[primary_outcomes]": "; ".join(study.primary_outcomes),
-        "[top_1_similar_article_title]": first.get("title") or "",
-        "[top_1_similar_article_abstract]": first.get("abstract") or "",
-        "[top_2_similar_article_title]": second.get("title") or "",
-        "[top_2_similar_article_abstract]": second.get("abstract") or "",
+        "[top_1_similar_article_title]": title_1,
+        "[top_1_similar_article_abstract]": abstract_1,
+        "[top_2_similar_article_title]": title_2,
+        "[top_2_similar_article_abstract]": abstract_2,
     }
     prompt = OUTCOME_PROMPT_TEMPLATE
     for slot, value in replacements.items():
@@ -455,7 +450,7 @@ def _normalize_status_text(raw: Optional[str]) -> str:
     return re.sub(r"[\s_-]+", " ", raw).strip().lower()
 
 
-def _llm_verdict(study: CanonicalStudy, abstracts: Sequence[Mapping], llm_client: LlmClient) -> str:
+def _llm_verdict(study: CanonicalStudy, abstracts: Sequence[Article], llm_client: LlmClient) -> str:
     answer = llm_client(build_outcome_prompt(study, rank_abstracts(study.title, abstracts)[:2]))
     verdict = answer.strip().lower()
     if verdict.startswith("positive"):
@@ -467,7 +462,7 @@ def _llm_verdict(study: CanonicalStudy, abstracts: Sequence[Mapping], llm_client
 
 def classify_completed_outcome(
     study: CanonicalStudy,
-    matched_abstracts: Sequence[Mapping],
+    matched_abstracts: Sequence[Article],
     llm_client: Optional[LlmClient],
     pvalues: Sequence[float],
 ) -> OutcomeLabel:
@@ -529,27 +524,23 @@ def load_termination_keywords() -> dict[str, list[str]]:
 def classify_termination_reason(
     stop_reason: str,
     keyword_sets: Optional[Mapping[str, Sequence[str]]] = None,
-    scorer: Optional[Scorer] = None,
 ) -> str:
     """Map a stop reason to ``terminated:<category>``.
 
-    The winning category has the highest mean similarity between the
-    reason and its keywords (config order breaks ties). When every
-    similarity is zero, nothing was recognized and the label falls back to
-    ``terminated:other``. The scorer is pluggable; the default is token
-    Jaccard so the pipeline runs without any model.
+    The winning category has the highest mean token Jaccard similarity
+    between the reason and its keywords (config order breaks ties). When
+    every similarity is zero, nothing was recognized and the label falls
+    back to ``terminated:other``.
     """
     if keyword_sets is None:
         keyword_sets = load_termination_keywords()
-    if scorer is None:
-        scorer = jaccard_scorer
 
     best_category = "other"
     best_score = 0.0
     for category, keywords in keyword_sets.items():
         if not keywords:
             continue
-        mean = sum(scorer(stop_reason, keyword) for keyword in keywords) / len(keywords)
+        mean = sum(jaccard_scorer(stop_reason, keyword) for keyword in keywords) / len(keywords)
         if mean > best_score:
             best_category, best_score = category, mean
     if best_score == 0.0:
@@ -561,7 +552,6 @@ def label_terminated_study(
     study: CanonicalStudy,
     stop_reason: str,
     keyword_sets: Optional[Mapping[str, Sequence[str]]] = None,
-    scorer: Optional[Scorer] = None,
 ) -> OutcomeLabel:
-    outcome_type = classify_termination_reason(stop_reason, keyword_sets, scorer)
+    outcome_type = classify_termination_reason(stop_reason, keyword_sets)
     return OutcomeLabel(study.study_id, outcome_type, "stop-reason-similarity")

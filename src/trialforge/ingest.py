@@ -2,10 +2,10 @@
 
 Registry rows arrive as flat column->value maps; each registry carries a
 field-mapping config under data/sources/<tag>.json so new registries can
-be onboarded without code changes. PubMed records are free text, handled
-with a small rule-based extraction layer (phase mentions, accrual
-phrases, labeled abstract sections). CT.gov documents arrive as the
-checked view of `ctgov.parse_ctgov_doc`.
+be onboarded without code changes. PubMed articles and CT.gov documents
+arrive as their checked views (`trialforge.views`); article text is
+read by a small rule-based extraction layer (phase mentions, accrual
+phrases, labeled abstract sections).
 
 None of the parsers throw on messy text: a record missing critical
 fields comes back flagged instead, and the ingest stage refuses one
@@ -20,7 +20,6 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .ctgov import CtgovDoc
 from .errors import UnknownSource
 from .schema import (
     CanonicalStudy,
@@ -31,6 +30,7 @@ from .schema import (
     StudyType,
     needs_flag,
 )
+from .views import Article, CtgovDoc
 
 # --- phase detection ---------------------------------------------------------
 
@@ -296,29 +296,26 @@ def parse_registry_record(
 
 # --- PubMed records ------------------------------------------------------------
 
-def extract_pubmed_study(record: dict) -> CanonicalStudy:
-    """Turn a {pmid, title, abstract, year?} record into a canonical row.
+def extract_pubmed_study(article: Article) -> CanonicalStudy:
+    """Turn an article into a canonical row.
 
     Phases are unioned over title and abstract; accrual and results come
     from the abstract alone. Never raises on arbitrary text.
     """
-    pmid = str(record.get("pmid", "")).strip()
-    title = str(record.get("title", "") or "").strip()
-    abstract = str(record.get("abstract", "") or "")
-    year = record.get("year")
+    title, abstract = article.title.strip(), article.abstract
     size = detect_sample_size(abstract)
     return CanonicalStudy(
-        study_id=pmid,
+        study_id=article.pmid,
         source=Source.PUBMED,
         title=title,
         brief_summary=abstract.strip(),
         study_type=StudyType.PUBLICATION,
-        start_year=int(year) if isinstance(year, int) else None,
+        start_year=article.year,
         phases=detect_phase(title + " " + abstract),
         status=StudyStatus.OTHER,
         actual_accrual=size if size and size > 0 else None,
         results_text=extract_results_text(abstract),
-        flagged=needs_flag(pmid, title),
+        flagged=needs_flag(article.pmid, title),
     )
 
 

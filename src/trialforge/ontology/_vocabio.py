@@ -17,8 +17,10 @@ def iter_tsv(path: Path, columns: int) -> Iterator[list[str]]:
 
     Rows shorter than ``columns`` are padded with empty strings so loaders
     can rely on a fixed width; longer rows raise to surface editing slips
-    in the curated files.
+    in the curated files, and so does a missing file.
     """
+    if not path.is_file():
+        raise ValueError(f"{path}: no such vocabulary file")
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             row = line.rstrip("\n").split("\t")

@@ -1,11 +1,9 @@
-"""Adverse-event term mapping against a MedDRA hierarchy subset.
+"""Adverse-event term mapping against a MedDRA subset.
 
-Four levels are loaded (LLT, PT, HLT, HLGT) from tab-separated files:
+Two levels are loaded (LLT, PT) from tab-separated files:
 
 - ``meddra_llt.tsv``: LLT code, LLT name, parent PT code
-- ``meddra_pt.tsv``: PT code, PT name, parent HLT code
-- ``meddra_hlt.tsv``: HLT code, HLT name, parent HLGT code
-- ``meddra_hlgt.tsv``: HLGT code, HLGT name
+- ``meddra_pt.tsv``: PT code, PT name, parent HLT code (not read)
 
 Matching is case-insensitive and exact, LLT names first and PT names
 second. Either way the result is a PT code: LLT rows resolve through
@@ -28,44 +26,13 @@ class MeddraHierarchy:
 
     llt_to_pt: Mapping[str, str]
     pt_by_name: Mapping[str, str]
-    pt_names: Mapping[str, str]
-    pt_to_hlt: Mapping[str, str]
-    hlt_names: Mapping[str, str]
-    hlt_to_hlgt: Mapping[str, str]
-    hlgt_names: Mapping[str, str]
 
 
 def load_meddra(vocab_dir: Optional[Path] = None) -> MeddraHierarchy:
     base = vocab_dir if vocab_dir is not None else default_vocab_dir()
-
-    llt_to_pt = {name.lower(): pt_code for _llt_code, name, pt_code in iter_tsv(base / "meddra_llt.tsv", 3)}
-
-    pt_by_name: dict[str, str] = {}
-    pt_names: dict[str, str] = {}
-    pt_to_hlt: dict[str, str] = {}
-    for pt_code, name, hlt_code in iter_tsv(base / "meddra_pt.tsv", 3):
-        pt_by_name[name.lower()] = pt_code
-        pt_names[pt_code] = name
-        if hlt_code:
-            pt_to_hlt[pt_code] = hlt_code
-
-    hlt_names: dict[str, str] = {}
-    hlt_to_hlgt: dict[str, str] = {}
-    for hlt_code, name, hlgt_code in iter_tsv(base / "meddra_hlt.tsv", 3):
-        hlt_names[hlt_code] = name
-        if hlgt_code:
-            hlt_to_hlgt[hlt_code] = hlgt_code
-
-    hlgt_names = {code: name for code, name in iter_tsv(base / "meddra_hlgt.tsv", 2)}
-
     return MeddraHierarchy(
-        llt_to_pt=llt_to_pt,
-        pt_by_name=pt_by_name,
-        pt_names=pt_names,
-        pt_to_hlt=pt_to_hlt,
-        hlt_names=hlt_names,
-        hlt_to_hlgt=hlt_to_hlgt,
-        hlgt_names=hlgt_names,
+        llt_to_pt={name.lower(): pt_code for _llt_code, name, pt_code in iter_tsv(base / "meddra_llt.tsv", 3)},
+        pt_by_name={name.lower(): pt_code for pt_code, name, _hlt_code in iter_tsv(base / "meddra_pt.tsv", 3)},
     )
 
 

@@ -22,8 +22,8 @@ Expected corpus layout::
     corpus_dir/
       registry/<SOURCE>.json   JSON array of raw rows, filename = source tag
       ctgov/<nctid>.json       one registry document per trial
-      pubmed/articles.json     JSON array of {pmid, title, abstract, ...}
-      reviews/index.json       JSON array of review metadata dicts, each with a pmid
+      pubmed/articles.json     JSON array of articles, each with a pmid
+      reviews/index.json       JSON array of review metadata, each with a pmid
       reviews/<pmid>.xml       full-text reference sections (JATS-style)
       protocols/pairs.json     JSON array of protocol/registry pairs, each with an
                                nct_id and an integer registry_enrollment
@@ -31,11 +31,11 @@ Expected corpus layout::
 
 Every subdirectory is optional; missing ones simply contribute nothing.
 
-Stages read the inputs they share (CT.gov docs, PubMed articles, review
-index, merged studies, dedupe aliases, document index) through one run
-context that reads each on first use and keeps it for the whole run, so a
-skipped stage reads nothing. CT.gov docs are kept as their checked view
-(`ctgov.CtgovDoc`), parsed once per run.
+Stages read the corpus JSON inputs (CT.gov docs, PubMed articles, review
+index, protocol pairs) and what they share (merged studies, dedupe aliases,
+document index) through one run context that reads each on first use and
+keeps it for the whole run, so a skipped stage reads nothing. Each corpus
+JSON input is kept as its checked view (`views.py`), parsed once per run.
 
 A stage's outputs reach later stages through the same context: a stage
 that runs hands on the studies or table rows it wrote, and a later stage
@@ -79,7 +79,6 @@ from .clients import (
     llm_callable,
     rxnorm_callable,
 )
-from .ctgov import CtgovDoc, ctgov_study_id, parse_ctgov_doc
 from .dedupe import dedupe_corpus
 from .errors import ForgeError, MissingResultsSection
 from .evidence import (
@@ -122,6 +121,7 @@ from .schema import (
     read_studies_jsonl,
     write_studies_jsonl,
 )
+from .views import Article, CtgovDoc, ProtocolPair, Review, ctgov_study_id, parse_ctgov_doc, parse_entry
 
 logger = logging.getLogger(__name__)
 
@@ -452,21 +452,12 @@ def _json_objects(path: Path) -> list[dict]:
     return rows
 
 
-def _json_list(path: Path, sort_key: str, required: tuple[str, ...] = ()) -> list[dict]:
-    """A JSON array of objects ordered by one field; empty when the file is absent.
-
-    An object whose value for one of the ``required`` keys is absent, null
-    or blank text is a ValueError naming the file and the entry.
-    """
+def _corpus_entries(path: Path, cls: type) -> list:
+    """Each entry of a corpus JSON array read as a ``cls`` view, ordered by id; none when the file is absent."""
     if not path.is_file():
         return []
-    rows = _json_objects(path)
-    for position, row in enumerate(rows):
-        for key in required:
-            value = row.get(key)
-            if value is None or (type(value) is str and not value.strip()):
-                raise ValueError(f"{path}: entry {position} has no {key!r}")
-    return sorted(rows, key=lambda row: str(row.get(sort_key, "")))
+    views = [parse_entry(cls, row, f"{path}: entry {n}") for n, row in enumerate(_json_objects(path))]
+    return sorted(views, key=lambda view: view[0])
 
 
 def _corpus_registry_batches(corpus_dir: Path) -> list[tuple[Path, list[dict]]]:
@@ -498,8 +489,8 @@ def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, CtgovDoc]:
     return docs
 
 
-def _corpus_pubmed_articles(corpus_dir: Path) -> list[dict]:
-    return _json_list(corpus_dir / "pubmed" / "articles.json", "pmid", required=("pmid",))
+def _corpus_pubmed_articles(corpus_dir: Path) -> list[Article]:
+    return _corpus_entries(corpus_dir / "pubmed" / "articles.json", Article)
 
 
 def _corpus_review_xmls(corpus_dir: Path) -> list[tuple[str, str]]:
@@ -510,16 +501,6 @@ def _corpus_review_xmls(corpus_dir: Path) -> list[tuple[str, str]]:
         (path.stem, path.read_text(encoding="utf-8"))
         for path in sorted(reviews_dir.glob("*.xml"))
     ]
-
-
-def _corpus_protocol_pairs(corpus_dir: Path) -> list[dict]:
-    path = corpus_dir / "protocols" / "pairs.json"
-    pairs = _json_list(path, "nct_id", required=("nct_id", "registry_enrollment"))
-    for pair in pairs:
-        enrollment = pair["registry_enrollment"]
-        if isinstance(enrollment, bool) or not isinstance(enrollment, int):
-            raise ValueError(f"{path}: registry_enrollment of {pair['nct_id']} is {enrollment!r}, expected an integer")
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +589,16 @@ class _RunContext:
         return _corpus_ctgov_docs(self.settings.corpus_dir)
 
     @cached_property
-    def pubmed_articles(self) -> list[dict]:
+    def pubmed_articles(self) -> list[Article]:
         return _corpus_pubmed_articles(self.settings.corpus_dir)
 
     @cached_property
-    def reviews(self) -> list[dict]:
-        return _json_list(self.settings.corpus_dir / "reviews" / "index.json", "pmid", required=("pmid",))
+    def reviews(self) -> list[Review]:
+        return _corpus_entries(self.settings.corpus_dir / "reviews" / "index.json", Review)
+
+    @cached_property
+    def protocol_pairs(self) -> list[ProtocolPair]:
+        return _corpus_entries(self.settings.corpus_dir / "protocols" / "pairs.json", ProtocolPair)
 
     @cached_property
     def studies(self) -> list[CanonicalStudy]:
@@ -821,14 +806,12 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
     # PICO results for linked abstracts, re-keyed to the surviving study id.
     pico_count = 0
     for article in articles:
-        pmid = str(article.get("pmid", "")).strip()
-        title = str(article.get("title") or "").strip()
-        abstract = str(article.get("abstract") or "").strip()
-        if not pmid or not title or not abstract:
+        title, abstract = article.title.strip(), article.abstract.strip()
+        if not title or not abstract:
             continue
-        study_id = aliases.get(pmid, pmid)
+        study_id = aliases.get(article.pmid, article.pmid)
         if study_id not in surviving:
-            logger.info("skip PICO for %s: no surviving study", pmid)
+            logger.info("skip PICO for %s: no surviving study", article.pmid)
             continue
         pico_rows = extract_pubmed_pico(study_id, title, abstract, clients.llm)
         result_rows.extend(pico_rows)
@@ -836,7 +819,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
         pico_count += len(pico_rows)
 
     # Outcome labels for every completed or terminated study.
-    nct_abstracts: dict[str, list[dict]] = {}
+    nct_abstracts: dict[str, list[Article]] = {}
     for article in articles:
         for triple in extract_nct_links(article):
             if triple.tail_source is Source.CTGOV:
@@ -852,9 +835,8 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
             seen_pmids: set[str] = set()
             for alias in index.all_ids(study.study_id):
                 for article in nct_abstracts.get(alias, []):
-                    pmid = str(article.get("pmid", ""))
-                    if pmid not in seen_pmids:
-                        seen_pmids.add(pmid)
+                    if article.pmid not in seen_pmids:
+                        seen_pmids.add(article.pmid)
                         linked.append(article)
             labels.append(classify_completed_outcome(study, linked, clients.llm, pvalues))
         elif study.status is StudyStatus.TERMINATED:
@@ -881,8 +863,7 @@ def _stage_graph(run: _RunContext, out: Path) -> dict:
     for pmid, xml_text in _corpus_review_xmls(run.settings.corpus_dir):
         review_ids.add(pmid)
         triples.extend(extract_review_references(pmid, xml_text, awaiting=run.settings.awaiting))
-    for review in run.reviews:
-        review_ids.add(str(review.get("pmid", "")))
+    review_ids.update(review.pmid for review in run.reviews)
 
     for article in run.pubmed_articles:
         triples.extend(extract_nct_links(article))
@@ -928,7 +909,7 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     settings, clients, reviews = run.settings, run.clients, run.reviews
     triples = [decode_record(RelationTriple, row) for row in run.output_rows("graph", "relations.jsonl")]
 
-    review_pmids = {str(r.get("pmid", "")) for r in reviews}
+    review_pmids = {review.pmid for review in reviews}
     review_groups: dict[str, list[str]] = {}
     for triple in triples:
         if triple.head_id in review_pmids and triple.tail_source is Source.CTGOV:
@@ -940,7 +921,7 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     for field_name in DESIGN_FIELDS:
         items.extend(gen_design_mcq(review_groups, run.ctgov_docs, field_name, settings.seed))
 
-    items.extend(gen_sample_size_items(_corpus_protocol_pairs(settings.corpus_dir), clients.llm))
+    items.extend(gen_sample_size_items(run.protocol_pairs, clients.llm))
 
     labels = (decode_record(OutcomeLabel, row) for row in run.output_rows("extract", "trial_outcomes.jsonl"))
     outcomes = {label.study_id: label for label in labels}
@@ -954,22 +935,9 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     search_items = gen_search_items(reviews, triples)
     items.extend(search_items)
 
-    titles = {
-        str(a.get("pmid", "")): str(a.get("title") or "") for a in run.pubmed_articles
-    }
+    titles = {article.pmid: article.title for article in run.pubmed_articles}
     items.extend(gen_screening_items(reviews, triples, titles, settings.seed))
-
-    include_map = _include_map(triples)
-    evidence_reviews = [
-        {
-            "pmid": str(review["pmid"]),
-            "review_text": str(review.get("review_text") or ""),
-            "included_pmids": include_map.get(str(review["pmid"]), []),
-        }
-        for review in reviews
-        if str(review.get("review_text") or "").strip()
-    ]
-    items.extend(gen_evidence_mcq(evidence_reviews, clients.llm))
+    items.extend(gen_evidence_mcq(reviews, _include_map(triples), clients.llm))
 
     # Item ids are "<task>:<registry or PubMed id>" and no task name has a
     # digit, so the item id itself carries the recency key.

@@ -4,7 +4,7 @@ Three edge producers feed one assembler:
 
 * review full texts (JATS-style XML) yield include / exclude / awaiting /
   cite edges from their reference sections,
-* article records yield ``linked_to`` edges from accession numbers and
+* articles yield ``linked_to`` edges from accession numbers and
   registration sentences in the abstract,
 * :func:`assemble_graph` deduplicates everything, rejects self-loops, and
   computes the per-source-pair tallies used for the counts export.
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import MalformedXml, SelfLoop
 from .schema import RELATION_TYPES, RelationTriple, Source
 from .store import write_tsv
+from .views import Article
 
 NCT_PATTERN = re.compile(r"\bNCT\d{8}\b")
 
@@ -104,32 +105,20 @@ def extract_review_references(
     return triples
 
 
-def extract_nct_links(pubmed_record: dict) -> list[RelationTriple]:
+def extract_nct_links(article: Article) -> list[RelationTriple]:
     """Link an article to the trials it reports on.
 
-    Reads NCT ids from the record's ``accession_numbers`` list and from the
+    Reads NCT ids from the article's ``accession_numbers`` and from the
     abstract text ("... registered as NCT00004563."), takes the union, and
-    emits one ``linked_to`` edge per id. Records without a PMID or without
-    any NCT id yield nothing.
+    emits one ``linked_to`` edge per id. An article without any NCT id
+    yields nothing.
     """
-    pmid = str(pubmed_record.get("pmid", "") or "").strip()
-    if not pmid:
-        return []
-    found: list[str] = []
-    for accession in pubmed_record.get("accession_numbers") or []:
-        for nct_id in NCT_PATTERN.findall(str(accession)):
-            found.append(nct_id)
-    abstract = str(pubmed_record.get("abstract", "") or "")
-    found.extend(NCT_PATTERN.findall(abstract))
-
-    triples = []
-    seen = set()
-    for nct_id in found:
-        if nct_id in seen:
-            continue
-        seen.add(nct_id)
-        triples.append(RelationTriple(pmid, "linked_to", nct_id, Source.PUBMED, Source.CTGOV))
-    return triples
+    found = [nct_id for accession in article.accession_numbers for nct_id in NCT_PATTERN.findall(accession)]
+    found.extend(NCT_PATTERN.findall(article.abstract))
+    return [
+        RelationTriple(article.pmid, "linked_to", nct_id, Source.PUBMED, Source.CTGOV)
+        for nct_id in dict.fromkeys(found)  # first mention order, once each
+    ]
 
 
 @dataclass(frozen=True)

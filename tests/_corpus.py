@@ -1,11 +1,12 @@
 """Shared generators for randomized dedupe corpora used by unit and
-acceptance tests."""
+acceptance tests, and corpus entries read as their checked views."""
 
 from __future__ import annotations
 
 import random
 
 from trialforge.schema import CanonicalStudy, Source
+from trialforge.views import parse_entry
 
 BASE_TITLES = [
     "Exercise therapy for chronic knee pain in adults",
@@ -103,3 +104,8 @@ def make_dedupe_corpus(rng: random.Random, max_records: int = 100) -> list[Canon
             records.append(make_record(rng, gid, rng.choice(_SOURCES), base))
     del records[max_records:]
     return records
+
+
+def view(cls: type, fields: dict):
+    """``fields`` read as one corpus entry of view class ``cls``, through the reader the pipeline uses."""
+    return parse_entry(cls, fields, "entry 0")

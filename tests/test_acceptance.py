@@ -22,7 +22,6 @@ from _corpus import make_dedupe_corpus
 from trialforge.benchgen.splits import split_by_numeric_id, split_sizes
 from trialforge.dedupe import dedupe_corpus
 from trialforge.errors import CorpusTooSmall
-from trialforge.ctgov import parse_ctgov_doc
 from trialforge.evidence import parse_adverse_events
 from trialforge.metrics import (
     macro_f1,
@@ -39,6 +38,7 @@ from trialforge.ontology.biomarkers import (
 from trialforge.ontology.drugs import DrugResources, resolve_drugbank, resolve_rxnorm
 from trialforge.pipeline import STAGE_DIRS, PipelineSettings, run_pipeline
 from trialforge.reward import ClipConfig, grpo_advantages, grpo_clipped_term, score_reward
+from trialforge.views import parse_ctgov_doc
 
 
 def read_items(path: Path) -> dict[str, dict]:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from _corpus import view
 
 from trialforge.benchgen.design import gen_design_mcq, render_arms, render_eligibility, render_endpoints
 from trialforge.benchgen.items import BenchmarkItem, write_benchmark_files
@@ -20,7 +21,6 @@ from trialforge.benchgen.review_tasks import (
     split_search_items,
 )
 from trialforge.benchgen.splits import numeric_id_key, split_by_numeric_id, split_sizes
-from trialforge.ctgov import parse_ctgov_doc
 from trialforge.errors import (
     CorpusTooSmall,
     FieldMissing,
@@ -31,6 +31,7 @@ from trialforge.errors import (
 from trialforge.evidence import OutcomeLabel
 from trialforge.schema import CanonicalStudy, RelationTriple, Source, StudyStatus
 from trialforge.store import read_jsonl
+from trialforge.views import ProtocolPair, Review, parse_ctgov_doc
 
 
 class TestNumericKey:
@@ -307,13 +308,13 @@ class TestDesignMcq:
 class TestSampleSize:
     def test_matching_pair_kept(self):
         pairs = [
-            {
+            view(ProtocolPair, {
                 "nct_id": "NCT06330298",
                 "title": "Adaptive dosing study",
                 "section_text": "A total of 84 participants (42 per arm) gives 90% power.",
                 "registry_enrollment": 84,
                 "assumptions_summary": "Two-arm design, 90% power, alpha 0.05.",
-            }
+            })
         ]
         items = gen_sample_size_items(pairs)
         assert len(items) == 1
@@ -324,23 +325,23 @@ class TestSampleSize:
 
     def test_mismatch_filtered(self):
         pairs = [
-            {
+            view(ProtocolPair, {
                 "nct_id": "N1",
                 "section_text": "62 participants give 80% power.",
                 "registry_enrollment": 84,
                 "assumptions_summary": "text",
-            }
+            })
         ]
         assert gen_sample_size_items(pairs) == []
 
     def test_no_numbers_filtered(self):
         pairs = [
-            {
+            view(ProtocolPair, {
                 "nct_id": "N1",
                 "section_text": "Sample size was chosen pragmatically.",
                 "registry_enrollment": 84,
                 "assumptions_summary": "text",
-            }
+            })
         ]
         assert gen_sample_size_items(pairs) == []
 
@@ -355,12 +356,12 @@ class TestSampleSize:
             return "Summary from client."
 
         pairs = [
-            {
+            view(ProtocolPair, {
                 "nct_id": "N1",
                 "title": "T",
                 "section_text": "84 participants give 90% power.",
                 "registry_enrollment": 84,
-            }
+            })
         ]
         items = gen_sample_size_items(pairs, client)
         assert "Summary from client." in items[0].input_text
@@ -368,11 +369,11 @@ class TestSampleSize:
 
     def test_no_summary_no_client_skipped(self):
         pairs = [
-            {
+            view(ProtocolPair, {
                 "nct_id": "N1",
                 "section_text": "84 participants.",
                 "registry_enrollment": 84,
-            }
+            })
         ]
         assert gen_sample_size_items(pairs) == []
 
@@ -460,7 +461,7 @@ class TestCompletion:
 
 
 def make_reviews():
-    return [
+    entries = [
         {
             "pmid": "38078494",
             "background": "Epilepsy background.",
@@ -480,6 +481,7 @@ def make_reviews():
             "criteria": "Trials of bed rest in pregnancy.",
         },
     ]
+    return [view(Review, entry) for entry in entries]
 
 
 def include(head, tail):
@@ -559,7 +561,7 @@ class TestScreening:
         assert items[0].provenance["candidate_order"] == list(items[0].answer)
 
     def test_missing_criteria_skipped(self):
-        review = [{"pmid": "38078494", "background": "b"}]
+        review = [view(Review, {"pmid": "38078494", "background": "b"})]
         triples = [include("38078494", "11")]
         assert gen_screening_items(review, triples, {}, seed=5) == []
 
@@ -579,12 +581,10 @@ GOOD_MCQ = json.dumps(
 
 
 class TestEvidenceMcq:
-    def review(self, pmid="10796093", included_count=4):
-        return {
-            "pmid": pmid,
-            "review_text": "Bed rest versus ambulatory management: conclusions text.",
-            "included_pmids": [str(n) for n in range(included_count)],
-        }
+    includes = {"10796093": ["0", "1", "2", "3"]}
+
+    def review(self, pmid="10796093"):
+        return view(Review, {"pmid": pmid, "review_text": "Bed rest versus ambulatory management: conclusions text."})
 
     def test_good_generation(self):
         prompts = []
@@ -593,7 +593,7 @@ class TestEvidenceMcq:
             prompts.append(prompt)
             return GOOD_MCQ
 
-        items = gen_evidence_mcq([self.review()], client)
+        items = gen_evidence_mcq([self.review()], self.includes, client)
         assert len(items) == 1
         item = items[0]
         assert item.answer == "C"
@@ -609,43 +609,41 @@ class TestEvidenceMcq:
             calls.append(prompt)
             return GOOD_MCQ
 
-        items = gen_evidence_mcq(
-            [
-                self.review("1", included_count=0),
-                self.review("2", included_count=21),
-                self.review("3", included_count=20),
-                self.review("4", included_count=1),
-            ],
-            client,
-        )
+        counts = {"1": 0, "2": 21, "3": 20, "4": 1}
+        includes = {pmid: [str(n) for n in range(count)] for pmid, count in counts.items()}
+        items = gen_evidence_mcq([self.review(pmid) for pmid in counts], includes, client)
         assert [item.provenance["review_pmid"] for item in items] == ["3", "4"]
         assert len(calls) == 2
 
+    def test_review_without_text_skipped(self):
+        blank = view(Review, {"pmid": "10796093", "review_text": " "})
+        assert gen_evidence_mcq([blank], self.includes, lambda prompt: pytest.fail("no call expected")) == []
+
     def test_malformed_json(self):
         with pytest.raises(MalformedResponse):
-            gen_evidence_mcq([self.review()], lambda prompt: "not json at all")
+            gen_evidence_mcq([self.review()], self.includes, lambda prompt: "not json at all")
 
     def test_code_fenced_json_accepted(self):
-        items = gen_evidence_mcq([self.review()], lambda prompt: f"```json\n{GOOD_MCQ}\n```")
+        items = gen_evidence_mcq([self.review()], self.includes, lambda prompt: f"```json\n{GOOD_MCQ}\n```")
         assert items[0].answer == "C"
 
     def test_answer_out_of_range(self):
         payload = json.loads(GOOD_MCQ)
         payload["answer"] = "E"
         with pytest.raises(MalformedResponse):
-            gen_evidence_mcq([self.review()], lambda prompt: json.dumps(payload))
+            gen_evidence_mcq([self.review()], self.includes, lambda prompt: json.dumps(payload))
 
     def test_duplicate_options_rejected(self):
         payload = json.loads(GOOD_MCQ)
         payload["options"] = ["same", "same", "other", "more"]
         with pytest.raises(MalformedResponse):
-            gen_evidence_mcq([self.review()], lambda prompt: json.dumps(payload))
+            gen_evidence_mcq([self.review()], self.includes, lambda prompt: json.dumps(payload))
 
     def test_self_reference_rejected(self):
         payload = json.loads(GOOD_MCQ)
         payload["question"] = "Based on the review, what did bed rest show?"
         with pytest.raises(SelfReferenceViolation):
-            gen_evidence_mcq([self.review()], lambda prompt: json.dumps(payload))
+            gen_evidence_mcq([self.review()], self.includes, lambda prompt: json.dumps(payload))
 
 
 class TestSelfReference:

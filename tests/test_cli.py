@@ -9,6 +9,7 @@ import pytest
 from trialforge import pipeline
 from trialforge.cli import main
 from trialforge.clients import ReplayStore, request_hash
+from trialforge.ontology._vocabio import default_vocab_dir
 
 
 @pytest.fixture(autouse=True)
@@ -210,8 +211,18 @@ def test_two_ctgov_files_with_one_nct_id_exit_2_naming_both(golden, tmp_path, ca
     ("reviews/index.json", "pmid", None, "entry 0 has no 'pmid'"),
     ("protocols/pairs.json", "nct_id", None, "entry 0 has no 'nct_id'"),
     ("protocols/pairs.json", "registry_enrollment", None, "entry 0 has no 'registry_enrollment'"),
-    ("protocols/pairs.json", "registry_enrollment", "about 80", "registry_enrollment of NCT06330298 is 'about 80', expected an integer"),
-], ids=["review-pmid", "pair-nct-id", "pair-enrollment", "pair-enrollment-text"])
+    ("protocols/pairs.json", "registry_enrollment", "about 80", "entry 0: registry_enrollment is 'about 80', expected int"),
+    # these used to crash with a TypeError, reach a service as a request no store holds,
+    # give the article a start year of 1, or drop a sample-size item without a word
+    ("pubmed/articles.json", "accession_numbers", 5, "entry 0: accession_numbers is 5, expected list or null"),
+    ("pubmed/articles.json", "title", {"en": "Lamotrigine"}, "entry 0: title is {'en': 'Lamotrigine'}, expected str or null"),
+    ("pubmed/articles.json", "year", True, "entry 0: year is True, expected int or null"),
+    ("reviews/index.json", "review_text", 7, "entry 0: review_text is 7, expected str or null"),
+    ("protocols/pairs.json", "section_text", ["84"], "entry 0: section_text is ['84'], expected str or null"),
+], ids=[
+    "review-pmid", "pair-nct-id", "pair-enrollment", "pair-enrollment-text", "article-accession-numbers-number",
+    "article-title-object", "article-year-boolean", "review-text-number", "pair-section-text-array",
+])
 def test_malformed_corpus_entry_is_invalid_input(golden, tmp_path, capsys, rel, key, value, message):
     corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
     entries = json.loads((corpus / rel).read_text(encoding="utf-8"))
@@ -222,6 +233,37 @@ def test_malformed_corpus_entry_is_invalid_input(golden, tmp_path, capsys, rel, 
     (corpus / rel).write_text(json.dumps(entries), encoding="utf-8")
     assert main(pipeline_argv("run-all", golden, tmp_path / "out", corpus=corpus)) == 2
     assert capsys.readouterr().err == f"invalid input: {corpus / rel}: {message}\n"
+
+
+@pytest.mark.parametrize("ids", ["padded", "integer"])
+def test_corpus_entry_ids_are_read_once_as_stripped_text(golden, tmp_path, ids):
+    # the review XML file name and ingest strip a review id; graph and benchmarks
+    # used to key on it as written and lost that review's items
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    for rel, key in (("reviews/index.json", "pmid"), ("pubmed/articles.json", "pmid"), ("protocols/pairs.json", "nct_id")):
+        entries = json.loads((corpus / rel).read_text(encoding="utf-8"))
+        for entry in entries:
+            if ids == "padded":
+                entry[key] = f" {entry[key]}\t"
+            elif entry[key].isdigit():
+                entry[key] = int(entry[key])
+        (corpus / rel).write_text(json.dumps(entries), encoding="utf-8")
+    benchmarks = {}
+    for name, source in (("golden", golden.corpus), (ids, corpus)):
+        assert main(pipeline_argv("run-all", golden, tmp_path / name, corpus=source)) == 0
+        benchmarks[name] = {path.name: path.read_bytes() for path in (tmp_path / name / "07_benchmarks").glob("*.jsonl")}
+    assert len(benchmarks["golden"]) == 8
+    assert benchmarks[ids] == benchmarks["golden"]
+
+
+@pytest.mark.parametrize("name", ["drugbank_brands.tsv", "meddra_llt.tsv"])
+def test_vocab_dir_without_a_file_a_loader_reads_exits_2_naming_it(golden, tmp_path, capsys, name):
+    vocab = shutil.copytree(default_vocab_dir(), tmp_path / "vocab")
+    (vocab / name).unlink()
+    config = tmp_path / "forge.cfg"
+    config.write_text(f"vocab_dir = {vocab}\n", encoding="utf-8")
+    assert main(pipeline_argv("run-all", golden, tmp_path / "out", config=config)) == 2
+    assert capsys.readouterr().err == f"invalid input: {vocab / name}: no such vocabulary file\n"
 
 
 @pytest.mark.parametrize("module, key, value", [

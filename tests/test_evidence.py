@@ -3,8 +3,8 @@ import math
 import random
 
 import pytest
+from _corpus import view
 
-from trialforge.ctgov import parse_ctgov_doc
 from trialforge.errors import (
     ClientUnavailable,
     DanglingReference,
@@ -36,6 +36,7 @@ from trialforge.evidence import (
 )
 from trialforge.ontology.meddra import load_meddra
 from trialforge.schema import CanonicalStudy, Source
+from trialforge.views import Article, parse_ctgov_doc
 
 
 def make_study(study_id="NCT01000001", title="Ranibizumab for neovascular AMD", raw_status=None, outcomes=None):
@@ -405,6 +406,10 @@ class TestPicoExtraction:
         assert [row.arm_label for row in rows] == ["I"]
 
 
+def article(title, abstract):
+    return view(Article, {"pmid": "1", "title": title, "abstract": abstract})
+
+
 class TestAbstractRanking:
     def test_title_cosine_hand_value(self):
         value = title_cosine("Ranibizumab for neovascular AMD", "ranibizumab amd trial")
@@ -415,13 +420,13 @@ class TestAbstractRanking:
 
     def test_ranking_stable(self):
         abstracts = [
-            {"title": "Unrelated paper about diabetes", "abstract": "a"},
-            {"title": "Ranibizumab for neovascular AMD outcomes", "abstract": "b"},
-            {"title": "Ranibizumab AMD study", "abstract": "c"},
+            article("Unrelated paper about diabetes", "a"),
+            article("Ranibizumab for neovascular AMD outcomes", "b"),
+            article("Ranibizumab AMD study", "c"),
         ]
         ranked = rank_abstracts("Ranibizumab for neovascular AMD", abstracts)
-        assert ranked[0]["abstract"] == "b"
-        assert ranked[-1]["abstract"] == "a"
+        assert ranked[0].abstract == "b"
+        assert ranked[-1].abstract == "a"
 
 
 class TestCompletedCascade:
@@ -430,18 +435,18 @@ class TestCompletedCascade:
             raise AssertionError("llm must not be called")
 
         study = make_study(raw_status="APPROVED_FOR_MARKETING")
-        label = classify_completed_outcome(study, [{"title": "x", "abstract": "y"}], exploding, [0.2])
+        label = classify_completed_outcome(study, [article("x", "y")], exploding, [0.2])
         assert (label.outcome_type, label.evidence) == ("approved-for-marketing", "status")
 
     def test_llm_verdict_wins(self):
         label = classify_completed_outcome(
-            make_study(), [{"title": "t", "abstract": "a"}], lambda prompt: "negative outcome", [0.001]
+            make_study(), [article("t", "a")], lambda prompt: "negative outcome", [0.001]
         )
         assert (label.outcome_type, label.evidence) == ("negative", "llm")
 
     def test_llm_unknown_falls_to_strict_pvalue(self):
         label = classify_completed_outcome(
-            make_study(), [{"title": "t", "abstract": "a"}], lambda prompt: "unknown", [0.2, 0.004]
+            make_study(), [article("t", "a")], lambda prompt: "unknown", [0.2, 0.004]
         )
         assert (label.outcome_type, label.evidence) == ("positive", "pvalue@0.01")
 
@@ -466,7 +471,7 @@ class TestCompletedCascade:
             raise error
 
         with pytest.raises(exc) as excinfo:
-            classify_completed_outcome(make_study(), [{"title": "t", "abstract": "a"}], failing, [0.2])
+            classify_completed_outcome(make_study(), [article("t", "a")], failing, [0.2])
         assert excinfo.value is error
 
     def test_prompt_slots_filled(self):
@@ -477,8 +482,8 @@ class TestCompletedCascade:
             return "unknown"
 
         abstracts = [
-            {"title": "Ranibizumab for neovascular AMD: 12 month outcomes", "abstract": "ABSTRACT-ONE"},
-            {"title": "An unrelated screening paper", "abstract": "ABSTRACT-TWO"},
+            article("Ranibizumab for neovascular AMD: 12 month outcomes", "ABSTRACT-ONE"),
+            article("An unrelated screening paper", "ABSTRACT-TWO"),
         ]
         classify_completed_outcome(make_study(), abstracts, client, [])
         prompt = prompts[0]
@@ -489,11 +494,16 @@ class TestCompletedCascade:
         assert prompt.index("ABSTRACT-ONE") < prompt.index("ABSTRACT-TWO")
         assert "[nct_id]" not in prompt and "[official_title]" not in prompt
 
+    def test_prompt_with_one_abstract_leaves_the_second_slots_empty(self):
+        prompt = build_outcome_prompt(make_study(), [article("Only title", "ONLY-ABSTRACT")])
+        assert "Only title" in prompt and "ONLY-ABSTRACT" in prompt
+        assert "[top_2_similar_article_title]" not in prompt and "[top_2_similar_article_abstract]" not in prompt
+
     def test_cascade_total_over_grid(self):
         # every combination of inputs produces exactly one valid label
         verdicts = ["positive outcome", "negative outcome", "unknown", "something else"]
         for verdict in verdicts:
-            for abstracts in ([], [{"title": "t", "abstract": "a"}]):
+            for abstracts in ([], [article("t", "a")]):
                 for pvalues in ([], [0.004], [0.03], [0.8]):
                     for raw_status in (None, "COMPLETED", "Approved for marketing"):
                         study = make_study(raw_status=raw_status)
@@ -537,35 +547,31 @@ class TestTermination:
         assert jaccard_scorer("", "anything") == 0.0
 
     def test_tie_breaks_by_config_order(self):
-        keyword_sets = {"first category": ["alpha"], "second category": ["alpha"]}
-        # force an exact tie through a constant scorer
-        label = classify_termination_reason("anything", keyword_sets, scorer=lambda r, k: 0.5)
+        # both categories score a Jaccard mean of 1/2
+        keyword_sets = {"first category": ["slow accrual"], "second category": ["slow funding"]}
+        label = classify_termination_reason("slow", keyword_sets)
         assert label == "terminated:first category"
+        reversed_sets = dict(reversed(keyword_sets.items()))
+        assert classify_termination_reason("slow", reversed_sets) == "terminated:second category"
 
     def test_scorer_monotone(self):
+        # the reason itself as one more keyword of the winner raises its mean, and no other
         rng = random.Random(7)
+        words = ["slow", "accrual", "safety", "signal", "sponsor", "funding", "lack", "efficacy", "drug", "supply"]
         categories = [c for c in TERMINATION_CATEGORIES if c != "other"]
         for _ in range(100):
-            base = {
-                (category, index): rng.random()
+            keyword_sets = {
+                category: [" ".join(rng.sample(words, rng.randint(1, 3))) for _ in range(3)]
                 for category in categories
-                for index in range(3)
             }
-            keyword_sets = {category: [f"{category}:{index}" for index in range(3)] for category in categories}
-
-            def scorer(reason, keyword, table=base):
-                category, index = keyword.rsplit(":", 1)
-                return table[(category, int(index))]
-
-            winner = classify_termination_reason("reason", keyword_sets, scorer)
+            reason = " ".join(rng.sample(words, 3))
+            winner = classify_termination_reason(reason, keyword_sets)
             category = winner.split(":", 1)[1]
-
-            def boosted(reason, keyword, table=base):
-                cat, index = keyword.rsplit(":", 1)
-                bump = 0.7 if cat == category else 0.0
-                return table[(cat, int(index))] + bump
-
-            assert classify_termination_reason("reason", keyword_sets, boosted) == winner
+            if category == "other":
+                continue
+            boosted = dict(keyword_sets)
+            boosted[category] = keyword_sets[category] + [reason]
+            assert classify_termination_reason(reason, boosted) == winner
 
     def test_label_wrapper(self):
         study = CanonicalStudy(study_id="NCT02823470", source=Source.CTGOV, title="t")

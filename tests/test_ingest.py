@@ -3,8 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from _corpus import view
 
-from trialforge.ctgov import parse_ctgov_doc
 from trialforge.errors import UnknownSource
 from trialforge.ingest import (
     detect_phase,
@@ -24,6 +24,7 @@ from trialforge.schema import (
     StudyType,
     encode_study,
 )
+from trialforge.views import Article, parse_ctgov_doc
 
 P = PhaseLabel
 
@@ -176,7 +177,7 @@ def test_every_registry_has_a_mapping():
 # --- pubmed parsing -------------------------------------------------------------
 
 def test_extract_pubmed_study_fields():
-    record = {
+    record = view(Article, {
         "pmid": "20696552",
         "title": "Add-on lamotrigine for drug-resistant partial epilepsy: a Phase III trial",
         "abstract": (
@@ -185,7 +186,7 @@ def test_extract_pubmed_study_fields():
             "Conclusions: lamotrigine helps."
         ),
         "year": 2010,
-    }
+    })
     s = extract_pubmed_study(record)
     assert s.study_id == "20696552"
     assert s.source is Source.PUBMED
@@ -199,7 +200,7 @@ def test_extract_pubmed_study_fields():
 
 def test_extract_pubmed_union_of_title_and_abstract_phases():
     s = extract_pubmed_study(
-        {"pmid": "1", "title": "A Phase I study", "abstract": "Later became phase II."}
+        view(Article, {"pmid": "1", "title": "A Phase I study", "abstract": "Later became phase II."})
     )
     assert s.phases == {P.PHASE1, P.PHASE2}
 
@@ -209,16 +210,16 @@ def test_extract_pubmed_never_throws_on_noise():
     alphabet = "abz 019,./:()<>é中😀phase iv patients:"
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
-        s = extract_pubmed_study({"pmid": "77", "title": text, "abstract": text})
+        s = extract_pubmed_study(view(Article, {"pmid": "77", "title": text, "abstract": text}))
         assert s.study_id == "77"
         # output is serializable and stable
         assert encode_study(s) == encode_study(extract_pubmed_study(
-            {"pmid": "77", "title": text, "abstract": text}
+            view(Article, {"pmid": "77", "title": text, "abstract": text})
         ))
 
 
 def test_extract_pubmed_empty_title_flagged():
-    s = extract_pubmed_study({"pmid": "5", "title": "", "abstract": "text"})
+    s = extract_pubmed_study(view(Article, {"pmid": "5", "title": "", "abstract": "text"}))
     assert s.flagged is True
 
 

@@ -159,7 +159,7 @@ class TestMeddra:
         # "Fever" is an LLT under the PT Pyrexia
         code = map_meddra("FEVER", hierarchy)
         assert code == "10016558"
-        assert hierarchy.pt_names[code] == "Pyrexia"
+        assert hierarchy.pt_by_name["pyrexia"] == code
 
     def test_llt_phrase(self, hierarchy):
         assert map_meddra("feeling queasy", hierarchy) == "10028813"
@@ -172,20 +172,8 @@ class TestMeddra:
         hierarchy = MeddraHierarchy(
             llt_to_pt={"nausea": "PT-VIA-LLT"},
             pt_by_name={"nausea": "PT-DIRECT"},
-            pt_names={},
-            pt_to_hlt={},
-            hlt_names={},
-            hlt_to_hlgt={},
-            hlgt_names={},
         )
         assert map_meddra("nausea", hierarchy) == "PT-VIA-LLT"
-
-    def test_hierarchy_chain_loaded(self, hierarchy):
-        pt = map_meddra("Nausea", hierarchy)
-        hlt = hierarchy.pt_to_hlt[pt]
-        hlgt = hierarchy.hlt_to_hlgt[hlt]
-        assert hierarchy.hlt_names[hlt] == "Nausea and vomiting symptoms"
-        assert hierarchy.hlgt_names[hlgt].startswith("Gastrointestinal")
 
 
 class TestBiomarkers:

@@ -229,6 +229,15 @@ def test_golden_hashes_are_pinned(golden, tmp_path):
         assert summary["stages"]["database"]["counts"]["bundle_hash"] == GOLDEN_BUNDLE_HASH
 
 
+def test_vocab_without_the_hlt_and_hlgt_levels_gives_the_same_bundle(golden, tmp_path):
+    # MedDRA mapping reads the LLT and PT levels only
+    vocab = shutil.copytree(default_vocab_dir(), tmp_path / "vocab")
+    for name in ("meddra_hlt.tsv", "meddra_hlgt.tsv"):
+        (vocab / name).unlink(missing_ok=True)
+    summary = run_pipeline(replay_settings(golden, tmp_path / "out", vocab_dir=vocab))
+    assert summary["stages"]["database"]["counts"]["bundle_hash"] == GOLDEN_BUNDLE_HASH
+
+
 def test_rerun_skips_every_intact_stage(golden, tmp_path):
     settings = replay_settings(golden, tmp_path / "out")
     first = run_pipeline(settings)

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from _corpus import view
 
 from trialforge.errors import MalformedXml, SelfLoop
 from trialforge.relations import (
@@ -14,6 +15,7 @@ from trialforge.relations import (
 )
 from trialforge.schema import RelationTriple, Source, decode_record
 from trialforge.store import read_tsv, table_row, write_database
+from trialforge.views import Article
 
 
 REVIEW_XML = """<article>
@@ -121,33 +123,35 @@ class TestReviewReferences:
 
 class TestNctLinks:
     def test_accession_number(self):
-        record = {"pmid": "123", "accession_numbers": ["NCT01234567"]}
+        record = view(Article, {"pmid": "123", "accession_numbers": ["NCT01234567"]})
         assert extract_nct_links(record) == [
             RelationTriple("123", "linked_to", "NCT01234567", Source.PUBMED, Source.CTGOV)
         ]
 
     def test_abstract_pattern(self):
-        record = {"pmid": "123", "abstract": "The trial was registered as NCT00004563."}
+        record = view(Article, {"pmid": "123", "abstract": "The trial was registered as NCT00004563."})
         triples = extract_nct_links(record)
         assert [t.tail_id for t in triples] == ["NCT00004563"]
 
     def test_union_dedupes(self):
-        record = {
+        record = view(Article, {
             "pmid": "123",
             "accession_numbers": ["NCT00004563"],
             "abstract": "Registered as NCT00004563 and NCT00056836.",
-        }
+        })
         triples = extract_nct_links(record)
         assert [t.tail_id for t in triples] == ["NCT00004563", "NCT00056836"]
 
     def test_near_miss_patterns_ignored(self):
-        record = {"pmid": "9", "abstract": "See NCT0000015 and NCT000001501X and ANCT00000150."}
+        record = view(Article, {"pmid": "9", "abstract": "See NCT0000015 and NCT000001501X and ANCT00000150."})
         # 7 digits, 9 digits-with-suffix boundary still matches inner id, leading letter breaks \b
         triples = extract_nct_links(record)
         assert [t.tail_id for t in triples] == []
 
     def test_no_pmid(self):
-        assert extract_nct_links({"abstract": "NCT00000150"}) == []
+        # an article without a PMID is refused when read, so it links nothing
+        with pytest.raises(ValueError, match="entry 0 has no 'pmid'"):
+            view(Article, {"abstract": "NCT00000150"})
 
 
 def triple(head, relation, tail):

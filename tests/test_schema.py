@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trialforge.ctgov import parse_ctgov_doc
 from trialforge.errors import SchemaVersionMismatch
 from trialforge.ingest import parse_ctgov_study
 from trialforge.schema import (
@@ -28,6 +27,7 @@ from trialforge.schema import (
     validate_study,
     write_studies_jsonl,
 )
+from trialforge.views import parse_ctgov_doc
 
 
 def make_study(**overrides) -> CanonicalStudy:

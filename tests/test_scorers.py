@@ -100,12 +100,21 @@ def test_search_mean_score_is_recall_at_100(mixed):
 
 
 def test_screening_candidate_weighted_mean_is_micro_accuracy(mixed):
+    # over answers that label a candidate; one that labels none scores 0 as an item,
+    # while the micro counts read it as "exclude" for every candidate
     records, predictions = mixed["study_screening"]
-    scores = item_scores("study_screening", records, predictions)
-    weights = [len(record["answer"]) for record in records]
+    readable = [record for record in records if not record["id"].endswith("#garbage")]
+    scores = item_scores("study_screening", readable, predictions)
+    weights = [len(record["answer"]) for record in readable]
     weighted = sum(score * weight for score, weight in zip(scores, weights)) / sum(weights)
     assert 0 < weighted < 1
-    assert weighted == pytest.approx(evaluate_task("study_screening", records, predictions)["accuracy"])
+    assert weighted == pytest.approx(evaluate_task("study_screening", readable, predictions)["accuracy"])
+
+    unread = [record for record in records if record["id"].endswith("#garbage")]
+    assert item_scores("study_screening", unread, predictions) == [0.0] * len(unread)
+    labels = [label for record in unread for label in record["answer"].values()]
+    share_excluded = labels.count("exclude") / len(labels)
+    assert 0 < share_excluded == pytest.approx(evaluate_task("study_screening", unread, predictions)["accuracy"])
 
 
 @pytest.mark.parametrize("kinds", [("right",), ("right", "wrong"), ("right", "garbage"), ("wrong", "garbage")])
@@ -130,3 +139,12 @@ def test_evaluate_refuses_a_record_its_task_cannot_score(mixed):
     broken = dict(records[0], answer="716 participants")
     with pytest.raises(ValueError, match="cannot score answer '716 participants'"):
         evaluate_benchmarks(records[1:] + [broken], predictions)
+
+
+@pytest.mark.parametrize("answer", ["A", "99999999: include"], ids=["no-label", "no-candidate"])
+def test_screening_reward_pays_nothing_for_an_answer_that_labels_no_candidate(golden, answer):
+    path = golden.record_out / "07_benchmarks" / "study_screening.test.jsonl"
+    record = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+    assert "99999999" not in record["answer"]
+    outcome = score_reward(f"<answer>{answer}</answer>", record)
+    assert (outcome.total, outcome.performance, outcome.reason) == (0.0, 0.0, "unparseable_answer")
