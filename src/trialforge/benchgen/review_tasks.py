@@ -9,7 +9,7 @@ import re
 from ..clients import json_answer
 from ..errors import MalformedResponse, SelfReferenceViolation
 from ..schema import RelationTriple, Source
-from ..views import Review
+from ..views import EvidenceMcq, Review, parse_answer
 from .items import OPTION_LETTERS, BenchmarkItem
 from .splits import SplitAssignment, split_by_numeric_id
 
@@ -208,7 +208,9 @@ def gen_evidence_mcq(reviews: list[Review], includes: dict[str, list[str]], llm_
 
     ``includes`` maps a review pmid to its included PubMed ids (`_include_map`).
     Reviews without review text, or with zero or more than twenty included
-    studies, are discarded before any client call. Bad client JSON is a
+    studies, are discarded before any client call. An answer that is not an
+    `EvidenceMcq`, has a blank question, an answer that is not one letter
+    of its options, or does not make a `BenchmarkItem` is a
     `MalformedResponse`; questions that cite their source review are a
     `SelfReferenceViolation`.
     """
@@ -225,30 +227,23 @@ def gen_evidence_mcq(reviews: list[Review], includes: dict[str, list[str]], llm_
                 len(included),
             )
             continue
+        label = f"evidence answer for review {pmid}"
         raw = llm_client(EVIDENCE_MCQ_PROMPT.format(review_text=review.review_text))
-        payload = json_answer(f"evidence answer for review {pmid}", raw)
-        if not isinstance(payload, dict):
-            raise MalformedResponse(f"review {pmid}: expected a JSON object")
-
-        question = payload.get("question")
-        options = payload.get("options")
-        answer = payload.get("answer")
-        if not isinstance(question, str) or not question.strip():
+        mcq = parse_answer(EvidenceMcq, json_answer(label, raw), label)
+        if not mcq.question.strip():
             raise MalformedResponse(f"review {pmid}: missing question")
-        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
-            raise MalformedResponse(f"review {pmid}: options must be a list of strings")
-        if not isinstance(answer, str) or answer.strip().upper() not in OPTION_LETTERS[: len(options)]:
+        if mcq.answer.strip().upper() not in tuple(OPTION_LETTERS[: len(mcq.options)]):
             raise MalformedResponse(f"review {pmid}: answer letter out of range")
-        check_self_reference(question)
+        check_self_reference(mcq.question)
 
         try:
             item = BenchmarkItem(
                 task="evidence_summary",
                 item_id=f"evidence_summary:{pmid}",
                 instruction=EVIDENCE_INSTRUCTION,
-                input_text=question.strip(),
-                answer=answer.strip().upper(),
-                options=tuple(option.strip() for option in options),
+                input_text=mcq.question.strip(),
+                answer=mcq.answer.strip().upper(),
+                options=tuple(option.strip() for option in mcq.options),
                 provenance={"review_pmid": pmid, "included_count": len(included)},
             )
         except ValueError as exc:

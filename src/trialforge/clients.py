@@ -18,8 +18,9 @@ both, so a record run and a replay of its store give the same outputs.
 
 `ServiceClient.call` alone decides what a failed call means. Callers only
 check what a response contains and let every `ClientError` through, so no
-output is derived from a call that failed. The adapters and `json_answer`
-refuse a response of the wrong shape as a `MalformedResponse`.
+output is derived from a call that failed. A response or a model answer of
+the wrong shape is a `MalformedResponse`: the adapters and every caller read
+it through `views.parse_answer`, after `json_answer` for an answer in JSON.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ClientUnavailable, MalformedResponse, ReplayMiss
+from .views import LlmAnswer, SearchAnswer, parse_answer
 
 logger = logging.getLogger(__name__)
 
@@ -190,23 +192,23 @@ def annotator_callable(client: ServiceClient) -> Callable[[dict], dict]:
     return lambda request: client.call("annotator", request)
 
 
-def _checked_call(client: ServiceClient, service: str, request, key: str, kind: type):
-    """``response[key]`` of the call; a response without a ``kind`` there is a `MalformedResponse`."""
+def _answer(client: ServiceClient, service: str, request, cls: type):
+    """The call's response read as the answer view ``cls``; a refusal is labelled by the service and request hash."""
     response = client.call(service, request)
-    value = response.get(key) if isinstance(response, dict) else None
-    if isinstance(value, kind):
-        return value
-    raise MalformedResponse(f"{service}:{request_hash(request)}: expected a {kind.__name__} {key!r}, got {response!r:.120}")
+    try:
+        return parse_answer(cls, response, "")
+    except MalformedResponse as exc:  # hashed only here: every model call passes through
+        raise MalformedResponse(f"{service}:{request_hash(request)}{exc}") from None
 
 
 def llm_callable(client: ServiceClient) -> Callable[[str], str]:
     """Adapter matching the prompt-in, text-out LLM signature."""
-    return lambda prompt: _checked_call(client, "llm", {"prompt": prompt}, "text", str)
+    return lambda prompt: _answer(client, "llm", {"prompt": prompt}, LlmAnswer).text
 
 
 def pubmed_search_callable(client: ServiceClient, k: int = 500) -> Callable[[str], list]:
     """Adapter returning the top-k PMID list for a query string."""
-    return lambda query: _checked_call(client, "pubmed_search", {"query": query, "k": k}, "ids", list)
+    return lambda query: list(_answer(client, "pubmed_search", {"query": query, "k": k}, SearchAnswer).ids)
 
 
 def json_answer(task: str, text: str):

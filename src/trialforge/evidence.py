@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from trialforge.clients import json_answer
-from trialforge.errors import DanglingReference, MalformedResponse, MissingResultsSection
+from trialforge.errors import DanglingReference, MissingResultsSection
 from trialforge.ontology.meddra import MeddraHierarchy, map_meddra
 from trialforge.schema import CanonicalStudy
-from trialforge.views import Article, CtgovDoc
+from trialforge.views import Article, CtgovDoc, PicoAnswer, parse_answer
 
 LlmClient = Callable[[str], str]
 
@@ -245,86 +245,44 @@ def parse_adverse_events(doc: CtgovDoc, hierarchy: Optional[MeddraHierarchy] = N
 # disposition
 
 
-def build_disposition(
-    design_groups: Sequence[Mapping],
-    interventions: Sequence[Mapping],
-    link_table: Sequence[Mapping],
-) -> list[DispositionRow]:
-    """Join design groups to interventions through the link table.
+def disposition_tables_from_ctgov(doc: CtgovDoc) -> list[tuple[Optional[int], int, str]]:
+    """Link a CT.gov document's interventions to its arm groups by ``armGroupLabels``.
 
-    Group and intervention rows may carry their key as ``id`` or as the
-    normalized ``design_group_id`` / ``intervention_id``; link rows use the
-    normalized names plus ``nct_id``. Link rows pointing at ids that do not
-    exist under the same ``nct_id`` are collected and reported together in
-    one ``DanglingReference``.
+    One ``(group position, intervention position, label)`` per label, in
+    intervention order. A label names the last arm group that has it; one
+    that names no group links to position None, which `build_disposition`
+    reports as dangling.
     """
-    groups = {}
-    for row in design_groups:
-        key = (row.get("nct_id"), row.get("design_group_id") or row.get("id"))
-        groups[key] = row
-    drugs = {}
-    for row in interventions:
-        key = (row.get("nct_id"), row.get("intervention_id") or row.get("id"))
-        drugs[key] = row
-
-    orphans = []
-    out: list[DispositionRow] = []
-    for link in link_table:
-        nct_id = link.get("nct_id")
-        group = groups.get((nct_id, link.get("design_group_id")))
-        drug = drugs.get((nct_id, link.get("intervention_id")))
-        if group is None or drug is None:
-            orphans.append(dict(link))
-            continue
-        description_parts = [part for part in (group.get("description"), drug.get("description")) if part]
-        out.append(
-            DispositionRow(
-                study_id=nct_id or "",
-                design_group_id=str(link.get("design_group_id")),
-                group_type=group.get("group_type") or "",
-                intervention_id=str(link.get("intervention_id")),
-                intervention_type=drug.get("intervention_type") or "",
-                treatment_name=drug.get("name") or "",
-                description=" | ".join(description_parts),
-            )
-        )
-    if orphans:
-        raise DanglingReference(f"{len(orphans)} link row(s) reference missing ids: {orphans}")
-    return out
+    positions = {arm.label: position for position, arm in enumerate(doc.arm_groups)}
+    return [
+        (positions.get(label), position, label)
+        for position, drug in enumerate(doc.interventions)
+        for label in drug.arm_group_labels
+    ]
 
 
-def disposition_tables_from_ctgov(doc: CtgovDoc) -> tuple[list[dict], list[dict], list[dict]]:
-    """Flatten a CT.gov document's arm groups and interventions into the three disposition tables.
+def build_disposition(doc: CtgovDoc, links: Sequence[tuple[Optional[int], int, str]]) -> list[DispositionRow]:
+    """One row per link of `disposition_tables_from_ctgov`: the arm group joined to its intervention.
 
-    Links are synthesized from each intervention's ``armGroupLabels``; a
-    label that names no group still produces a link row, which
-    ``build_disposition`` will then report as dangling.
+    Labels that name no arm group are reported together in one
+    ``DanglingReference``.
     """
-    nct_id = doc.nct_id
-    design_groups = []
-    label_to_id = {}
-    for position, arm in enumerate(doc.arm_groups):
-        group_id = f"{nct_id}:g{position}"
-        label_to_id[arm.label] = group_id
-        design_groups.append({
-            "nct_id": nct_id, "design_group_id": group_id, "group_type": arm.type,
-            "title": arm.label, "description": arm.description,
-        })
-
-    interventions = []
-    links = []
-    for position, drug in enumerate(doc.interventions):
-        intervention_id = f"{nct_id}:i{position}"
-        interventions.append({
-            "nct_id": nct_id, "intervention_id": intervention_id, "intervention_type": drug.type,
-            "name": drug.name, "description": drug.description,
-        })
-        links.extend(
-            {"nct_id": nct_id, "design_group_id": label_to_id.get(label, f"missing:{label}"),
-             "intervention_id": intervention_id}
-            for label in drug.arm_group_labels
+    dangling = [label for group, _, label in links if group is None]
+    if dangling:
+        raise DanglingReference(f"{doc.nct_id}: armGroupLabels {dangling} name no arm group")
+    return [
+        DispositionRow(
+            study_id=doc.nct_id,
+            design_group_id=f"{doc.nct_id}:g{group}",
+            group_type=arm.type,
+            intervention_id=f"{doc.nct_id}:i{position}",
+            intervention_type=drug.type,
+            treatment_name=drug.name,
+            description=" | ".join(part for part in (arm.description, drug.description) if part),
         )
-    return design_groups, interventions, links
+        for group, position, _ in links
+        for arm, drug in [(doc.arm_groups[group], doc.interventions[position])]
+    ]
 
 
 def pico_disposition_rows(study_id: str, pico_rows: Sequence[TrialResultRow]) -> list[DispositionRow]:
@@ -368,41 +326,25 @@ def build_pico_prompt(title: str, abstract: str) -> str:
 def extract_pubmed_pico(study_id: str, title: str, abstract: str, llm_client: LlmClient) -> list[TrialResultRow]:
     """Extract arm-level result rows from one abstract via the model.
 
-    The replayed answer must be a JSON object::
-
-        {"population": str, "population_n": int or null,
-         "outcomes": [{"intervention": str, "is_control": bool, "outcome": str}]}
-
-    Outcome entries without an intervention are dropped (no valid arm
-    label); a non-positive population_n is treated as absent.
+    The replayed answer is read as a `views.PicoAnswer`. Outcome entries
+    without an intervention are dropped (no valid arm label); a
+    non-positive population_n is treated as absent.
     """
-    parsed = json_answer(f"pico answer for {study_id}", llm_client(build_pico_prompt(title, abstract)))
-    if not isinstance(parsed, dict) or not isinstance(parsed.get("outcomes"), list):
-        raise MalformedResponse(f"pico answer for {study_id} has no outcomes list")
-
-    population = parsed.get("population") or ""
-    population_n = parsed.get("population_n")
-    if not isinstance(population_n, int) or population_n <= 0:
-        population_n = None
-
-    rows: list[TrialResultRow] = []
-    for outcome in parsed["outcomes"]:
-        if not isinstance(outcome, dict):
-            raise MalformedResponse(f"pico outcome entry for {study_id} malformed: {outcome!r}")
-        arm_label = outcome.get("intervention") or ""
-        if not arm_label:
-            continue
-        rows.append(
-            TrialResultRow(
-                study_id=study_id,
-                population_text=population,
-                population_n=population_n,
-                arm_label=arm_label,
-                is_control=bool(outcome.get("is_control")),
-                outcome_text=outcome.get("outcome") or "",
-            )
+    label = f"pico answer for {study_id}"
+    answer = parse_answer(PicoAnswer, json_answer(label, llm_client(build_pico_prompt(title, abstract))), label)
+    population_n = answer.population_n if (answer.population_n or 0) > 0 else None
+    return [
+        TrialResultRow(
+            study_id=study_id,
+            population_text=answer.population,
+            population_n=population_n,
+            arm_label=outcome.intervention,
+            is_control=bool(outcome.is_control),
+            outcome_text=outcome.outcome,
         )
-    return rows
+        for outcome in answer.outcomes
+        if outcome.intervention
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -202,10 +202,13 @@ def load_source_mapping(source: Source | str, mapping_dir: str | Path | None = N
 
 
 def _cell(raw: dict, column: str | None) -> str:
+    """A registry cell as stripped text: null or absent reads as "", a number as its text; any other type is a ValueError."""
     if not column:
         return ""
-    value = raw.get(column, "")
-    return value.strip() if isinstance(value, str) else str(value)
+    value = raw.get(column)
+    if type(value) not in (str, int, float, type(None)):
+        raise ValueError(f"{column} is {value!r}, expected str, int, float or null")
+    return value.strip() if type(value) is str else "" if value is None else str(value)
 
 
 def _parse_int_cell(text: str) -> int | None:

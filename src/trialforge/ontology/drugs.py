@@ -33,8 +33,8 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 from trialforge.dedupe import levenshtein
-from trialforge.errors import MalformedResponse
 from trialforge.ontology._vocabio import default_vocab_dir, iter_tsv
+from trialforge.views import RxnormAnswer, parse_answer
 
 RXNORM_METHODS = ("local", "remote", "spelling-suggestion", "none")
 DRUGBANK_METHODS = ("rxnorm-map", "exact", "synonym", "brand", "fuzzy", "none")
@@ -194,19 +194,13 @@ def load_drug_resources(vocab_dir: Optional[Path] = None) -> DrugResources:
     )
 
 
-def _call_remote(remote_client: RemoteClient, request: dict) -> dict:
-    response = remote_client(request)
-    if not isinstance(response, dict):
-        raise MalformedResponse(f"rxnorm {request.get('op')} returned {type(response).__name__}, expected object")
-    return response
+def _ask_rxnorm(remote_client: RemoteClient, op: str, name: str) -> RxnormAnswer:
+    return parse_answer(RxnormAnswer, remote_client({"op": op, "name": name}), f"rxnorm {op} answer for {name!r}")
 
 
 def _remote_rxcui(remote_client: RemoteClient, name: str) -> Optional[str]:
-    response = _call_remote(remote_client, {"op": "rxcui", "name": name})
-    rxcui = response.get("rxcui")
-    if rxcui is None:
-        return None
-    return str(rxcui)
+    rxcui = _ask_rxnorm(remote_client, "rxcui", name).rxcui
+    return None if rxcui is None else str(rxcui)
 
 
 def resolve_rxnorm(
@@ -220,7 +214,7 @@ def resolve_rxnorm(
     suggestions retried through local-then-remote lookup. Without a client
     the remote stages are skipped, and the client is called only when the
     local stage missed. Whatever the client raises propagates untouched; an
-    answer that is not a JSON object is a ``MalformedResponse``.
+    answer that is not an `RxnormAnswer` is a ``MalformedResponse``.
     """
     key = name.lower()
     rxcui = local_index.get(key)
@@ -233,10 +227,8 @@ def resolve_rxnorm(
     if rxcui is not None:
         return rxcui, "remote"
 
-    response = _call_remote(remote_client, {"op": "spelling", "name": key})
-    suggestions = response.get("suggestions") or []
-    for suggestion in suggestions:
-        candidate = str(suggestion).lower()
+    for suggestion in _ask_rxnorm(remote_client, "spelling", key).suggestions:
+        candidate = suggestion.lower()
         rxcui = local_index.get(candidate)
         if rxcui is None:
             rxcui = _remote_rxcui(remote_client, candidate)

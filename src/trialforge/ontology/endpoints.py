@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Optional
 
 from trialforge.clients import json_answer
 from trialforge.errors import MalformedResponse, TaxonomyViolation
+from trialforge.views import EndpointEntry, parse_answer
 
 LlmClient = Callable[[str], str]
 
@@ -138,24 +139,19 @@ def classify_endpoint(outcome_text: str, llm_client: LlmClient) -> list[Endpoint
     """Classify the primary outcome(s) described by ``outcome_text``.
 
     Returns one to a few classifications in the model's order. Raises
-    ``MalformedResponse`` when the answer is not the expected JSON list
-    and ``TaxonomyViolation`` when any pair falls outside the taxonomy.
+    ``MalformedResponse`` when the answer is not a non-empty JSON list of
+    `views.EndpointEntry` and ``TaxonomyViolation`` when any pair falls
+    outside the taxonomy.
     Whatever ``llm_client`` raises propagates untouched.
     """
-    parsed = json_answer("endpoint answer", llm_client(build_endpoint_prompt(outcome_text)))
-    if not isinstance(parsed, list) or not parsed:
-        raise MalformedResponse("endpoint answer must be a non-empty JSON list")
+    label = "endpoint answer"
+    entries = parse_answer(tuple[EndpointEntry, ...], json_answer(label, llm_client(build_endpoint_prompt(outcome_text))), label)
+    if not entries:
+        raise MalformedResponse(f"{label} is [], expected a non-empty list")
 
     out: list[EndpointClassification] = []
-    for item in parsed:
-        if not isinstance(item, dict) or "outcome" not in item or "domain" not in item:
-            raise MalformedResponse(f"endpoint answer entry malformed: {item!r}")
-        subdomain = item.get("subdomain")
-        if subdomain in ("", "null"):
-            subdomain = None
-        if subdomain is not None and not isinstance(subdomain, str):
-            raise MalformedResponse(f"endpoint subdomain must be string or null: {item!r}")
-        domain = item["domain"]
-        validate_endpoint_label(domain, subdomain)
-        out.append(EndpointClassification(outcome=str(item["outcome"]), domain=domain, subdomain=subdomain))
+    for entry in entries:
+        subdomain = None if entry.subdomain in ("", "null") else entry.subdomain
+        validate_endpoint_label(entry.domain, subdomain)
+        out.append(EndpointClassification(outcome=entry.outcome, domain=entry.domain, subdomain=subdomain))
     return out

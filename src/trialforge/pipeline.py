@@ -453,10 +453,18 @@ def _json_objects(path: Path) -> list[dict]:
 
 
 def _corpus_entries(path: Path, cls: type) -> list:
-    """Each entry of a corpus JSON array read as a ``cls`` view, ordered by id; none when the file is absent."""
+    """Each entry of a corpus JSON array read as a ``cls`` view, ordered by id; none when the file is absent.
+
+    Two entries with one id are a ValueError, except articles: dedupe merges or flags those.
+    """
     if not path.is_file():
         return []
-    views = [parse_entry(cls, row, f"{path}: entry {n}") for n, row in enumerate(_json_objects(path))]
+    views, first = [], {}
+    for n, row in enumerate(_json_objects(path)):
+        view = parse_entry(cls, row, f"{path}: entry {n}")
+        if cls is not Article and first.setdefault(view[0], n) != n:
+            raise ValueError(f"{path}: entries {first[view[0]]} and {n} both hold {cls._fields[0]} {view[0]!r}")
+        views.append(view)
     return sorted(views, key=lambda view: view[0])
 
 
@@ -629,7 +637,10 @@ def _stage_ingest(run: _RunContext, out: Path) -> dict:
         if rows:
             mapping = load_source_mapping(path.stem, run.settings.mapping_dir)
             for position, raw in enumerate(rows):
-                study = parse_registry_record(raw, path.stem, mapping)
+                try:
+                    study = parse_registry_record(raw, path.stem, mapping)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: entry {position}: {exc}") from None
                 if not study.study_id:
                     raise ValueError(f"{path}: entry {position} has no {mapping['fields'].get('study_id')!r}")
                 registry.append(study)
@@ -800,8 +811,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
 
     disposition_rows: list[DispositionRow] = []
     for study_id, doc in live_docs:
-        groups, interventions, links = disposition_tables_from_ctgov(doc)
-        disposition_rows.extend(rekey(study_id, build_disposition(groups, interventions, links)))
+        disposition_rows.extend(rekey(study_id, build_disposition(doc, disposition_tables_from_ctgov(doc))))
 
     # PICO results for linked abstracts, re-keyed to the surviving study id.
     pico_count = 0

@@ -1,24 +1,31 @@
-"""The checked views of the corpus JSON inputs: every field some reader uses, parsed once.
+"""The checked views of the corpus JSON inputs, service responses and model answers.
 
-A CT.gov document reads as a `CtgovDoc`, and each entry of
-``pubmed/articles.json``, ``reviews/index.json`` and ``protocols/pairs.json``
-as an `Article`, a `Review` or a `ProtocolPair`. Each view field is annotated
-with its key path below the document or its array entry, and its type gives
-the JSON types it takes. `parse_ctgov_doc` and `parse_entry` check every
-value by exact JSON type. Null or absent text reads as "", an array as no
-entries and an object on the way as empty; an ``Optional`` field keeps None,
-and any other field must be given. Text is kept as written. Any other value
-is a ValueError naming the document or entry and the key path below its
-module (the README's "CT.gov input" and "PubMed, review and protocol input"
-sections). The classes are named tuples: as immutable as a frozen dataclass,
-but built in one call instead of one ``object.__setattr__`` per field.
+A CT.gov document reads as a `CtgovDoc`, each entry of ``pubmed/articles.json``,
+``reviews/index.json`` and ``protocols/pairs.json`` as an `Article`, a `Review`
+or a `ProtocolPair`, and an answer as an answer view. Each view field is
+annotated with its key path, and its type gives the JSON types it takes.
+`parse_ctgov_doc`, `parse_entry` and `parse_answer` check every value by
+exact JSON type. Unless a field is marked `Given`, null or absent text reads
+as "" and an array as no entries (a null entry as an empty one). An object on
+the way reads as empty, an ``Optional`` field keeps None, and any other field
+must be given. Text is kept as written. Any other value is refused, naming the document, entry or
+answer and the key path below its module (the README's "CT.gov input",
+"PubMed, review and protocol input" and "Service responses and model
+answers" sections). The classes are named tuples: as immutable as a frozen
+dataclass, but built in one call instead of one ``object.__setattr__`` per field.
 """
 
 from functools import cache
 from typing import Annotated, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
+from .errors import MalformedResponse
+
 #: A value CT.gov writes as a number or as text, kept as written.
 Scalar = Union[str, int, float, None]
+
+
+class Given:
+    """Marks a field that must be given: null or absence is refused, and so is a null entry of its array."""
 
 
 class Outcome(NamedTuple):
@@ -146,6 +153,62 @@ class ProtocolPair(NamedTuple):
     registry_enrollment: Annotated[int, "registry_enrollment"]
 
 
+# Service responses and model answers, read by `parse_answer`.
+
+
+class MeshConcept(NamedTuple):
+    mesh_id: Annotated[str, "mesh_id", Given]
+    mesh_term: Annotated[str, "mesh_term", Given]
+
+
+class Annotation(NamedTuple):
+    mesh_id: Annotated[str, "mesh_id", Given]
+    mesh_term: Annotated[str, "mesh_term", Given]
+    semantic_type: Annotated[str, "semantic_type"]
+    ancestors: Annotated[tuple[MeshConcept, ...], "ancestors"]
+
+
+class AnnotatorAnswer(NamedTuple):
+    annotations: Annotated[tuple[Annotation, ...], "annotations", Given]
+
+
+class RxnormAnswer(NamedTuple):
+    rxcui: Annotated[Union[str, int, None], "rxcui"]  # op "rxcui"
+    suggestions: Annotated[tuple[str, ...], "suggestions"]  # op "spelling"
+
+
+class LlmAnswer(NamedTuple):
+    text: Annotated[str, "text", Given]
+
+
+class SearchAnswer(NamedTuple):
+    ids: Annotated[tuple[str, ...], "ids", Given]
+
+
+class PicoOutcome(NamedTuple):
+    intervention: Annotated[str, "intervention"]
+    is_control: Annotated[Optional[bool], "is_control"]
+    outcome: Annotated[str, "outcome"]
+
+
+class PicoAnswer(NamedTuple):
+    population: Annotated[str, "population"]
+    population_n: Annotated[Optional[int], "population_n"]
+    outcomes: Annotated[tuple[PicoOutcome, ...], "outcomes", Given]
+
+
+class EndpointEntry(NamedTuple):  # the endpoint answer is an array of these
+    outcome: Annotated[str, "outcome", Given]
+    domain: Annotated[str, "domain", Given]
+    subdomain: Annotated[Optional[str], "subdomain"]
+
+
+class EvidenceMcq(NamedTuple):
+    question: Annotated[str, "question", Given]
+    options: Annotated[tuple[str, ...], "options", Given]
+    answer: Annotated[str, "answer", Given]
+
+
 def _text_or_null(path: str, value) -> str:
     if value is not None and type(value) is not str:
         raise ValueError(f"{path} is {value!r}, expected str or null")
@@ -176,25 +239,26 @@ def _key_path(at: str, key: str) -> str:
 
 @cache
 def _reader(cls: type):
-    """A function ``read(node, where, label, *given)`` that reads ``cls`` from a JSON object.
+    """A function ``read(node, where, label, *leading)`` that reads ``cls`` from a JSON object.
 
     Its code is written out from the annotated fields, one check per field,
     as dataclasses write out ``__init__``, so reading runs no loop over field
-    specs; ``given`` holds the leading fields without a key path, and
+    specs; ``leading`` holds the leading fields without a key path, and
     ``label`` names the document or entry in a refusal. For `Measurement` it is::
 
-        def read(node, where, label, *given):
+        def read(node, where, label, *leading):
             v0 = node.get('groupId')
             if type(v0) not in k0: v0 = n0 if v0 is None else refuse(label, where, 'groupId', v0, e0)
             v1 = node.get('value')
             if type(v1) not in k1: v1 = n1 if v1 is None else refuse(label, where, 'value', v1, e1)
-            return new(cls, (*given, v0, v1))
+            return new(cls, (*leading, v0, v1))
     """
     env = {"new": tuple.__new__, "cls": cls, "refuse": _refuse, "array": _array}
-    code, values, objects = ["def read(node, where, label, *given):"], [], {"": "node"}
+    code, values, objects = ["def read(node, where, label, *leading):"], [], {"": "node"}
     hints = get_type_hints(cls, include_extras=True).values()
-    for hint, path in (get_args(hint) for hint in hints if get_origin(hint) is Annotated):
+    for hint, path, *marks in (get_args(hint) for hint in hints if get_origin(hint) is Annotated):
         *steps, key = path.split(".")
+        given = Given in marks
         at = ""
         for depth, step in enumerate(steps):  # each object on the way, fetched once
             at, prefix = _key_path(at, step), ".".join(steps[: depth + 1])
@@ -208,10 +272,10 @@ def _reader(cls: type):
         if get_origin(hint) is tuple:  # entries are text, or objects read as a view class
             env[f"r{n}"] = None if kinds[0] is str else _reader(kinds[0])
             entry = "str" if kinds[0] is str else "dict"
-            code.append(f"    v{n} = array({parent}.get({key!r}), {entry}, r{n}, where, {at!r}, label)")
+            code.append(f"    v{n} = array({parent}.get({key!r}), {entry}, r{n}, where, {at!r}, label, {given})")
         else:
             optional = type(None) in get_args(hint)
-            nullable = optional or kinds == (str,)  # null keeps None, or text reads as ""
+            nullable = optional or kinds == (str,) and not given  # null keeps None, or text reads as ""
             env[f"k{n}"], env[f"n{n}"] = kinds, None if optional else ""
             env[f"e{n}"] = " or ".join(kind.__name__ for kind in kinds) + (" or null" if nullable else "")
             default = f"n{n} if v{n} is None else " if nullable else ""  # a field that must be given refuses null
@@ -219,7 +283,7 @@ def _reader(cls: type):
             code.append(f"    if type(v{n}) not in k{n}: v{n} = {default}refuse(label, where, {at!r}, v{n}, e{n})")
             # exact JSON types: a boolean is not an integer
         values.append(f"v{n}")
-    code.append(f"    return new(cls, (*given, {', '.join(values)}))")
+    code.append(f"    return new(cls, (*leading, {', '.join(values)}))")
     exec("\n".join(code), env)
     return env["read"]
 
@@ -230,19 +294,21 @@ def _label(where: tuple | None, at: str) -> str:
 
 
 def _refuse(label: str, where: tuple | None, at: str, value, expected: str):
-    if value is None:
-        raise ValueError(f"{label} has no {_label(where, at)!r}")
-    raise ValueError(f"{label}: {_label(where, at)} is {value!r}, expected {expected}")
+    path = _label(where, at)
+    if value is None and path:
+        raise ValueError(f"{label} has no {path!r}")
+    raise ValueError(f"{label}{': ' + path if path else ''} is {value!r}, expected {expected}")
 
 
-def _array(found, kind: type, reader, where: tuple | None, at: str, label: str) -> tuple:
-    """The entries of an array: text, or objects that ``reader`` reads."""
+def _array(found, kind: type, reader, where: tuple | None, at: str, label: str, given: bool) -> tuple:
+    """The entries of an array: text, or objects that ``reader`` reads; see `Given` for ``given``."""
+    null = "" if given else " or null"
     if type(found) is not list:
-        return () if found is None else _refuse(label, where, at, found, "list or null")
+        return () if found is None and not given else _refuse(label, where, at, found, "list" + null)
     entries = []
     for i, entry in enumerate(found):
         if type(entry) is not kind:  # a null entry reads as an empty one
-            entry = kind() if entry is None else _refuse(label, where, f"{at}[{i}]", entry, f"{kind.__name__} or null")
+            entry = kind() if entry is None and not given else _refuse(label, where, f"{at}[{i}]", entry, kind.__name__ + null)
         entries.append(entry if reader is None else reader(entry, (where, at, i), label))
     return tuple(entries)
 
@@ -267,3 +333,22 @@ def parse_entry(cls: type, entry: dict, label: str):
     if type(ident) is not str:
         _refuse(label, None, key, ident, "str or int")
     return _reader(cls)(entry, None, label, ident)
+
+
+def parse_answer(cls, value, label: str):
+    """Check a service response or a decoded model answer as ``cls`` and keep what its readers use.
+
+    ``cls`` is an answer view read from a JSON object, or ``tuple[view, ...]``
+    for an answer that is a JSON array of objects, each of which must be
+    given. A value of the wrong shape is a `MalformedResponse` naming
+    ``label`` and the key path, such as ``<label>: annotations[0].mesh_id
+    is [...], expected str`` or ``<label> has no 'outcomes'``.
+    """
+    try:
+        if get_origin(cls) is tuple:
+            return _array(value, dict, _reader(get_args(cls)[0]), None, "", label, True)
+        if type(value) is not dict:
+            _refuse(label, None, "", value, "dict")
+        return _reader(cls)(value, None, label)
+    except ValueError as exc:
+        raise MalformedResponse(str(exc)) from None

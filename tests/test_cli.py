@@ -207,6 +207,58 @@ def test_two_ctgov_files_with_one_nct_id_exit_2_naming_both(golden, tmp_path, ca
     assert "NCT00000150" in err
 
 
+@pytest.mark.parametrize("rel, key", [("reviews/index.json", "pmid"), ("protocols/pairs.json", "nct_id")])
+def test_two_entries_with_one_id_exit_2_naming_both(golden, tmp_path, capsys, rel, key):
+    # used to exit 0 and write that review's or trial's benchmark items twice under one item id
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    entries = json.loads((corpus / rel).read_text(encoding="utf-8"))
+    ident = entries[1][key]
+    entries.append({**entries[1], key: f" {ident} "})
+    (corpus / rel).write_text(json.dumps(entries), encoding="utf-8")
+    assert main(pipeline_argv("run-all", golden, tmp_path / "out", corpus=corpus)) == 2
+    assert capsys.readouterr().err == f"invalid input: {corpus / rel}: entries 1 and 3 both hold {key} {ident!r}\n"
+
+
+def test_two_articles_with_one_pmid_are_left_to_dedupe(golden, tmp_path, capsys):
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    rel = corpus / "pubmed" / "articles.json"
+    entries = json.loads(rel.read_text(encoding="utf-8"))
+    rel.write_text(json.dumps(entries + entries[:1]), encoding="utf-8")
+    assert main(pipeline_argv("ingest", golden, tmp_path / "out", corpus=corpus)) == 0
+    assert f'"pubmed": {len(entries) + 1}' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cells, message", [
+    # a null id and title used to read as the text 'None', unflagged, and pass the id check
+    ({"Registration number": None, "Public title": None}, "entry 0 has no 'Registration number'"),
+    ({"Public title": ["Aflibercept"]}, "entry 0: Public title is ['Aflibercept'], expected str, int, float or null"),
+    ({"Target sample size": True}, "entry 0: Target sample size is True, expected str, int, float or null"),
+], ids=["null-id", "list-title", "boolean-size"])
+def test_malformed_registry_cell_is_invalid_input(golden, tmp_path, capsys, cells, message):
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    path = corpus / "registry" / "ANZCTR.json"
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    rows[0].update(cells)
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    assert main(pipeline_argv("ingest", golden, tmp_path / "out", corpus=corpus)) == 2
+    assert capsys.readouterr().err == f"invalid input: {path}: {message}\n"
+
+
+def test_wrong_typed_annotator_fixture_exits_3(golden, tmp_path, capsys):
+    # a list mesh_id used to stop the run with TypeError: unhashable type: 'list' (exit 1)
+    replay = shutil.copytree(golden.replay, tmp_path / "replay")
+    for fixture in sorted((replay / "annotator").glob("*.json")):
+        payload = json.loads(fixture.read_text(encoding="utf-8"))
+        if payload["response"]["annotations"]:
+            break
+    payload["response"]["annotations"][0]["mesh_id"] = ["D003924"]
+    fixture.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(pipeline_argv("run-all", golden, tmp_path / "out", **{"replay-dir": replay})) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("client error: stage link: annotator answer for ")
+    assert err.endswith(": annotations[0].mesh_id is ['D003924'], expected str\n")
+
+
 @pytest.mark.parametrize("rel, key, value, message", [
     ("reviews/index.json", "pmid", None, "entry 0 has no 'pmid'"),
     ("protocols/pairs.json", "nct_id", None, "entry 0 has no 'nct_id'"),

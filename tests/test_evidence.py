@@ -262,39 +262,52 @@ class TestAdverseEvents:
             assert all(0 < row.num_affected <= row.num_at_risk for row in rows)
 
 
+def arms_doc(nct_id, arm_groups, interventions):
+    return parse_ctgov_doc({
+        "protocolSection": {
+            "identificationModule": {"nctId": nct_id},
+            "armsInterventionsModule": {"armGroups": arm_groups, "interventions": interventions},
+        }
+    })
+
+
 class TestDisposition:
     def test_join_cardinality(self):
-        groups = [
-            {"nct_id": "NCT1", "id": "g1", "group_type": "EXPERIMENTAL", "description": "High dose"},
-            {"nct_id": "NCT1", "id": "g2", "group_type": "PLACEBO_COMPARATOR", "description": "Placebo"},
-        ]
-        interventions = [
-            {"nct_id": "NCT1", "id": "i1", "intervention_type": "DRUG", "name": "Metformin", "description": "Oral"}
-        ]
-        links = [
-            {"nct_id": "NCT1", "design_group_id": "g1", "intervention_id": "i1"},
-            {"nct_id": "NCT1", "design_group_id": "g2", "intervention_id": "i1"},
-        ]
-        rows = build_disposition(groups, interventions, links)
+        doc = arms_doc(
+            "NCT1",
+            [
+                {"label": "High", "type": "EXPERIMENTAL", "description": "High dose"},
+                {"label": "Placebo", "type": "PLACEBO_COMPARATOR", "description": "Placebo"},
+            ],
+            [{"type": "DRUG", "name": "Metformin", "description": "Oral", "armGroupLabels": ["High", "Placebo"]}],
+        )
+        links = disposition_tables_from_ctgov(doc)
+        assert links == [(0, 0, "High"), (1, 0, "Placebo")]
+        rows = build_disposition(doc, links)
         assert len(rows) == 2
         assert rows[0].treatment_name == "Metformin"
         assert rows[0].group_type == "EXPERIMENTAL"
         assert rows[0].description == "High dose | Oral"
+        assert [(row.design_group_id, row.intervention_id) for row in rows] == [("NCT1:g0", "NCT1:i0"), ("NCT1:g1", "NCT1:i0")]
 
     def test_dangling_link(self):
-        groups = [{"nct_id": "NCT1", "id": "g1", "group_type": "EXPERIMENTAL"}]
-        links = [{"nct_id": "NCT1", "design_group_id": "g1", "intervention_id": "i404"}]
+        doc = arms_doc("NCT1", [{"label": "A", "type": "EXPERIMENTAL"}], [{"name": "X", "armGroupLabels": ["A", "i404"]}])
         with pytest.raises(DanglingReference) as excinfo:
-            build_disposition(groups, [], links)
-        assert "i404" in str(excinfo.value)
+            build_disposition(doc, disposition_tables_from_ctgov(doc))
+        assert str(excinfo.value) == "NCT1: armGroupLabels ['i404'] name no arm group"
 
     def test_nct_scoping(self):
-        # same ids under a different nct_id must not satisfy the join
-        groups = [{"nct_id": "NCT1", "id": "g1"}]
-        interventions = [{"nct_id": "NCT2", "id": "i1", "name": "X"}]
-        links = [{"nct_id": "NCT1", "design_group_id": "g1", "intervention_id": "i1"}]
-        with pytest.raises(DanglingReference):
-            build_disposition(groups, interventions, links)
+        # the same labels under another nct_id give that study's own ids
+        arms, drugs = [{"label": "A"}], [{"name": "X", "armGroupLabels": ["A"]}]
+        rows = [build_disposition(doc, disposition_tables_from_ctgov(doc)) for doc in (arms_doc("NCT1", arms, drugs), arms_doc("NCT2", arms, drugs))]
+        assert [(row.study_id, row.design_group_id, row.intervention_id) for row, in rows] == [
+            ("NCT1", "NCT1:g0", "NCT1:i0"),
+            ("NCT2", "NCT2:g0", "NCT2:i0"),
+        ]
+
+    def test_label_names_the_last_group_that_has_it(self):
+        doc = arms_doc("NCT1", [{"label": "A", "type": "first"}, {"label": "A", "type": "second"}], [{"armGroupLabels": ["A"]}])
+        assert [row.group_type for row in build_disposition(doc, disposition_tables_from_ctgov(doc))] == ["second"]
 
     def test_tables_from_ctgov_doc(self):
         doc = {
@@ -321,7 +334,8 @@ class TestDisposition:
                 },
             }
         }
-        rows = build_disposition(*disposition_tables_from_ctgov(parse_ctgov_doc(doc)))
+        doc = parse_ctgov_doc(doc)
+        rows = build_disposition(doc, disposition_tables_from_ctgov(doc))
         assert [(row.treatment_name, row.group_type) for row in rows] == [
             ("Lamotrigine", "EXPERIMENTAL"),
             ("Placebo", "PLACEBO_COMPARATOR"),
@@ -337,8 +351,9 @@ class TestDisposition:
                 },
             }
         }
+        doc = parse_ctgov_doc(doc)
         with pytest.raises(DanglingReference):
-            build_disposition(*disposition_tables_from_ctgov(parse_ctgov_doc(doc)))
+            build_disposition(doc, disposition_tables_from_ctgov(doc))
 
     def test_pico_pairs(self):
         pico = [

@@ -151,6 +151,15 @@ def test_parse_registry_missing_id_gets_flagged():
     assert s.flagged is True
 
 
+def test_parse_registry_null_cells_read_as_empty_text_and_numbers_as_their_text():
+    # a null used to read as the text 'None': an unflagged study titled 'None'
+    row = dict(ANZCTR_ROW, **{"Public title": None, "Brief summary": None, "Target sample size": 120})
+    s = parse_registry_record(row, Source.ANZCTR)
+    assert (s.title, s.brief_summary, s.flagged, s.target_accrual) == ("", "", True, 120)
+    with pytest.raises(ValueError, match=r"^Public title is \{'en': 'x'\}, expected str, int, float or null$"):
+        parse_registry_record(dict(ANZCTR_ROW, **{"Public title": {"en": "x"}}), Source.ANZCTR)
+
+
 def test_parse_registry_unmapped_status_is_other():
     row = dict(ANZCTR_ROW, **{"Recruitment status": "Some new status"})
     s = parse_registry_record(row, Source.ANZCTR)

@@ -125,7 +125,7 @@ class TestResolveRxnorm:
         assert excinfo.value is error
 
     def test_non_object_answer_is_malformed(self):
-        with pytest.raises(MalformedResponse, match="returned list"):
+        with pytest.raises(MalformedResponse, match=r"^rxnorm rxcui answer for 'unknowndrug' is \[\], expected dict$"):
             resolve_rxnorm("unknowndrug", {}, lambda request: [])
 
 

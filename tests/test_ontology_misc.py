@@ -129,15 +129,15 @@ class TestConditions:
             annotate_conditions(make_study(), lambda request: {"nope": 1})
 
     @pytest.mark.parametrize("ancestors, message", [
-        (["D000"], "ancestor entry is str, expected object"),
-        ([None], "ancestor entry is NoneType, expected object"),
-        ([{"mesh_term": "Top"}], "ancestor entry missing 'mesh_id'"),
-        ([{"mesh_id": "D000"}], "ancestor entry missing 'mesh_term'"),
-        ({"mesh_id": "D000", "mesh_term": "Top"}, "annotation ancestors are dict, expected list"),
+        (["D000"], r": annotations\[0\].ancestors\[0\] is 'D000', expected dict or null$"),
+        ([None], r" has no 'annotations\[0\].ancestors\[0\].mesh_id'$"),
+        ([{"mesh_term": "Top"}], r" has no 'annotations\[0\].ancestors\[0\].mesh_id'$"),
+        ([{"mesh_id": "D000"}], r" has no 'annotations\[0\].ancestors\[0\].mesh_term'$"),
+        ({"mesh_id": "D000", "mesh_term": "Top"}, r": annotations\[0\].ancestors is \{.*\}, expected list or null$"),
     ], ids=["string", "null", "no-id", "no-term", "object"])
     def test_malformed_ancestor(self, ancestors, message):
         annotation = {"mesh_id": "D001", "mesh_term": "Thing", "semantic_type": "T047", "ancestors": ancestors}
-        with pytest.raises(MalformedResponse, match=message):
+        with pytest.raises(MalformedResponse, match="^annotator answer for ACTRN1" + message):
             annotate_conditions(make_study(), lambda request: {"annotations": [annotation]})
 
 

@@ -184,11 +184,12 @@ class TestServiceClient:
         request = {"query": "amd", "k": 500}
         store.put("pubmed_search", request_hash(request), request, {"ids": "111"})
         client = ServiceClient("replay", store)
-        for prompt in ("no-text", "number", "bare"):
+        for prompt, message in [("no-text", " has no 'text'"), ("number", ": text is 5, expected str"),
+                                ("bare", " is 'out', expected dict")]:
             digest = request_hash({"prompt": prompt})
-            with pytest.raises(MalformedResponse, match=f"^llm:{digest}: expected a str 'text', got "):
+            with pytest.raises(MalformedResponse, match=f"^llm:{digest}{message}$"):
                 llm_callable(client)(prompt)
-        with pytest.raises(MalformedResponse, match="^pubmed_search:.*expected a list 'ids', got "):
+        with pytest.raises(MalformedResponse, match="^pubmed_search:[0-9a-f]{64}: ids is '111', expected list$"):
             pubmed_search_callable(client)("amd")
 
     def test_constants(self):
@@ -319,7 +320,7 @@ class TestReplayStoreDurability:
         ]
         # used to stop with KeyError: 'text' and exit 1
         assert main(argv) == 3
-        assert capsys.readouterr().err.startswith(f"client error: stage extract: llm:{fixture.stem}: expected a str 'text', got ")
+        assert capsys.readouterr().err == f"client error: stage extract: llm:{fixture.stem} has no 'text'\n"
 
     def test_record_run_with_a_failing_transport_stops(self, golden, tmp_path):
         def llm(service, request):
