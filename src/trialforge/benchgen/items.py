@@ -55,7 +55,7 @@ class BenchmarkItem:
             if len(set(self.options)) != len(self.options):
                 raise ValueError(f"{self.item_id}: duplicate option texts")
             letters = OPTION_LETTERS[: len(self.options)]
-            if not (isinstance(self.answer, str) and self.answer in letters):
+            if self.answer not in tuple(letters):
                 raise ValueError(
                     f"{self.item_id}: answer {self.answer!r} is not one of {letters}"
                 )

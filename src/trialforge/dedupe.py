@@ -5,10 +5,13 @@ titles corroborate; a title disagreement keeps every copy and flags
 them for review instead of guessing. Across sources, records are
 matched by fuzzy title similarity over a first-token/length-band
 blocking index, clustered with union-find, and merged with a fixed
-source precedence. Similarity is the normalized Levenshtein ratio,
-computed exactly with a bit-parallel edit distance, so every printed
-score is the true one. Every merge leaves an audit decision and a
-linked_to triple so nothing disappears silently.
+source precedence. Each candidate pair first passes a character-count
+bound (the bag distance, never above the edit distance), which drops
+pairs that cannot reach the threshold without losing any that can.
+Similarity is the normalized Levenshtein ratio, computed exactly with a
+bit-parallel edit distance, so every printed score is the true one.
+Every merge leaves an audit decision and a linked_to triple so nothing
+disappears silently.
 
 All functions are pure and order-independent: permuting the input
 yields the same records and the same decisions.
@@ -82,6 +85,30 @@ def similarity(a: str, b: str) -> float:
 
 def title_similarity(title_a: str, title_b: str) -> float:
     return similarity(normalize_title(title_a), normalize_title(title_b))
+
+
+# Normalized titles are mostly these characters. Every other character
+# shares one last count, which can only raise the shared total, so the
+# bound stays at or below the true distance.
+_COUNTED_CHARS = " 0123456789_abcdefghijklmnopqrstuvwxyz"
+
+
+def char_counts(text: str) -> tuple[int, list[int]]:
+    """The length of ``text`` and its character counts, as ``bag_distance`` reads them."""
+    counts = [text.count(ch) for ch in _COUNTED_CHARS]
+    counts.append(len(text) - sum(counts))
+    return len(text), counts
+
+
+def bag_distance(a: tuple[int, list[int]], b: tuple[int, list[int]]) -> int:
+    """Lower bound on the Levenshtein distance from ``char_counts`` alone.
+
+    The bag distance (Bartolini, Ciaccia and Patella, SPIRE 2002): the
+    longer length minus the characters both texts hold. One insert,
+    delete or substitution changes it by at most one, so it never
+    exceeds the edit distance.
+    """
+    return max(a[0], b[0]) - sum(map(min, a[1], b[1]))
 
 
 @dataclass
@@ -301,8 +328,16 @@ def dedupe_inter(
     flagged = _fold_order(r for r in records if r.flagged)
     items = _fold_order(r for r in records if not r.flagged)
     uf = _UnionFind(len(items))
+    pairs = candidate_pairs(items, threshold)
+    # counted once per record, and only for records in some pair
+    paired = {idx for pair in pairs for idx in pair}
+    counts = {idx: char_counts(normalize_title(items[idx].title)) for idx in paired}
     scores: dict[tuple[int, int], float] = {}
-    for i, j in candidate_pairs(items, threshold):
+    for i, j in pairs:
+        # similarity()'s own expression with the bound in place of the
+        # distance: below the threshold here means below it exactly too
+        if 1.0 - bag_distance(counts[i], counts[j]) / max(counts[i][0], counts[j][0]) < threshold:
+            continue
         scores[i, j] = title_similarity(items[i].title, items[j].title)
         if scores[i, j] >= threshold:
             uf.union(i, j)
@@ -326,7 +361,8 @@ def dedupe_inter(
         merged = merge_records(members)
         absorbed = _absorbed_keys(members, merged)
         # Member ids ascend, so each (i, j) below is keyed like a candidate
-        # pair; only pairs that were never candidates are scored here.
+        # pair; only pairs never scored (not candidates, or dropped by the
+        # bound) are scored here.
         min_score = min(
             scores[i, j] if (i, j) in scores else title_similarity(items[i].title, items[j].title)
             for pos, i in enumerate(member_ids)

@@ -114,6 +114,17 @@ class TestBenchmarkItem:
         with pytest.raises(ValueError):
             BenchmarkItem("arm_design", "x:1", "i", "in", "E", ("a", "b", "c", "d"))
 
+    @pytest.mark.parametrize("answer", ["AB", "", "BC"])
+    def test_answer_must_be_one_letter(self, answer):
+        # each is a substring of "ABCD", yet names no single option
+        with pytest.raises(ValueError):
+            BenchmarkItem("arm_design", "x:1", "i", "in", answer, ("w", "x", "y", "z"))
+
+    def test_every_single_letter_is_an_answer(self):
+        options = ("w", "x", "y", "z")
+        for letter, option in zip("ABCD", options):
+            assert BenchmarkItem("arm_design", "x:1", "i", "in", letter, options).correct_option == option
+
     def test_correct_option(self):
         item = BenchmarkItem("arm_design", "x:1", "i", "in", "B", ("a", "b"))
         assert item.correct_option == "b"

@@ -6,11 +6,14 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _corpus import make_dedupe_corpus, make_record
+from _corpus import make_dedupe_corpus, make_lead_phrase_corpus, make_record
 
 from trialforge import dedupe
 from trialforge.dedupe import (
+    DEFAULT_THRESHOLD,
+    bag_distance,
     candidate_pairs,
+    char_counts,
     dedupe_corpus,
     dedupe_inter,
     dedupe_intra,
@@ -61,9 +64,15 @@ def reference_levenshtein(a: str, b: str) -> int:
 
 
 _ALPHABET = "abc xyzéñøß"
-_edit = st.tuples(st.sampled_from("ids"), st.floats(0, 1), st.sampled_from(_ALPHABET))
-# drawing the length first spreads examples over 0-200 instead of favouring short text
-_title = st.integers(0, 200).flatmap(lambda n: st.text(_ALPHABET, min_size=n, max_size=n))
+
+
+def _edits(alphabet: str):
+    return st.lists(st.tuples(st.sampled_from("ids"), st.floats(0, 1), st.sampled_from(alphabet)), max_size=12)
+
+
+def _texts(alphabet: str):
+    # drawing the length first spreads examples over 0-200 instead of favouring short text
+    return st.integers(0, 200).flatmap(lambda n: st.text(alphabet, min_size=n, max_size=n))
 
 
 def _apply_edits(text: str, edits) -> str:
@@ -82,9 +91,9 @@ def _apply_edits(text: str, edits) -> str:
 
 
 @given(
-    base=_title,
-    edits=st.lists(_edit, max_size=12),
-    other=st.one_of(st.none(), _title),
+    base=_texts(_ALPHABET),
+    edits=_edits(_ALPHABET),
+    other=st.one_of(st.none(), _texts(_ALPHABET)),
 )
 def test_levenshtein_matches_reference_dp(base, edits, other):
     # near pairs (a few random edits) sit around the 0.95 threshold; unrelated
@@ -92,6 +101,22 @@ def test_levenshtein_matches_reference_dp(base, edits, other):
     twin = _apply_edits(base, edits) if other is None else other
     expected = reference_levenshtein(base, twin)
     assert levenshtein(base, twin) == expected == levenshtein(twin, base)
+
+
+# counted characters (space, digits, "_", letters) and characters that share the last count
+_BOUND_ALPHABET = "ab z09_éñøßж"
+
+
+@given(
+    base=_texts(_BOUND_ALPHABET),
+    edits=_edits(_BOUND_ALPHABET),
+    other=st.one_of(st.none(), _texts(_BOUND_ALPHABET)),
+)
+def test_bag_distance_never_exceeds_levenshtein(base, edits, other):
+    twin = _apply_edits(base, edits) if other is None else other
+    bound = bag_distance(char_counts(base), char_counts(twin))
+    assert bound == bag_distance(char_counts(twin), char_counts(base))
+    assert 0 <= bound <= levenshtein(base, twin)
 
 
 def test_similarity_hand_computed():
@@ -270,6 +295,40 @@ def test_inter_min_score_covers_member_pairs_that_were_never_candidates(monkeypa
     )
 
 
+def test_pair_exactly_at_threshold_is_scored_and_merged(monkeypatch):
+    calls = counting_similarity(monkeypatch)
+    # 20 normalized characters, one substitution: 1 - 1/20 == 0.95 exactly,
+    # and the bound (one character not shared) gives the same value
+    a = rec("NCT1", Source.CTGOV, "alpha bravo charlies")
+    b = rec("ACTRN1", Source.ANZCTR, "alpha bravo charliez")
+    assert similarity(normalize_title(a.title), normalize_title(b.title)) == DEFAULT_THRESHOLD
+    out, decisions, _ = dedupe_inter([a, b])
+    assert len(calls) == 1
+    assert len(out) == 1
+    [merge] = [d for d in decisions if d.evidence == "title-similarity"]
+    assert merge.score == DEFAULT_THRESHOLD
+
+
+def test_pair_dropped_by_the_bound_is_scored_exactly_in_its_cluster(monkeypatch):
+    calls = counting_similarity(monkeypatch)
+    # b is two substitutions from a and from c (0.95 each); a and c are four
+    # apart, 0.9, which the bound already shows, but b joins them into one cluster
+    a = rec("NCT1", Source.CTGOV, "alpha " + "b" * 34)
+    b = rec("ACTRN1", Source.ANZCTR, "alpha " + "xx" + "b" * 32)
+    c = rec("ISRCTN1", Source.ISRCTN, "alpha " + "xx" + "b" * 30 + "yy")
+    items = dedupe._fold_order([a, b, c])
+    ia, ic = sorted((items.index(a), items.index(c)))
+    assert (ia, ic) in candidate_pairs(items, DEFAULT_THRESHOLD)
+    counts_a, counts_c = char_counts(normalize_title(a.title)), char_counts(normalize_title(c.title))
+    assert 1.0 - bag_distance(counts_a, counts_c) / 40 < DEFAULT_THRESHOLD
+    out, decisions, triples = dedupe_inter([a, b, c])
+    assert len(out) == 1 and len(triples) == 2
+    # two candidates pass the bound, then the dropped pair for min_score
+    assert len(calls) == 3
+    [merge] = [d for d in decisions if d.evidence == "title-similarity"]
+    assert merge.score == title_similarity(a.title, c.title) == 0.9
+
+
 def test_inter_below_threshold_no_merge():
     a = rec("NCT1", Source.CTGOV, "Metformin versus placebo in type 2 diabetes")
     b = rec("ACTRN9", Source.ANZCTR, "Metformin versus insulin in type 1 diabetes")
@@ -354,3 +413,22 @@ def test_idempotence_and_permutation_invariance_random_corpora():
         out3, _, tri3 = dedupe_corpus(list(out1))
         assert out3 == out1
         assert tri3 == []
+
+
+def test_the_bound_changes_no_output(monkeypatch):
+    calls = counting_similarity(monkeypatch)
+    rng = random.Random(404)
+    corpora = [make_dedupe_corpus(rng) for _ in range(30)] + [make_lead_phrase_corpus(rng) for _ in range(30)]
+    bounded_calls = exact_calls = 0
+    for corpus in corpora:
+        calls.clear()
+        bounded = dedupe_corpus(list(corpus))
+        bounded_calls += len(calls)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(dedupe, "bag_distance", lambda a, b: 0)  # every candidate is scored exactly
+            exact = dedupe_corpus(list(corpus))
+        exact_calls += len(calls)
+        # records, decisions with their scores, and triples
+        assert bounded == exact
+    assert bounded_calls < exact_calls
