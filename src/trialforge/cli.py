@@ -22,7 +22,7 @@ from .clients import ReplayStore, ServiceClient, pubmed_search_callable
 from .config import load_config
 from .errors import ClientError, DataError
 from .evaluate import evaluate_benchmarks, load_predictions, write_report
-from .pipeline import PipelineSettings, run_pipeline
+from .pipeline import STAGE_TABLE, STAGES, PipelineSettings, run_pipeline
 from .relations import AWAITING_MODES
 from .reward import score_reward
 from .store import read_jsonl
@@ -30,16 +30,7 @@ from .store import read_jsonl
 logger = logging.getLogger(__name__)
 
 # verb -> final pipeline stage it materializes
-STAGE_VERBS = {
-    "ingest": "ingest",
-    "dedupe": "dedupe",
-    "link": "link",
-    "extract": "extract",
-    "graph": "graph",
-    "build-db": "database",
-    "gen-bench": "benchmarks",
-    "run-all": "benchmarks",
-}
+STAGE_VERBS = {stage.verb: stage.name for stage in STAGE_TABLE} | {"run-all": STAGES[-1]}
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:

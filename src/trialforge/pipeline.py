@@ -31,18 +31,17 @@ Expected corpus layout::
 
 Every subdirectory is optional; missing ones simply contribute nothing.
 
-Stages read the corpus JSON inputs (CT.gov docs, PubMed articles, review
-index, protocol pairs) and what they share (merged studies, dedupe aliases,
-document index) through one run context that reads each on first use and
-keeps it for the whole run, so a skipped stage reads nothing. Each corpus
-JSON input is kept as its checked view (`views.py`), parsed once per run.
-
-A stage's outputs reach later stages through the same context: a stage
-that runs hands on the studies or table rows it wrote, and a later stage
-reads the file only when its writer was skipped in this run, so a cold
-run decodes none of its own outputs. Ingest's studies are released after
-dedupe, the link and extract tables after database (except the outcome
-labels, which benchmarks reads), and the rest when the run ends.
+Each stage is one entry of `STAGE_TABLE`: its name, CLI verb, function
+and the run inputs it reads, each a corpus input (``registry``, ``ctgov``,
+``pubmed``, ``reviews``, ``review_xmls``, ``protocols``) or an upstream
+output ``"<stage>/<file>"``. Stage directories, CLI verbs and the release
+schedule come from the table. One run context serves a stage only what it
+declares, reads each input on first use (a skipped stage reads nothing)
+and drops it once its last reader in the table is done. Corpus JSON inputs
+are kept as their checked views (`views.py`), parsed once per run. A stage
+that runs hands on the studies or rows it wrote; a later stage reads the
+file only when its writer was skipped in this run, so a cold run decodes
+none of its own outputs.
 """
 
 from __future__ import annotations
@@ -55,9 +54,8 @@ import os
 import shutil
 import stat
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional, get_type_hints
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 from . import store
 from .benchgen.design import DESIGN_FIELDS, gen_design_mcq
@@ -112,7 +110,6 @@ from .relations import (
     write_relations_tsv,
 )
 from .schema import (
-    CanonicalStudy,
     RelationTriple,
     Source,
     StudyStatus,
@@ -124,18 +121,6 @@ from .schema import (
 from .views import Article, CtgovDoc, ProtocolPair, Review, ctgov_study_id, parse_ctgov_doc, parse_entry
 
 logger = logging.getLogger(__name__)
-
-STAGES = ("ingest", "dedupe", "link", "extract", "graph", "database", "benchmarks")
-
-STAGE_DIRS = {
-    "ingest": "01_ingest",
-    "dedupe": "02_dedupe",
-    "link": "03_link",
-    "extract": "04_extract",
-    "graph": "05_graph",
-    "database": "06_database",
-    "benchmarks": "07_benchmarks",
-}
 
 # Widest span `_candidate_spans` emits: the longest default biomarker name,
 # "human epidermal growth factor receptor 2", is six tokens, with no
@@ -169,6 +154,11 @@ class PipelineSettings:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.awaiting not in AWAITING_MODES:
             raise ValueError(f"awaiting mode must be one of {AWAITING_MODES}, got {self.awaiting!r}")
+        if not 0 < self.dedupe_threshold <= 1:  # also refuses nan
+            raise ValueError(f"dedupe_threshold must be in (0, 1], got {self.dedupe_threshold!r}")
+        for name in ("split_test_size", "split_validation_size", "search_test_size"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)!r}")
 
     @classmethod
     def from_config(cls, values: dict[str, str]) -> PipelineSettings:
@@ -511,6 +501,17 @@ def _corpus_review_xmls(corpus_dir: Path) -> list[tuple[str, str]]:
     ]
 
 
+# Corpus input name -> its reader; each calls a module global at call time, so readers can be wrapped.
+_CORPUS_READERS = {
+    "registry": lambda corpus: _corpus_registry_batches(corpus),
+    "ctgov": lambda corpus: _corpus_ctgov_docs(corpus),
+    "pubmed": lambda corpus: _corpus_pubmed_articles(corpus),
+    "reviews": lambda corpus: _corpus_entries(corpus / "reviews" / "index.json", Review),
+    "review_xmls": lambda corpus: _corpus_review_xmls(corpus),
+    "protocols": lambda corpus: _corpus_entries(corpus / "protocols" / "pairs.json", ProtocolPair),
+}
+
+
 # ---------------------------------------------------------------------------
 # run context
 
@@ -541,90 +542,84 @@ class _DocIndex:
         return [study_id] + sorted(self.absorbed.get(study_id, []))
 
 
+class Stage(NamedTuple):
+    """One pipeline stage: its name, CLI verb, function and the run inputs it reads."""
+
+    name: str
+    verb: str
+    run: Callable[[_RunContext, Path], dict]
+    reads: tuple[str, ...]
+
+
 class _RunContext:
-    """Settings, clients, corpus hash, shared stage inputs and handed-on stage outputs of one run.
+    """Settings, clients, corpus hash and run inputs of one run.
 
-    ``run_pipeline`` keeps one context for the whole run. Stages share what
-    they read here and must not mutate it. Readers are module globals
-    looked up at call time, so they can be wrapped.
-
-    A stage that runs passes each output a later stage reads to `hold`,
-    keyed by its path: the study list it wrote, or a table file's rows in
-    file order. `output_studies` and `output_rows` return the held value
-    and read the file only when the stage that writes it was skipped in
-    this run; handed-over studies pass the same `check_study` as decoded
-    ones. ``run_pipeline`` releases a held output once its last reader has
-    run (`_RELEASED_AFTER`); the rest go with the context.
+    ``run_pipeline`` keeps one context for the whole run and sets `stage` to
+    the running table entry. `read` serves that stage only what the entry
+    declares; any other read is a trialforge bug and raises ``RuntimeError``.
+    Stages must not mutate what they read. A stage that runs passes each
+    output a later stage reads to `hold`, so `read` reads the file only when
+    its writer was skipped in this run; handed-over studies pass the same
+    `check_study` as decoded ones. `release` drops every input whose last
+    reader was the given stage; the rest go with the context.
     """
 
     def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str) -> None:
         self.settings = settings
         self.clients = clients
         self.corpus_hash = corpus_hash
-        self._held: dict[Path, list] = {}
-
-    def stage_dir(self, name: str) -> Path:
-        return self.settings.out_dir / STAGE_DIRS[name]
+        self.stage: Optional[Stage] = None
+        self._held: dict[str, list] = {}
+        self._inputs: dict[str, object] = {}
+        self._aliases: Optional[dict[str, str]] = None
+        self._doc_index: Optional[_DocIndex] = None
 
     def hold(self, path: Path, value: list) -> list:
-        """Keep ``value``, the content of ``path`` as written in this run, for later readers; return it."""
-        self._held[path] = value
+        """Keep ``value``, the running stage's output file ``path`` as written, for later readers; return it."""
+        self._held[f"{self.stage.name}/{path.name}"] = value
         return value
 
-    def release(self, outputs) -> None:
-        """Forget the held ``(stage, file name)`` outputs."""
-        for stage, name in outputs:
-            self._held.pop(self.stage_dir(stage) / name, None)
+    def release(self, stage: str) -> None:
+        """Forget every input whose last reader is ``stage``."""
+        for name, last in _LAST_READER.items():
+            if last == stage:
+                self._held.pop(name, None)
+                self._inputs.pop(name, None)
 
-    def output_rows(self, stage: str, name: str) -> list[dict]:
-        """The rows of ``stage``'s JSON-lines file ``name``."""
-        path = self.stage_dir(stage) / name
-        rows = self._held.get(path)
-        return store.read_jsonl(path) if rows is None else rows
+    def read(self, name: str):
+        """The run input ``name``, which the running stage must declare."""
+        if self.stage is None or name not in self.stage.reads:
+            raise RuntimeError(f"stage {self.stage and self.stage.name} read undeclared input {name!r}")
+        if name not in self._inputs:
+            self._inputs[name] = self._load(name)
+        return self._inputs[name]
 
-    def output_studies(self, stage: str) -> list[CanonicalStudy]:
-        """The studies ``stage`` wrote, each passed through `check_study`."""
-        path = self.stage_dir(stage) / "studies.jsonl"
-        studies = self._held.get(path)
-        if studies is None:
+    def _load(self, name: str):
+        if name in _CORPUS_READERS:
+            return _CORPUS_READERS[name](self.settings.corpus_dir)
+        writer, _, file = name.partition("/")
+        path, held = self.settings.out_dir / STAGE_DIRS[writer] / file, self._held.pop(name, None)
+        if file != "studies.jsonl":
+            return store.read_jsonl(path) if held is None else held
+        if held is None:
             return read_studies_jsonl(path)
-        for study in studies:
+        for study in held:
             check_study(study)
-        return studies
+        return held
 
-    @cached_property
-    def ctgov_docs(self) -> dict[str, CtgovDoc]:
-        return _corpus_ctgov_docs(self.settings.corpus_dir)
-
-    @cached_property
-    def pubmed_articles(self) -> list[Article]:
-        return _corpus_pubmed_articles(self.settings.corpus_dir)
-
-    @cached_property
-    def reviews(self) -> list[Review]:
-        return _corpus_entries(self.settings.corpus_dir / "reviews" / "index.json", Review)
-
-    @cached_property
-    def protocol_pairs(self) -> list[ProtocolPair]:
-        return _corpus_entries(self.settings.corpus_dir / "protocols" / "pairs.json", ProtocolPair)
-
-    @cached_property
-    def studies(self) -> list[CanonicalStudy]:
-        """The merged study table written by dedupe."""
-        return self.output_studies("dedupe")
-
-    @cached_property
+    @property
     def aliases(self) -> dict[str, str]:
         """Absorbed study id to surviving study id, from the dedupe links."""
-        return {
-            row["tail_id"]: row["head_id"]
-            for row in self.output_rows("dedupe", "dup_links.jsonl")
-            if row["tail_id"] != row["head_id"]
-        }
+        links = self.read("dedupe/dup_links.jsonl")
+        if self._aliases is None:
+            self._aliases = {row["tail_id"]: row["head_id"] for row in links if row["tail_id"] != row["head_id"]}
+        return self._aliases
 
-    @cached_property
+    @property
     def doc_index(self) -> _DocIndex:
-        return _DocIndex(self.ctgov_docs, self.aliases)
+        docs, aliases = self.read("ctgov"), self.aliases
+        self._doc_index = self._doc_index or _DocIndex(docs, aliases)
+        return self._doc_index
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +628,7 @@ class _RunContext:
 
 def _stage_ingest(run: _RunContext, out: Path) -> dict:
     registry = []
-    for path, rows in _corpus_registry_batches(run.settings.corpus_dir):
+    for path, rows in run.read("registry"):
         if rows:
             mapping = load_source_mapping(path.stem, run.settings.mapping_dir)
             for position, raw in enumerate(rows):
@@ -644,9 +639,9 @@ def _stage_ingest(run: _RunContext, out: Path) -> dict:
                 if not study.study_id:
                     raise ValueError(f"{path}: entry {position} has no {mapping['fields'].get('study_id')!r}")
                 registry.append(study)
-    docs = run.ctgov_docs
+    docs = run.read("ctgov")
     ctgov = [parse_ctgov_study(docs[nct_id]) for nct_id in sorted(docs)]
-    pubmed = [extract_pubmed_study(record) for record in run.pubmed_articles]
+    pubmed = [extract_pubmed_study(record) for record in run.read("pubmed")]
 
     studies = sorted(registry + ctgov + pubmed, key=lambda s: (s.source.value, s.study_id))
     write_studies_jsonl(run.hold(out / "studies.jsonl", studies), out / "studies.jsonl")
@@ -660,7 +655,7 @@ def _stage_ingest(run: _RunContext, out: Path) -> dict:
 
 
 def _stage_dedupe(run: _RunContext, out: Path) -> dict:
-    records = run.output_studies("ingest")
+    records = run.read("ingest/studies.jsonl")
     merged, decisions, triples = dedupe_corpus(records, threshold=run.settings.dedupe_threshold)
     write_studies_jsonl(run.hold(out / "studies.jsonl", merged), out / "studies.jsonl")
 
@@ -709,7 +704,7 @@ def _biomarker_matches(text: str, index: BiomarkerIndex) -> list[BiomarkerMatch]
 
 
 def _stage_link(run: _RunContext, out: Path) -> dict:
-    studies, index, clients = run.studies, run.doc_index, run.clients
+    studies, index, clients = run.read("dedupe/studies.jsonl"), run.doc_index, run.clients
 
     resources = load_drug_resources(run.settings.vocab_dir)
     drug_rows: list[dict] = []
@@ -780,8 +775,8 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
 
 
 def _stage_extract(run: _RunContext, out: Path) -> dict:
-    studies, aliases, index, clients = run.studies, run.aliases, run.doc_index, run.clients
-    articles = run.pubmed_articles
+    studies, aliases, index, clients = run.read("dedupe/studies.jsonl"), run.aliases, run.doc_index, run.clients
+    articles = run.read("pubmed")
     surviving = {s.study_id for s in studies}
     hierarchy = load_meddra(run.settings.vocab_dir)
 
@@ -870,16 +865,15 @@ def _stage_graph(run: _RunContext, out: Path) -> dict:
     triples: list[RelationTriple] = []
     review_ids: set[str] = set()
 
-    for pmid, xml_text in _corpus_review_xmls(run.settings.corpus_dir):
+    for pmid, xml_text in run.read("review_xmls"):
         review_ids.add(pmid)
         triples.extend(extract_review_references(pmid, xml_text, awaiting=run.settings.awaiting))
-    review_ids.update(review.pmid for review in run.reviews)
+    review_ids.update(review.pmid for review in run.read("reviews"))
 
-    for article in run.pubmed_articles:
+    for article in run.read("pubmed"):
         triples.extend(extract_nct_links(article))
 
-    dup_links = run.output_rows("dedupe", "dup_links.jsonl")
-    triples.extend(decode_record(RelationTriple, row) for row in dup_links)
+    triples.extend(decode_record(RelationTriple, row) for row in run.read("dedupe/dup_links.jsonl"))
 
     graph = assemble_graph(triples, review_ids=review_ids)
     for head in graph.dangling_heads:
@@ -898,16 +892,16 @@ def _stage_graph(run: _RunContext, out: Path) -> dict:
 
 def _stage_database(run: _RunContext, out: Path) -> dict:
     tables = {
-        "studies": [store.table_row("studies", s) for s in run.studies],
-        "conditions": run.output_rows("link", "conditions.jsonl"),
-        "drugs": run.output_rows("link", "drugs.jsonl"),
-        "disposition": run.output_rows("extract", "disposition.jsonl"),
-        "adverse_events": run.output_rows("extract", "adverse_events.jsonl"),
-        "trial_results": run.output_rows("extract", "trial_results.jsonl"),
-        "trial_outcomes": run.output_rows("extract", "trial_outcomes.jsonl"),
-        "endpoints": run.output_rows("link", "endpoints.jsonl"),
-        "biomarkers": run.output_rows("link", "biomarkers.jsonl"),
-        "relations": run.output_rows("graph", "relations.jsonl"),
+        "studies": [store.table_row("studies", s) for s in run.read("dedupe/studies.jsonl")],
+        "conditions": run.read("link/conditions.jsonl"),
+        "drugs": run.read("link/drugs.jsonl"),
+        "disposition": run.read("extract/disposition.jsonl"),
+        "adverse_events": run.read("extract/adverse_events.jsonl"),
+        "trial_results": run.read("extract/trial_results.jsonl"),
+        "trial_outcomes": run.read("extract/trial_outcomes.jsonl"),
+        "endpoints": run.read("link/endpoints.jsonl"),
+        "biomarkers": run.read("link/biomarkers.jsonl"),
+        "relations": run.read("graph/relations.jsonl"),
     }
     bundle = store.write_database(tables, out / "db")
     return {name: len(rows) for name, rows in tables.items()} | {
@@ -916,8 +910,8 @@ def _stage_database(run: _RunContext, out: Path) -> dict:
 
 
 def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
-    settings, clients, reviews = run.settings, run.clients, run.reviews
-    triples = [decode_record(RelationTriple, row) for row in run.output_rows("graph", "relations.jsonl")]
+    settings, clients, reviews = run.settings, run.clients, run.read("reviews")
+    triples = [decode_record(RelationTriple, row) for row in run.read("graph/relations.jsonl")]
 
     review_pmids = {review.pmid for review in reviews}
     review_groups: dict[str, list[str]] = {}
@@ -929,23 +923,24 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
 
     items = []
     for field_name in DESIGN_FIELDS:
-        items.extend(gen_design_mcq(review_groups, run.ctgov_docs, field_name, settings.seed))
+        items.extend(gen_design_mcq(review_groups, run.read("ctgov"), field_name, settings.seed))
 
-    items.extend(gen_sample_size_items(run.protocol_pairs, clients.llm))
+    items.extend(gen_sample_size_items(run.read("protocols"), clients.llm))
 
-    labels = (decode_record(OutcomeLabel, row) for row in run.output_rows("extract", "trial_outcomes.jsonl"))
+    labels = (decode_record(OutcomeLabel, row) for row in run.read("extract/trial_outcomes.jsonl"))
     outcomes = {label.study_id: label for label in labels}
+    index = run.doc_index
     completion_trials = [
         (study, doc)
-        for study in sorted(run.studies, key=lambda s: s.study_id)
-        if (doc := run.doc_index.doc_for(study.study_id)) is not None
+        for study in sorted(run.read("dedupe/studies.jsonl"), key=lambda s: s.study_id)
+        if (doc := index.doc_for(study.study_id)) is not None
     ]
     items.extend(gen_completion_items(completion_trials, outcomes))
 
     search_items = gen_search_items(reviews, triples)
     items.extend(search_items)
 
-    titles = {article.pmid: article.title for article in run.pubmed_articles}
+    titles = {article.pmid: article.title for article in run.read("pubmed")}
     items.extend(gen_screening_items(reviews, triples, titles, settings.seed))
     items.extend(gen_evidence_mcq(reviews, _include_map(triples), clients.llm))
 
@@ -976,26 +971,30 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     return counts
 
 
-# Held outputs whose last reader is the key stage, released once it is done
-# or skipped. Dedupe's outputs, graph's relations and extract's outcome
-# labels are read up to benchmarks, the last stage.
-_RELEASED_AFTER = {
-    "dedupe": [("ingest", "studies.jsonl")],
-    "database": [
-        *(("link", f"{name}.jsonl") for name in ("conditions", "drugs", "endpoints", "biomarkers")),
-        *(("extract", f"{name}.jsonl") for name in ("trial_results", "adverse_events", "disposition")),
-    ],
-}
-
-_STAGE_FUNCS = {
-    "ingest": _stage_ingest,
-    "dedupe": _stage_dedupe,
-    "link": _stage_link,
-    "extract": _stage_extract,
-    "graph": _stage_graph,
-    "database": _stage_database,
-    "benchmarks": _stage_benchmarks,
-}
+# The stage chain in run order; everything else about the chain is derived from it below.
+STAGE_TABLE = (
+    Stage("ingest", "ingest", _stage_ingest, ("registry", "ctgov", "pubmed")),
+    Stage("dedupe", "dedupe", _stage_dedupe, ("ingest/studies.jsonl",)),
+    Stage("link", "link", _stage_link, ("dedupe/studies.jsonl", "dedupe/dup_links.jsonl", "ctgov")),
+    Stage("extract", "extract", _stage_extract, ("dedupe/studies.jsonl", "dedupe/dup_links.jsonl", "ctgov", "pubmed")),
+    Stage("graph", "graph", _stage_graph, ("review_xmls", "reviews", "pubmed", "dedupe/dup_links.jsonl")),
+    Stage("database", "build-db", _stage_database, (
+        "dedupe/studies.jsonl",
+        *(f"link/{name}.jsonl" for name in ("conditions", "drugs", "endpoints", "biomarkers")),
+        *(f"extract/{name}.jsonl" for name in ("trial_results", "adverse_events", "disposition", "trial_outcomes")),
+        "graph/relations.jsonl",
+    )),
+    Stage("benchmarks", "gen-bench", _stage_benchmarks, (
+        "dedupe/studies.jsonl", "dedupe/dup_links.jsonl", "ctgov", "pubmed", "reviews", "protocols",
+        "graph/relations.jsonl", "extract/trial_outcomes.jsonl",
+    )),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+STAGE_DIRS = {stage.name: f"{position:02d}_{stage.name}" for position, stage in enumerate(STAGE_TABLE, start=1)}
+# run_pipeline calls each stage through this dict, so an entry can be wrapped.
+_STAGE_FUNCS = {stage.name: stage.run for stage in STAGE_TABLE}
+# input name -> the last stage in the table that reads it
+_LAST_READER = {name: stage.name for stage in STAGE_TABLE for name in stage.reads}
 
 
 def run_pipeline(
@@ -1013,7 +1012,7 @@ def run_pipeline(
     """
     if until not in STAGES:
         raise ValueError(f"unknown stage {until!r}; expected one of {STAGES}")
-    wanted = STAGES[: STAGES.index(until) + 1]
+    wanted = STAGE_TABLE[: STAGES.index(until) + 1]
 
     settings.out_dir.mkdir(parents=True, exist_ok=True)
     store_in_corpus = _store_in_corpus(settings)
@@ -1025,7 +1024,8 @@ def run_pipeline(
 
     upstream = ""
     summary: dict = {"corpus_hash": corpus_hash, "config_hash": config_hash, "stages": {}}
-    for name in wanted:
+    for stage in wanted:
+        name = stage.name
         stage_dir = settings.out_dir / STAGE_DIRS[name]
         manifest_path = stage_dir / "manifest.json"
         input_hash = _sha256_text(f"{corpus_hash}:{config_hash}:{upstream}")
@@ -1042,6 +1042,7 @@ def run_pipeline(
             stage_dir.mkdir(parents=True)
             logger.info("stage %s: running (%s)", name, reason)
             served.clear()
+            run.stage = stage
             try:
                 counts = _STAGE_FUNCS[name](run, stage_dir)
             except ForgeError as exc:
@@ -1057,11 +1058,11 @@ def run_pipeline(
                 manifest["responses"] = dict(served)
             upstream = _write_json(manifest_path, manifest)
             summary["stages"][name] = {"counts": counts, "skipped": False}
-        run.release(_RELEASED_AFTER.get(name, ()))
+        run.release(name)
 
     summary["pipeline_hash"] = upstream
     summary["live_calls"] = clients.live_calls()
-    if wanted == STAGES:
+    if wanted == STAGE_TABLE:
         _write_json(settings.out_dir / "pipeline_manifest.json", {
             "corpus_hash": corpus_hash,
             "config_hash": config_hash,

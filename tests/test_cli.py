@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from trialforge import pipeline
-from trialforge.cli import main
+from trialforge.cli import STAGE_VERBS, main
 from trialforge.clients import ReplayStore, request_hash
 from trialforge.ontology._vocabio import default_vocab_dir
 
@@ -35,6 +35,19 @@ def pipeline_argv(verb, golden, out_dir, **extra):
 
 
 # --- stage verbs ---------------------------------------------------------
+
+def test_stage_verbs_come_from_the_stage_table():
+    assert STAGE_VERBS == {
+        "ingest": "ingest",
+        "dedupe": "dedupe",
+        "link": "link",
+        "extract": "extract",
+        "graph": "graph",
+        "build-db": "database",
+        "gen-bench": "benchmarks",
+        "run-all": "benchmarks",
+    }
+
 
 def test_run_all_prints_stage_lines(golden, tmp_path, capsys):
     code = main(pipeline_argv("run-all", golden, tmp_path / "out"))
@@ -113,6 +126,13 @@ def test_bad_config_line_is_invalid_input(tmp_path, capsys):
         ("awaiting = fold", "awaiting mode must be one of"),
         ("allow_small_split = maybe", "non-boolean value"),
         ("seed = seven", "invalid literal"),
+        ("dedupe_threshold = -0.5", "dedupe_threshold must be in (0, 1]"),
+        ("dedupe_threshold = 0", "dedupe_threshold must be in (0, 1]"),
+        ("dedupe_threshold = nan", "dedupe_threshold must be in (0, 1]"),
+        ("dedupe_threshold = 1.5", "dedupe_threshold must be in (0, 1]"),
+        ("split_test_size = -1", "split_test_size must be at least 0"),
+        ("split_validation_size = -1", "split_validation_size must be at least 0"),
+        ("search_test_size = -1", "search_test_size must be at least 0"),
     ],
 )
 def test_bad_config_value_fails_before_any_stage(golden, tmp_path, capsys, line, message):

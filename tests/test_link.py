@@ -106,7 +106,7 @@ def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_di
         for n, texts in enumerate(outcomes, start=1)
     ]
     run = SimpleNamespace(
-        studies=studies,
+        read={"dedupe/studies.jsonl": studies}.__getitem__,
         doc_index=SimpleNamespace(doc_for=lambda study_id: None),
         clients=SimpleNamespace(llm=llm, annotator=None, rxnorm=None),
         settings=SimpleNamespace(vocab_dir=vocab_dir),

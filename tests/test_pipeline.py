@@ -126,17 +126,23 @@ def dedupe_registry_and_article(tmp_path, registry_id, pmid):
     return settings, decisions.read_text(encoding="utf-8").splitlines()
 
 
+def dedupe_aliases(settings: PipelineSettings) -> dict[str, str]:
+    run = pipeline._RunContext(settings, None, "")
+    run.stage = pipeline.STAGE_TABLE[STAGES.index("link")]
+    return run.aliases
+
+
 def test_alias_survives_a_tab_in_the_survivor_id(tmp_path):
     settings, lines = dedupe_registry_and_article(tmp_path, "ACTRN126\t0001", "111")
     assert "ANZCTR\tACTRN126\\t0001\tPUBMED:111\ttitle-similarity\t1.0000" in lines
     assert {len(line.split("\t")) for line in lines} == {5}
-    assert pipeline._RunContext(settings, None, "").aliases == {"111": "ACTRN126\t0001"}
+    assert dedupe_aliases(settings) == {"111": "ACTRN126\t0001"}
 
 
 def test_alias_keeps_a_semicolon_in_the_absorbed_id(tmp_path):
     settings, lines = dedupe_registry_and_article(tmp_path, "ACTRN1", "11;1")
     assert "ANZCTR\tACTRN1\tPUBMED:11;1\ttitle-similarity\t1.0000" in lines
-    assert pipeline._RunContext(settings, None, "").aliases == {"11;1": "ACTRN1"}
+    assert dedupe_aliases(settings) == {"11;1": "ACTRN1"}
 
 
 def test_untitled_article_passes_dedupe_flagged(golden, tmp_path):
@@ -330,6 +336,59 @@ def test_inputs_are_read_once_per_context_span(golden, tmp_path, monkeypatch):
     repair, counts = run_and_count()
     assert [name for name, stage in repair["stages"].items() if not stage["skipped"]] == ["extract"]
     assert all(count <= 1 for count in counts.values()), counts
+
+
+# --- the stage table -----------------------------------------------------------
+
+def test_stage_dirs_come_from_table_positions():
+    assert STAGE_DIRS == {
+        "ingest": "01_ingest",
+        "dedupe": "02_dedupe",
+        "link": "03_link",
+        "extract": "04_extract",
+        "graph": "05_graph",
+        "database": "06_database",
+        "benchmarks": "07_benchmarks",
+    }
+
+
+@pytest.mark.parametrize("stage", pipeline.STAGE_TABLE, ids=STAGES)
+def test_reading_an_undeclared_input_raises(tmp_path, stage):
+    every_input = {*pipeline._CORPUS_READERS, *pipeline._LAST_READER}
+    undeclared = sorted(every_input - set(stage.reads))[0]
+    run = pipeline._RunContext(PipelineSettings(corpus_dir=tmp_path, out_dir=tmp_path / "out"), None, "")
+    run.stage = stage
+    with pytest.raises(RuntimeError, match=f"stage {stage.name} read undeclared input '{undeclared}'"):
+        run.read(undeclared)
+
+
+def test_cold_run_reads_every_declared_input(golden, tmp_path, monkeypatch):
+    # `read` refuses undeclared inputs, so equality here means no declaration is stale.
+    read = pipeline._RunContext.read
+    seen = {name: set() for name in STAGES}
+
+    def recording(run, name):
+        seen[run.stage.name].add(name)
+        return read(run, name)
+
+    monkeypatch.setattr(pipeline._RunContext, "read", recording)
+    run_pipeline(replay_settings(golden, tmp_path / "out"))
+    assert seen == {stage.name: set(stage.reads) for stage in pipeline.STAGE_TABLE}
+
+
+def test_stages_are_called_through_the_stage_funcs_dict(golden, tmp_path, monkeypatch):
+    # A wrapped entry must run: perfbench times each stage by wrapping its entry.
+    calls = []
+    stage_graph = pipeline._STAGE_FUNCS["graph"]
+
+    def counting(run, out):
+        calls.append(out.name)
+        return stage_graph(run, out)
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "graph", counting)
+    summary = run_pipeline(replay_settings(golden, tmp_path / "out"))
+    assert calls == ["05_graph"]
+    assert summary["stages"]["graph"]["skipped"] is False
 
 
 def test_stage_subset_must_be_known(golden, tmp_path):
