@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+from trialforge import DATA_DIR
 from trialforge.clients import json_answer
 from trialforge.errors import DanglingReference, MissingResultsSection
 from trialforge.ontology.meddra import MeddraHierarchy, map_meddra
@@ -453,20 +454,15 @@ def jaccard_scorer(reason: str, keyword: str) -> float:
 
 
 def load_termination_keywords() -> dict[str, list[str]]:
-    from importlib import resources
-
-    raw = resources.files("trialforge").joinpath("data/termination_keywords.json").read_text(encoding="utf-8")
-    keyword_sets = json.loads(raw)
+    """The packaged keyword list of each termination category, in config order."""
+    keyword_sets = json.loads((DATA_DIR / "termination_keywords.json").read_text(encoding="utf-8"))
     unknown = [category for category in keyword_sets if category not in TERMINATION_CATEGORIES]
     if unknown:
         raise ValueError(f"termination keyword config names unknown categories: {unknown}")
     return keyword_sets
 
 
-def classify_termination_reason(
-    stop_reason: str,
-    keyword_sets: Optional[Mapping[str, Sequence[str]]] = None,
-) -> str:
+def classify_termination_reason(stop_reason: str, keyword_sets: Mapping[str, Sequence[str]]) -> str:
     """Map a stop reason to ``terminated:<category>``.
 
     The winning category has the highest mean token Jaccard similarity
@@ -474,9 +470,6 @@ def classify_termination_reason(
     every similarity is zero, nothing was recognized and the label falls
     back to ``terminated:other``.
     """
-    if keyword_sets is None:
-        keyword_sets = load_termination_keywords()
-
     best_category = "other"
     best_score = 0.0
     for category, keywords in keyword_sets.items():
@@ -491,9 +484,7 @@ def classify_termination_reason(
 
 
 def label_terminated_study(
-    study: CanonicalStudy,
-    stop_reason: str,
-    keyword_sets: Optional[Mapping[str, Sequence[str]]] = None,
+    study: CanonicalStudy, stop_reason: str, keyword_sets: Mapping[str, Sequence[str]]
 ) -> OutcomeLabel:
     outcome_type = classify_termination_reason(stop_reason, keyword_sets)
     return OutcomeLabel(study.study_id, outcome_type, "stop-reason-similarity")

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import re
-from functools import cache
-from importlib import resources
 from pathlib import Path
 
+from . import DATA_DIR
 from .errors import UnknownSource
 from .schema import (
     CanonicalStudy,
@@ -180,25 +179,30 @@ _YEAR_RE = re.compile(r"\b(19|20)\d{2}\b")
 _INT_CELL_RE = re.compile(r"\d[\d,]*")
 
 
-@cache
-def _default_mapping_dir() -> Path:
-    return Path(str(resources.files("trialforge").joinpath("data/sources")))
+def load_source_mapping(source: Source | str, mapping_dir: Path = DATA_DIR / "sources") -> dict:
+    """Read the source's field mapping from ``mapping_dir`` (the packaged one by default).
 
-
-def load_source_mapping(source: Source | str, mapping_dir: str | Path | None = None) -> dict:
-    """Read the source's field mapping from ``mapping_dir`` (the packaged one by default)."""
-    name = source.name if isinstance(source, Source) else str(source)
+    A mapping that is not a JSON object, lacks a ``fields`` object of column
+    names or nulls, or names another ``source`` is a ValueError naming the file.
+    """
     try:
-        tag = Source[name.upper()] if not isinstance(source, Source) else source
+        tag = source if isinstance(source, Source) else Source[str(source).upper()]
     except KeyError:
         raise UnknownSource(f"unknown source tag {source!r}") from None
     if tag in (Source.CTGOV, Source.PUBMED):
         raise UnknownSource(f"{tag.value} records do not use column mappings")
-    path = Path(mapping_dir or _default_mapping_dir()) / f"{tag.name.lower()}.json"
-    if not path.exists():
+    path = mapping_dir / f"{tag.name.lower()}.json"
+    if not path.is_file():
         raise UnknownSource(f"no field mapping for source {tag.name!r} at {path}")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    mapping = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    fields = mapping.get("fields")
+    if not isinstance(fields, dict) or not all(isinstance(column, (str, type(None))) for column in fields.values()):
+        raise ValueError(f"{path}: 'fields' must be an object of column names or nulls")
+    if mapping.get("source") != tag.value:
+        raise ValueError(f"{path}: 'source' is {mapping.get('source')!r}, expected {tag.value!r}")
+    return mapping
 
 
 def _cell(raw: dict, column: str | None) -> str:
@@ -228,14 +232,8 @@ def _split_list_cell(text: str, separator: str) -> list[str]:
     return [part.strip() for part in text.split(separator) if part.strip()]
 
 
-def parse_registry_record(
-    raw: dict,
-    source: Source | str,
-    mapping: dict | None = None,
-) -> CanonicalStudy:
-    """Normalize one registry row using the source's field mapping (the packaged one by default)."""
-    if mapping is None:
-        mapping = load_source_mapping(source)
+def parse_registry_record(raw: dict, mapping: dict) -> CanonicalStudy:
+    """Normalize one registry row using its source's field mapping, as `load_source_mapping` returns it."""
     tag = Source(mapping["source"])
     fields = mapping["fields"]
 

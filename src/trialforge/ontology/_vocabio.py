@@ -29,9 +29,3 @@ def iter_tsv(path: Path, columns: int) -> Iterator[list[str]]:
             if len(row) > columns:
                 raise ValueError(f"{path.name}:{lineno}: expected at most {columns} columns, got {len(row)}")
             yield row + [""] * (columns - len(row))
-
-
-def default_vocab_dir() -> Path:
-    from importlib import resources
-
-    return Path(str(resources.files("trialforge").joinpath("data/vocab")))

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
+from trialforge import DATA_DIR
 from trialforge.errors import TaxonomyViolation
-from trialforge.ontology._vocabio import default_vocab_dir, iter_tsv
+from trialforge.ontology._vocabio import iter_tsv
 
 BIOMARKER_TYPES = ("PRD", "SUR", "PDY", "SAF", "MOI")
 
@@ -71,16 +72,15 @@ def _sorted_key(normalized: str) -> str:
     return " ".join(sorted(normalized.split()))
 
 
-def load_biomarker_index(vocab_dir: Optional[Path] = None) -> BiomarkerIndex:
+def load_biomarker_index(vocab_dir: Path = DATA_DIR / "vocab") -> BiomarkerIndex:
     """Build exact and token-sorted lookup tables from ``themarker.tsv``.
 
     If two canonical terms collide on the token-sorted key, the
     lexicographically smaller name wins, so the index never depends on
     file order.
     """
-    base = vocab_dir if vocab_dir is not None else default_vocab_dir()
     rows: list[_Row] = []
-    for name, biomarker_class, biomarker_type, genes in iter_tsv(base / "themarker.tsv", 4):
+    for name, biomarker_class, biomarker_type, genes in iter_tsv(vocab_dir / "themarker.tsv", 4):
         if biomarker_type not in BIOMARKER_TYPES:
             raise TaxonomyViolation(f"biomarker {name!r} has unknown type {biomarker_type!r}")
         rows.append(

@@ -28,12 +28,12 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
+from trialforge import DATA_DIR
 from trialforge.dedupe import levenshtein
-from trialforge.ontology._vocabio import default_vocab_dir, iter_tsv
+from trialforge.ontology._vocabio import iter_tsv
 from trialforge.views import RxnormAnswer, parse_answer
 
 RXNORM_METHODS = ("local", "remote", "spelling-suggestion", "none")
@@ -70,20 +70,13 @@ _ARTIFACT_TABLE = str.maketrans(
 _WS_RE = re.compile(r"\s+")
 
 
-@cache
-def _default_normalization() -> tuple[tuple[str, ...], dict[str, str]]:
-    from importlib import resources
-
-    raw = resources.files("trialforge").joinpath("data/drug_normalization.json").read_text(encoding="utf-8")
-    config = json.loads(raw)
+def load_drug_normalization() -> tuple[tuple[str, ...], dict[str, str]]:
+    """The packaged dose-form suffixes and name substitutions, in `normalize_drug_name`'s argument order."""
+    config = json.loads((DATA_DIR / "drug_normalization.json").read_text(encoding="utf-8"))
     return tuple(config["suffixes"]), dict(config["substitutions"])
 
 
-def normalize_drug_name(
-    raw: str,
-    suffixes: Optional[tuple[str, ...]] = None,
-    substitutions: Optional[Mapping[str, str]] = None,
-) -> str:
+def normalize_drug_name(raw: str, suffixes: tuple[str, ...], substitutions: Mapping[str, str]) -> str:
     """Return the canonical lowercase form of a drug mention.
 
     Trailing dose-form suffixes are stripped iteratively ("aspirin tablet
@@ -92,12 +85,6 @@ def normalize_drug_name(
     substitute alternate until the name stops changing, so the result is a
     fixpoint and the function is idempotent.
     """
-    if suffixes is None or substitutions is None:
-        default_suffixes, default_subs = _default_normalization()
-        if suffixes is None:
-            suffixes = default_suffixes
-        if substitutions is None:
-            substitutions = default_subs
     suffix_set = {s.lower() for s in suffixes}
 
     name = _WS_RE.sub(" ", raw.translate(_ARTIFACT_TABLE)).strip().lower()
@@ -147,7 +134,7 @@ class DrugResources:
     agency_lists: Mapping[str, frozenset[str]]
 
 
-def load_drug_resources(vocab_dir: Optional[Path] = None) -> DrugResources:
+def load_drug_resources(vocab_dir: Path = DATA_DIR / "vocab") -> DrugResources:
     """Load the drug tables from ``vocab_dir`` (package subset by default).
 
     File schemas, one row per line, tab separated:
@@ -158,27 +145,25 @@ def load_drug_resources(vocab_dir: Optional[Path] = None) -> DrugResources:
     - ``drugbank_synonyms.tsv`` / ``drugbank_brands.tsv``: name, DrugBank id
     - ``fda.tsv`` / ``ema.tsv`` / ``pmda.tsv``: one approved name per line
     """
-    base = vocab_dir if vocab_dir is not None else default_vocab_dir()
-
     rxnorm_local: dict[str, str] = {}
     rxcui_names: dict[str, str] = {}
-    for name, rxcui, canonical in iter_tsv(base / "rxnorm_local.tsv", 3):
+    for name, rxcui, canonical in iter_tsv(vocab_dir / "rxnorm_local.tsv", 3):
         rxnorm_local[name.lower()] = rxcui
         rxcui_names.setdefault(rxcui, canonical.lower() or name.lower())
 
-    rxnorm_to_drugbank = {rxcui: db_id for rxcui, db_id in iter_tsv(base / "rxnorm_to_drugbank.tsv", 2)}
+    rxnorm_to_drugbank = {rxcui: db_id for rxcui, db_id in iter_tsv(vocab_dir / "rxnorm_to_drugbank.tsv", 2)}
 
     drugbank_names: dict[str, str] = {}
     drugbank_display: dict[str, str] = {}
-    for db_id, primary in iter_tsv(base / "drugbank.tsv", 2):
+    for db_id, primary in iter_tsv(vocab_dir / "drugbank.tsv", 2):
         drugbank_names[primary.lower()] = db_id
         drugbank_display[db_id] = primary.lower()
 
-    drugbank_synonyms = {name.lower(): db_id for name, db_id in iter_tsv(base / "drugbank_synonyms.tsv", 2)}
-    drugbank_brands = {name.lower(): db_id for name, db_id in iter_tsv(base / "drugbank_brands.tsv", 2)}
+    drugbank_synonyms = {name.lower(): db_id for name, db_id in iter_tsv(vocab_dir / "drugbank_synonyms.tsv", 2)}
+    drugbank_brands = {name.lower(): db_id for name, db_id in iter_tsv(vocab_dir / "drugbank_brands.tsv", 2)}
 
     agency_lists = {
-        agency: frozenset(row[0].lower() for row in iter_tsv(base / f"{agency}.tsv", 1))
+        agency: frozenset(row[0].lower() for row in iter_tsv(vocab_dir / f"{agency}.tsv", 1))
         for agency in AGENCIES
     }
 
@@ -325,15 +310,16 @@ def annotate_approval(
 def link_drug(
     raw_name: str,
     resources: DrugResources,
+    normalization: tuple[tuple[str, ...], Mapping[str, str]],
     remote_client: Optional[RemoteClient] = None,
-    suffixes: Optional[tuple[str, ...]] = None,
-    substitutions: Optional[Mapping[str, str]] = None,
 ) -> DrugEntry:
     """Run the full normalize / RxNorm / DrugBank / approval chain.
 
-    Errors from ``remote_client`` propagate untouched (see `resolve_rxnorm`).
+    ``normalization`` is the ``(suffixes, substitutions)`` pair of
+    `load_drug_normalization`. Errors from ``remote_client`` propagate
+    untouched (see `resolve_rxnorm`).
     """
-    cleaned = normalize_drug_name(raw_name, suffixes=suffixes, substitutions=substitutions)
+    cleaned = normalize_drug_name(raw_name, *normalization)
     rxcui, rxnorm_method = resolve_rxnorm(cleaned, resources.rxnorm_local, remote_client)
     drugbank_id, drugbank_method = resolve_drugbank(rxcui, cleaned, resources)
     entry = DrugEntry(

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
-from trialforge.ontology._vocabio import default_vocab_dir, iter_tsv
+from trialforge import DATA_DIR
+from trialforge.ontology._vocabio import iter_tsv
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,10 @@ class MeddraHierarchy:
     pt_by_name: Mapping[str, str]
 
 
-def load_meddra(vocab_dir: Optional[Path] = None) -> MeddraHierarchy:
-    base = vocab_dir if vocab_dir is not None else default_vocab_dir()
+def load_meddra(vocab_dir: Path = DATA_DIR / "vocab") -> MeddraHierarchy:
     return MeddraHierarchy(
-        llt_to_pt={name.lower(): pt_code for _llt_code, name, pt_code in iter_tsv(base / "meddra_llt.tsv", 3)},
-        pt_by_name={name.lower(): pt_code for pt_code, name, _hlt_code in iter_tsv(base / "meddra_pt.tsv", 3)},
+        llt_to_pt={name.lower(): pt_code for _llt_code, name, pt_code in iter_tsv(vocab_dir / "meddra_llt.tsv", 3)},
+        pt_by_name={name.lower(): pt_code for pt_code, name, _hlt_code in iter_tsv(vocab_dir / "meddra_pt.tsv", 3)},
     )
 
 

@@ -32,9 +32,13 @@ Expected corpus layout::
 Every subdirectory is optional; missing ones simply contribute nothing.
 
 Each stage is one entry of `STAGE_TABLE`: its name, CLI verb, function
-and the run inputs it reads, each a corpus input (``registry``, ``ctgov``,
-``pubmed``, ``reviews``, ``review_xmls``, ``protocols``) or an upstream
-output ``"<stage>/<file>"``. Stage directories, CLI verbs and the release
+and the run inputs it reads. An input is a corpus input (``registry``,
+``ctgov``, ``pubmed``, ``reviews``, ``review_xmls``, ``protocols``); a table
+from ``mapping_dir`` (``source_mappings``, the field mapping of each
+registry file) or ``vocab_dir`` (``drug_vocab``, ``biomarker_vocab``,
+``meddra_vocab``), the packaged directory when unset; a packaged table
+(``drug_normalization``, ``termination_keywords``); or an upstream output
+``"<stage>/<file>"``. Stage directories, CLI verbs and the release
 schedule come from the table. One run context serves a stage only what it
 declares, reads each input on first use (a skipped stage reads nothing)
 and drops it once its last reader in the table is done. Corpus JSON inputs
@@ -57,7 +61,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
-from . import store
+from . import DATA_DIR, store
 from .benchgen.design import DESIGN_FIELDS, gen_design_mcq
 from .benchgen.items import write_benchmark_files
 from .benchgen.protocol import gen_completion_items, gen_sample_size_items
@@ -98,7 +102,7 @@ from .evidence import (
 from .ingest import extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record
 from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
 from .ontology.conditions import annotate_conditions
-from .ontology.drugs import link_drug, load_drug_resources
+from .ontology.drugs import link_drug, load_drug_normalization, load_drug_resources
 from .ontology.endpoints import classify_endpoint
 from .ontology.meddra import load_meddra
 from .relations import (
@@ -177,8 +181,10 @@ class PipelineSettings:
         The mode decides only what a store miss does, never what a stage
         computes, so a record run and a replay of its store share every key.
         A set ``vocab_dir`` or ``mapping_dir`` adds a digest of its contents, so
-        an edit there reruns every stage; rerunning only the stages that read
-        the file needs the per-stage read traces planned in ROADMAP.md.
+        an edit there reruns every stage, though `STAGE_TABLE` names their
+        only readers: ingest reads ``mapping_dir``, link and extract read
+        ``vocab_dir``. Keying each stage on its declared reads is planned in
+        ROADMAP.md.
         """
         key = {name: getattr(self, name) for name, kind in _SETTING_TYPES.items() if kind not in _PATH_TYPES}
         del key["mode"]
@@ -431,7 +437,7 @@ def _write_sorted_rows(path: Path, rows: list[dict]) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# corpus readers
+# run input readers
 
 
 def _json_objects(path: Path) -> list[dict]:
@@ -501,14 +507,24 @@ def _corpus_review_xmls(corpus_dir: Path) -> list[tuple[str, str]]:
     ]
 
 
-# Corpus input name -> its reader; each calls a module global at call time, so readers can be wrapped.
-_CORPUS_READERS = {
-    "registry": lambda corpus: _corpus_registry_batches(corpus),
-    "ctgov": lambda corpus: _corpus_ctgov_docs(corpus),
-    "pubmed": lambda corpus: _corpus_pubmed_articles(corpus),
-    "reviews": lambda corpus: _corpus_entries(corpus / "reviews" / "index.json", Review),
-    "review_xmls": lambda corpus: _corpus_review_xmls(corpus),
-    "protocols": lambda corpus: _corpus_entries(corpus / "protocols" / "pairs.json", ProtocolPair),
+# Input name -> its reader, given the settings; each calls a module global at call time, so readers can be wrapped.
+# Every input not named here is an upstream output.
+_INPUT_READERS = {
+    "registry": lambda settings: _corpus_registry_batches(settings.corpus_dir),
+    "ctgov": lambda settings: _corpus_ctgov_docs(settings.corpus_dir),
+    "pubmed": lambda settings: _corpus_pubmed_articles(settings.corpus_dir),
+    "reviews": lambda settings: _corpus_entries(settings.corpus_dir / "reviews" / "index.json", Review),
+    "review_xmls": lambda settings: _corpus_review_xmls(settings.corpus_dir),
+    "protocols": lambda settings: _corpus_entries(settings.corpus_dir / "protocols" / "pairs.json", ProtocolPair),
+    "source_mappings": lambda settings: {
+        path.stem: load_source_mapping(path.stem, settings.mapping_dir or DATA_DIR / "sources")
+        for path in sorted((settings.corpus_dir / "registry").glob("*.json"))
+    },
+    "drug_vocab": lambda settings: load_drug_resources(settings.vocab_dir or DATA_DIR / "vocab"),
+    "drug_normalization": lambda settings: load_drug_normalization(),
+    "biomarker_vocab": lambda settings: load_biomarker_index(settings.vocab_dir or DATA_DIR / "vocab"),
+    "meddra_vocab": lambda settings: load_meddra(settings.vocab_dir or DATA_DIR / "vocab"),
+    "termination_keywords": lambda settings: load_termination_keywords(),
 }
 
 
@@ -595,8 +611,8 @@ class _RunContext:
         return self._inputs[name]
 
     def _load(self, name: str):
-        if name in _CORPUS_READERS:
-            return _CORPUS_READERS[name](self.settings.corpus_dir)
+        if name in _INPUT_READERS:
+            return _INPUT_READERS[name](self.settings)
         writer, _, file = name.partition("/")
         path, held = self.settings.out_dir / STAGE_DIRS[writer] / file, self._held.pop(name, None)
         if file != "studies.jsonl":
@@ -627,18 +643,17 @@ class _RunContext:
 
 
 def _stage_ingest(run: _RunContext, out: Path) -> dict:
-    registry = []
-    for path, rows in run.read("registry"):
-        if rows:
-            mapping = load_source_mapping(path.stem, run.settings.mapping_dir)
-            for position, raw in enumerate(rows):
-                try:
-                    study = parse_registry_record(raw, path.stem, mapping)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: entry {position}: {exc}") from None
-                if not study.study_id:
-                    raise ValueError(f"{path}: entry {position} has no {mapping['fields'].get('study_id')!r}")
-                registry.append(study)
+    registry, batches, mappings = [], run.read("registry"), run.read("source_mappings")
+    for path, rows in batches:
+        mapping = mappings[path.stem]
+        for position, raw in enumerate(rows):
+            try:
+                study = parse_registry_record(raw, mapping)
+            except ValueError as exc:
+                raise ValueError(f"{path}: entry {position}: {exc}") from None
+            if not study.study_id:
+                raise ValueError(f"{path}: entry {position} has no {mapping['fields'].get('study_id')!r}")
+            registry.append(study)
     docs = run.read("ctgov")
     ctgov = [parse_ctgov_study(docs[nct_id]) for nct_id in sorted(docs)]
     pubmed = [extract_pubmed_study(record) for record in run.read("pubmed")]
@@ -706,7 +721,7 @@ def _biomarker_matches(text: str, index: BiomarkerIndex) -> list[BiomarkerMatch]
 def _stage_link(run: _RunContext, out: Path) -> dict:
     studies, index, clients = run.read("dedupe/studies.jsonl"), run.doc_index, run.clients
 
-    resources = load_drug_resources(run.settings.vocab_dir)
+    resources, normalization = run.read("drug_vocab"), run.read("drug_normalization")
     drug_rows: list[dict] = []
     seen_drugs: set[tuple[str, str]] = set()
     linked: dict[str, object] = {}
@@ -722,7 +737,7 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
                 continue
             seen_drugs.add((study.study_id, name))
             if name not in linked:
-                linked[name] = link_drug(name, resources, remote_client=clients.rxnorm)
+                linked[name] = link_drug(name, resources, normalization, remote_client=clients.rxnorm)
             drug_rows.append(store.table_row("drugs", linked[name], study_id=study.study_id))
 
     condition_rows: list[dict] = []
@@ -747,7 +762,7 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
                     outcome_text=classification.outcome,
                 ))
 
-    bio_index = load_biomarker_index(run.settings.vocab_dir)
+    bio_index = run.read("biomarker_vocab")
     biomarker_rows: list[dict] = []
     seen_marks: set[tuple[str, str, str]] = set()
     matched: dict[str, list[BiomarkerMatch]] = {}
@@ -778,7 +793,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
     studies, aliases, index, clients = run.read("dedupe/studies.jsonl"), run.aliases, run.doc_index, run.clients
     articles = run.read("pubmed")
     surviving = {s.study_id for s in studies}
-    hierarchy = load_meddra(run.settings.vocab_dir)
+    hierarchy = run.read("meddra_vocab")
 
     # (surviving id, document) pairs; rows parsed out of a document get
     # re-keyed when the document id was absorbed during dedupe.
@@ -831,7 +846,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
                 nct_abstracts.setdefault(triple.tail_id, []).append(article)
 
     labels: list[OutcomeLabel] = []
-    keyword_sets = load_termination_keywords()
+    keyword_sets = run.read("termination_keywords")
     for study in sorted(studies, key=lambda s: s.study_id):
         doc = index.doc_for(study.study_id)
         if study.status is StudyStatus.COMPLETED:
@@ -973,10 +988,14 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
 
 # The stage chain in run order; everything else about the chain is derived from it below.
 STAGE_TABLE = (
-    Stage("ingest", "ingest", _stage_ingest, ("registry", "ctgov", "pubmed")),
+    Stage("ingest", "ingest", _stage_ingest, ("registry", "source_mappings", "ctgov", "pubmed")),
     Stage("dedupe", "dedupe", _stage_dedupe, ("ingest/studies.jsonl",)),
-    Stage("link", "link", _stage_link, ("dedupe/studies.jsonl", "dedupe/dup_links.jsonl", "ctgov")),
-    Stage("extract", "extract", _stage_extract, ("dedupe/studies.jsonl", "dedupe/dup_links.jsonl", "ctgov", "pubmed")),
+    Stage("link", "link", _stage_link, (
+        "dedupe/studies.jsonl", "dedupe/dup_links.jsonl", "ctgov", "drug_vocab", "drug_normalization", "biomarker_vocab",
+    )),
+    Stage("extract", "extract", _stage_extract, (
+        "dedupe/studies.jsonl", "dedupe/dup_links.jsonl", "ctgov", "pubmed", "meddra_vocab", "termination_keywords",
+    )),
     Stage("graph", "graph", _stage_graph, ("review_xmls", "reviews", "pubmed", "dedupe/dup_links.jsonl")),
     Stage("database", "build-db", _stage_database, (
         "dedupe/studies.jsonl",

@@ -6,10 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from trialforge import pipeline
+from trialforge import DATA_DIR, pipeline
 from trialforge.cli import STAGE_VERBS, main
 from trialforge.clients import ReplayStore, request_hash
-from trialforge.ontology._vocabio import default_vocab_dir
 
 
 @pytest.fixture(autouse=True)
@@ -330,12 +329,25 @@ def test_corpus_entry_ids_are_read_once_as_stripped_text(golden, tmp_path, ids):
 
 @pytest.mark.parametrize("name", ["drugbank_brands.tsv", "meddra_llt.tsv"])
 def test_vocab_dir_without_a_file_a_loader_reads_exits_2_naming_it(golden, tmp_path, capsys, name):
-    vocab = shutil.copytree(default_vocab_dir(), tmp_path / "vocab")
+    vocab = shutil.copytree(DATA_DIR / "vocab", tmp_path / "vocab")
     (vocab / name).unlink()
     config = tmp_path / "forge.cfg"
     config.write_text(f"vocab_dir = {vocab}\n", encoding="utf-8")
     assert main(pipeline_argv("run-all", golden, tmp_path / "out", config=config)) == 2
     assert capsys.readouterr().err == f"invalid input: {vocab / name}: no such vocabulary file\n"
+
+
+def test_mapping_without_fields_exits_2_naming_file_and_key(golden, tmp_path, capsys):
+    # such a mapping used to crash ingest with KeyError: 'fields'
+    mappings = shutil.copytree(DATA_DIR / "sources", tmp_path / "sources")
+    mapping = json.loads((mappings / "anzctr.json").read_text(encoding="utf-8"))
+    del mapping["fields"]
+    (mappings / "anzctr.json").write_text(json.dumps(mapping), encoding="utf-8")
+    config = tmp_path / "forge.cfg"
+    config.write_text(f"mapping_dir = {mappings}\n", encoding="utf-8")
+    assert main(pipeline_argv("ingest", golden, tmp_path / "out", config=config)) == 2
+    expected = f"invalid input: {mappings / 'anzctr.json'}: 'fields' must be an object of column names or nulls\n"
+    assert capsys.readouterr().err == expected
 
 
 @pytest.mark.parametrize("module, key, value", [

@@ -38,6 +38,8 @@ from trialforge.ontology.meddra import load_meddra
 from trialforge.schema import CanonicalStudy, Source
 from trialforge.views import Article, parse_ctgov_doc
 
+KEYWORD_SETS = load_termination_keywords()
+
 
 def make_study(study_id="NCT01000001", title="Ranibizumab for neovascular AMD", raw_status=None, outcomes=None):
     return CanonicalStudy(
@@ -538,7 +540,7 @@ def reference_mean_jaccard(reason, keywords):
 class TestTermination:
     def test_slow_recruitment_maps_to_enrollment(self):
         reason = "study terminated early due to slow recruitment of patients"
-        assert classify_termination_reason(reason) == "terminated:enrollment issues"
+        assert classify_termination_reason(reason, KEYWORD_SETS) == "terminated:enrollment issues"
 
     def test_winning_mean_matches_reference(self):
         reason = "study terminated early due to slow recruitment of patients"
@@ -552,10 +554,10 @@ class TestTermination:
         assert abs(means["enrollment issues"] - (4 / 9 + 0 + 0 + 1 / 12) / 4) < 1e-12
 
     def test_verbatim_keyword_wins(self):
-        assert classify_termination_reason("lack of efficacy") == "terminated:lack of efficacy"
+        assert classify_termination_reason("lack of efficacy", KEYWORD_SETS) == "terminated:lack of efficacy"
 
     def test_all_zero_falls_to_other(self):
-        assert classify_termination_reason("xyzzy glorp") == "terminated:other"
+        assert classify_termination_reason("xyzzy glorp", KEYWORD_SETS) == "terminated:other"
 
     def test_default_scorer_is_token_jaccard(self):
         assert jaccard_scorer("a b c", "b c d") == pytest.approx(2 / 4)
@@ -590,7 +592,7 @@ class TestTermination:
 
     def test_label_wrapper(self):
         study = CanonicalStudy(study_id="NCT02823470", source=Source.CTGOV, title="t")
-        label = label_terminated_study(study, "study terminated early due to slow recruitment of patients")
+        label = label_terminated_study(study, "study terminated early due to slow recruitment of patients", KEYWORD_SETS)
         assert label == OutcomeLabel("NCT02823470", "terminated:enrollment issues", "stop-reason-similarity")
 
     def test_unknown_category_in_config_rejected(self):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
 from _corpus import view
@@ -27,6 +29,7 @@ from trialforge.schema import (
 from trialforge.views import Article, parse_ctgov_doc
 
 P = PhaseLabel
+ANZCTR_MAPPING = load_source_mapping(Source.ANZCTR)
 
 
 @pytest.mark.parametrize(
@@ -118,7 +121,7 @@ ANZCTR_ROW = {
 
 
 def test_parse_anzctr_row_full():
-    s = parse_registry_record(ANZCTR_ROW, Source.ANZCTR)
+    s = parse_registry_record(ANZCTR_ROW, ANZCTR_MAPPING)
     assert s.study_id == "ACTRN12615000100123"
     assert s.source is Source.ANZCTR
     assert s.title == "Exercise for knee pain"
@@ -141,35 +144,35 @@ def test_parse_anzctr_row_full():
 
 def test_parse_anzctr_not_applicable_phase():
     row = dict(ANZCTR_ROW, Phase="Not applicable")
-    assert parse_registry_record(row, Source.ANZCTR).phases == {P.NA}
+    assert parse_registry_record(row, ANZCTR_MAPPING).phases == {P.NA}
 
 
 def test_parse_registry_missing_id_gets_flagged():
     row = dict(ANZCTR_ROW)
     row["Registration number"] = ""
-    s = parse_registry_record(row, Source.ANZCTR)
+    s = parse_registry_record(row, ANZCTR_MAPPING)
     assert s.flagged is True
 
 
 def test_parse_registry_null_cells_read_as_empty_text_and_numbers_as_their_text():
     # a null used to read as the text 'None': an unflagged study titled 'None'
     row = dict(ANZCTR_ROW, **{"Public title": None, "Brief summary": None, "Target sample size": 120})
-    s = parse_registry_record(row, Source.ANZCTR)
+    s = parse_registry_record(row, ANZCTR_MAPPING)
     assert (s.title, s.brief_summary, s.flagged, s.target_accrual) == ("", "", True, 120)
     with pytest.raises(ValueError, match=r"^Public title is \{'en': 'x'\}, expected str, int, float or null$"):
-        parse_registry_record(dict(ANZCTR_ROW, **{"Public title": {"en": "x"}}), Source.ANZCTR)
+        parse_registry_record(dict(ANZCTR_ROW, **{"Public title": {"en": "x"}}), ANZCTR_MAPPING)
 
 
 def test_parse_registry_unmapped_status_is_other():
     row = dict(ANZCTR_ROW, **{"Recruitment status": "Some new status"})
-    s = parse_registry_record(row, Source.ANZCTR)
+    s = parse_registry_record(row, ANZCTR_MAPPING)
     assert s.status is StudyStatus.OTHER
     assert s.raw_status == "Some new status"
 
 
 def test_unknown_source_rejected():
     with pytest.raises(UnknownSource):
-        parse_registry_record({}, "NOPE")
+        load_source_mapping("NOPE")
     with pytest.raises(UnknownSource):
         load_source_mapping(Source.CTGOV)
 
@@ -181,6 +184,30 @@ def test_every_registry_has_a_mapping():
         mapping = load_source_mapping(src)
         assert mapping["source"] == src.value
         assert "study_id" in mapping["fields"]
+
+
+def _drop_fields(mapping):
+    return {key: value for key, value in mapping.items() if key != "fields"}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda mapping: [mapping], "expected a JSON object"),
+    (_drop_fields, "'fields' must be an object of column names or nulls"),
+    (lambda mapping: dict(mapping, fields=dict(mapping["fields"], title=["Title"])),
+     "'fields' must be an object of column names or nulls"),
+    (lambda mapping: dict(mapping, source="ISRCTN"), "'source' is 'ISRCTN', expected 'DRKS'"),
+], ids=["not-an-object", "no-fields", "non-text-column", "foreign-source"])
+def test_ill_shaped_mapping_is_refused_naming_file_and_key(tmp_path, edit, message):
+    path = tmp_path / "drks.json"
+    path.write_text(json.dumps(edit(load_source_mapping(Source.DRKS))), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_source_mapping("DRKS", tmp_path)
+
+
+def test_directory_at_mapping_path_is_no_mapping(tmp_path):
+    (tmp_path / "drks.json").mkdir()
+    with pytest.raises(UnknownSource, match="no field mapping for source 'DRKS'"):
+        load_source_mapping(Source.DRKS, tmp_path)
 
 
 # --- pubmed parsing -------------------------------------------------------------

@@ -12,9 +12,9 @@ from types import SimpleNamespace
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trialforge import pipeline
-from trialforge.ontology._vocabio import default_vocab_dir
+from trialforge import DATA_DIR, pipeline
 from trialforge.ontology.biomarkers import load_biomarker_index, match_biomarker
+from trialforge.ontology.drugs import load_drug_normalization, load_drug_resources
 from trialforge.pipeline import _biomarker_matches, _candidate_spans
 from trialforge.schema import CanonicalStudy, Source
 
@@ -96,7 +96,7 @@ def test_index_records_name_tokens_and_longest_name():
 
 # --- the stage itself ----------------------------------------------------------
 
-def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_dir=None) -> list[dict]:
+def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_dir=DATA_DIR / "vocab") -> list[dict]:
     """Run the link stage alone over CT.gov studies with the given outcomes."""
     def llm(prompt: str) -> str:
         return replay_builder.llm_transport("llm", {"prompt": prompt})["text"]
@@ -106,10 +106,14 @@ def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_di
         for n, texts in enumerate(outcomes, start=1)
     ]
     run = SimpleNamespace(
-        read={"dedupe/studies.jsonl": studies}.__getitem__,
+        read={
+            "dedupe/studies.jsonl": studies,
+            "drug_vocab": load_drug_resources(vocab_dir),
+            "drug_normalization": load_drug_normalization(),
+            "biomarker_vocab": load_biomarker_index(vocab_dir),
+        }.__getitem__,
         doc_index=SimpleNamespace(doc_for=lambda study_id: None),
         clients=SimpleNamespace(llm=llm, annotator=None, rxnorm=None),
-        settings=SimpleNamespace(vocab_dir=vocab_dir),
         hold=lambda path, value: value,
     )
     out = tmp_path / "link"
@@ -120,7 +124,7 @@ def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_di
 
 def test_link_matches_names_longer_than_six_tokens(tmp_path, replay_builder):
     vocab = tmp_path / "vocab"
-    shutil.copytree(default_vocab_dir(), vocab)
+    shutil.copytree(DATA_DIR / "vocab", vocab)
     name = "soluble form of the vascular endothelial receptor"
     with open(vocab / "themarker.tsv", "a", encoding="utf-8") as fh:
         fh.write(f"{name}\tprotein\tSUR\tFLT1\n")

@@ -10,6 +10,7 @@ from trialforge.ontology.drugs import (
     DrugResources,
     annotate_approval,
     link_drug,
+    load_drug_normalization,
     load_drug_resources,
     normalize_drug_name,
     resolve_drugbank,
@@ -30,6 +31,9 @@ def make_resources(**overrides) -> DrugResources:
     )
     base.update(overrides)
     return DrugResources(**base)
+
+
+NORMALIZATION = load_drug_normalization()
 
 
 def fake_rxnorm_client(rxcui_map=None, suggestions=None):
@@ -69,16 +73,16 @@ class TestNormalize:
         ],
     )
     def test_cases(self, raw, expected):
-        assert normalize_drug_name(raw) == expected
+        assert normalize_drug_name(raw, *NORMALIZATION) == expected
 
     def test_substitution_applies_after_suffix_strip(self):
         # the suffix must come off before the variant table can match
-        assert normalize_drug_name("Paracetamol Tablet") == "acetaminophen"
+        assert normalize_drug_name("Paracetamol Tablet", *NORMALIZATION) == "acetaminophen"
 
     @given(st.text(max_size=40))
     def test_idempotent(self, raw):
-        once = normalize_drug_name(raw)
-        assert normalize_drug_name(once) == once
+        once = normalize_drug_name(raw, *NORMALIZATION)
+        assert normalize_drug_name(once, *NORMALIZATION) == once
 
     def test_idempotent_on_cyclic_substitutions(self):
         subs = {"a": "b", "b": "a"}
@@ -272,14 +276,14 @@ class TestApproval:
 
 class TestLinkDrug:
     def test_local_and_map_path(self, resources):
-        entry = link_drug("Aspirin Therapy", resources)
+        entry = link_drug("Aspirin Therapy", resources, NORMALIZATION)
         assert entry.cleaned_name == "aspirin"
         assert (entry.rxcui, entry.rxnorm_method) == ("1191", "local")
         assert (entry.drugbank_id, entry.drugbank_method) == ("DB00945", "rxnorm-map")
         assert entry.approved_fda and entry.approved_ema and entry.approved_pmda
 
     def test_brand_path_flags_via_drugbank_name(self, resources):
-        entry = link_drug("Lucentis® Injection", resources)
+        entry = link_drug("Lucentis® Injection", resources, NORMALIZATION)
         assert entry.cleaned_name == "lucentis"
         assert (entry.rxcui, entry.rxnorm_method) == (None, "none")
         assert (entry.drugbank_id, entry.drugbank_method) == ("DB01270", "brand")
@@ -287,7 +291,7 @@ class TestLinkDrug:
         assert entry.approved_fda and entry.approved_ema and entry.approved_pmda
 
     def test_compound_code_stays_unlinked(self, resources):
-        entry = link_drug("HRS-5635 Injection", resources)
+        entry = link_drug("HRS-5635 Injection", resources, NORMALIZATION)
         assert entry.cleaned_name == "hrs-5635"
         assert (entry.rxcui, entry.drugbank_id) == (None, None)
         assert (entry.rxnorm_method, entry.drugbank_method) == ("none", "none")
@@ -295,6 +299,6 @@ class TestLinkDrug:
 
     def test_spelling_suggestion_path(self, resources):
         client = fake_rxnorm_client(suggestions={"asprin": ["aspirin"]})
-        entry = link_drug("Asprin", resources, remote_client=client)
+        entry = link_drug("Asprin", resources, NORMALIZATION, remote_client=client)
         assert (entry.rxcui, entry.rxnorm_method) == ("1191", "spelling-suggestion")
         assert (entry.drugbank_id, entry.drugbank_method) == ("DB00945", "rxnorm-map")

@@ -12,12 +12,10 @@ from pathlib import Path
 import pytest
 from conftest import within_timeout
 
-from trialforge import pipeline, store
+from trialforge import DATA_DIR, pipeline, store
 from trialforge.benchgen.splits import numeric_id_key
 from trialforge.clients import ReplayStore, request_hash
 from trialforge.errors import ReplayMiss
-from trialforge.ingest import _default_mapping_dir
-from trialforge.ontology._vocabio import default_vocab_dir
 from trialforge.pipeline import (
     STAGE_DIRS,
     STAGES,
@@ -237,7 +235,7 @@ def test_golden_hashes_are_pinned(golden, tmp_path):
 
 def test_vocab_without_the_hlt_and_hlgt_levels_gives_the_same_bundle(golden, tmp_path):
     # MedDRA mapping reads the LLT and PT levels only
-    vocab = shutil.copytree(default_vocab_dir(), tmp_path / "vocab")
+    vocab = shutil.copytree(DATA_DIR / "vocab", tmp_path / "vocab")
     for name in ("meddra_hlt.tsv", "meddra_hlgt.tsv"):
         (vocab / name).unlink(missing_ok=True)
     summary = run_pipeline(replay_settings(golden, tmp_path / "out", vocab_dir=vocab))
@@ -338,6 +336,34 @@ def test_inputs_are_read_once_per_context_span(golden, tmp_path, monkeypatch):
     assert all(count <= 1 for count in counts.values()), counts
 
 
+def test_vocabulary_and_mapping_loaders_run_once_per_cold_run(golden, tmp_path, monkeypatch):
+    loaders = (
+        "load_source_mapping", "load_drug_resources", "load_drug_normalization",
+        "load_biomarker_index", "load_meddra", "load_termination_keywords",
+    )
+    calls = dict.fromkeys(loaders, 0)
+
+    def counting(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in loaders:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    settings = replay_settings(golden, tmp_path / "out")
+    registry_files = len(list((golden.corpus / "registry").glob("*.json")))
+
+    run_pipeline(settings)
+    assert calls == {name: registry_files if name == "load_source_mapping" else 1 for name in loaders}
+    calls.update(dict.fromkeys(loaders, 0))
+    assert all(stage["skipped"] for stage in run_pipeline(settings)["stages"].values())
+    assert calls == dict.fromkeys(loaders, 0)
+
+
 # --- the stage table -----------------------------------------------------------
 
 def test_stage_dirs_come_from_table_positions():
@@ -354,7 +380,7 @@ def test_stage_dirs_come_from_table_positions():
 
 @pytest.mark.parametrize("stage", pipeline.STAGE_TABLE, ids=STAGES)
 def test_reading_an_undeclared_input_raises(tmp_path, stage):
-    every_input = {*pipeline._CORPUS_READERS, *pipeline._LAST_READER}
+    every_input = {*pipeline._INPUT_READERS, *pipeline._LAST_READER}
     undeclared = sorted(every_input - set(stage.reads))[0]
     run = pipeline._RunContext(PipelineSettings(corpus_dir=tmp_path, out_dir=tmp_path / "out"), None, "")
     run.stage = stage
@@ -626,7 +652,7 @@ def test_config_changes_invalidate_resume(golden, tmp_path):
 
 def test_vocab_edit_reruns_every_stage(golden, tmp_path):
     vocab = tmp_path / "vocab"
-    shutil.copytree(default_vocab_dir(), vocab)
+    shutil.copytree(DATA_DIR / "vocab", vocab)
     settings = replay_settings(golden, tmp_path / "out", vocab_dir=vocab)
     run_pipeline(settings)
     (vocab / "fda.tsv").write_text("", encoding="utf-8")
@@ -637,8 +663,8 @@ def test_vocab_edit_reruns_every_stage(golden, tmp_path):
 
 
 @pytest.mark.parametrize("setting, bundled", [
-    ("vocab_dir", default_vocab_dir()),
-    ("mapping_dir", _default_mapping_dir()),
+    ("vocab_dir", DATA_DIR / "vocab"),
+    ("mapping_dir", DATA_DIR / "sources"),
 ])
 def test_fingerprint_keys_on_directory_contents_not_path(tmp_path, setting, bundled):
     copy = shutil.copytree(bundled, tmp_path / "copy")
@@ -866,8 +892,21 @@ def test_corpus_is_hashed_once_per_run(golden, tmp_path, monkeypatch):
     assert {row.split("\t")[3] for row in rows} == {summary["corpus_hash"]}
 
 
+def test_mapping_naming_another_source_stops_ingest(golden, tmp_path):
+    # such a mapping used to write the DRKS records as ISRCTN ones, and the run exited 0
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    mappings = shutil.copytree(DATA_DIR / "sources", tmp_path / "mappings")
+    mapping = json.loads((mappings / "drks.json").read_text(encoding="utf-8"))
+    row = {mapping["fields"]["study_id"]: "DRKS00000001", mapping["fields"]["title"]: "A registry row"}
+    (corpus / "registry" / "DRKS.json").write_text(json.dumps([row]), encoding="utf-8")
+    (mappings / "drks.json").write_text(json.dumps(dict(mapping, source="ISRCTN")), encoding="utf-8")
+    settings = replay_settings(golden, tmp_path / "out", corpus_dir=corpus, mapping_dir=mappings)
+    with pytest.raises(ValueError, match="drks.json: 'source' is 'ISRCTN', expected 'DRKS'$"):
+        run_pipeline(settings, until="ingest")
+
+
 def test_ingest_rereads_an_edited_mapping(golden, tmp_path):
-    mappings = shutil.copytree(_default_mapping_dir(), tmp_path / "mappings")
+    mappings = shutil.copytree(DATA_DIR / "sources", tmp_path / "mappings")
     settings = replay_settings(golden, tmp_path / "out", mapping_dir=mappings)
     run_pipeline(settings, until="ingest")
     studies = settings.out_dir / STAGE_DIRS["ingest"] / "studies.jsonl"
