@@ -1,8 +1,8 @@
 """Duplicate collapse within and across sources.
 
-Within one source, records sharing a study_id are merged when their
-titles corroborate; a title disagreement keeps every copy and flags
-them for review instead of guessing. Across sources, records are
+Within one source, records sharing a study_id are merged into one
+study; when their titles disagree the merged record is flagged for
+review and the decision says so. Across sources, records are
 matched by fuzzy title similarity over a first-token/length-band
 blocking index, clustered with union-find, and merged with a fixed
 source precedence. Each candidate pair first passes a character-count
@@ -118,7 +118,9 @@ class MergeDecision:
     survivor_id: str
     survivor_source: Source
     absorbed: list[tuple[str, str]]  # (source tag, study_id), sorted
-    evidence: str  # "unique" | "id-match" | "id-conflict" | "title-similarity"
+    # "unique" | "id-match" | "id-conflict" (an id merge whose titles disagree,
+    # so the survivor is flagged) | "title-similarity" | "flagged-passthrough"
+    evidence: str
     score: float | None = None
 
     def to_row(self) -> list[str]:
@@ -203,23 +205,23 @@ def _absorbed_keys(
     return keys
 
 
-def _corroborates(a: CanonicalStudy, b: CanonicalStudy, threshold: float) -> tuple[bool, float]:
+def _title_agreement(a: CanonicalStudy, b: CanonicalStudy) -> float:
     na, nb = normalize_title(a.title), normalize_title(b.title)
     if not na or not nb:
         # an absent title cannot contradict the shared identifier
-        return True, 1.0
-    score = similarity(na, nb)
-    return score >= threshold, score
+        return 1.0
+    return similarity(na, nb)
 
 
 def dedupe_intra(
     records: list[CanonicalStudy], threshold: float = DEFAULT_THRESHOLD
 ) -> tuple[list[CanonicalStudy], list[MergeDecision]]:
-    """Collapse records that share (source, study_id).
+    """Collapse records that share (source, study_id) into one study each.
 
-    Titles must corroborate the id match; any disagreement below the
-    threshold keeps every copy, flagged. Every input record is accounted
-    for in the returned decisions.
+    Titles should corroborate the id match; when any two score below the
+    threshold the merged record is flagged and its decision is an
+    ``id-conflict`` rather than an ``id-match``. Every input record is
+    accounted for in the returned decisions.
     """
     groups: dict[tuple, list[CanonicalStudy]] = {}
     for record in records:
@@ -228,43 +230,29 @@ def dedupe_intra(
     out: list[CanonicalStudy] = []
     decisions: list[MergeDecision] = []
     for key in sorted(groups):
-        members = _fold_order(groups[key])
+        members = groups[key]
         if len(members) == 1:
             out.append(members[0])
             decisions.append(
                 MergeDecision(members[0].study_id, members[0].source, [], "unique")
             )
             continue
-        scores = [
-            _corroborates(members[i], members[j], threshold)
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        ]
-        min_score = min(score for _, score in scores)
-        if all(ok for ok, _ in scores):
-            merged = merge_records(members)
-            out.append(merged)
-            decisions.append(
-                MergeDecision(
-                    merged.study_id,
-                    merged.source,
-                    _absorbed_keys(members, merged),
-                    "id-match",
-                    min_score,
-                )
+        min_score = min(
+            _title_agreement(a, b) for pos, a in enumerate(members) for b in members[pos + 1:]
+        )
+        merged = merge_records(members)
+        conflict = min_score < threshold
+        merged.flagged = merged.flagged or conflict
+        out.append(merged)
+        decisions.append(
+            MergeDecision(
+                merged.study_id,
+                merged.source,
+                _absorbed_keys(members, merged),
+                "id-conflict" if conflict else "id-match",
+                min_score,
             )
-        else:
-            for member in members:
-                kept = CanonicalStudy(**{**member.__dict__})
-                kept.phases = set(member.phases)
-                kept.primary_outcomes = list(member.primary_outcomes)
-                kept.secondary_outcomes = list(member.secondary_outcomes)
-                kept.flagged = True
-                out.append(kept)
-                decisions.append(
-                    MergeDecision(member.study_id, member.source, [], "id-conflict", min_score)
-                )
-    out.sort(key=_sort_key)
+        )
     return out, decisions
 
 

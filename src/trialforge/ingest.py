@@ -179,6 +179,14 @@ _YEAR_RE = re.compile(r"\b(19|20)\d{2}\b")
 _INT_CELL_RE = re.compile(r"\d[\d,]*")
 
 
+def read_json(path: Path):
+    """The JSON value in the file at ``path``; text that does not parse is a ValueError naming the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_source_mapping(source: Source | str, mapping_dir: Path = DATA_DIR / "sources") -> dict:
     """Read the source's field mapping from ``mapping_dir`` (the packaged one by default).
 
@@ -194,7 +202,7 @@ def load_source_mapping(source: Source | str, mapping_dir: Path = DATA_DIR / "so
     path = mapping_dir / f"{tag.name.lower()}.json"
     if not path.is_file():
         raise UnknownSource(f"no field mapping for source {tag.name!r} at {path}")
-    mapping = json.loads(path.read_text(encoding="utf-8"))
+    mapping = read_json(path)
     if not isinstance(mapping, dict):
         raise ValueError(f"{path}: expected a JSON object")
     fields = mapping.get("fields")

@@ -99,7 +99,7 @@ from .evidence import (
     pico_disposition_rows,
     primary_pvalues,
 )
-from .ingest import extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record
+from .ingest import extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record, read_json
 from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
 from .ontology.conditions import annotate_conditions
 from .ontology.drugs import link_drug, load_drug_normalization, load_drug_resources
@@ -419,17 +419,18 @@ def _write_json(path: Path, payload) -> str:
 def _write_sorted_rows(path: Path, rows: list[dict]) -> list[dict]:
     """Write ``rows`` as JSON lines in the order of their ASCII-escaped dumps; return them in that order.
 
-    Unescaped, the encoder leaves only DEL and non-ASCII characters raw, so
-    every other line is its own escaped dump; just the rows with such a
-    character are dumped a second time for their sort key.
+    Equal rows have equal lines, so an exact repeat is written and returned
+    once: each table holds each distinct row once. Unescaped, the encoder leaves only DEL and non-ASCII characters
+    raw, so every other line is its own escaped dump; just the rows with
+    such a character are dumped a second time for their sort key.
     """
-    lines = [store.encode_row(row) for row in rows]
+    unique = dict(zip(map(store.encode_row, rows), rows))
     escaped = {
         line: json.dumps(row, sort_keys=True)
-        for line, row in zip(lines, rows)
+        for line, row in unique.items()
         if not line.isascii() or "\x7f" in line
     }
-    ordered = sorted(zip(lines, rows), key=lambda pair: escaped.get(pair[0], pair[0]))
+    ordered = sorted(unique.items(), key=lambda pair: escaped.get(pair[0], pair[0]))
     with open(path, "w", encoding="utf-8") as fh:
         for line, _ in ordered:
             fh.write(line + "\n")
@@ -442,7 +443,7 @@ def _write_sorted_rows(path: Path, rows: list[dict]) -> list[dict]:
 
 def _json_objects(path: Path) -> list[dict]:
     """A corpus file holding a JSON array of objects; any other shape is a ValueError."""
-    rows = json.loads(path.read_text(encoding="utf-8"))
+    rows = read_json(path)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"{path}: expected a JSON array of objects")
     return rows
@@ -451,7 +452,7 @@ def _json_objects(path: Path) -> list[dict]:
 def _corpus_entries(path: Path, cls: type) -> list:
     """Each entry of a corpus JSON array read as a ``cls`` view, ordered by id; none when the file is absent.
 
-    Two entries with one id are a ValueError, except articles: dedupe merges or flags those.
+    Two entries with one id are a ValueError, except articles: dedupe merges those into one study.
     """
     if not path.is_file():
         return []
@@ -479,7 +480,7 @@ def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, CtgovDoc]:
         return docs
     paths: dict[str, Path] = {}
     for path in sorted(ctgov_dir.glob("*.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: expected a JSON object")
         try:
@@ -723,7 +724,6 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
 
     resources, normalization = run.read("drug_vocab"), run.read("drug_normalization")
     drug_rows: list[dict] = []
-    seen_drugs: set[tuple[str, str]] = set()
     linked: dict[str, object] = {}
     for study in sorted(studies, key=lambda s: s.study_id):
         doc = index.doc_for(study.study_id)
@@ -733,9 +733,8 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
             if intervention.type.upper() != "DRUG":
                 continue
             name = intervention.name.strip()
-            if not name or (study.study_id, name) in seen_drugs:
+            if not name:
                 continue
-            seen_drugs.add((study.study_id, name))
             if name not in linked:
                 linked[name] = link_drug(name, resources, normalization, remote_client=clients.rxnorm)
             drug_rows.append(store.table_row("drugs", linked[name], study_id=study.study_id))
@@ -764,17 +763,12 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
 
     bio_index = run.read("biomarker_vocab")
     biomarker_rows: list[dict] = []
-    seen_marks: set[tuple[str, str, str]] = set()
     matched: dict[str, list[BiomarkerMatch]] = {}
     for study in studies:
         for text in (*study.primary_outcomes, *study.secondary_outcomes):
             if text not in matched:
                 matched[text] = _biomarker_matches(text, bio_index)
             for match in matched[text]:
-                key = (study.study_id, match.span, match.biomarker_name)
-                if key in seen_marks:
-                    continue
-                seen_marks.add(key)
                 biomarker_rows.append(store.table_row("biomarkers", match, study_id=study.study_id))
 
     counts = {}
@@ -823,20 +817,17 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
     for study_id, doc in live_docs:
         disposition_rows.extend(rekey(study_id, build_disposition(doc, disposition_tables_from_ctgov(doc))))
 
-    # PICO results for linked abstracts, re-keyed to the surviving study id.
-    pico_count = 0
+    # PICO results for linked abstracts, re-keyed to the surviving study id;
+    # a study's arms are numbered across all of its reports.
+    pico_rows: dict[str, list[TrialResultRow]] = {}
     for article in articles:
         title, abstract = article.title.strip(), article.abstract.strip()
-        if not title or not abstract:
-            continue
-        study_id = aliases.get(article.pmid, article.pmid)
-        if study_id not in surviving:
-            logger.info("skip PICO for %s: no surviving study", article.pmid)
-            continue
-        pico_rows = extract_pubmed_pico(study_id, title, abstract, clients.llm)
-        result_rows.extend(pico_rows)
-        disposition_rows.extend(pico_disposition_rows(study_id, pico_rows))
-        pico_count += len(pico_rows)
+        if title and abstract:
+            study_id = aliases.get(article.pmid, article.pmid)
+            pico_rows.setdefault(study_id, []).extend(extract_pubmed_pico(study_id, title, abstract, clients.llm))
+    for study_id, rows in pico_rows.items():
+        result_rows.extend(rows)
+        disposition_rows.extend(pico_disposition_rows(study_id, rows))
 
     # Outcome labels for every completed or terminated study.
     nct_abstracts: dict[str, list[Article]] = {}
@@ -869,7 +860,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
         "disposition": [store.table_row("disposition", r) for r in disposition_rows],
         "trial_outcomes": [store.table_row("trial_outcomes", label) for label in labels],
     }
-    counts = {"skipped_no_results": skipped_no_results, "pico_rows": pico_count}
+    counts = {"skipped_no_results": skipped_no_results, "pico_rows": sum(map(len, pico_rows.values()))}
     for name, rows in tables.items():
         path = out / f"{name}.jsonl"
         counts[name] = len(run.hold(path, _write_sorted_rows(path, rows)))

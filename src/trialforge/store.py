@@ -117,7 +117,7 @@ TABLE_KEYS = {
     "conditions": ("study_id", "mesh_id", "mesh_type"),
     "drugs": ("study_id", "raw_name"),
     "disposition": ("study_id", "design_group_id", "intervention_id"),
-    "adverse_events": ("study_id", "arm_description", "term", "is_serious"),
+    "adverse_events": ("study_id", "arm_description", "term", "is_serious", "organ_system"),
     "trial_results": ("study_id", "arm_label", "outcome_text"),
     "trial_outcomes": ("study_id",),
     "endpoints": ("study_id", "outcome_text", "domain", "subdomain"),

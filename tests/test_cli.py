@@ -350,6 +350,25 @@ def test_mapping_without_fields_exits_2_naming_file_and_key(golden, tmp_path, ca
     assert capsys.readouterr().err == expected
 
 
+@pytest.mark.parametrize("site, rel", [
+    ("corpus", "pubmed/articles.json"),
+    ("corpus", "ctgov/NCT00000150.json"),
+    ("sources", "anzctr.json"),
+], ids=["articles", "ctgov-doc", "mapping"])
+def test_json_that_does_not_parse_exits_2_naming_its_file(golden, tmp_path, capsys, site, rel):
+    # such a file used to print only the decoder's message, with no path
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    mappings = shutil.copytree(DATA_DIR / "sources", tmp_path / "sources")
+    path = (corpus if site == "corpus" else mappings) / rel
+    path.write_text(path.read_text(encoding="utf-8")[:20], encoding="utf-8")
+    config = tmp_path / "forge.cfg"
+    config.write_text(f"mapping_dir = {mappings}\n", encoding="utf-8")
+    assert main(pipeline_argv("ingest", golden, tmp_path / "out", corpus=corpus, config=config)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {path}: "), err
+    assert "(char " in err
+
+
 @pytest.mark.parametrize("module, key, value", [
     ("eligibilityModule", "minimumAge", {"value": 18}),
     ("eligibilityModule", "maximumAge", ["65 Years"]),

@@ -193,13 +193,15 @@ def test_records_sharing_an_identity_are_ordered_by_content():
     a = rec("A1", Source.ANZCTR, "Exercise for knee pain", sponsor="Acme Health")
     b = rec("A1", Source.ANZCTR, "Statin therapy for prevention", sponsor="Globex Institute")
     c = rec("A1", Source.ANZCTR, "Exercise, for KNEE pain.", sponsor="Initech")
-    by_content = sorted([a, b], key=encode_study)
+    # the first non-empty value of the smallest encoding wins a merge,
+    # also when conflicting titles flag it
+    first = min([a, b], key=encode_study)
     for members in ([a, b], [b, a]):
-        out, _ = dedupe_intra(members)  # conflicting titles: both kept, flagged
-        assert [r.title for r in out] == [r.title for r in by_content]
-        passed, _, _ = dedupe_inter(out)
-        assert [r.title for r in passed] == [r.title for r in by_content]
-    # the first non-empty value of the smallest encoding wins a merge
+        [merged], _ = dedupe_intra(members)
+        assert merged.flagged
+        assert (merged.title, merged.sponsor) == (first.title, first.sponsor)
+        passed, _, _ = dedupe_inter([merged])
+        assert passed == [merged]
     first = min([a, c], key=encode_study)
     assert merge_records([a, c]).sponsor == merge_records([c, a]).sponsor == first.sponsor
 
@@ -216,16 +218,17 @@ def test_intra_same_id_corroborating_titles_merge():
     assert merge[0].absorbed == [("ANZCTR", "ACTRN1")]
 
 
-def test_intra_same_id_conflicting_titles_kept_and_flagged():
+def test_intra_same_id_conflicting_titles_merged_and_flagged():
     a = rec("ACTRN1", Source.ANZCTR, "Exercise for knee pain")
     b = rec("ACTRN1", Source.ANZCTR, "Statin therapy for prevention")
     out, decisions = dedupe_intra([a, b])
-    assert len(out) == 2
-    assert all(r.flagged for r in out)
+    assert len(out) == 1
+    assert out[0].flagged
     assert title_similarity(a.title, b.title) < 0.95
-    conflict = [d for d in decisions if d.evidence == "id-conflict"]
-    assert len(conflict) == 2
-    assert all(d.score is not None and d.score < 0.95 for d in conflict)
+    [conflict] = decisions
+    assert conflict.evidence == "id-conflict"
+    assert conflict.absorbed == [("ANZCTR", "ACTRN1")]
+    assert conflict.score == title_similarity(a.title, b.title)
 
 
 def test_intra_empty_title_cannot_contradict_id():

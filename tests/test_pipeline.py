@@ -461,11 +461,12 @@ def test_sorted_rows_match_sort_then_write(tmp_path):
     ]
     old = tmp_path / "old.jsonl"
     new = tmp_path / "new.jsonl"
-    ordered = sorted(rows, key=lambda row: json.dumps(row, sort_keys=True))
+    # the repeated {"x": "é"} is written and returned once
+    ordered = sorted(rows[:8] + rows[9:], key=lambda row: json.dumps(row, sort_keys=True))
     expected = store.write_jsonl(old, ordered)
     written = pipeline._write_sorted_rows(new, rows)
     assert written == ordered
-    assert len(written) == expected == len(rows)
+    assert len(written) == expected == len(rows) - 1
     assert new.read_bytes() == old.read_bytes()
     lines = new.read_text(encoding="utf-8").split("\n")
     # The escaped key orders "\u00e9" before "z" and "\u007f" before "a";
@@ -919,3 +920,114 @@ def test_ingest_rereads_an_edited_mapping(golden, tmp_path):
     run_pipeline(replace(settings, out_dir=tmp_path / "fresh"), until="ingest")
     assert studies.read_bytes() != before
     assert studies.read_bytes() == (tmp_path / "fresh" / STAGE_DIRS["ingest"] / "studies.jsonl").read_bytes()
+
+
+# --- repeated records ------------------------------------------------------------
+
+def record_golden_copy(golden, tmp_path, edit, **transports) -> dict:
+    """Record a run over a golden corpus copy that ``edit(corpus)`` changed, with the golden transports."""
+    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    edit(corpus)
+    settings = replay_settings(golden, tmp_path / "out", corpus_dir=corpus, mode="record", replay_dir=tmp_path / "replay")
+    return run_pipeline(settings, transports={**golden.transports, **transports})
+
+
+def edit_json(path: Path, change) -> None:
+    value = json.loads(path.read_text(encoding="utf-8"))
+    change(value)
+    path.write_text(json.dumps(value), encoding="utf-8")
+
+
+def article(articles: list, pmid: str) -> dict:
+    [found] = [entry for entry in articles if entry["pmid"] == pmid]
+    return found
+
+
+def repeat_outcome(doc):
+    outcomes = doc["protocolSection"]["outcomesModule"]
+    outcomes["secondaryOutcomes"] = list(outcomes["primaryOutcomes"])
+
+
+def repeat_article(articles):
+    articles.append(dict(article(articles, "17021318")))
+
+
+@pytest.mark.parametrize("rel, repeat", [
+    ("ctgov/NCT00056836.json", repeat_outcome),
+    ("pubmed/articles.json", repeat_article),
+], ids=["outcome-as-secondary", "article-twice"])
+def test_exact_repeat_gives_the_golden_bundle(golden, tmp_path, rel, repeat):
+    summary = record_golden_copy(golden, tmp_path, lambda corpus: edit_json(corpus / rel, repeat))
+    assert summary["stages"]["database"]["counts"]["bundle_hash"] == GOLDEN_BUNDLE_HASH
+
+
+def test_article_listed_again_under_another_title_is_one_flagged_study(golden, tmp_path):
+    def retitled(articles):
+        articles.append(dict(article(articles, "31000001"), title="Levetiracetam add-on therapy for refractory epilepsy"))
+
+    record_golden_copy(golden, tmp_path, lambda corpus: edit_json(corpus / "pubmed" / "articles.json", retitled))
+    dedupe_dir = tmp_path / "out" / STAGE_DIRS["dedupe"]
+    kept = [row for row in read_jsonl(dedupe_dir / "studies.jsonl")[1:] if row["study_id"] == "31000001"]
+    assert [row["flagged"] for row in kept] == [True]
+    decisions = [line.split("\t") for line in (dedupe_dir / "decisions.tsv").read_text(encoding="utf-8").splitlines()]
+    [conflict] = [row for row in decisions if row[3] == "id-conflict"]
+    assert conflict[:3] == ["PUBMED", "31000001", "PUBMED:31000001"]
+    assert float(conflict[4]) < 0.95
+
+
+_SECOND_AFLIBERCEPT_PICO = {
+    "population": "Eyes with persistent diabetic macular edema",
+    "population_n": 120,
+    "outcomes": [
+        {
+            "intervention": "Intravitreal aflibercept 2 mg",
+            "is_control": False,
+            "outcome": "Central subfield thickness fell by 185 microns at 12 months",
+        },
+        {
+            "intervention": "Intravitreal aflibercept 2 mg every 8 weeks",
+            "is_control": False,
+            "outcome": "Central subfield thickness fell by 170 microns at 12 months",
+        },
+    ],
+}
+
+
+def test_second_report_of_a_trial_numbers_its_arms_after_the_first(golden, tmp_path):
+    def second_report(articles):
+        first = article(articles, "27000001")
+        articles.append(dict(first, pmid="27000002", abstract="EXTENSION: " + first["abstract"]))
+
+    def llm(service, request):
+        if "EXTENSION: " in request["prompt"]:
+            return {"text": json.dumps(_SECOND_AFLIBERCEPT_PICO)}
+        return golden.transports["llm"](service, request)
+
+    record_golden_copy(golden, tmp_path, lambda corpus: edit_json(corpus / "pubmed" / "articles.json", second_report), llm=llm)
+    decisions = (tmp_path / "out" / STAGE_DIRS["dedupe"] / "decisions.tsv").read_text(encoding="utf-8")
+    assert "ANZCTR\tACTRN12620000000001\tCTGOV:NCT01000001;PUBMED:27000001;PUBMED:27000002\t" in decisions
+    rows = read_jsonl(tmp_path / "out" / STAGE_DIRS["extract"] / "disposition.jsonl")
+    arms = {row["design_group_id"]: row["treatment_name"] for row in rows if row["design_group_id"].startswith("ACTRN12620000000001:pico:")}
+    assert arms == {
+        "ACTRN12620000000001:pico:g0": "Intravitreal aflibercept 2 mg",
+        "ACTRN12620000000001:pico:g1": "Macular laser",
+        "ACTRN12620000000001:pico:g2": "Intravitreal aflibercept 2 mg every 8 weeks",
+    }
+
+
+def test_adverse_event_under_a_second_organ_system_is_its_own_row(golden, tmp_path):
+    def second_system(doc):
+        events = doc["resultsSection"]["adverseEventsModule"]["otherEvents"]
+        [haemorrhage] = [event for event in events if event["term"] == "Conjunctival haemorrhage"]
+        events.append(dict(haemorrhage, organSystem="Nervous system disorders"))
+
+    summary = record_golden_copy(golden, tmp_path, lambda corpus: edit_json(corpus / "ctgov" / "NCT01000001.json", second_system))
+    assert summary["stages"]["database"]["counts"]["adverse_events"] == 5
+    rows = read_jsonl(tmp_path / "out" / STAGE_DIRS["extract"] / "adverse_events.jsonl")
+    haemorrhage = {(row["arm_description"], row["organ_system"]) for row in rows if row["term"] == "Conjunctival haemorrhage"}
+    assert haemorrhage == {
+        ("Aflibercept", "Eye disorders"),
+        ("Macular laser", "Eye disorders"),
+        ("Aflibercept", "Nervous system disorders"),
+        ("Macular laser", "Nervous system disorders"),
+    }
