@@ -478,8 +478,6 @@ def classify_termination_reason(stop_reason: str, keyword_sets: Mapping[str, Seq
         mean = sum(jaccard_scorer(stop_reason, keyword) for keyword in keywords) / len(keywords)
         if mean > best_score:
             best_category, best_score = category, mean
-    if best_score == 0.0:
-        best_category = "other"
     return f"terminated:{best_category}"
 
 

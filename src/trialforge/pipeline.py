@@ -57,7 +57,7 @@ import logging
 import os
 import shutil
 import stat
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
@@ -84,10 +84,7 @@ from .clients import (
 from .dedupe import dedupe_corpus
 from .errors import ForgeError, MissingResultsSection
 from .evidence import (
-    AdverseEventRow,
-    DispositionRow,
     OutcomeLabel,
-    TrialResultRow,
     build_disposition,
     classify_completed_outcome,
     disposition_tables_from_ctgov,
@@ -437,6 +434,15 @@ def _write_sorted_rows(path: Path, rows: list[dict]) -> list[dict]:
     return [row for _, row in ordered]
 
 
+def _write_tables(run: _RunContext, out: Path, tables: dict[str, list[dict]]) -> dict[str, int]:
+    """Write each table to ``out/<name>.jsonl`` with `_write_sorted_rows` and hold it; return its row count by name."""
+    counts = {}
+    for name, rows in tables.items():
+        path = out / f"{name}.jsonl"
+        counts[name] = len(run.hold(path, _write_sorted_rows(path, rows)))
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # run input readers
 
@@ -533,32 +539,6 @@ _INPUT_READERS = {
 # run context
 
 
-class _DocIndex:
-    """Corpus registry documents, reachable through surviving study ids.
-
-    A merged study can absorb the record that carried the document id
-    (the surviving id is lexicographic, not source-ranked), so lookups
-    follow the dedupe aliases in both directions.
-    """
-
-    def __init__(self, docs: dict[str, CtgovDoc], aliases: dict[str, str]) -> None:
-        self.docs = docs
-        self.by_survivor: dict[str, str] = {}
-        for doc_id in sorted(docs):
-            survivor = aliases.get(doc_id, doc_id)
-            self.by_survivor.setdefault(survivor, doc_id)
-        self.absorbed: dict[str, list[str]] = {}
-        for absorbed_id, survivor in aliases.items():
-            self.absorbed.setdefault(survivor, []).append(absorbed_id)
-
-    def doc_for(self, study_id: str) -> Optional[CtgovDoc]:
-        doc_id = self.by_survivor.get(study_id)
-        return self.docs.get(doc_id) if doc_id else None
-
-    def all_ids(self, study_id: str) -> list[str]:
-        return [study_id] + sorted(self.absorbed.get(study_id, []))
-
-
 class Stage(NamedTuple):
     """One pipeline stage: its name, CLI verb, function and the run inputs it reads."""
 
@@ -579,6 +559,11 @@ class _RunContext:
     its writer was skipped in this run; handed-over studies pass the same
     `check_study` as decoded ones. `release` drops every input whose last
     reader was the given stage; the rest go with the context.
+
+    `aliases` and `study_docs` are built once per run from the dedupe links.
+    A surviving study can have absorbed the id its CT.gov document carries
+    (the surviving id is lexicographic, not source-ranked), so stages find
+    a study's document only through `study_docs`.
     """
 
     def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str) -> None:
@@ -589,7 +574,7 @@ class _RunContext:
         self._held: dict[str, list] = {}
         self._inputs: dict[str, object] = {}
         self._aliases: Optional[dict[str, str]] = None
-        self._doc_index: Optional[_DocIndex] = None
+        self._study_docs: Optional[dict[str, CtgovDoc]] = None
 
     def hold(self, path: Path, value: list) -> list:
         """Keep ``value``, the running stage's output file ``path`` as written, for later readers; return it."""
@@ -633,10 +618,15 @@ class _RunContext:
         return self._aliases
 
     @property
-    def doc_index(self) -> _DocIndex:
+    def study_docs(self) -> dict[str, CtgovDoc]:
+        """Surviving study id to its CT.gov document, in study id order; of several, the smallest document id's."""
         docs, aliases = self.read("ctgov"), self.aliases
-        self._doc_index = self._doc_index or _DocIndex(docs, aliases)
-        return self._doc_index
+        if self._study_docs is None:
+            by_study: dict[str, CtgovDoc] = {}
+            for doc_id in sorted(docs):
+                by_study.setdefault(aliases.get(doc_id, doc_id), docs[doc_id])
+            self._study_docs = dict(sorted(by_study.items()))
+        return self._study_docs
 
 
 # ---------------------------------------------------------------------------
@@ -720,13 +710,13 @@ def _biomarker_matches(text: str, index: BiomarkerIndex) -> list[BiomarkerMatch]
 
 
 def _stage_link(run: _RunContext, out: Path) -> dict:
-    studies, index, clients = run.read("dedupe/studies.jsonl"), run.doc_index, run.clients
+    studies, docs, clients = run.read("dedupe/studies.jsonl"), run.study_docs, run.clients
 
     resources, normalization = run.read("drug_vocab"), run.read("drug_normalization")
     drug_rows: list[dict] = []
     linked: dict[str, object] = {}
     for study in sorted(studies, key=lambda s: s.study_id):
-        doc = index.doc_for(study.study_id)
+        doc = docs.get(study.study_id)
         if doc is None:
             continue
         for intervention in doc.interventions:
@@ -771,100 +761,92 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
             for match in matched[text]:
                 biomarker_rows.append(store.table_row("biomarkers", match, study_id=study.study_id))
 
-    counts = {}
-    for name, rows in (
-        ("conditions", condition_rows),
-        ("drugs", drug_rows),
-        ("endpoints", endpoint_rows),
-        ("biomarkers", biomarker_rows),
-    ):
-        path = out / f"{name}.jsonl"
-        counts[name] = len(run.hold(path, _write_sorted_rows(path, rows)))
-    return counts
+    return _write_tables(run, out, {
+        "conditions": condition_rows,
+        "drugs": drug_rows,
+        "endpoints": endpoint_rows,
+        "biomarkers": biomarker_rows,
+    })
 
 
 def _stage_extract(run: _RunContext, out: Path) -> dict:
-    studies, aliases, index, clients = run.read("dedupe/studies.jsonl"), run.aliases, run.doc_index, run.clients
+    studies, aliases, docs, clients = run.read("dedupe/studies.jsonl"), run.aliases, run.study_docs, run.clients
     articles = run.read("pubmed")
-    surviving = {s.study_id for s in studies}
     hierarchy = run.read("meddra_vocab")
 
-    # (surviving id, document) pairs; rows parsed out of a document get
-    # re-keyed when the document id was absorbed during dedupe.
-    live_docs = [(study_id, doc) for study_id in sorted(surviving) if (doc := index.doc_for(study_id)) is not None]
-
-    def rekey(study_id: str, rows: list) -> list:
-        return [
-            row if row.study_id == study_id else replace(row, study_id=study_id)
-            for row in rows
-        ]
-
-    result_rows: list[TrialResultRow] = []
+    # Rows parsed out of a document are keyed to its surviving study, which
+    # may have absorbed the document's own id during dedupe.
+    result_rows: list[dict] = []
     skipped_no_results = 0
-    for study_id, doc in live_docs:
+    for study_id, doc in docs.items():
         try:
-            result_rows.extend(rekey(study_id, parse_ctgov_results(doc)))
+            rows = parse_ctgov_results(doc)
         except MissingResultsSection:
             skipped_no_results += 1
+            continue
+        result_rows.extend(store.table_row("trial_results", row, study_id=study_id) for row in rows)
 
-    ae_rows: list[AdverseEventRow] = [
-        row
-        for study_id, doc in live_docs
-        for row in rekey(study_id, parse_adverse_events(doc, hierarchy))
+    ae_rows = [
+        store.table_row("adverse_events", row, study_id=study_id)
+        for study_id, doc in docs.items()
+        for row in parse_adverse_events(doc, hierarchy)
     ]
 
-    disposition_rows: list[DispositionRow] = []
-    for study_id, doc in live_docs:
-        disposition_rows.extend(rekey(study_id, build_disposition(doc, disposition_tables_from_ctgov(doc))))
+    disposition_rows = [
+        store.table_row("disposition", row, study_id=study_id)
+        for study_id, doc in docs.items()
+        for row in build_disposition(doc, disposition_tables_from_ctgov(doc))
+    ]
 
-    # PICO results for linked abstracts, re-keyed to the surviving study id;
-    # a study's arms are numbered across all of its reports.
-    pico_rows: dict[str, list[TrialResultRow]] = {}
-    for article in articles:
+    # PICO results for linked abstracts, keyed to the surviving study id; a
+    # study's arms are numbered across all of its distinct reports.
+    pico: dict[str, list] = {}
+    for article in dict.fromkeys(articles):
         title, abstract = article.title.strip(), article.abstract.strip()
         if title and abstract:
             study_id = aliases.get(article.pmid, article.pmid)
-            pico_rows.setdefault(study_id, []).extend(extract_pubmed_pico(study_id, title, abstract, clients.llm))
-    for study_id, rows in pico_rows.items():
-        result_rows.extend(rows)
-        disposition_rows.extend(pico_disposition_rows(study_id, rows))
+            pico.setdefault(study_id, []).extend(extract_pubmed_pico(study_id, title, abstract, clients.llm))
+    pico_count = 0
+    for study_id, rows in pico.items():
+        rows = list(dict.fromkeys(rows))
+        pico_count += len(rows)
+        result_rows.extend(store.table_row("trial_results", row) for row in rows)
+        disposition_rows.extend(store.table_row("disposition", row) for row in pico_disposition_rows(study_id, rows))
 
-    # Outcome labels for every completed or terminated study.
+    # Outcome labels for every completed or terminated study. A study's linked
+    # abstracts come in the order of its own id, then its absorbed ids sorted;
+    # `rank_abstracts` keeps that order on ties, so it decides the prompt.
     nct_abstracts: dict[str, list[Article]] = {}
     for article in articles:
         for triple in extract_nct_links(article):
-            if triple.tail_source is Source.CTGOV:
-                nct_abstracts.setdefault(triple.tail_id, []).append(article)
+            nct_abstracts.setdefault(triple.tail_id, []).append(article)
+    absorbed: dict[str, list[str]] = {}
+    for absorbed_id, study_id in sorted(aliases.items()):
+        absorbed.setdefault(study_id, []).append(absorbed_id)
 
-    labels: list[OutcomeLabel] = []
+    label_rows: list[dict] = []
     keyword_sets = run.read("termination_keywords")
     for study in sorted(studies, key=lambda s: s.study_id):
-        doc = index.doc_for(study.study_id)
+        doc = docs.get(study.study_id)
         if study.status is StudyStatus.COMPLETED:
             pvalues = primary_pvalues(doc) if doc is not None else []
-            linked = []
-            seen_pmids: set[str] = set()
-            for alias in index.all_ids(study.study_id):
-                for article in nct_abstracts.get(alias, []):
-                    if article.pmid not in seen_pmids:
-                        seen_pmids.add(article.pmid)
-                        linked.append(article)
-            labels.append(classify_completed_outcome(study, linked, clients.llm, pvalues))
+            linked: dict[str, Article] = {}
+            for alias in (study.study_id, *absorbed.get(study.study_id, ())):
+                for article in nct_abstracts.get(alias, ()):
+                    linked.setdefault(article.pmid, article)
+            label = classify_completed_outcome(study, list(linked.values()), clients.llm, pvalues)
         elif study.status is StudyStatus.TERMINATED:
-            stop_reason = doc.why_stopped if doc is not None else ""
-            labels.append(label_terminated_study(study, stop_reason, keyword_sets))
+            label = label_terminated_study(study, doc.why_stopped if doc is not None else "", keyword_sets)
+        else:
+            continue
+        label_rows.append(store.table_row("trial_outcomes", label))
 
-    tables = {
-        "trial_results": [store.table_row("trial_results", r) for r in result_rows],
-        "adverse_events": [store.table_row("adverse_events", r) for r in ae_rows],
-        "disposition": [store.table_row("disposition", r) for r in disposition_rows],
-        "trial_outcomes": [store.table_row("trial_outcomes", label) for label in labels],
-    }
-    counts = {"skipped_no_results": skipped_no_results, "pico_rows": sum(map(len, pico_rows.values()))}
-    for name, rows in tables.items():
-        path = out / f"{name}.jsonl"
-        counts[name] = len(run.hold(path, _write_sorted_rows(path, rows)))
-    return counts
+    return {"skipped_no_results": skipped_no_results, "pico_rows": pico_count} | _write_tables(run, out, {
+        "trial_results": result_rows,
+        "adverse_events": ae_rows,
+        "disposition": disposition_rows,
+        "trial_outcomes": label_rows,
+    })
 
 
 def _stage_graph(run: _RunContext, out: Path) -> dict:
@@ -897,18 +879,9 @@ def _stage_graph(run: _RunContext, out: Path) -> dict:
 
 
 def _stage_database(run: _RunContext, out: Path) -> dict:
-    tables = {
-        "studies": [store.table_row("studies", s) for s in run.read("dedupe/studies.jsonl")],
-        "conditions": run.read("link/conditions.jsonl"),
-        "drugs": run.read("link/drugs.jsonl"),
-        "disposition": run.read("extract/disposition.jsonl"),
-        "adverse_events": run.read("extract/adverse_events.jsonl"),
-        "trial_results": run.read("extract/trial_results.jsonl"),
-        "trial_outcomes": run.read("extract/trial_outcomes.jsonl"),
-        "endpoints": run.read("link/endpoints.jsonl"),
-        "biomarkers": run.read("link/biomarkers.jsonl"),
-        "relations": run.read("graph/relations.jsonl"),
-    }
+    # Each declared read is one table, named by its file; only the studies are records.
+    tables = {Path(name).stem: run.read(name) for name in run.stage.reads}
+    tables["studies"] = [store.table_row("studies", s) for s in tables["studies"]]
     bundle = store.write_database(tables, out / "db")
     return {name: len(rows) for name, rows in tables.items()} | {
         "bundle_hash": bundle.bundle_hash
@@ -935,11 +908,11 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
 
     labels = (decode_record(OutcomeLabel, row) for row in run.read("extract/trial_outcomes.jsonl"))
     outcomes = {label.study_id: label for label in labels}
-    index = run.doc_index
+    docs = run.study_docs
     completion_trials = [
-        (study, doc)
+        (study, docs[study.study_id])
         for study in sorted(run.read("dedupe/studies.jsonl"), key=lambda s: s.study_id)
-        if (doc := index.doc_for(study.study_id)) is not None
+        if study.study_id in docs
     ]
     items.extend(gen_completion_items(completion_trials, outcomes))
 

@@ -389,7 +389,9 @@ def table_row(table: str, record, **extra) -> dict:
 
     Columns are read by name from the record's fields; ``extra`` supplies
     columns the record does not carry (a drug entry's ``study_id``) or
-    names it differently (an endpoint's ``outcome_text``).
+    names it differently (an endpoint's ``outcome_text``), and overrides
+    a column the record does carry (the ``study_id`` of a row parsed from
+    a CT.gov document that dedupe absorbed into another study).
     """
     fields = vars(record) | extra if extra else vars(record)
     return {column: _cell(fields[column]) for column in TABLE_COLUMNS[table]}

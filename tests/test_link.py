@@ -112,7 +112,7 @@ def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_di
             "drug_normalization": load_drug_normalization(),
             "biomarker_vocab": load_biomarker_index(vocab_dir),
         }.__getitem__,
-        doc_index=SimpleNamespace(doc_for=lambda study_id: None),
+        study_docs={},
         clients=SimpleNamespace(llm=llm, annotator=None, rxnorm=None),
         hold=lambda path, value: value,
     )

@@ -242,6 +242,23 @@ def test_vocab_without_the_hlt_and_hlgt_levels_gives_the_same_bundle(golden, tmp
     assert summary["stages"]["database"]["counts"]["bundle_hash"] == GOLDEN_BUNDLE_HASH
 
 
+def test_stages_after_dedupe_do_not_depend_on_the_order_of_the_studies(golden, tmp_path, monkeypatch):
+    def reversed_studies(records, **kwargs):
+        merged, decisions, triples = dedupe_corpus(records, **kwargs)
+        return merged[::-1], decisions, triples
+
+    dedupe_corpus = pipeline.dedupe_corpus
+    monkeypatch.setattr(pipeline, "dedupe_corpus", reversed_studies)
+    settings = replay_settings(golden, tmp_path / "out")
+    run_pipeline(settings)
+    for stage in ("link", "extract", "database", "benchmarks"):
+        files = pipeline._regular_files(settings.out_dir / STAGE_DIRS[stage])
+        assert len(files) > 1
+        for rel, path in files:
+            if rel != "manifest.json":
+                assert Path(path).read_bytes() == (golden.record_out / STAGE_DIRS[stage] / rel).read_bytes(), rel
+
+
 def test_rerun_skips_every_intact_stage(golden, tmp_path):
     settings = replay_settings(golden, tmp_path / "out")
     first = run_pipeline(settings)
@@ -959,6 +976,7 @@ def repeat_article(articles):
 def test_exact_repeat_gives_the_golden_bundle(golden, tmp_path, rel, repeat):
     summary = record_golden_copy(golden, tmp_path, lambda corpus: edit_json(corpus / rel, repeat))
     assert summary["stages"]["database"]["counts"]["bundle_hash"] == GOLDEN_BUNDLE_HASH
+    assert summary["stages"]["extract"]["counts"] == golden.summary["stages"]["extract"]["counts"]
 
 
 def test_article_listed_again_under_another_title_is_one_flagged_study(golden, tmp_path):
