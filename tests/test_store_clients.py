@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -589,6 +590,31 @@ class TestWriteDatabase:
             write_database(tables, tmp_path / "db")
         with pytest.raises(ValueError):
             write_database({"not_a_table": []}, tmp_path / "db")
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda t: t.update(not_a_table=[]), ValueError,
+         f"unknown table 'not_a_table'; expected one of {TABLE_ORDER}"),
+        (lambda t: t["conditions"][0].pop("mesh_type"), ValueError,
+         "table conditions: bad row shape (missing ['mesh_type'], extra [])"),
+        (lambda t: t["conditions"][0].update(note=""), ValueError,
+         "table conditions: bad row shape (missing [], extra ['note'])"),
+        (lambda t: t["conditions"][0].update(mesh_id=42), TypeError,
+         "table conditions: cell mesh_id must be str, got int"),
+        (lambda t: t["studies"][0].update(title=None), TypeError,
+         "table studies: cell title must be str, got NoneType"),
+        (lambda t: t["studies"].append(dict(t["studies"][0], title="T2")), ValueError,
+         "table studies: duplicate key ('NCT1',)"),
+        (lambda t: t["conditions"].append(dict(t["conditions"][0], mesh_term="Other")), ValueError,
+         "table conditions: duplicate key ('NCT1', 'D003924', 'mesh-list')"),
+    ], ids=["unknown-table", "missing-column", "extra-column", "int-cell", "none-cell",
+            "duplicate-study", "duplicate-condition"])
+    def test_refusal_writes_nothing(self, tmp_path, edit, error, message):
+        tables = minimal_bundle()
+        edit(tables)
+        out = tmp_path / "db"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            write_database(tables, out)
+        assert not out.exists()
 
     def test_verify_manifest(self, tmp_path):
         write_database(minimal_bundle(), tmp_path / "db")
