@@ -44,9 +44,13 @@ SERVICES = ("rxnorm", "annotator", "pubmed_search", "llm")
 MODES = ("record", "replay")
 
 
+#: Built once, where ``json.dumps`` with these options builds an encoder a call.
+_encode_request = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+
+
 def canonical_request(request) -> str:
     """Serialize a request deterministically (sorted keys, tight separators)."""
-    return json.dumps(request, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _encode_request(request)
 
 
 def request_hash(request) -> str:

@@ -45,7 +45,10 @@ and drops it once its last reader in the table is done. Corpus JSON inputs
 are kept as their checked views (`views.py`), parsed once per run. A stage
 that runs hands on the studies or rows it wrote; a later stage reads the
 file only when its writer was skipped in this run, so a cold run decodes
-none of its own outputs.
+none of its own outputs. Ingest also hands on the line it wrote for each
+study: dedupe writes those lines for the studies it passes through
+unchanged, encodes only the studies it merged, and drops them once it has
+run.
 """
 
 from __future__ import annotations
@@ -427,11 +430,9 @@ def _write_sorted_rows(path: Path, rows: list[dict]) -> list[dict]:
         for line, row in unique.items()
         if not line.isascii() or "\x7f" in line
     }
-    ordered = sorted(unique.items(), key=lambda pair: escaped.get(pair[0], pair[0]))
-    with open(path, "w", encoding="utf-8") as fh:
-        for line, _ in ordered:
-            fh.write(line + "\n")
-    return [row for _, row in ordered]
+    ordered = sorted(unique, key=lambda line: escaped.get(line, line))
+    store.write_lines(path, ordered)
+    return list(map(unique.__getitem__, ordered))
 
 
 def _write_tables(run: _RunContext, out: Path, tables: dict[str, list[dict]]) -> dict[str, int]:
@@ -557,8 +558,9 @@ class _RunContext:
     Stages must not mutate what they read. A stage that runs passes each
     output a later stage reads to `hold`, so `read` reads the file only when
     its writer was skipped in this run; handed-over studies pass the same
-    `check_study` as decoded ones. `release` drops every input whose last
-    reader was the given stage; the rest go with the context.
+    `check_study` as decoded ones; lines held with an output are taken once
+    by `held_lines`. `release` drops every input, and any lines held with
+    it, whose last reader was the given stage; the rest go with the context.
 
     `aliases` and `study_docs` are built once per run from the dedupe links.
     A surviving study can have absorbed the id its CT.gov document carries
@@ -572,13 +574,20 @@ class _RunContext:
         self.corpus_hash = corpus_hash
         self.stage: Optional[Stage] = None
         self._held: dict[str, list] = {}
+        self._lines: dict[str, list[str]] = {}
         self._inputs: dict[str, object] = {}
         self._aliases: Optional[dict[str, str]] = None
         self._study_docs: Optional[dict[str, CtgovDoc]] = None
 
-    def hold(self, path: Path, value: list) -> list:
-        """Keep ``value``, the running stage's output file ``path`` as written, for later readers; return it."""
-        self._held[f"{self.stage.name}/{path.name}"] = value
+    def hold(self, path: Path, value: list, lines: Optional[list[str]] = None) -> list:
+        """Keep ``value``, the running stage's output file ``path`` as written, for later readers; return it.
+
+        ``lines``, the line the file holds for each item of ``value``, are kept for `held_lines`.
+        """
+        name = f"{self.stage.name}/{path.name}"
+        self._held[name] = value
+        if lines is not None:
+            self._lines[name] = lines
         return value
 
     def release(self, stage: str) -> None:
@@ -586,12 +595,16 @@ class _RunContext:
         for name, last in _LAST_READER.items():
             if last == stage:
                 self._held.pop(name, None)
+                self._lines.pop(name, None)
                 self._inputs.pop(name, None)
+
+    def _check_declared(self, name: str) -> None:
+        if self.stage is None or name not in self.stage.reads:
+            raise RuntimeError(f"stage {self.stage and self.stage.name} read undeclared input {name!r}")
 
     def read(self, name: str):
         """The run input ``name``, which the running stage must declare."""
-        if self.stage is None or name not in self.stage.reads:
-            raise RuntimeError(f"stage {self.stage and self.stage.name} read undeclared input {name!r}")
+        self._check_declared(name)
         if name not in self._inputs:
             self._inputs[name] = self._load(name)
         return self._inputs[name]
@@ -608,6 +621,11 @@ class _RunContext:
         for study in held:
             check_study(study)
         return held
+
+    def held_lines(self, name: str) -> list[str]:
+        """The lines held with the declared input ``name``, in the order of its items; empty when none were."""
+        self._check_declared(name)
+        return self._lines.pop(name, [])
 
     @property
     def aliases(self) -> dict[str, str]:
@@ -650,7 +668,7 @@ def _stage_ingest(run: _RunContext, out: Path) -> dict:
     pubmed = [extract_pubmed_study(record) for record in run.read("pubmed")]
 
     studies = sorted(registry + ctgov + pubmed, key=lambda s: (s.source.value, s.study_id))
-    write_studies_jsonl(run.hold(out / "studies.jsonl", studies), out / "studies.jsonl")
+    run.hold(out / "studies.jsonl", studies, write_studies_jsonl(studies, out / "studies.jsonl"))
     return {
         "registry": len(registry),
         "ctgov": len(ctgov),
@@ -663,7 +681,10 @@ def _stage_ingest(run: _RunContext, out: Path) -> dict:
 def _stage_dedupe(run: _RunContext, out: Path) -> dict:
     records = run.read("ingest/studies.jsonl")
     merged, decisions, triples = dedupe_corpus(records, threshold=run.settings.dedupe_threshold)
-    write_studies_jsonl(run.hold(out / "studies.jsonl", merged), out / "studies.jsonl")
+    # Most studies pass through dedupe as the very objects ingest encoded;
+    # `records` keeps each keyed object alive until the lines are written.
+    known = dict(zip(map(id, records), run.held_lines("ingest/studies.jsonl")))
+    write_studies_jsonl(run.hold(out / "studies.jsonl", merged), out / "studies.jsonl", known)
 
     store.write_tsv(
         out / "decisions.tsv",

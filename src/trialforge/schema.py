@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar, get_args, get_origin, get_type_hints
 
 from .errors import SchemaVersionMismatch
-from .store import encode_row, write_jsonl
+from .store import encode_row, write_lines
 
 T = TypeVar("T")
 
@@ -294,9 +294,19 @@ def decode_study(line: str) -> CanonicalStudy:
     return check_study(decode_record(CanonicalStudy, json.loads(line)))
 
 
-def write_studies_jsonl(studies: Iterable[CanonicalStudy], path: str | Path) -> None:
-    header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
-    write_jsonl(path, chain([header], map(encode_record, studies)))
+def write_studies_jsonl(
+    studies: Iterable[CanonicalStudy], path: str | Path, known: Optional[dict[int, str]] = None
+) -> list[str]:
+    """Write the header line, then one :func:`encode_study` line per study; return the study lines.
+
+    ``known`` maps the ``id`` of a study object to the line already encoded
+    for that very object, which is written as is; the caller keeps each such
+    object alive and unchanged meanwhile.
+    """
+    known = known or {}
+    lines = [known.get(id(study)) or encode_study(study) for study in studies]
+    write_lines(path, chain([encode_row({"schema": SCHEMA_NAME, "version": SCHEMA_VERSION})], lines))
+    return lines
 
 
 def read_studies_jsonl(path: str | Path) -> list[CanonicalStudy]:

@@ -1,14 +1,20 @@
 r"""Ten-table TSV database with a manifest, and the tabular file codec.
 
 Every TSV file trialforge writes goes through ``write_tsv``/``read_tsv``,
-and every JSON-lines row file through ``write_jsonl``/``read_jsonl``.
-The study file is written by ``write_jsonl`` too, its header line as the
-first row; ``schema`` reads it back, checking the header. A TSV cell
+and every JSON-lines file through ``write_lines``/``read_jsonl``;
+``write_jsonl`` encodes each row with ``encode_row`` on the way. A line
+already encoded is written as it is: the row writer of the link and
+extract tables keys rows by their lines, and the study file (its header
+line first; ``schema`` reads it back, checking the header) reuses the
+lines ingest encoded for the studies dedupe passes through. A TSV cell
 escapes backslash, tab, newline and CR as ``\\``, ``\t``, ``\n`` and
 ``\r``, so any text survives the round trip; a JSON line is the
 key-sorted dump of one row, non-ASCII text kept as is. Rows read back are
 plain dicts; ``schema.decode_record`` turns one into a record.
 
+``write_database`` checks each table in one pass (columns, text cells,
+and the key order that finds repeated keys by comparing neighbours),
+then the study ids of the child tables, before it writes a byte.
 Database tables are written with a header row and rows sorted by
 primary key, which makes two runs over the same input byte-identical.
 The manifest (row counts plus a sha256 per file and for the bundle) is
@@ -16,9 +22,10 @@ written last so a torn run never leaves a manifest pointing at missing
 files.
 
 The store deals in string-valued dicts only; ``table_row`` turns a
-domain record into one, formatting every cell by one rule: ``None`` is
-empty, booleans are ``true``/``false``, enums are their value, sets
-are sorted and tuples kept in order, each joined with ``|``.
+domain record into one, formatting every cell by one rule: text is kept
+as is, ``None`` is empty, booleans are ``true``/``false``, enums are
+their value, sets are sorted and tuples kept in order, each joined with
+``|``.
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from typing import Optional
 
 from .errors import ForeignKeyViolation
 
@@ -193,14 +202,19 @@ def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
 encode_row = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
-def write_jsonl(path: str | Path, rows: Iterable) -> int:
-    """Write one :func:`encode_row` dump per line; return the number of rows."""
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each line followed by ``\\n``; return the number of lines."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(encode_row(row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
             count += 1
     return count
+
+
+def write_jsonl(path: str | Path, rows: Iterable) -> int:
+    """Write one :func:`encode_row` dump per line; return the number of rows."""
+    return write_lines(path, map(encode_row, rows))
 
 
 def read_jsonl(path: str | Path) -> list:
@@ -217,50 +231,36 @@ class DatabaseBundle:
     bundle_hash: str
 
 
-def _validate_tables(tables: dict) -> dict[str, list[dict]]:
-    for name in tables:
-        if name not in TABLE_COLUMNS:
-            raise ValueError(f"unknown table {name!r}; expected one of {TABLE_ORDER}")
-    full = {name: list(tables.get(name, [])) for name in TABLE_ORDER}
-    for name, rows in full.items():
-        columns = TABLE_COLUMNS[name]
-        for row in rows:
-            if set(row) != set(columns):
-                missing = set(columns) - set(row)
-                extra = set(row) - set(columns)
-                raise ValueError(
-                    f"table {name}: bad row shape (missing {sorted(missing)}, extra {sorted(extra)})"
-                )
-            for column, cell in row.items():
-                if not isinstance(cell, str):
-                    raise TypeError(
-                        f"table {name}: cell {column} must be str, got {type(cell).__name__}"
-                    )
-    return full
+def _refuse_rows(name: str, rows: Sequence[dict]) -> None:
+    """Raise on the first row of ``name`` whose columns are wrong or whose cell is not text."""
+    columns = set(TABLE_COLUMNS[name])
+    for row in rows:
+        if set(row) != columns:
+            missing, extra = columns - set(row), set(row) - columns
+            raise ValueError(f"table {name}: bad row shape (missing {sorted(missing)}, extra {sorted(extra)})")
+        for column, cell in row.items():
+            if not isinstance(cell, str):
+                raise TypeError(f"table {name}: cell {column} must be str, got {type(cell).__name__}")
 
 
-def _check_foreign_keys(full: dict[str, list[dict]]) -> None:
-    study_ids = {row["study_id"] for row in full["studies"]}
-    broken: list[str] = []
-    for name in FK_TABLES:
-        for row in full[name]:
-            if row["study_id"] not in study_ids:
-                broken.append(f"{name}:{row['study_id']}")
-    if broken:
-        shown = ", ".join(broken[:10])
-        more = f" (+{len(broken) - 10} more)" if len(broken) > 10 else ""
-        raise ForeignKeyViolation(f"unresolved study ids: {shown}{more}")
+def _ordered_table(name: str, rows: Sequence[dict]) -> tuple[list[dict], Optional[tuple]]:
+    """``rows`` sorted by key, and the first key in row order that an earlier row holds too (None when unique).
 
-
-def _check_unique_keys(full: dict[str, list[dict]]) -> None:
-    for name, rows in full.items():
-        key_columns = TABLE_KEYS[name]
-        seen = set()
-        for row in rows:
-            key = tuple(row[column] for column in key_columns)
-            if key in seen:
-                raise ValueError(f"table {name}: duplicate key {key}")
-            seen.add(key)
+    A row with the wrong columns or a cell that is not text raises first.
+    """
+    shape = frozenset(TABLE_COLUMNS[name])
+    if (
+        not all(row.keys() == shape for row in rows)
+        or set(map(type, chain.from_iterable(map(dict.values, rows)))) - {str}
+    ):
+        # names the row at fault, or passes rows whose cells are str subclasses
+        _refuse_rows(name, rows)
+    keys = list(map(itemgetter(*TABLE_KEYS[name]), rows))
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    # a stable sort puts equal keys next to each other, in row order
+    repeats = [later for earlier, later in zip(order, order[1:]) if keys[earlier] == keys[later]]
+    duplicate = tuple(rows[min(repeats)][column] for column in TABLE_KEYS[name]) if repeats else None
+    return [rows[index] for index in order], duplicate
 
 
 def _bundle_hash(file_hashes: dict[str, str]) -> str:
@@ -271,15 +271,39 @@ def _bundle_hash(file_hashes: dict[str, str]) -> str:
 
 
 def write_database(tables: dict, out_dir: str | Path) -> DatabaseBundle:
-    """Validate, then write all ten tables plus the manifest.
+    """Check all ten tables, then write each sorted by its key, plus the manifest.
 
-    Validation (column shapes, string cells, unique keys, foreign keys)
-    happens before the first byte is written, so a failure leaves the
-    output directory untouched.
+    ``tables`` maps a table name to a list of its rows, each a dict from
+    every column of ``TABLE_COLUMNS`` to its text; an absent table is empty.
+    Refused, in this order: an unknown table name; a row with a missing
+    or extra column, or a cell that is not a ``str`` (the first such row
+    of the first such table in ``TABLE_ORDER``); two rows with one
+    ``TABLE_KEYS`` key; a child row whose ``study_id`` no ``studies`` row
+    holds (``ForeignKeyViolation``). Every check happens before the first
+    byte is written, so a refusal leaves the output directory untouched.
     """
-    full = _validate_tables(tables)
-    _check_unique_keys(full)
-    _check_foreign_keys(full)
+    for name in tables:
+        if name not in TABLE_COLUMNS:
+            raise ValueError(f"unknown table {name!r}; expected one of {TABLE_ORDER}")
+    ordered: dict[str, list[dict]] = {}
+    duplicates = []
+    for name in TABLE_ORDER:
+        ordered[name], duplicate = _ordered_table(name, tables.get(name, ()))
+        if duplicate is not None:
+            duplicates.append(f"table {name}: duplicate key {duplicate}")
+    if duplicates:
+        raise ValueError(duplicates[0])
+    study_ids = set(map(itemgetter("study_id"), ordered["studies"]))
+    broken = [
+        f"{name}:{study_id}"
+        for name in FK_TABLES
+        for study_id in map(itemgetter("study_id"), tables.get(name, ()))
+        if study_id not in study_ids
+    ]
+    if broken:
+        shown = ", ".join(broken[:10])
+        more = f" (+{len(broken) - 10} more)" if len(broken) > 10 else ""
+        raise ForeignKeyViolation(f"unresolved study ids: {shown}{more}")
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -288,10 +312,8 @@ def write_database(tables: dict, out_dir: str | Path) -> DatabaseBundle:
     file_hashes: dict[str, str] = {}
     for name in TABLE_ORDER:
         columns = TABLE_COLUMNS[name]
-        key_columns = TABLE_KEYS[name]
-        rows = sorted(full[name], key=lambda row: tuple(row[c] for c in key_columns))
-        payload = write_tsv(out_path / f"{name}.tsv", columns, ([row[c] for c in columns] for row in rows))
-        counts[name] = len(rows)
+        payload = write_tsv(out_path / f"{name}.tsv", columns, map(itemgetter(*columns), ordered[name]))
+        counts[name] = len(ordered[name])
         file_hashes[name] = hashlib.sha256(payload).hexdigest()
 
     bundle_hash = _bundle_hash(file_hashes)
@@ -393,6 +415,9 @@ def table_row(table: str, record, **extra) -> dict:
     a column the record does carry (the ``study_id`` of a row parsed from
     a CT.gov document that dedupe absorbed into another study).
     """
-    fields = vars(record) | extra if extra else vars(record)
-    return {column: _cell(fields[column]) for column in TABLE_COLUMNS[table]}
+    fields, row = vars(record), {}
+    for column in TABLE_COLUMNS[table]:
+        value = extra[column] if column in extra else fields[column]
+        row[column] = value if type(value) is str else _cell(value)
+    return row
 

@@ -62,6 +62,15 @@ class TestRequestHashing:
     def test_canonical_form_is_tight(self):
         assert canonical_request({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=12,
+    ))
+    def test_canonical_form_is_the_json_dumps_form(self, payload):
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert canonical_request(payload) == expected
+
 
 def recording_transport(log):
     def transport(service, request):
