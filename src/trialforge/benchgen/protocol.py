@@ -99,8 +99,18 @@ _LEAK_PATTERNS = tuple(
 )
 
 
+#: Matches exactly where one of `_LEAK_PATTERNS` does.
+_LEAK_SCREEN = re.compile("|".join(pattern.pattern for _, pattern in _LEAK_PATTERNS), re.IGNORECASE)
+
+
 def check_completion_leakage(input_text: str) -> None:
-    """Raise `LeakageDetected` naming the first leaking phrase."""
+    """Raise `LeakageDetected` naming the first leaking phrase in vocabulary order.
+
+    One search for any phrase screens the text first; only a text that
+    leaks is searched phrase by phrase, to name the first.
+    """
+    if not _LEAK_SCREEN.search(input_text):
+        return
     for phrase, pattern in _LEAK_PATTERNS:
         if pattern.search(input_text):
             raise LeakageDetected(f"input contains {phrase!r}")

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ClientUnavailable, MalformedResponse, ReplayMiss
+from .store import json_encoder
 from .views import LlmAnswer, SearchAnswer, parse_answer
 
 logger = logging.getLogger(__name__)
@@ -44,8 +45,7 @@ SERVICES = ("rxnorm", "annotator", "pubmed_search", "llm")
 MODES = ("record", "replay")
 
 
-#: Built once, where ``json.dumps`` with these options builds an encoder a call.
-_encode_request = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_encode_request = json_encoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def canonical_request(request) -> str:

@@ -446,11 +446,14 @@ def classify_completed_outcome(
 # outcome labeling: terminated trials
 
 
-def jaccard_scorer(reason: str, keyword: str) -> float:
-    set_a, set_b = set(_tokens(reason)), set(_tokens(keyword))
+def _jaccard(set_a: set[str], set_b: set[str]) -> float:
     if not set_a or not set_b:
         return 0.0
     return len(set_a & set_b) / len(set_a | set_b)
+
+
+def jaccard_scorer(reason: str, keyword: str) -> float:
+    return _jaccard(set(_tokens(reason)), set(_tokens(keyword)))
 
 
 def load_termination_keywords() -> dict[str, list[str]]:
@@ -470,12 +473,13 @@ def classify_termination_reason(stop_reason: str, keyword_sets: Mapping[str, Seq
     every similarity is zero, nothing was recognized and the label falls
     back to ``terminated:other``.
     """
+    reason = set(_tokens(stop_reason))
     best_category = "other"
     best_score = 0.0
     for category, keywords in keyword_sets.items():
         if not keywords:
             continue
-        mean = sum(jaccard_scorer(stop_reason, keyword) for keyword in keywords) / len(keywords)
+        mean = sum(_jaccard(reason, set(_tokens(keyword))) for keyword in keywords) / len(keywords)
         if mean > best_score:
             best_category, best_score = category, mean
     return f"terminated:{best_category}"

@@ -8,7 +8,13 @@ A raw mention goes through four steps:
    spelling-suggestion retry. The method string records which stage hit.
 3. ``resolve_drugbank``: curated RxNorm-to-DrugBank map when an RXCUI is in
    hand, else exact / synonym / brand name lookups, else a conservative
-   fuzzy match (edit distance <= 2, both names at least 5 chars).
+   fuzzy match (edit distance <= 2, both names at least 5 chars). A
+   candidate is skipped before its edit distance is computed when the
+   two names' sets of distinct characters differ in more than 4
+   characters. That skips no candidate within distance 2: an insertion
+   or deletion changes a name's set by at most one character and a
+   substitution by at most two, so the symmetric difference of the sets
+   is at most twice the edit distance.
 4. ``annotate_approval``: set per-agency flags when any known variant of
    the name appears in the FDA/EMA/PMDA lists.
 
@@ -252,11 +258,14 @@ def resolve_drugbank(
         return db_id, "brand"
 
     if len(key) >= FUZZY_MIN_LENGTH:
+        key_chars = set(key)
         best: Optional[tuple[int, str]] = None
         for candidate, candidate_id in resources.drugbank_names.items():
             if len(candidate) < FUZZY_MIN_LENGTH:
                 continue
             if abs(len(candidate) - len(key)) > FUZZY_MAX_DISTANCE:
+                continue
+            if len(key_chars.symmetric_difference(candidate)) > 2 * FUZZY_MAX_DISTANCE:
                 continue
             distance = levenshtein(key, candidate)
             if distance > FUZZY_MAX_DISTANCE:

@@ -416,6 +416,10 @@ def _write_json(path: Path, payload) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: ``json.dumps(row, sort_keys=True)``: the ASCII-escaped form of `store.encode_row`.
+_encode_escaped = store.json_encoder(sort_keys=True)
+
+
 def _write_sorted_rows(path: Path, rows: list[dict]) -> list[dict]:
     """Write ``rows`` as JSON lines in the order of their ASCII-escaped dumps; return them in that order.
 
@@ -426,7 +430,7 @@ def _write_sorted_rows(path: Path, rows: list[dict]) -> list[dict]:
     """
     unique = dict(zip(map(store.encode_row, rows), rows))
     escaped = {
-        line: json.dumps(row, sort_keys=True)
+        line: _encode_escaped(row)
         for line, row in unique.items()
         if not line.isascii() or "\x7f" in line
     }

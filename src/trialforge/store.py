@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -197,9 +197,40 @@ def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return (table[0] if table else []), table[1:]
 
 
-#: The one JSON-lines row encoder: a key-sorted dump, non-ASCII text kept
-#: as is. Built once, where ``json.dumps`` with these options builds one a call.
-encode_row = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+def json_encoder(**options) -> Callable[[object], str]:
+    """A function equivalent to ``json.JSONEncoder(**options).encode``, its C encoder built once.
+
+    ``JSONEncoder.encode`` builds a new C encoder on every call; this one is
+    built with the arguments ``iterencode`` passes, except that cycles are
+    not tracked: rows and requests are built from text, numbers and flat
+    lists and cannot hold one. A value that cannot be serialized raises the
+    encoder's own ``TypeError``. Without the ``_json`` accelerator, or with
+    an ``indent`` (which the C encoder ignores before Python 3.13), this is
+    the bound ``encode`` method.
+    """
+    encoder = json.JSONEncoder(**options)
+    if json.encoder.c_make_encoder is None or encoder.indent is not None:
+        return encoder.encode
+    make = json.encoder.c_make_encoder(
+        None,
+        encoder.default,
+        json.encoder.encode_basestring_ascii if encoder.ensure_ascii else json.encoder.encode_basestring,
+        None,
+        encoder.key_separator,
+        encoder.item_separator,
+        encoder.sort_keys,
+        encoder.skipkeys,
+        encoder.allow_nan,
+    )
+
+    def encode(value) -> str:
+        return "".join(make(value, 0))
+
+    return encode
+
+
+#: The one JSON-lines row encoder: a key-sorted dump, non-ASCII text kept as is.
+encode_row = json_encoder(sort_keys=True, ensure_ascii=False)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:

@@ -1,7 +1,10 @@
 import json
+import re
 
 import pytest
 from _corpus import view
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from trialforge.benchgen.design import gen_design_mcq, render_arms, render_eligibility, render_endpoints
 from trialforge.benchgen.items import BenchmarkItem, write_benchmark_files
@@ -417,6 +420,36 @@ def study(status, study_id="NCT02823470"):
     )
 
 
+#: The per-phrase loop the leakage screen stands in front of.
+REFERENCE_LEAK_PATTERNS = [
+    (phrase, re.compile(rf"\b{re.escape(phrase)}\b", re.IGNORECASE)) for phrase in completion_leakage_vocabulary()
+]
+
+
+def reference_leaking_phrase(text):
+    for phrase, pattern in REFERENCE_LEAK_PATTERNS:
+        if pattern.search(text):
+            return phrase
+    return None
+
+
+NEAR_MISSES = (
+    "completedly", "uncompleted", "unterminated", "terminate", "completion", "lack of efficacies",
+    "enrollment issue", "safety-concerns", "sponsor", "operational problem", "other",
+)
+
+
+@st.composite
+def leakage_texts(draw):
+    """Vocabulary phrases and near misses in random case, joined by word and non-word characters."""
+    pieces = draw(st.lists(st.sampled_from(completion_leakage_vocabulary() + NEAR_MISSES), max_size=5))
+    text = ""
+    for piece in pieces:
+        piece = "".join(c.upper() if draw(st.booleans()) else c for c in piece)
+        text += draw(st.sampled_from((" ", "", "_", "-", "\n", ". ", "x", "  "))) + piece
+    return text
+
+
 class TestCompletion:
     def test_completed_trial(self):
         items = gen_completion_items([(study(StudyStatus.COMPLETED), completion_doc())], {})
@@ -462,6 +495,17 @@ class TestCompletion:
         with pytest.raises(LeakageDetected):
             check_completion_leakage("signals of lack of efficacy were seen")
         check_completion_leakage("patients with other malignancies are eligible")
+
+    @given(leakage_texts())
+    @example("Completedly UNTERMINATED; safety concern. LACK OF EFFICACY-sponsor decisions")
+    @example("sponsor  decision, then terminated")
+    def test_leakage_screen_names_the_phrase_the_loop_names(self, text):
+        try:
+            check_completion_leakage(text)
+        except LeakageDetected as exc:
+            assert str(exc) == f"input contains {reference_leaking_phrase(text)!r}"
+        else:
+            assert reference_leaking_phrase(text) is None
 
     def test_vocabulary_contents(self):
         vocabulary = completion_leakage_vocabulary()

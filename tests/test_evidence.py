@@ -4,6 +4,8 @@ import random
 
 import pytest
 from _corpus import view
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trialforge.errors import (
     ClientUnavailable,
@@ -537,7 +539,36 @@ def reference_mean_jaccard(reason, keywords):
     return sum(jac(reason, keyword) for keyword in keywords) / len(keywords)
 
 
+def reference_classify_termination_reason(stop_reason, keyword_sets):
+    """`classify_termination_reason` as it was: the reason tokenized again for every keyword."""
+    best_category = "other"
+    best_score = 0.0
+    for category, keywords in keyword_sets.items():
+        if not keywords:
+            continue
+        mean = sum(jaccard_scorer(stop_reason, keyword) for keyword in keywords) / len(keywords)
+        if mean > best_score:
+            best_category, best_score = category, mean
+    return f"terminated:{best_category}"
+
+
+#: Words of the packaged keywords and a few others, in mixed case and with punctuation.
+TERMINATION_WORDS = st.sampled_from(
+    sorted({word for keywords in KEYWORD_SETS.values() for keyword in keywords for word in keyword.split()})
+    + ["Slow", "ACCRUAL", "drug-supply", "covid-19", "n/a", "", "!", "xyzzy"]
+)
+TERMINATION_TEXTS = st.lists(TERMINATION_WORDS, max_size=6).map(" ".join)
+
+
 class TestTermination:
+    @given(
+        TERMINATION_TEXTS,
+        st.dictionaries(st.sampled_from(TERMINATION_CATEGORIES), st.lists(TERMINATION_TEXTS, max_size=4), max_size=6),
+    )
+    def test_classification_matches_the_reference(self, reason, keyword_sets):
+        for sets in (keyword_sets, KEYWORD_SETS):
+            assert classify_termination_reason(reason, sets) == reference_classify_termination_reason(reason, sets)
+
     def test_slow_recruitment_maps_to_enrollment(self):
         reason = "study terminated early due to slow recruitment of patients"
         assert classify_termination_reason(reason, KEYWORD_SETS) == "terminated:enrollment issues"

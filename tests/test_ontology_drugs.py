@@ -1,11 +1,14 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from test_dedupe import reference_levenshtein
 
 from trialforge.errors import ClientUnavailable, MalformedResponse, ReplayMiss
 from trialforge.ontology.drugs import (
+    FUZZY_MAX_DISTANCE,
+    FUZZY_MIN_LENGTH,
     DrugEntry,
     DrugResources,
     annotate_approval,
@@ -133,6 +136,51 @@ class TestResolveRxnorm:
             resolve_rxnorm("unknowndrug", {}, lambda request: [])
 
 
+def brute_force_drugbank(key: str, drugbank_names: dict) -> tuple:
+    """The exact-then-fuzzy lookup the plain way: an edit distance to every primary name."""
+    if key in drugbank_names:
+        return drugbank_names[key], "exact"
+    if len(key) < FUZZY_MIN_LENGTH:
+        return None, "none"
+    ranked = [
+        (reference_levenshtein(key, name), db_id)
+        for name, db_id in drugbank_names.items()
+        if len(name) >= FUZZY_MIN_LENGTH
+    ]
+    best = min((rank for rank in ranked if rank[0] <= FUZZY_MAX_DISTANCE), default=None)
+    return (None, "none") if best is None else (best[1], "fuzzy")
+
+
+#: Few letters, so names repeat them; one accented letter, one digit, one dash.
+FUZZY_ALPHABET = "abcde\u00e91-"
+#: Letters an edit brings in, those no key holds first.
+EDIT_LETTERS = "xy\u00fc" + FUZZY_ALPHABET
+
+
+@st.composite
+def fuzzy_vocabularies(draw):
+    """A lookup key, and primary names made from it under a few shared ids.
+
+    Each name puts distinct letters at up to three distinct positions of
+    the key, then may insert or delete one letter.
+    """
+    key = draw(st.text(FUZZY_ALPHABET, min_size=3, max_size=7))
+    names = {}
+    for _ in range(draw(st.integers(0, 3))):
+        name = list(key)
+        count = draw(st.integers(0, 3))
+        for at, letter in zip(draw(st.permutations(range(len(key))))[:count], draw(st.permutations(EDIT_LETTERS))):
+            name[at] = letter
+        edit = draw(st.sampled_from((None, "insert", "delete")))
+        at = draw(st.integers(0, len(name)))
+        if edit == "insert":
+            name.insert(at, draw(st.sampled_from(EDIT_LETTERS)))
+        elif edit == "delete":
+            del name[at : at + 1]
+        names["".join(name)] = draw(st.sampled_from(("DB01", "DB02", "DB03")))
+    return key, names
+
+
 class TestResolveDrugbank:
     def test_rxnorm_map_wins_over_exact(self):
         resources = make_resources(
@@ -166,6 +214,15 @@ class TestResolveDrugbank:
     def test_fuzzy_requires_min_length(self):
         resources = make_resources(drugbank_names={"abcd": "DB1", "abcde": "DB2"})
         assert resolve_drugbank(None, "abcf", resources) == (None, "none")
+
+    @given(fuzzy_vocabularies())
+    # abcxy: distance 2 by two substitutions, the character sets 2 * FUZZY_MAX_DISTANCE apart
+    @example(("abcde", {"abcxy": "DB1", "abcdefg": "DB2", "abcd": "DB0"}))
+    @example(("aaaaa", {"aaabb": "DB1", "aaaab": "DB3", "aaaac": "DB2"}))
+    @example(("caf\u00e9s", {"caf\u00e9s!": "DB1", "cafes": "DB1", "\u00e9\u00e9fac": "DB0"}))
+    def test_fuzzy_equals_the_brute_force_loop(self, case):
+        key, names = case
+        assert resolve_drugbank(None, key, make_resources(drugbank_names=names)) == brute_force_drugbank(key, names)
 
     def test_compound_code_regression_not_conflated(self, resources):
         # investigational codes with different numeric parts stay unlinked

@@ -7,13 +7,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from conftest import within_timeout
 
-from trialforge import clients
+from trialforge import clients, pipeline
 from trialforge.cli import main
 from trialforge.clients import (
     MODES,
@@ -38,7 +39,9 @@ from trialforge.pipeline import PipelineSettings, run_pipeline
 from trialforge.store import (
     TABLE_COLUMNS,
     TABLE_ORDER,
+    encode_row,
     escape_cell,
+    json_encoder,
     read_database,
     read_tsv,
     table_row,
@@ -52,6 +55,33 @@ from trialforge.ontology.endpoints import EndpointClassification
 from trialforge.schema import CanonicalStudy, GenderLabel, PhaseLabel, Source, StudyType
 
 
+class Text(str):
+    """A ``str`` subclass: the enum-valued fields of a record are one."""
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.text().map(Text),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+#: NaN, both infinities, nested lists, non-ASCII text, DEL and a str subclass in one value.
+JSON_EXAMPLE = {
+    "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+    "nested": [[1, [2, []]], {"k": ["\u00e9\u4e2d\U0001f600", "\x7f", "\x00\n\"\\"]}],
+    Text("\u00fc"): Text("sub\x7fclass"),
+}
+
+#: Each encoder built with `json_encoder`, and the `json.dumps` options it stands for.
+ROW_ENCODERS = [
+    (encode_row, {"sort_keys": True, "ensure_ascii": False}),
+    (pipeline._encode_escaped, {"sort_keys": True}),
+]
+ENCODER_OPTIONS = [options for _, options in ROW_ENCODERS] + [
+    {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False}
+]
+
+
 class TestRequestHashing:
     def test_key_order_irrelevant(self):
         assert request_hash({"a": 1, "b": 2}) == request_hash({"b": 2, "a": 1})
@@ -62,14 +92,44 @@ class TestRequestHashing:
     def test_canonical_form_is_tight(self):
         assert canonical_request({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
-    @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-        max_leaves=12,
-    ))
+    @given(JSON_VALUES)
+    @example(JSON_EXAMPLE)
     def test_canonical_form_is_the_json_dumps_form(self, payload):
         expected = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         assert canonical_request(payload) == expected
+
+
+class TestJsonEncoder:
+    @pytest.mark.parametrize("encode,options", ROW_ENCODERS, ids=["encode_row", "escaped sort key"])
+    @given(value=JSON_VALUES)
+    @example(value=JSON_EXAMPLE)
+    @example(value="caf\u00e9 \x7f")
+    @example(value=Text("top-level str subclass"))
+    def test_row_encoders_are_their_json_dumps_form(self, encode, options, value):
+        assert encode(value) == json.dumps(value, **options)
+
+    @given(JSON_VALUES)
+    @example(JSON_EXAMPLE)
+    def test_without_the_accelerator_it_is_the_encode_method(self, value):
+        with mock.patch.object(json.encoder, "c_make_encoder", None):
+            for options in ENCODER_OPTIONS:
+                assert json_encoder(**options)(value) == json.dumps(value, **options)
+
+    def test_indent_is_the_encode_method(self):
+        value = {"b": [1, {"c": "\u00e9"}], "a": None}
+        assert json_encoder(indent=2, sort_keys=True)(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("accelerated", [True, False], ids=["c_make_encoder", "no accelerator"])
+    @pytest.mark.parametrize("value", [object(), {"cells": {"a"}}, [b"bytes"], {"key": Path("p")}, {("a", "b"): 1}])
+    def test_unserializable_value_raises_the_json_dumps_error(self, accelerated, value, monkeypatch):
+        if not accelerated:
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        for options in ENCODER_OPTIONS:
+            with pytest.raises(TypeError) as expected:
+                json.dumps(value, **options)
+            with pytest.raises(TypeError) as raised:
+                json_encoder(**options)(value)
+            assert str(raised.value) == str(expected.value)
 
 
 def recording_transport(log):
