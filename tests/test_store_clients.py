@@ -56,7 +56,7 @@ from trialforge.schema import CanonicalStudy, GenderLabel, PhaseLabel, Source, S
 
 
 class Text(str):
-    """A ``str`` subclass: the enum-valued fields of a record are one."""
+    """A ``str`` subclass, as the record enums (``Source``, ``StudyStatus``, ...) are."""
 
 
 JSON_VALUES = st.recursive(
@@ -65,9 +65,10 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 
-#: NaN, both infinities, nested lists, non-ASCII text, DEL and a str subclass in one value.
+#: NaN, both infinities, nested lists, non-ASCII text, DEL and str subclasses in one value.
 JSON_EXAMPLE = {
     "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+    "enum": Source.CTGOV,
     "nested": [[1, [2, []]], {"k": ["\u00e9\u4e2d\U0001f600", "\x7f", "\x00\n\"\\"]}],
     Text("\u00fc"): Text("sub\x7fclass"),
 }
@@ -113,11 +114,15 @@ class TestJsonEncoder:
     def test_without_the_accelerator_it_is_the_encode_method(self, value):
         with mock.patch.object(json.encoder, "c_make_encoder", None):
             for options in ENCODER_OPTIONS:
-                assert json_encoder(**options)(value) == json.dumps(value, **options)
+                encode = json_encoder(**options)
+                assert encode.__func__ is json.JSONEncoder.encode
+                assert encode(value) == json.dumps(value, **options)
 
     def test_indent_is_the_encode_method(self):
         value = {"b": [1, {"c": "\u00e9"}], "a": None}
-        assert json_encoder(indent=2, sort_keys=True)(value) == json.dumps(value, indent=2, sort_keys=True)
+        encode = json_encoder(indent=2, sort_keys=True)
+        assert encode.__func__ is json.JSONEncoder.encode
+        assert encode(value) == json.dumps(value, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("accelerated", [True, False], ids=["c_make_encoder", "no accelerator"])
     @pytest.mark.parametrize("value", [object(), {"cells": {"a"}}, [b"bytes"], {"key": Path("p")}, {("a", "b"): 1}])
