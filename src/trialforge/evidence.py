@@ -19,7 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Mapping, Optional, Sequence
 
 from trialforge import DATA_DIR
 from trialforge.clients import json_answer
@@ -446,7 +446,7 @@ def classify_completed_outcome(
 # outcome labeling: terminated trials
 
 
-def _jaccard(set_a: set[str], set_b: set[str]) -> float:
+def _jaccard(set_a: AbstractSet[str], set_b: AbstractSet[str]) -> float:
     if not set_a or not set_b:
         return 0.0
     return len(set_a & set_b) / len(set_a | set_b)
@@ -465,28 +465,40 @@ def load_termination_keywords() -> dict[str, list[str]]:
     return keyword_sets
 
 
-def classify_termination_reason(stop_reason: str, keyword_sets: Mapping[str, Sequence[str]]) -> str:
+def termination_keyword_tokens(keyword_sets: Mapping[str, Sequence[str]]) -> dict[str, list[frozenset[str]]]:
+    """Each category's keywords as token sets, in config order: the table
+    `classify_termination_reason` scores against, built once per run.
+
+    Categories without keywords are left out; they can never win.
+    """
+    return {
+        category: [frozenset(_tokens(keyword)) for keyword in keywords]
+        for category, keywords in keyword_sets.items()
+        if keywords
+    }
+
+
+def classify_termination_reason(stop_reason: str, keyword_tokens: Mapping[str, Sequence[frozenset[str]]]) -> str:
     """Map a stop reason to ``terminated:<category>``.
 
-    The winning category has the highest mean token Jaccard similarity
-    between the reason and its keywords (config order breaks ties). When
-    every similarity is zero, nothing was recognized and the label falls
-    back to ``terminated:other``.
+    ``keyword_tokens`` is a `termination_keyword_tokens` table. The winning
+    category has the highest mean token Jaccard similarity between the
+    reason and its keywords (config order breaks ties). When every
+    similarity is zero, nothing was recognized and the label falls back to
+    ``terminated:other``.
     """
     reason = set(_tokens(stop_reason))
     best_category = "other"
     best_score = 0.0
-    for category, keywords in keyword_sets.items():
-        if not keywords:
-            continue
-        mean = sum(_jaccard(reason, set(_tokens(keyword))) for keyword in keywords) / len(keywords)
+    for category, keywords in keyword_tokens.items():
+        mean = sum(_jaccard(reason, keyword) for keyword in keywords) / len(keywords)
         if mean > best_score:
             best_category, best_score = category, mean
     return f"terminated:{best_category}"
 
 
 def label_terminated_study(
-    study: CanonicalStudy, stop_reason: str, keyword_sets: Mapping[str, Sequence[str]]
+    study: CanonicalStudy, stop_reason: str, keyword_tokens: Mapping[str, Sequence[frozenset[str]]]
 ) -> OutcomeLabel:
-    outcome_type = classify_termination_reason(stop_reason, keyword_sets)
+    outcome_type = classify_termination_reason(stop_reason, keyword_tokens)
     return OutcomeLabel(study.study_id, outcome_type, "stop-reason-similarity")

@@ -11,11 +11,14 @@ responses does not change the key; instead each manifest lists under
 edited fixture reruns only the stages that used it. A store outside the
 corpus is not keyed yet: editing one of its fixtures reruns nothing.
 A rerun skips a stage only when its key matches and its outputs and
-recorded responses still hash the same. Every such check re-reads and
-re-hashes the file's bytes on every run; no mtime, size or other metadata
-is trusted and nothing is cached between runs. Nothing in any output
-carries a timestamp; two runs over the same corpus with the same settings
-are byte-identical.
+recorded responses still hash the same. Every such check reads each
+recorded file's bytes once on every run, through its directory opened
+once; a stat first makes sure it is a regular file, so nothing else (a
+FIFO, a directory, a broken link) is ever opened. No mtime, size or other
+metadata is trusted and nothing is cached between runs. A run whose stages
+are all up to date writes no file: ``pipeline_manifest.json`` is rewritten
+only when its bytes differ. Nothing in any output carries a timestamp; two
+runs over the same corpus with the same settings are byte-identical.
 
 Expected corpus layout::
 
@@ -98,6 +101,7 @@ from .evidence import (
     parse_ctgov_results,
     pico_disposition_rows,
     primary_pvalues,
+    termination_keyword_tokens,
 )
 from .ingest import extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record, read_json
 from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
@@ -269,15 +273,21 @@ def _sha256_text(text: str) -> str:
 
 # Reads are unbuffered; chunking keeps memory flat on large outputs.
 _CHUNK = 1 << 16
-# stat errors that `Path.is_file` reads as "not a file" rather than raising
+# stat and open errors that `Path.is_file` reads as "not a file" rather than raising
 _NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+_DIRECTORY = os.O_RDONLY | os.O_DIRECTORY
 
 
-def _sha256_file(path) -> str:
-    """The sha256 of a file's bytes: the one content digest behind every skip check."""
-    digest = hashlib.sha256()
-    fd = os.open(path, os.O_RDONLY)
+def _sha256_at(dir_fd: int, name: str, first: int = _CHUNK) -> str:
+    """The sha256 of the bytes of ``name`` in the open directory ``dir_fd``:
+    the one content digest behind every skip check.
+
+    ``first`` sizes the first read (capped at `_CHUNK`); reads go on until
+    one returns nothing. The caller has made sure ``name`` is a regular file.
+    """
+    fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
     try:
+        digest = hashlib.sha256(os.read(fd, min(first, _CHUNK)))
         while chunk := os.read(fd, _CHUNK):
             digest.update(chunk)
     finally:
@@ -285,47 +295,38 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _regular_file_sha256(path: str) -> Optional[str]:
-    """The sha256 of ``path`` if it is a regular file (symlinks followed), else None.
-
-    Nothing else at the path (no entry, a directory, a FIFO, a broken link)
-    is opened, so a FIFO cannot block the check.
-    """
-    try:
-        mode = os.stat(path).st_mode
-    except OSError as exc:
-        if exc.errno in _NOT_A_FILE:
-            return None
-        raise
-    return _sha256_file(path) if stat.S_ISREG(mode) else None
-
-
-def _regular_files(root, skip: Optional[str] = None) -> list[tuple[str, str]]:
-    """``(relative posix path, path)`` of every regular file under ``root``.
+def _tree_digests(root, skip: Optional[str] = None, leave_out: str = "") -> dict[str, str]:
+    """Relative posix path -> sha256 of every regular file under ``root``.
 
     Files come in the order of their path parts (``a/b`` before ``a-b/x``),
     because each directory's entries are visited sorted by name. A symlink
     to a file counts; a symlinked directory is not entered, and a broken
     link or a FIFO is left out unopened. ``skip``, a relative directory
-    path, is pruned. An unreadable or missing directory adds nothing.
+    path, is pruned, and a file named ``leave_out`` is not read. An
+    unreadable or missing directory adds nothing. Each directory is opened
+    once and each file through it, with no further stat of its own.
     """
-    found: list[tuple[str, str]] = []
+    found: dict[str, str] = {}
 
-    def visit(directory: str, prefix: str) -> None:
+    def visit(path, parent_fd: Optional[int], prefix: str) -> None:
         try:
-            with os.scandir(directory) as it:
-                entries = sorted(it, key=lambda entry: entry.name)
+            dir_fd = os.open(path, _DIRECTORY, dir_fd=parent_fd)
         except OSError:
             return
-        for entry in entries:
-            rel = prefix + entry.name
-            if entry.is_dir():
-                if rel != skip and not entry.is_symlink():
-                    visit(entry.path, rel + "/")
-            elif entry.is_file():
-                found.append((rel, entry.path))
+        try:
+            with os.scandir(dir_fd) as it:
+                entries = sorted(it, key=lambda entry: entry.name)
+            for entry in entries:
+                rel = prefix + entry.name
+                if entry.is_dir():
+                    if rel != skip and not entry.is_symlink():
+                        visit(entry.name, dir_fd, rel + "/")
+                elif entry.is_file() and entry.name != leave_out:
+                    found[rel] = _sha256_at(dir_fd, entry.name)
+        finally:
+            os.close(dir_fd)
 
-    visit(os.fspath(root), "")
+    visit(root, None, "")
     return found
 
 
@@ -341,17 +342,13 @@ def hash_corpus(corpus_dir: Path, skip: Optional[Path] = None) -> str:
         except ValueError:  # not under the root, so nothing to prune
             pass
     digest = hashlib.sha256()
-    for rel, path in _regular_files(corpus_dir, skip_rel):
-        digest.update(f"{rel}\x00{_sha256_file(path)}\x00".encode("utf-8"))
+    for rel, sha256 in _tree_digests(corpus_dir, skip_rel).items():
+        digest.update(f"{rel}\x00{sha256}\x00".encode("utf-8"))
     return digest.hexdigest()
 
 
 def _hash_outputs(stage_dir: Path) -> dict:
-    return {
-        rel: _sha256_file(path)
-        for rel, path in _regular_files(stage_dir)
-        if rel.rpartition("/")[2] != "manifest.json"
-    }
+    return _tree_digests(stage_dir, leave_out="manifest.json")
 
 
 def _load_manifest(path: Path) -> tuple[Optional[dict], str]:
@@ -376,12 +373,30 @@ def _load_manifest(path: Path) -> tuple[Optional[dict], str]:
 
 
 def _changed_file(root: Path, recorded: dict) -> Optional[str]:
-    """The first path in ``recorded`` (relative path -> sha256) missing or changed under ``root``."""
-    root = os.fspath(root)
-    for rel, expected in recorded.items():
-        digest = _regular_file_sha256(os.path.join(root, rel))
-        if digest is None or digest != expected:
-            return rel
+    """The first path in ``recorded`` (relative path -> sha256) missing or changed under ``root``.
+
+    Each recorded file's directory is opened once; each file is then one
+    stat (anything but a regular file, symlinks followed, is changed and
+    never opened) and one read of its bytes through that directory.
+    """
+    dirs: dict[str, int] = {}
+    try:
+        for rel, expected in recorded.items():
+            head, _, name = rel.rpartition("/")
+            try:
+                dir_fd = dirs.get(head)
+                if dir_fd is None:
+                    dir_fd = dirs[head] = os.open(os.path.join(root, head), _DIRECTORY)
+                info = os.stat(name, dir_fd=dir_fd)
+            except OSError as exc:
+                if exc.errno in _NOT_A_FILE:
+                    return rel
+                raise
+            if not stat.S_ISREG(info.st_mode) or _sha256_at(dir_fd, name, info.st_size + 1) != expected:
+                return rel
+    finally:
+        for dir_fd in dirs.values():
+            os.close(dir_fd)
     return None
 
 
@@ -410,10 +425,16 @@ def _rerun_reason(stage_dir: Path, manifest: Optional[dict], input_hash: str, re
 
 
 def _write_json(path: Path, payload) -> str:
-    """Write ``payload`` as indented JSON; return the sha256 of the bytes written."""
+    """Write ``payload`` as indented JSON; return the sha256 of its bytes.
+
+    A file that already holds those bytes is left as it is, so a run that
+    changes nothing writes nothing.
+    """
     data = (json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256(data).hexdigest()
+    if _changed_file(path.parent, {path.name: digest}) is not None:
+        path.write_bytes(data)
+    return digest
 
 
 #: ``json.dumps(row, sort_keys=True)``: the ASCII-escaped form of `store.encode_row`.
@@ -536,7 +557,7 @@ _INPUT_READERS = {
     "drug_normalization": lambda settings: load_drug_normalization(),
     "biomarker_vocab": lambda settings: load_biomarker_index(settings.vocab_dir or DATA_DIR / "vocab"),
     "meddra_vocab": lambda settings: load_meddra(settings.vocab_dir or DATA_DIR / "vocab"),
-    "termination_keywords": lambda settings: load_termination_keywords(),
+    "termination_keywords": lambda settings: termination_keyword_tokens(load_termination_keywords()),
 }
 
 
@@ -850,7 +871,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
         absorbed.setdefault(study_id, []).append(absorbed_id)
 
     label_rows: list[dict] = []
-    keyword_sets = run.read("termination_keywords")
+    keyword_tokens = run.read("termination_keywords")
     for study in sorted(studies, key=lambda s: s.study_id):
         doc = docs.get(study.study_id)
         if study.status is StudyStatus.COMPLETED:
@@ -861,7 +882,7 @@ def _stage_extract(run: _RunContext, out: Path) -> dict:
                     linked.setdefault(article.pmid, article)
             label = classify_completed_outcome(study, list(linked.values()), clients.llm, pvalues)
         elif study.status is StudyStatus.TERMINATED:
-            label = label_terminated_study(study, doc.why_stopped if doc is not None else "", keyword_sets)
+            label = label_terminated_study(study, doc.why_stopped if doc is not None else "", keyword_tokens)
         else:
             continue
         label_rows.append(store.table_row("trial_outcomes", label))

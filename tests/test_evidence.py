@@ -4,7 +4,7 @@ import random
 
 import pytest
 from _corpus import view
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trialforge.errors import (
@@ -19,6 +19,8 @@ from trialforge.evidence import (
     AdverseEventRow,
     OutcomeLabel,
     TrialResultRow,
+    _jaccard,
+    _tokens,
     build_disposition,
     build_outcome_prompt,
     build_pico_prompt,
@@ -34,6 +36,7 @@ from trialforge.evidence import (
     pico_disposition_rows,
     primary_pvalues,
     rank_abstracts,
+    termination_keyword_tokens,
     title_cosine,
 )
 from trialforge.ontology.meddra import load_meddra
@@ -41,6 +44,7 @@ from trialforge.schema import CanonicalStudy, Source
 from trialforge.views import Article, parse_ctgov_doc
 
 KEYWORD_SETS = load_termination_keywords()
+KEYWORD_TOKENS = termination_keyword_tokens(KEYWORD_SETS)
 
 
 def make_study(study_id="NCT01000001", title="Ranibizumab for neovascular AMD", raw_status=None, outcomes=None):
@@ -552,6 +556,20 @@ def reference_classify_termination_reason(stop_reason, keyword_sets):
     return f"terminated:{best_category}"
 
 
+def untabled_classify_termination_reason(stop_reason, keyword_sets):
+    """`classify_termination_reason` before the token table: each keyword tokenized again for every reason."""
+    reason = set(_tokens(stop_reason))
+    best_category = "other"
+    best_score = 0.0
+    for category, keywords in keyword_sets.items():
+        if not keywords:
+            continue
+        mean = sum(_jaccard(reason, set(_tokens(keyword))) for keyword in keywords) / len(keywords)
+        if mean > best_score:
+            best_category, best_score = category, mean
+    return f"terminated:{best_category}"
+
+
 #: Words of the packaged keywords and a few others, in mixed case and with punctuation.
 TERMINATION_WORDS = st.sampled_from(
     sorted({word for keywords in KEYWORD_SETS.values() for keyword in keywords for word in keyword.split()})
@@ -567,11 +585,30 @@ class TestTermination:
     )
     def test_classification_matches_the_reference(self, reason, keyword_sets):
         for sets in (keyword_sets, KEYWORD_SETS):
-            assert classify_termination_reason(reason, sets) == reference_classify_termination_reason(reason, sets)
+            tokens = termination_keyword_tokens(sets)
+            assert classify_termination_reason(reason, tokens) == reference_classify_termination_reason(reason, sets)
+
+    @given(st.one_of(
+        TERMINATION_TEXTS,
+        st.lists(st.sampled_from([k for keywords in KEYWORD_SETS.values() for k in keywords]), min_size=1, max_size=3)
+        .map(" ".join),
+    ))
+    @example("study terminated early due to slow recruitment of patients")
+    def test_token_table_labels_as_the_untabled_classifier(self, reason):
+        assert classify_termination_reason(reason, KEYWORD_TOKENS) == untabled_classify_termination_reason(
+            reason, KEYWORD_SETS
+        )
+
+    def test_token_table_keeps_config_order_and_drops_empty_categories(self):
+        assert list(KEYWORD_TOKENS) == [category for category, keywords in KEYWORD_SETS.items() if keywords]
+        assert all(len(KEYWORD_TOKENS[c]) == len(KEYWORD_SETS[c]) for c in KEYWORD_TOKENS)
+        assert termination_keyword_tokens({"first category": [], "second category": ["Slow  ACCRUAL"]}) == {
+            "second category": [frozenset({"slow", "accrual"})]
+        }
 
     def test_slow_recruitment_maps_to_enrollment(self):
         reason = "study terminated early due to slow recruitment of patients"
-        assert classify_termination_reason(reason, KEYWORD_SETS) == "terminated:enrollment issues"
+        assert classify_termination_reason(reason, KEYWORD_TOKENS) == "terminated:enrollment issues"
 
     def test_winning_mean_matches_reference(self):
         reason = "study terminated early due to slow recruitment of patients"
@@ -585,10 +622,10 @@ class TestTermination:
         assert abs(means["enrollment issues"] - (4 / 9 + 0 + 0 + 1 / 12) / 4) < 1e-12
 
     def test_verbatim_keyword_wins(self):
-        assert classify_termination_reason("lack of efficacy", KEYWORD_SETS) == "terminated:lack of efficacy"
+        assert classify_termination_reason("lack of efficacy", KEYWORD_TOKENS) == "terminated:lack of efficacy"
 
     def test_all_zero_falls_to_other(self):
-        assert classify_termination_reason("xyzzy glorp", KEYWORD_SETS) == "terminated:other"
+        assert classify_termination_reason("xyzzy glorp", KEYWORD_TOKENS) == "terminated:other"
 
     def test_default_scorer_is_token_jaccard(self):
         assert jaccard_scorer("a b c", "b c d") == pytest.approx(2 / 4)
@@ -597,10 +634,10 @@ class TestTermination:
     def test_tie_breaks_by_config_order(self):
         # both categories score a Jaccard mean of 1/2
         keyword_sets = {"first category": ["slow accrual"], "second category": ["slow funding"]}
-        label = classify_termination_reason("slow", keyword_sets)
+        label = classify_termination_reason("slow", termination_keyword_tokens(keyword_sets))
         assert label == "terminated:first category"
         reversed_sets = dict(reversed(keyword_sets.items()))
-        assert classify_termination_reason("slow", reversed_sets) == "terminated:second category"
+        assert classify_termination_reason("slow", termination_keyword_tokens(reversed_sets)) == "terminated:second category"
 
     def test_scorer_monotone(self):
         # the reason itself as one more keyword of the winner raises its mean, and no other
@@ -613,17 +650,17 @@ class TestTermination:
                 for category in categories
             }
             reason = " ".join(rng.sample(words, 3))
-            winner = classify_termination_reason(reason, keyword_sets)
+            winner = classify_termination_reason(reason, termination_keyword_tokens(keyword_sets))
             category = winner.split(":", 1)[1]
             if category == "other":
                 continue
             boosted = dict(keyword_sets)
             boosted[category] = keyword_sets[category] + [reason]
-            assert classify_termination_reason(reason, boosted) == winner
+            assert classify_termination_reason(reason, termination_keyword_tokens(boosted)) == winner
 
     def test_label_wrapper(self):
         study = CanonicalStudy(study_id="NCT02823470", source=Source.CTGOV, title="t")
-        label = label_terminated_study(study, "study terminated early due to slow recruitment of patients", KEYWORD_SETS)
+        label = label_terminated_study(study, "study terminated early due to slow recruitment of patients", KEYWORD_TOKENS)
         assert label == OutcomeLabel("NCT02823470", "terminated:enrollment issues", "stop-reason-similarity")
 
     def test_unknown_category_in_config_rejected(self):

@@ -1,4 +1,5 @@
 import builtins
+import errno
 import hashlib
 import io
 import json
@@ -252,11 +253,12 @@ def test_stages_after_dedupe_do_not_depend_on_the_order_of_the_studies(golden, t
     settings = replay_settings(golden, tmp_path / "out")
     run_pipeline(settings)
     for stage in ("link", "extract", "database", "benchmarks"):
-        files = pipeline._regular_files(settings.out_dir / STAGE_DIRS[stage])
+        files, reference = (
+            pipeline._tree_digests(root / STAGE_DIRS[stage]) for root in (settings.out_dir, golden.record_out)
+        )
         assert len(files) > 1
-        for rel, path in files:
-            if rel != "manifest.json":
-                assert Path(path).read_bytes() == (golden.record_out / STAGE_DIRS[stage] / rel).read_bytes(), rel
+        del files["manifest.json"], reference["manifest.json"]
+        assert files == reference
 
 
 def test_rerun_skips_every_intact_stage(golden, tmp_path):
@@ -266,6 +268,47 @@ def test_rerun_skips_every_intact_stage(golden, tmp_path):
     assert not any(stage["skipped"] for stage in first["stages"].values())
     assert all(stage["skipped"] for stage in second["stages"].values())
     assert first["pipeline_hash"] == second["pipeline_hash"]
+
+
+def file_states(root: Path) -> dict[str, tuple]:
+    """``(sha256 or None for a directory, inode, mtime)`` of every path under ``root``."""
+    states = {}
+    for path in sorted(root.rglob("*")):
+        info = path.stat()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+        states[path.relative_to(root).as_posix()] = (digest, info.st_ino, info.st_mtime_ns)
+    return states
+
+
+def test_noop_rerun_writes_nothing(golden, tmp_path):
+    settings = replay_settings(golden, tmp_path / "out")
+    run_pipeline(settings)
+    # back-date every path, so a rewrite shows even within the file system's timestamp granularity
+    for path in settings.out_dir.rglob("*"):
+        os.utime(path, ns=(10**9, 10**9))
+    before = file_states(settings.out_dir)
+    rerun = run_pipeline(settings)
+    assert all(stage["skipped"] for stage in rerun["stages"].values())
+    assert file_states(settings.out_dir) == before
+
+
+def test_pipeline_manifest_is_rewritten_only_when_its_bytes_differ(golden, tmp_path):
+    settings = replay_settings(golden, tmp_path / "out")
+    run_pipeline(settings)
+    path = settings.out_dir / "pipeline_manifest.json"
+    reference = path.read_bytes()
+    damage = {
+        "deleted": lambda: path.unlink(),
+        "emptied": lambda: path.write_bytes(b""),
+        "truncated": lambda: path.write_bytes(reference[: len(reference) // 2]),
+        "one byte edited": lambda: path.write_bytes(reference[:-2] + b"X" + reference[-1:]),
+        "appended to": lambda: path.write_bytes(reference + b"\n"),
+    }
+    for case, apply in damage.items():
+        apply()
+        rerun = run_pipeline(settings)
+        assert all(stage["skipped"] for stage in rerun["stages"].values()), case
+        assert path.read_bytes() == reference, case
 
 
 def test_resume_after_lost_stage_recomputes_only_that_stage(golden, tmp_path):
@@ -660,6 +703,62 @@ def test_changed_file_matches_reference(awkward_tree):
     assert pipeline._changed_file(awkward_tree, {"link-file": sha_of_ab}) is None
 
 
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@needs_proc_fd
+def test_digest_checks_close_every_descriptor(awkward_tree):
+    recorded = reference_hash_outputs(awkward_tree)
+    sha_of_ab = recorded["a/b"]
+    before = open_descriptors()
+    # missing, a directory, a FIFO, a broken link, below a missing directory, below a file
+    for rel in ("gone.json", "a", "fifo", "broken", "nowhere/b", "a.b/x"):
+        checked = {"a/b": sha_of_ab, "z/深/層.txt": recorded["z/深/層.txt"], rel: sha_of_ab}
+        assert within_timeout(lambda: pipeline._changed_file(awkward_tree, checked)) == rel
+        assert reference_changed_file(awkward_tree, checked) == rel
+        assert open_descriptors() == before, rel
+    # through a symlinked directory, as the reference reads it
+    through_link = {"link-dir/b": sha_of_ab}
+    assert reference_changed_file(awkward_tree, through_link) is None
+    assert within_timeout(lambda: pipeline._changed_file(awkward_tree, through_link)) is None
+    assert within_timeout(lambda: pipeline._changed_file(awkward_tree, recorded)) is None
+    assert within_timeout(lambda: pipeline.hash_corpus(awkward_tree)) == reference_hash_corpus(awkward_tree)
+    assert within_timeout(lambda: pipeline._hash_outputs(awkward_tree)) == recorded
+    assert open_descriptors() == before
+
+
+@needs_proc_fd
+@pytest.mark.parametrize("check", ["changed_file", "hash_corpus", "hash_outputs"])
+def test_a_read_error_propagates_and_closes_every_descriptor(awkward_tree, monkeypatch, check):
+    recorded = reference_hash_outputs(awkward_tree)
+    run_check = {
+        "changed_file": lambda: pipeline._changed_file(awkward_tree, recorded),
+        "hash_corpus": lambda: pipeline.hash_corpus(awkward_tree),
+        "hash_outputs": lambda: pipeline._hash_outputs(awkward_tree),
+    }[check]
+    os_read = os.read
+    failed = []
+
+    def failing_once(fd, size):
+        # the deepest file, read with every directory above it open
+        if not failed and os.readlink(f"/proc/self/fd/{fd}").endswith("/z/深/層.txt"):
+            failed.append(fd)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return os_read(fd, size)
+
+    before = open_descriptors()
+    monkeypatch.setattr(os, "read", failing_once)
+    with pytest.raises(OSError) as raised:
+        run_check()
+    monkeypatch.undo()
+    assert raised.value.errno == errno.EIO and failed
+    assert open_descriptors() == before
+
+
 def test_config_changes_invalidate_resume(golden, tmp_path):
     out = tmp_path / "out"
     run_pipeline(replay_settings(golden, out))
@@ -772,14 +871,23 @@ def test_noop_rerun_reads_each_recorded_file_once(golden, in_corpus, tmp_path, m
     reads: Counter = Counter()
     os_open, io_open = os.open, io.open
 
-    def counting_os_open(path, flags, *args, **kwargs):
-        if flags & os.O_ACCMODE == os.O_RDONLY:
-            reads[Path(path).resolve()] += 1
-        return os_open(path, flags, *args, **kwargs)
+    def opened(path, dir_fd=None) -> tuple[int, int, str]:
+        """The device and inode of the directory a file is opened through, and its name there."""
+        if dir_fd is None:
+            path = Path(path).resolve()
+            folder, path = os.stat(path.parent), path.name
+        else:
+            folder = os.fstat(dir_fd)
+        return folder.st_dev, folder.st_ino, os.fspath(path)
+
+    def counting_os_open(path, flags, *args, dir_fd=None, **kwargs):
+        if flags & os.O_ACCMODE == os.O_RDONLY and not flags & os.O_DIRECTORY:
+            reads[opened(path, dir_fd)] += 1
+        return os_open(path, flags, *args, dir_fd=dir_fd, **kwargs)
 
     def counting_open(file, mode="r", *args, **kwargs):
         if not isinstance(file, int) and not set(mode) & set("wax+"):
-            reads[Path(file).resolve()] += 1
+            reads[opened(file)] += 1
         return io_open(file, mode, *args, **kwargs)
 
     def no_live_call(service, request):
@@ -793,9 +901,11 @@ def test_noop_rerun_reads_each_recorded_file_once(golden, in_corpus, tmp_path, m
 
     assert recomputed(summary) == []
     assert summary["live_calls"] == {"annotator": 0, "llm": 0, "rxnorm": 0}
-    # the stage manifests too: one read is parsed and digested for the next stage's key
-    recorded = [path.resolve() for path in outputs + responses + corpus_files + sorted(manifests)]
-    assert reads == Counter({path: 1 for path in recorded})
+    # the stage manifests too: one read is parsed and digested for the next stage's key;
+    # and the pipeline manifest, read to find it already holds the bytes it would get
+    pipeline_manifest = settings.out_dir / "pipeline_manifest.json"
+    recorded = outputs + responses + corpus_files + sorted(manifests) + [pipeline_manifest]
+    assert reads == Counter({opened(path): 1 for path in recorded})
 
 
 def test_unrelated_fixture_recomputes_nothing(golden, in_corpus, tmp_path):
@@ -862,17 +972,19 @@ def test_repair_rerun_hashes_each_extract_output_twice(golden, tmp_path, monkeyp
     tampered.write_bytes(tampered.read_bytes() + b"{}\n")
 
     hashed: Counter = Counter()
-    sha256_file = pipeline._sha256_file
+    sha256_at = pipeline._sha256_at
 
-    def counting(path):
-        hashed[Path(path).resolve()] += 1
-        return sha256_file(path)
+    def counting(dir_fd, name, *args):
+        # the directory now at extract_dir's path: the old one while checking, the new one after the rerun
+        if os.path.samestat(os.fstat(dir_fd), os.stat(extract_dir)):
+            hashed[name] += 1
+        return sha256_at(dir_fd, name, *args)
 
-    monkeypatch.setattr(pipeline, "_sha256_file", counting)
+    monkeypatch.setattr(pipeline, "_sha256_at", counting)
     summary = run_pipeline(settings)
     assert recomputed(summary) == ["extract"]
     # once to find the changed output, once to record the recomputed ones
-    assert {rel: hashed[(extract_dir / rel).resolve()] for rel in outputs} == {rel: 2 for rel in outputs}
+    assert {rel: hashed[rel] for rel in outputs} == {rel: 2 for rel in outputs}
 
 
 @pytest.mark.parametrize("manifest", [
