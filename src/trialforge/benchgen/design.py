@@ -12,33 +12,11 @@ import logging
 import random
 
 from ..errors import FieldMissing
-from ..views import CtgovDoc
-from .items import BenchmarkItem, answer_letter
+from ..schema import RelationTriple, Source
+from ..views import CtgovDoc, Review
+from .items import OPTION_LETTERS, BenchmarkItem
 
 logger = logging.getLogger(__name__)
-
-DESIGN_FIELDS = ("arms", "eligibility", "endpoints")
-
-DESIGN_TASKS = {
-    "arms": "arm_design",
-    "eligibility": "eligibility_design",
-    "endpoints": "endpoint_design",
-}
-
-DESIGN_INSTRUCTIONS = {
-    "arms": (
-        "Given the trial title and summary, select the option that describes "
-        "the intervention arms this trial actually used."
-    ),
-    "eligibility": (
-        "Given the trial title and summary, select the option that states "
-        "this trial's eligibility criteria."
-    ),
-    "endpoints": (
-        "Given the trial title and summary, select the option that lists "
-        "this trial's primary outcome measures."
-    ),
-}
 
 OPTIONS_PER_ITEM = 4
 
@@ -78,33 +56,59 @@ def render_endpoints(doc: CtgovDoc) -> str:
     return "\n".join(lines)
 
 
-FIELD_RENDERERS = {
-    "arms": render_arms,
-    "eligibility": render_eligibility,
-    "endpoints": render_endpoints,
+#: field -> (task, instruction, renderer of the field's option text)
+DESIGN_TABLE = {
+    "arms": (
+        "arm_design",
+        "Given the trial title and summary, select the option that describes "
+        "the intervention arms this trial actually used.",
+        render_arms,
+    ),
+    "eligibility": (
+        "eligibility_design",
+        "Given the trial title and summary, select the option that states "
+        "this trial's eligibility criteria.",
+        render_eligibility,
+    ),
+    "endpoints": (
+        "endpoint_design",
+        "Given the trial title and summary, select the option that lists "
+        "this trial's primary outcome measures.",
+        render_endpoints,
+    ),
 }
+
+DESIGN_FIELDS = tuple(DESIGN_TABLE)
+
+
+def review_groups(reviews: list[Review], triples: list[RelationTriple]) -> dict[str, list[str]]:
+    """review pmid -> the CT.gov trial ids it cites, in first-citation order, each once."""
+    review_pmids = {review.pmid for review in reviews}
+    groups: dict[str, dict[str, None]] = {}
+    for triple in triples:
+        if triple.head_id in review_pmids and triple.tail_source is Source.CTGOV:
+            groups.setdefault(triple.head_id, {})[triple.tail_id] = None
+    return {head: list(tails) for head, tails in groups.items()}
 
 
 def gen_design_mcq(
-    review_groups: dict[str, list[str]],
+    groups: dict[str, list[str]],
     documents: dict[str, CtgovDoc],
     field: str,
     seed: int,
 ) -> list[BenchmarkItem]:
     """One MCQ per co-cited trial whose field text renders.
 
-    ``review_groups`` maps a review id to the trial ids it cites
-    together; ``documents`` maps trial ids to their CT.gov documents.
+    ``groups`` maps a review id to the trial ids it cites together
+    (`review_groups`); ``documents`` maps trial ids to their CT.gov documents.
     A trial cited by several reviews yields one item, claimed by the
     first review in sorted order. Trials whose field cannot be rendered
     are skipped with a logged reason, mirroring the upstream corpus
     rather than failing the batch.
     """
-    if field not in FIELD_RENDERERS:
+    if field not in DESIGN_TABLE:
         raise ValueError(f"field must be one of {DESIGN_FIELDS}, got {field!r}")
-    render = FIELD_RENDERERS[field]
-    task = DESIGN_TASKS[field]
-    instruction = DESIGN_INSTRUCTIONS[field]
+    task, instruction, render = DESIGN_TABLE[field]
 
     renderings: dict[str, str] = {}
 
@@ -125,8 +129,8 @@ def gen_design_mcq(
     items: list[BenchmarkItem] = []
     claimed: set[str] = set()
 
-    for review_id in sorted(review_groups):
-        group = review_groups[review_id]
+    for review_id in sorted(groups):
+        group = groups[review_id]
         for target_id in group:
             if target_id in claimed:
                 continue
@@ -190,7 +194,7 @@ def gen_design_mcq(
 
             options = [correct] + [rendering_of(t) for t in distractor_ids + pad_ids]
             rng.shuffle(options)
-            answer = answer_letter(options.index(correct))
+            answer = OPTION_LETTERS[options.index(correct)]
 
             items.append(
                 BenchmarkItem(

@@ -23,10 +23,6 @@ SPLITS = ("train", "validation", "test")
 OPTION_LETTERS = "ABCDEFGHIJ"
 
 
-def answer_letter(index: int) -> str:
-    return OPTION_LETTERS[index]
-
-
 @dataclass(frozen=True)
 class BenchmarkItem:
     """One benchmark question.

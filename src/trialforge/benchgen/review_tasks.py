@@ -11,7 +11,7 @@ from ..errors import MalformedResponse, SelfReferenceViolation
 from ..schema import RelationTriple, Source
 from ..views import EvidenceMcq, Review, parse_answer
 from .items import OPTION_LETTERS, BenchmarkItem
-from .splits import SplitAssignment, split_by_numeric_id
+from .splits import split_by_numeric_id
 
 logger = logging.getLogger(__name__)
 
@@ -25,8 +25,6 @@ SCREENING_INSTRUCTION = (
     'selection criteria. Answer one line per candidate as "<PMID>: include" or '
     '"<PMID>: exclude".'
 )
-
-SEARCH_TEST_REVIEWS = 100
 
 SCREENING_CAP = 10
 SCREENING_BALANCED_PER_CLASS = 5
@@ -58,7 +56,7 @@ _SELF_REFERENCE_PATTERNS = (
 )
 
 
-def _include_map(triples: list[RelationTriple]) -> dict[str, list[str]]:
+def include_map(triples: list[RelationTriple]) -> dict[str, list[str]]:
     """review pmid -> sorted included PubMed ids."""
     grouped: dict[str, set[str]] = {}
     for triple in triples:
@@ -76,9 +74,8 @@ def _review_setup(review: Review) -> str:
     return "\n\n".join(f"{label}: {text}" for label, text in parts if text)
 
 
-def gen_search_items(reviews: list[Review], include_triples: list[RelationTriple]) -> list[BenchmarkItem]:
-    """One retrieval item per review with at least one included PubMed id."""
-    includes = _include_map(include_triples)
+def gen_search_items(reviews: list[Review], includes: dict[str, list[str]]) -> list[BenchmarkItem]:
+    """One retrieval item per review with at least one included PubMed id in ``includes`` (`include_map`)."""
     items = []
     for review in reviews:
         pmid = review.pmid
@@ -103,17 +100,12 @@ def gen_search_items(reviews: list[Review], include_triples: list[RelationTriple
     return items
 
 
-def split_search_items(
-    items: list[BenchmarkItem], test_size: int = SEARCH_TEST_REVIEWS
-) -> list[SplitAssignment]:
-    """Most recent ``test_size`` reviews (by numeric PMID) form the test set."""
-    return split_by_numeric_id(
-        items,
-        id_extractor=lambda item: item.item_id,
-        test_size=test_size,
-        validation_size=0,
-        allow_small=True,
-    )
+def split_search_items(ids: list[str], test_size: int) -> dict[str, str]:
+    """Most recent ``test_size`` reviews (by numeric PMID) form the test set.
+
+    There is no validation split, and a small corpus is never refused.
+    """
+    return split_by_numeric_id(ids, test_size, validation_size=0, allow_small=True)
 
 
 def gen_screening_items(
@@ -206,7 +198,7 @@ def check_self_reference(question: str) -> None:
 def gen_evidence_mcq(reviews: list[Review], includes: dict[str, list[str]], llm_client) -> list[BenchmarkItem]:
     """Question generation from review conclusions, replayable from a store.
 
-    ``includes`` maps a review pmid to its included PubMed ids (`_include_map`).
+    ``includes`` maps a review pmid to its included PubMed ids (`include_map`).
     Reviews without review text, or with zero or more than twenty included
     studies, are discarded before any client call. An answer that is not an
     `EvidenceMcq`, has a blank question, an answer that is not one letter

@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..errors import CorpusTooSmall
-
-TEST_SIZE = 1000
-VALIDATION_SIZE = 500
 
 _DIGITS_RE = re.compile(r"\d+")
 
@@ -22,48 +18,30 @@ def numeric_id_key(identifier: str) -> int:
     return int("".join(runs))
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
-    item_id: str
-    split: str  # train | validation | test
-
-
 def split_by_numeric_id(
-    items: Iterable,
-    id_extractor: Callable[[object], str] = str,
-    test_size: int = TEST_SIZE,
-    validation_size: int = VALIDATION_SIZE,
-    allow_small: bool = False,
-) -> list[SplitAssignment]:
-    """Newest-first split: largest ids to test, next block to validation.
+    ids: Iterable[str], test_size: int, validation_size: int, allow_small: bool
+) -> dict[str, str]:
+    """Newest-first split, as ``{id: train | validation | test}``.
 
     Ids are sorted by numeric key descending (ties broken by the full id,
     ascending); the first ``test_size`` become test, the next
     ``validation_size`` validation, everything else train. Fewer than
-    ``test_size + validation_size`` items is a `CorpusTooSmall` unless
+    ``test_size + validation_size`` ids is a `CorpusTooSmall` unless
     ``allow_small`` is set, in which case the blocks simply truncate
     (test fills first).
     """
-    ids = [id_extractor(item) for item in items]
+    ids = list(ids)
     minimum = test_size + validation_size
     if len(ids) < minimum and not allow_small:
         raise CorpusTooSmall(f"{len(ids)} items, need at least {minimum}")
 
     ordered = sorted(ids, key=lambda identifier: (-numeric_id_key(identifier), identifier))
-    assignments = []
+    splits = {}
     for position, identifier in enumerate(ordered):
         if position < test_size:
-            split = "test"
-        elif position < test_size + validation_size:
-            split = "validation"
+            splits[identifier] = "test"
+        elif position < minimum:
+            splits[identifier] = "validation"
         else:
-            split = "train"
-        assignments.append(SplitAssignment(identifier, split))
-    return assignments
-
-
-def split_sizes(assignments: list[SplitAssignment]) -> dict[str, int]:
-    sizes = {"train": 0, "validation": 0, "test": 0}
-    for assignment in assignments:
-        sizes[assignment.split] += 1
-    return sizes
+            splits[identifier] = "train"
+    return splits

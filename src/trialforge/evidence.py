@@ -452,10 +452,6 @@ def _jaccard(set_a: AbstractSet[str], set_b: AbstractSet[str]) -> float:
     return len(set_a & set_b) / len(set_a | set_b)
 
 
-def jaccard_scorer(reason: str, keyword: str) -> float:
-    return _jaccard(set(_tokens(reason)), set(_tokens(keyword)))
-
-
 def load_termination_keywords() -> dict[str, list[str]]:
     """The packaged keyword list of each termination category, in config order."""
     keyword_sets = json.loads((DATA_DIR / "termination_keywords.json").read_text(encoding="utf-8"))

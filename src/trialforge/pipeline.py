@@ -68,14 +68,14 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
 from . import DATA_DIR, store
-from .benchgen.design import DESIGN_FIELDS, gen_design_mcq
+from .benchgen.design import DESIGN_FIELDS, gen_design_mcq, review_groups
 from .benchgen.items import write_benchmark_files
 from .benchgen.protocol import gen_completion_items, gen_sample_size_items
 from .benchgen.review_tasks import (
-    _include_map,
     gen_evidence_mcq,
     gen_screening_items,
     gen_search_items,
+    include_map,
     split_search_items,
 )
 from .benchgen.splits import split_by_numeric_id
@@ -119,7 +119,6 @@ from .relations import (
 )
 from .schema import (
     RelationTriple,
-    Source,
     StudyStatus,
     check_study,
     decode_record,
@@ -938,17 +937,10 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     settings, clients, reviews = run.settings, run.clients, run.read("reviews")
     triples = [decode_record(RelationTriple, row) for row in run.read("graph/relations.jsonl")]
 
-    review_pmids = {review.pmid for review in reviews}
-    review_groups: dict[str, list[str]] = {}
-    for triple in triples:
-        if triple.head_id in review_pmids and triple.tail_source is Source.CTGOV:
-            group = review_groups.setdefault(triple.head_id, [])
-            if triple.tail_id not in group:
-                group.append(triple.tail_id)
-
+    groups, includes = review_groups(reviews, triples), include_map(triples)
     items = []
     for field_name in DESIGN_FIELDS:
-        items.extend(gen_design_mcq(review_groups, run.read("ctgov"), field_name, settings.seed))
+        items.extend(gen_design_mcq(groups, run.read("ctgov"), field_name, settings.seed))
 
     items.extend(gen_sample_size_items(run.read("protocols"), clients.llm))
 
@@ -962,12 +954,11 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
     ]
     items.extend(gen_completion_items(completion_trials, outcomes))
 
-    search_items = gen_search_items(reviews, triples)
-    items.extend(search_items)
+    items.extend(gen_search_items(reviews, includes))
 
     titles = {article.pmid: article.title for article in run.read("pubmed")}
     items.extend(gen_screening_items(reviews, triples, titles, settings.seed))
-    items.extend(gen_evidence_mcq(reviews, _include_map(triples), clients.llm))
+    items.extend(gen_evidence_mcq(reviews, includes, clients.llm))
 
     # Item ids are "<task>:<registry or PubMed id>" and no task name has a
     # digit, so the item id itself carries the recency key.
@@ -976,18 +967,13 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
         by_task.setdefault(item.task, []).append(item)
     assignments: dict[str, str] = {}
     for task, task_items in sorted(by_task.items()):
+        ids = [item.item_id for item in task_items]
         if task == "study_search":
-            task_assignments = split_search_items(task_items, settings.search_test_size)
+            assignments.update(split_search_items(ids, settings.search_test_size))
         else:
-            task_assignments = split_by_numeric_id(
-                task_items,
-                id_extractor=lambda item: item.item_id,
-                test_size=settings.split_test_size,
-                validation_size=settings.split_validation_size,
-                allow_small=settings.allow_small_split,
-            )
-        for assignment in task_assignments:
-            assignments[assignment.item_id] = assignment.split
+            assignments.update(split_by_numeric_id(
+                ids, settings.split_test_size, settings.split_validation_size, settings.allow_small_split
+            ))
 
     write_benchmark_files(items, assignments, out, run.corpus_hash, settings.seed)
 

@@ -81,11 +81,6 @@ def score_reward(
 STD_FLOOR = 1e-8
 
 
-@dataclass
-class ClipConfig:
-    epsilon: float = 0.2
-
-
 def grpo_advantages(rewards: Sequence[float]) -> list[float]:
     """Standardize rewards within one rollout group.
 
@@ -104,8 +99,7 @@ def grpo_advantages(rewards: Sequence[float]) -> list[float]:
     return [(r - mean) / std for r in rewards]
 
 
-def grpo_clipped_term(ratio: float, advantage: float, cfg: ClipConfig | None = None) -> float:
-    """Pessimistic clipped policy term: min(r*A, clip(r, 1-eps, 1+eps)*A)."""
-    eps = (cfg or ClipConfig()).epsilon
-    clipped = min(max(ratio, 1.0 - eps), 1.0 + eps)
+def grpo_clipped_term(ratio: float, advantage: float, epsilon: float = 0.2) -> float:
+    """Pessimistic clipped policy term: min(r*A, clip(r, 1-epsilon, 1+epsilon)*A)."""
+    clipped = min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
     return min(ratio * advantage, clipped * advantage)

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from _corpus import make_dedupe_corpus
-from trialforge.benchgen.splits import split_by_numeric_id, split_sizes
+from trialforge.benchgen.splits import split_by_numeric_id
 from trialforge.dedupe import dedupe_corpus
 from trialforge.errors import CorpusTooSmall
 from trialforge.evidence import parse_adverse_events
@@ -37,7 +37,7 @@ from trialforge.ontology.biomarkers import (
 )
 from trialforge.ontology.drugs import DrugResources, resolve_drugbank, resolve_rxnorm
 from trialforge.pipeline import STAGE_DIRS, PipelineSettings, run_pipeline
-from trialforge.reward import ClipConfig, grpo_advantages, grpo_clipped_term, score_reward
+from trialforge.reward import grpo_advantages, grpo_clipped_term, score_reward
 from trialforge.views import parse_ctgov_doc
 
 
@@ -115,7 +115,7 @@ def test_criterion_2_split_rule():
     rng = random.Random(424242)
 
     with pytest.raises(CorpusTooSmall):
-        split_by_numeric_id([f"NCT{n:08d}" for n in range(1499)])
+        split_by_numeric_id([f"NCT{n:08d}" for n in range(1499)], 1000, 500, allow_small=False)
 
     expected_sizes = {
         1500: {"train": 0, "validation": 500, "test": 1000},
@@ -126,9 +126,9 @@ def test_criterion_2_split_rule():
         numbers = rng.sample(range(1, 40_000_000), count)
         ids = [f"NCT{n:08d}" for n in numbers]
         rng.shuffle(ids)
-        assignments = split_by_numeric_id(ids)
-        assert split_sizes(assignments) == wanted
-        got = {a.item_id: a.split for a in assignments}
+        got = split_by_numeric_id(ids, 1000, 500, allow_small=False)
+        sizes = Counter(got.values())
+        assert {split: sizes[split] for split in wanted} == wanted
         assert got == oracle_split(ids, 1000, 500)
 
     assert time.perf_counter() - started < 1.0
@@ -203,7 +203,7 @@ def test_criterion_4_grpo_math():
     for ratio, advantage in itertools.product(ratios, advantages):
         clipped_ratio = min(max(ratio, 1.0 - eps), 1.0 + eps)
         want = min(ratio * advantage, clipped_ratio * advantage)
-        assert grpo_clipped_term(ratio, advantage, ClipConfig(epsilon=eps)) == want
+        assert grpo_clipped_term(ratio, advantage, epsilon=eps) == want
 
 
 # --- 5. metrics oracle equivalence (1e-12) -------------------------------------

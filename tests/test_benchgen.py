@@ -1,12 +1,20 @@
 import json
 import re
+from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from _corpus import view
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from trialforge.benchgen.design import gen_design_mcq, render_arms, render_eligibility, render_endpoints
+from trialforge.benchgen.design import (
+    gen_design_mcq,
+    render_arms,
+    render_eligibility,
+    render_endpoints,
+    review_groups,
+)
 from trialforge.benchgen.items import BenchmarkItem, write_benchmark_files
 from trialforge.benchgen.protocol import (
     check_completion_leakage,
@@ -21,9 +29,10 @@ from trialforge.benchgen.review_tasks import (
     gen_evidence_mcq,
     gen_screening_items,
     gen_search_items,
+    include_map,
     split_search_items,
 )
-from trialforge.benchgen.splits import numeric_id_key, split_by_numeric_id, split_sizes
+from trialforge.benchgen.splits import numeric_id_key, split_by_numeric_id
 from trialforge.errors import (
     CorpusTooSmall,
     FieldMissing,
@@ -49,59 +58,130 @@ class TestNumericKey:
             numeric_id_key("no-digits-here")
 
 
+def split_sizes(splits: dict[str, str]) -> dict[str, int]:
+    counts = Counter(splits.values())
+    return {split: counts[split] for split in ("train", "validation", "test")}
+
+
 class TestSplit:
     def test_below_boundary_raises(self):
         ids = [f"S{n}" for n in range(1, 1500)]
         with pytest.raises(CorpusTooSmall):
-            split_by_numeric_id(ids)
+            split_by_numeric_id(ids, 1000, 500, allow_small=False)
 
     def test_exact_boundary(self):
         ids = [f"S{n}" for n in range(1, 1501)]
-        sizes = split_sizes(split_by_numeric_id(ids))
+        sizes = split_sizes(split_by_numeric_id(ids, 1000, 500, allow_small=False))
         assert sizes == {"train": 0, "validation": 500, "test": 1000}
 
     def test_two_thousand_items_land_in_documented_blocks(self):
         ids = [f"S{n}" for n in range(1, 2001)]
-        assignments = split_by_numeric_id(ids)
+        splits = split_by_numeric_id(ids, 1000, 500, allow_small=False)
         by_split = {"train": set(), "validation": set(), "test": set()}
-        for assignment in assignments:
-            by_split[assignment.split].add(numeric_id_key(assignment.item_id))
+        for item_id, split in splits.items():
+            by_split[split].add(numeric_id_key(item_id))
         assert by_split["test"] == set(range(1001, 2001))
         assert by_split["validation"] == set(range(501, 1001))
         assert by_split["train"] == set(range(1, 501))
 
     def test_ten_thousand(self):
         ids = [f"S{n}" for n in range(1, 10001)]
-        sizes = split_sizes(split_by_numeric_id(ids))
+        sizes = split_sizes(split_by_numeric_id(ids, 1000, 500, allow_small=False))
         assert sizes == {"train": 8500, "validation": 500, "test": 1000}
 
     def test_allow_small(self):
-        assignments = split_by_numeric_id(["A1", "A2", "A3"], allow_small=True)
-        assert split_sizes(assignments) == {"train": 0, "validation": 0, "test": 3}
-        assignments = split_by_numeric_id(
-            [f"S{n}" for n in range(1200)], allow_small=True
-        )
-        assert split_sizes(assignments) == {"train": 0, "validation": 200, "test": 1000}
+        splits = split_by_numeric_id(["A1", "A2", "A3"], 1000, 500, allow_small=True)
+        assert split_sizes(splits) == {"train": 0, "validation": 0, "test": 3}
+        splits = split_by_numeric_id([f"S{n}" for n in range(1200)], 1000, 500, allow_small=True)
+        assert split_sizes(splits) == {"train": 0, "validation": 200, "test": 1000}
 
     def test_ties_broken_by_full_id(self):
-        assignments = split_by_numeric_id(
-            ["B7", "A7", "C7"], test_size=1, validation_size=1, allow_small=True
-        )
-        assert [(a.item_id, a.split) for a in assignments] == [
-            ("A7", "test"),
-            ("B7", "validation"),
-            ("C7", "train"),
-        ]
+        splits = split_by_numeric_id(["B7", "A7", "C7"], test_size=1, validation_size=1, allow_small=True)
+        assert splits == {"A7": "test", "B7": "validation", "C7": "train"}
 
-    def test_id_extractor(self):
-        items = [{"id": "S2"}, {"id": "S1"}]
-        assignments = split_by_numeric_id(
-            items, lambda item: item["id"], test_size=1, validation_size=1
-        )
-        assert [(a.item_id, a.split) for a in assignments] == [
-            ("S2", "test"),
-            ("S1", "validation"),
-        ]
+    def test_map_is_keyed_by_the_given_ids(self):
+        splits = split_by_numeric_id(iter(["S1", "S2"]), test_size=1, validation_size=1, allow_small=False)
+        assert splits == {"S2": "test", "S1": "validation"}
+
+
+@dataclass(frozen=True)
+class ReferenceSplitAssignment:
+    item_id: str
+    split: str
+
+
+def reference_split_by_numeric_id(items, id_extractor=str, test_size=1000, validation_size=500, allow_small=False):
+    """`split_by_numeric_id` before it returned a map: a list of assignments in newest-first order."""
+    ids = [id_extractor(item) for item in items]
+    minimum = test_size + validation_size
+    if len(ids) < minimum and not allow_small:
+        raise CorpusTooSmall(f"{len(ids)} items, need at least {minimum}")
+
+    ordered = sorted(ids, key=lambda identifier: (-numeric_id_key(identifier), identifier))
+    assignments = []
+    for position, identifier in enumerate(ordered):
+        if position < test_size:
+            split = "test"
+        elif position < test_size + validation_size:
+            split = "validation"
+        else:
+            split = "train"
+        assignments.append(ReferenceSplitAssignment(identifier, split))
+    return assignments
+
+
+def reference_split_map(*args, **kwargs):
+    """The reference's assignments as the stage folded them into a map, or its refusal."""
+    try:
+        return {a.item_id: a.split for a in reference_split_by_numeric_id(*args, **kwargs)}
+    except CorpusTooSmall as exc:
+        return ("CorpusTooSmall", str(exc))
+
+
+def split_map_or_refusal(*args, **kwargs):
+    try:
+        return split_by_numeric_id(*args, **kwargs)
+    except CorpusTooSmall as exc:
+        return ("CorpusTooSmall", str(exc))
+
+
+# Few prefixes and small numbers, so ids often share a numeric key ("S7", "NCT0007", "7", "A0B7").
+SPLIT_IDS = st.lists(
+    st.builds(
+        lambda prefix, number, width: f"{prefix}{number:0{width}d}",
+        st.sampled_from(["", "S", "NCT", "A0B", "study_search:"]),
+        st.integers(0, 12),
+        st.integers(1, 4),
+    ),
+    max_size=25,
+)
+
+
+@st.composite
+def split_cases(draw):
+    ids = draw(SPLIT_IDS)
+    # sizes from 0 up to past the id count, so both sides of the CorpusTooSmall boundary come up
+    test_size = draw(st.integers(0, len(ids) + 3))
+    validation_size = draw(st.integers(0, len(ids) + 3))
+    return ids, test_size, validation_size, draw(st.booleans())
+
+
+class TestSplitMatchesReference:
+    @given(split_cases())
+    @example((["S1", "S2", "S3"], 2, 1, False))  # exactly the minimum
+    @example((["S1", "S2"], 2, 1, False))  # one short: refused
+    @example((["S1", "S2"], 2, 1, True))  # one short, allowed: truncates
+    @example(([], 0, 0, False))
+    @example((["7", "S7", "NCT0007", "A0B7", "S7"], 1, 2, True))  # one key, and a repeated id
+    def test_split_map_equals_the_reference(self, case):
+        ids, test_size, validation_size, allow_small = case
+        want = reference_split_map(ids, str, test_size, validation_size, allow_small)
+        assert split_map_or_refusal(ids, test_size, validation_size, allow_small) == want
+
+    @given(SPLIT_IDS, st.integers(0, 30))
+    def test_search_split_equals_the_reference(self, ids, test_size):
+        want = reference_split_map(ids, str, test_size, validation_size=0, allow_small=True)
+        assert split_search_items(ids, test_size) == want
 
 
 class TestBenchmarkItem:
@@ -317,6 +397,52 @@ class TestDesignMcq:
     def test_bad_field(self):
         with pytest.raises(ValueError):
             gen_design_mcq({}, {}, "sponsors", seed=1)
+
+
+def reference_review_groups(reviews, triples):
+    """The benchmarks stage's grouping loop before `review_groups`: a list scan drops repeats."""
+    review_pmids = {review.pmid for review in reviews}
+    groups = {}
+    for triple in triples:
+        if triple.head_id in review_pmids and triple.tail_source is Source.CTGOV:
+            group = groups.setdefault(triple.head_id, [])
+            if triple.tail_id not in group:
+                group.append(triple.tail_id)
+    return groups
+
+
+# Heads mix review pmids with other ids; tails mix CT.gov and PubMed ids, drawn from few values so they repeat.
+GROUP_TRIPLES = st.lists(
+    st.builds(
+        RelationTriple,
+        st.sampled_from(["R1", "R2", "R3", "X9"]),
+        st.sampled_from(["include", "exclude", "cites"]),
+        st.sampled_from(["NCT01", "NCT02", "NCT03", "NCT04", "555", "556"]),
+        st.just(Source.PUBMED),
+        st.sampled_from([Source.CTGOV, Source.PUBMED]),
+    ),
+    max_size=30,
+)
+
+
+class TestReviewGroups:
+    @given(st.lists(st.sampled_from(["R1", "R2", "R3"]), unique=True), GROUP_TRIPLES)
+    def test_groups_equal_the_reference(self, pmids, triples):
+        reviews = [Review(pmid, "", "", "", "") for pmid in pmids]
+        got = review_groups(reviews, triples)
+        want = reference_review_groups(reviews, triples)
+        assert got == want
+        assert list(got) == list(want)
+
+    def test_first_citation_order_each_once(self):
+        triples = [
+            RelationTriple("R1", "include", "NCT02", Source.PUBMED, Source.CTGOV),
+            RelationTriple("R1", "include", "555", Source.PUBMED, Source.PUBMED),
+            RelationTriple("X9", "include", "NCT09", Source.PUBMED, Source.CTGOV),
+            RelationTriple("R1", "exclude", "NCT01", Source.PUBMED, Source.CTGOV),
+            RelationTriple("R1", "include", "NCT02", Source.PUBMED, Source.CTGOV),
+        ]
+        assert review_groups([Review("R1", "", "", "", "")], triples) == {"R1": ["NCT02", "NCT01"]}
 
 
 class TestSampleSize:
@@ -555,7 +681,7 @@ class TestSearch:
             RelationTriple("38078494", "include", "NCT00000150", Source.PUBMED, Source.CTGOV),
             include("10796093", "9111111"),
         ]
-        items = gen_search_items(make_reviews(), triples)
+        items = gen_search_items(make_reviews(), include_map(triples))
         by_id = {item.provenance["review_pmid"]: item for item in items}
         assert set(by_id) == {"38078494", "10796093"}
         assert by_id["38078494"].answer == ["20696552", "2612495"]
@@ -568,9 +694,8 @@ class TestSearch:
             include("30000000", "2"),
             include("10796093", "3"),
         ]
-        items = gen_search_items(make_reviews(), triples)
-        assignments = split_search_items(items, test_size=1)
-        splits = {a.item_id: a.split for a in assignments}
+        items = gen_search_items(make_reviews(), include_map(triples))
+        splits = split_search_items([item.item_id for item in items], test_size=1)
         assert splits["study_search:38078494"] == "test"
         assert splits["study_search:30000000"] == "train"
         assert splits["study_search:10796093"] == "train"

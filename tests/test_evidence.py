@@ -28,7 +28,6 @@ from trialforge.evidence import (
     classify_termination_reason,
     disposition_tables_from_ctgov,
     extract_pubmed_pico,
-    jaccard_scorer,
     label_terminated_study,
     load_termination_keywords,
     parse_adverse_events,
@@ -541,6 +540,11 @@ def reference_mean_jaccard(reason, keywords):
         return len(sa & sb) / len(sa | sb) if sa and sb else 0.0
 
     return sum(jac(reason, keyword) for keyword in keywords) / len(keywords)
+
+
+def jaccard_scorer(reason, keyword):
+    """Token Jaccard of one reason and one keyword, the score the classifier averages."""
+    return _jaccard(set(_tokens(reason)), set(_tokens(keyword)))
 
 
 def reference_classify_termination_reason(stop_reason, keyword_sets):

@@ -15,7 +15,6 @@ from trialforge.metrics import (
 )
 from trialforge.evaluate import extract_answer
 from trialforge.reward import (
-    ClipConfig,
     grpo_advantages,
     grpo_clipped_term,
     score_reward,
@@ -332,12 +331,13 @@ def test_advantages_match_population_std_oracle():
 
 
 def test_clipped_term_frozen_cases():
-    cfg = ClipConfig(epsilon=0.2)
-    assert grpo_clipped_term(1.5, 1.0, cfg) == 1.2
-    assert grpo_clipped_term(0.5, -1.0, cfg) == -0.8
+    assert grpo_clipped_term(1.5, 1.0, epsilon=0.2) == 1.2
+    assert grpo_clipped_term(0.5, -1.0, epsilon=0.2) == -0.8
     # inside the trust region the raw term passes through
-    assert grpo_clipped_term(1.1, 2.0, cfg) == pytest.approx(2.2)
-    assert grpo_clipped_term(0.9, -2.0, cfg) == pytest.approx(-1.8)
+    assert grpo_clipped_term(1.1, 2.0, epsilon=0.2) == pytest.approx(2.2)
+    assert grpo_clipped_term(0.9, -2.0, epsilon=0.2) == pytest.approx(-1.8)
+    # epsilon defaults to 0.2
+    assert grpo_clipped_term(1.5, 1.0) == 1.2
 
 
 def test_clipped_term_matches_piecewise_oracle():
@@ -348,5 +348,5 @@ def test_clipped_term_matches_piecewise_oracle():
         eps = rng.choice([0.1, 0.2, 0.3])
         clipped_ratio = min(max(ratio, 1 - eps), 1 + eps)
         want = min(ratio * adv, clipped_ratio * adv)
-        got = grpo_clipped_term(ratio, adv, ClipConfig(epsilon=eps))
+        got = grpo_clipped_term(ratio, adv, epsilon=eps)
         assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
