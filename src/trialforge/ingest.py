@@ -10,13 +10,21 @@ phrases, labeled abstract sections).
 None of the parsers throw on messy text: a record missing critical
 fields comes back flagged instead, and the ingest stage refuses one
 without an id.
+
+Corpus files are read as bytes (`corpus_files` lists a directory through
+one descriptor and reads each regular file through it) and decoded as
+`Path.read_text` would (`decode_text`, `read_json`).
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
+import stat
 from pathlib import Path
+from typing import Iterator, Optional
 
 from . import DATA_DIR
 from .errors import UnknownSource
@@ -173,18 +181,81 @@ def extract_results_text(abstract: str) -> str | None:
     return " ".join(pieces)
 
 
+# --- corpus files ----------------------------------------------------------------
+
+#: stat and open errors that `Path.is_file` reads as "not a file" rather than raising
+NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+DIRECTORY = os.O_RDONLY | os.O_DIRECTORY
+
+
+def read_at(dir_fd: int, name: str) -> Optional[bytes]:
+    """The bytes of ``name`` in the open directory ``dir_fd``; None when it is not a regular file.
+
+    One stat (symlinks followed), then one read sized from it; anything but
+    a regular file is never opened.
+    """
+    try:
+        info = os.stat(name, dir_fd=dir_fd)
+    except OSError as exc:
+        if exc.errno in NOT_A_FILE:
+            return None
+        raise
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+    try:
+        data = os.read(fd, info.st_size + 1)
+        if len(data) != info.st_size:  # changed since the stat, or a read capped short
+            data += b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+    finally:
+        os.close(fd)
+    return data
+
+
+def corpus_files(directory: Path, suffix: str) -> Iterator[tuple[Path, bytes]]:
+    """The path and bytes of each file in ``directory`` whose name ends in ``suffix``, in name order.
+
+    Nothing when ``directory`` is missing or is no directory. It is opened once
+    and listed, and each name read through it with `read_at`: a name that
+    is not a regular file, symlinks followed (a directory, a FIFO, a broken
+    link), is a ValueError naming its path, and is never opened.
+    """
+    try:
+        dir_fd = os.open(directory, DIRECTORY)
+    except OSError:
+        return
+    try:
+        with os.scandir(dir_fd) as it:
+            names = sorted(entry.name for entry in it if entry.name.endswith(suffix))
+        for name in names:
+            data = read_at(dir_fd, name)
+            if data is None:
+                raise ValueError(f"{directory / name}: not a regular file")
+            yield directory / name, data
+    finally:
+        os.close(dir_fd)
+
+
+def decode_text(data: bytes) -> str:
+    """``data`` as UTF-8 text with universal newlines, as `Path.read_text` reads a file."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_json(path: Path, data: Optional[bytes] = None):
+    """The JSON value in the file at ``path``, or in ``data``, its bytes already read.
+
+    Text that does not decode or parse is a ValueError naming the file.
+    """
+    try:
+        return json.loads(decode_text(path.read_bytes() if data is None else data))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+
+
 # --- registry record parsing --------------------------------------------------
 
 _YEAR_RE = re.compile(r"\b(19|20)\d{2}\b")
 _INT_CELL_RE = re.compile(r"\d[\d,]*")
-
-
-def read_json(path: Path):
-    """The JSON value in the file at ``path``; text that does not parse is a ValueError naming the file."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_source_mapping(source: Source | str, mapping_dir: Path = DATA_DIR / "sources") -> dict:

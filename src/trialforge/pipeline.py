@@ -56,7 +56,6 @@ run.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import logging
@@ -103,7 +102,18 @@ from .evidence import (
     primary_pvalues,
     termination_keyword_tokens,
 )
-from .ingest import extract_pubmed_study, load_source_mapping, parse_ctgov_study, parse_registry_record, read_json
+from .ingest import (
+    DIRECTORY,
+    NOT_A_FILE,
+    corpus_files,
+    decode_text,
+    extract_pubmed_study,
+    load_source_mapping,
+    parse_ctgov_study,
+    parse_registry_record,
+    read_at,
+    read_json,
+)
 from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
 from .ontology.conditions import annotate_conditions
 from .ontology.drugs import link_drug, load_drug_normalization, load_drug_resources
@@ -272,9 +282,6 @@ def _sha256_text(text: str) -> str:
 
 # Reads are unbuffered; chunking keeps memory flat on large outputs.
 _CHUNK = 1 << 16
-# stat and open errors that `Path.is_file` reads as "not a file" rather than raising
-_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
-_DIRECTORY = os.O_RDONLY | os.O_DIRECTORY
 
 
 def _sha256_at(dir_fd: int, name: str, first: int = _CHUNK) -> str:
@@ -309,7 +316,7 @@ def _tree_digests(root, skip: Optional[str] = None, leave_out: str = "") -> dict
 
     def visit(path, parent_fd: Optional[int], prefix: str) -> None:
         try:
-            dir_fd = os.open(path, _DIRECTORY, dir_fd=parent_fd)
+            dir_fd = os.open(path, DIRECTORY, dir_fd=parent_fd)
         except OSError:
             return
         try:
@@ -351,17 +358,21 @@ def _hash_outputs(stage_dir: Path) -> dict:
 
 
 def _load_manifest(path: Path) -> tuple[Optional[dict], str]:
-    """The stage manifest and the sha256 of its bytes, read once.
+    """The stage manifest and the sha256 of its bytes, read once through its directory.
 
-    The manifest is None when it is missing, unreadable or ill-shaped.
+    The manifest is None when it or its directory is missing, unreadable or ill-shaped.
     """
-    if not path.is_file():
+    try:
+        dir_fd = os.open(path.parent, DIRECTORY)
+    except OSError:
         return None, ""
     try:
-        data = path.read_bytes()
-        manifest = json.loads(data.decode("utf-8"))
+        data = read_at(dir_fd, path.name)
+        manifest = None if data is None else json.loads(data.decode("utf-8"))
     except (ValueError, OSError):  # bad JSON or bad UTF-8
         return None, ""
+    finally:
+        os.close(dir_fd)
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("outputs"), dict)
@@ -385,10 +396,10 @@ def _changed_file(root: Path, recorded: dict) -> Optional[str]:
             try:
                 dir_fd = dirs.get(head)
                 if dir_fd is None:
-                    dir_fd = dirs[head] = os.open(os.path.join(root, head), _DIRECTORY)
+                    dir_fd = dirs[head] = os.open(os.path.join(root, head), DIRECTORY)
                 info = os.stat(name, dir_fd=dir_fd)
             except OSError as exc:
-                if exc.errno in _NOT_A_FILE:
+                if exc.errno in NOT_A_FILE:
                     return rel
                 raise
             if not stat.S_ISREG(info.st_mode) or _sha256_at(dir_fd, name, info.st_size + 1) != expected:
@@ -440,31 +451,37 @@ def _write_json(path: Path, payload) -> str:
 _encode_escaped = store.json_encoder(sort_keys=True)
 
 
-def _write_sorted_rows(path: Path, rows: list[dict]) -> list[dict]:
+def _write_sorted_rows(path: Path, rows: list[dict], encode: Callable[[dict], str] = store.encode_row) -> list[dict]:
     """Write ``rows`` as JSON lines in the order of their ASCII-escaped dumps; return them in that order.
 
-    Equal rows have equal lines, so an exact repeat is written and returned
-    once: each table holds each distinct row once. Unescaped, the encoder leaves only DEL and non-ASCII characters
-    raw, so every other line is its own escaped dump; just the rows with
-    such a character are dumped a second time for their sort key.
+    ``encode`` gives a row's line, the `store.encode_row` dump. Equal rows
+    have equal lines, so an exact repeat is written and returned once: each
+    table holds each distinct row once. Unescaped, the encoder leaves only
+    DEL and non-ASCII characters raw, so every other line is its own escaped
+    dump; just the rows with such a character are dumped a second time for
+    their sort key.
     """
-    unique = dict(zip(map(store.encode_row, rows), rows))
+    unique = dict(zip(map(encode, rows), rows))
     escaped = {
         line: _encode_escaped(row)
         for line, row in unique.items()
         if not line.isascii() or "\x7f" in line
     }
-    ordered = sorted(unique, key=lambda line: escaped.get(line, line))
+    ordered = sorted(unique, key=lambda line: escaped.get(line, line)) if escaped else sorted(unique)
     store.write_lines(path, ordered)
     return list(map(unique.__getitem__, ordered))
 
 
 def _write_tables(run: _RunContext, out: Path, tables: dict[str, list[dict]]) -> dict[str, int]:
-    """Write each table to ``out/<name>.jsonl`` with `_write_sorted_rows` and hold it; return its row count by name."""
+    """Write each table to ``out/<name>.jsonl`` with `_write_sorted_rows` and hold it; return its row count by name.
+
+    Each table's rows are `store.table_row` rows, encoded by its `store.line_encoder`.
+    """
     counts = {}
     for name, rows in tables.items():
         path = out / f"{name}.jsonl"
-        counts[name] = len(run.hold(path, _write_sorted_rows(path, rows)))
+        encode = store.line_encoder(store.TABLE_COLUMNS[name])
+        counts[name] = len(run.hold(path, _write_sorted_rows(path, rows, encode)))
     return counts
 
 
@@ -472,9 +489,9 @@ def _write_tables(run: _RunContext, out: Path, tables: dict[str, list[dict]]) ->
 # run input readers
 
 
-def _json_objects(path: Path) -> list[dict]:
-    """A corpus file holding a JSON array of objects; any other shape is a ValueError."""
-    rows = read_json(path)
+def _json_objects(path: Path, data: Optional[bytes] = None) -> list[dict]:
+    """A corpus file holding a JSON array of objects (its bytes ``data`` when read); any other shape is a ValueError."""
+    rows = read_json(path, data)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"{path}: expected a JSON array of objects")
     return rows
@@ -497,21 +514,14 @@ def _corpus_entries(path: Path, cls: type) -> list:
 
 
 def _corpus_registry_batches(corpus_dir: Path) -> list[tuple[Path, list[dict]]]:
-    registry_dir = corpus_dir / "registry"
-    if not registry_dir.is_dir():
-        return []
-    return [(path, _json_objects(path)) for path in sorted(registry_dir.glob("*.json"))]
+    return [(path, _json_objects(path, data)) for path, data in corpus_files(corpus_dir / "registry", ".json")]
 
 
 def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, CtgovDoc]:
     """Each CT.gov document's checked view, keyed by its NCT id; two files with one id exit 2."""
-    ctgov_dir = corpus_dir / "ctgov"
-    docs = {}
-    if not ctgov_dir.is_dir():
-        return docs
-    paths: dict[str, Path] = {}
-    for path in sorted(ctgov_dir.glob("*.json")):
-        doc = read_json(path)
+    docs, paths = {}, {}
+    for path, data in corpus_files(corpus_dir / "ctgov", ".json"):
+        doc = read_json(path, data)
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: expected a JSON object")
         try:
@@ -530,13 +540,7 @@ def _corpus_pubmed_articles(corpus_dir: Path) -> list[Article]:
 
 
 def _corpus_review_xmls(corpus_dir: Path) -> list[tuple[str, str]]:
-    reviews_dir = corpus_dir / "reviews"
-    if not reviews_dir.is_dir():
-        return []
-    return [
-        (path.stem, path.read_text(encoding="utf-8"))
-        for path in sorted(reviews_dir.glob("*.xml"))
-    ]
+    return [(path.stem, decode_text(data)) for path, data in corpus_files(corpus_dir / "reviews", ".xml")]
 
 
 # Input name -> its reader, given the settings; each calls a module global at call time, so readers can be wrapped.

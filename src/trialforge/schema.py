@@ -7,10 +7,11 @@ strings so callers can decide whether to flag, drop, or repair a record.
 One codec (`encode_record`/`decode_record`) reads a dataclass's fields
 and type hints, so a record's shape is declared only in its class; studies,
 relation rows and outcome labels all go through it. Enums are written as
-their value, sets of enums as sorted lists. Reading looks enums up and
-checks `int` and `list[str]` fields; text and flag fields are kept as
-written (the CT.gov parser lets through only text or null ages and a
-boolean, text or null healthy-volunteer value).
+their value, sets of enums as sorted lists. Reading runs a decoder written
+out for each class at its first use: it looks enums up and checks `int`
+and `list[str]` fields; text and flag fields are kept as written (the
+CT.gov parser lets through only text or null ages and a boolean, text or
+null healthy-volunteer value).
 
 Serialized form is JSONL with a single header line carrying the schema
 name and version, then one record object per line. `check_study` passes a
@@ -23,7 +24,7 @@ and the pipeline to every study one stage hands the next in memory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cache
 from itertools import chain
@@ -187,66 +188,132 @@ def validate_study(study: CanonicalStudy) -> list[str]:
 # --- record codec --------------------------------------------------------------
 
 
-def _optional(convert: Callable) -> Callable:
-    return lambda value: None if value is None else convert(value)
+_type_hints = cache(get_type_hints)
 
 
-def _integer(value):
-    if not isinstance(value, int):
-        raise ValueError("not an integer")
-    return value
-
-
-def _list_of(kind: type) -> Callable:
-    def convert(values):
-        if not isinstance(values, list) or not all(isinstance(value, kind) for value in values):
-            raise ValueError(f"not a list of {kind.__name__}")
-        return list(values)
-
-    return convert
-
-
-def _converters(hint) -> tuple[Optional[Callable], Optional[Callable]]:
-    """(encode, decode) for one field type; None keeps the value as written."""
+def _encoder(hint) -> Optional[Callable]:
+    """How one field type is written; None keeps the value as it is."""
     args = get_args(hint)
     if type(None) in args:
         (inner,) = (arg for arg in args if arg is not type(None))
-        encode, decode = _converters(inner)
-        return (encode and _optional(encode)), (decode and _optional(decode))
+        encode = _encoder(inner)
+        return encode and (lambda value: None if value is None else encode(value))
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return attrgetter("value"), hint
+        return attrgetter("_value_")
     if get_origin(hint) is set:
-        (kind,) = args
-        return (lambda members: sorted(member.value for member in members)), (
-            lambda values: {kind(value) for value in values}
-        )
+        return lambda members: sorted(member._value_ for member in members)
     if get_origin(hint) is list:
-        return list, _list_of(args[0])
-    if hint is int:
-        return None, _integer
-    return None, None
+        return list
+    return None
 
 
 @cache
-def _field_codecs(cls: type) -> tuple[tuple[str, ...], tuple, tuple]:
-    """The field names, then ``(name, encode)`` and ``(name, decode)`` for each converted field."""
-    hints = get_type_hints(cls)
-    names = tuple(f.name for f in fields(cls))
-    converters = [(name, *_converters(hints[name])) for name in names]
-    return (
-        names,
-        tuple((name, encode) for name, encode, _ in converters if encode is not None),
-        tuple((name, decode) for name, _, decode in converters if decode is not None),
-    )
+def _encoders(cls: type) -> tuple:
+    """``(name, encode)`` for each field of ``cls`` that is not written as it is."""
+    hints = _type_hints(cls)
+    return tuple((f.name, encode) for f in fields(cls) if (encode := _encoder(hints[f.name])) is not None)
 
 
 def encode_record(record) -> dict:
     """The JSON form of a dataclass record: one key per field."""
-    _, encoders, _ = _field_codecs(type(record))
     row = dict(vars(record))
-    for name, encode in encoders:
+    for name, encode in _encoders(type(record)):
         row[name] = encode(row[name])
     return row
+
+
+_ABSENT = object()
+
+
+def _member(label: str, kind: type[Enum], value):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{label}{exc}") from None
+
+
+def _members(label: str, kind: type[Enum], values) -> set:
+    lookup = kind._value2member_map_
+    try:
+        return {lookup[value] if type(value) is str and value in lookup else kind(value) for value in values}
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{label}{exc}") from None
+
+
+def _list_of(label: str, kind: type, values) -> list:
+    if not isinstance(values, list) or not all(isinstance(value, kind) for value in values):
+        raise ValueError(f"{label}not a list of {kind.__name__}")
+    return list(values)
+
+
+def _construct(cls: type, names: tuple, values: tuple):
+    """``cls`` built by keyword from the ``values`` given: the call whose error names a missing field."""
+    return cls(**{name: value for name, value in zip(names, values) if value is not _ABSENT})
+
+
+@cache
+def _decoder(cls: type):
+    """A function ``decode(row)`` that reads a ``cls`` record from a JSON object.
+
+    Its code is written out from the dataclass fields, one check per field,
+    as `views._reader` writes its readers, so decoding runs no loop over
+    field specs. An absent key reads as the field's default, which passes
+    its own check. An enum's text is looked up among its members and only a
+    miss calls the enum, which refuses it. For `RelationTriple` it reads::
+
+        v0, v1, v2, v3, v4, = map(row.get, names, defaults)
+        if type(v3) is str: v3 = m3.get(v3, v3)
+        if type(v3) is not k3 and v3 is not absent: v3 = member(l3, k3, v3)
+
+    and so on for ``v4``; the record is ``cls(v0, ..., v4)``, or `_construct` when a required field is absent.
+    """
+    prefix, specs = f"invalid {cls.__name__}: ", fields(cls)
+    env = {
+        "cls": cls, "names": tuple(f.name for f in specs), "absent": _ABSENT, "prefix": prefix,
+        "defaults": tuple(_ABSENT if f.default is MISSING else f.default for f in specs),
+        "member": _member, "members": _members, "list_of": _list_of, "construct": _construct,
+    }
+    hints, values, required = _type_hints(cls), [f"v{n}" for n in range(len(specs))], []
+    code = [
+        "def decode(row):",
+        "    if not isinstance(row, dict): raise ValueError(prefix + 'expected a JSON object, got ' + type(row).__name__)",
+        f"    {', '.join(values)}, = map(row.get, names, defaults)",
+    ]
+    for n, f in enumerate(specs):
+        v, args = f"v{n}", get_args(hints[f.name])
+        kind = next(arg for arg in args if arg is not type(None)) if type(None) in args else hints[f.name]
+        kept = ["None"] if type(None) in args else []  # values that pass as given
+        env[f"l{n}"] = f"{prefix}{f.name}: "
+        if f.default_factory is not MISSING:
+            env[f"f{n}"] = f.default_factory
+            code.append(f"    if {v} is absent: {v} = f{n}()")
+        elif f.default is MISSING:
+            required.append(v)
+            kept.append("absent")
+        kept = [f"{v} is not {value}" for value in kept]
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            env[f"k{n}"], env[f"m{n}"] = kind, kind._value2member_map_
+            code.append(f"    if type({v}) is str: {v} = m{n}.get({v}, {v})")
+            code.append(f"    if {' and '.join([f'type({v}) is not k{n}', *kept])}: {v} = member(l{n}, k{n}, {v})")
+        elif get_origin(kind) in (set, list):
+            (env[f"k{n}"],) = get_args(kind)
+            convert = "members" if get_origin(kind) is set else "list_of"
+            # a field with a default factory reaches its check only when given
+            branch = "elif" if f.default_factory is not MISSING else "if"
+            test = f"{branch} {' and '.join(kept)}: " if kept else "else: " if branch == "elif" else ""
+            code.append(f"    {test}{v} = {convert}(l{n}, k{n}, {v})")
+        elif kind is int:  # a boolean passes, as isinstance has it
+            test = " and ".join([f"type({v}) is not int", *kept, f"not isinstance({v}, int)"])
+            code.append(f"    if {test}: raise ValueError(l{n} + 'not an integer')")
+    code.append("    try:")
+    if required:
+        code.append(f"        if {' or '.join(f'{v} is absent' for v in required)}:")
+        code.append(f"            return construct(cls, names, ({', '.join(values)},))")
+    code.append(f"        return cls({', '.join(values)})")
+    code.append("    except TypeError as exc:")
+    code.append("        raise ValueError(prefix + str(exc)) from None")
+    exec("\n".join(code), env)
+    return env["decode"]
 
 
 def decode_record(cls: type[T], row) -> T:
@@ -256,20 +323,7 @@ def decode_record(cls: type[T], row) -> T:
     value that does not convert to its field's type, or a missing value
     the field has no default for, is a ``ValueError`` naming the field.
     """
-    if not isinstance(row, dict):
-        raise ValueError(f"invalid {cls.__name__}: expected a JSON object, got {type(row).__name__}")
-    names, _, decoders = _field_codecs(cls)
-    values = {name: row[name] for name in names if name in row}
-    for name, decode in decoders:
-        if name in values:
-            try:
-                values[name] = decode(values[name])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"invalid {cls.__name__}: {name}: {exc}") from None
-    try:
-        return cls(**values)
-    except TypeError as exc:
-        raise ValueError(f"invalid {cls.__name__}: {exc}") from None
+    return _decoder(cls)(row)
 
 
 # --- JSONL serialization ----------------------------------------------------

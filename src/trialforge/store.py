@@ -233,6 +233,19 @@ def json_encoder(**options) -> Callable[[object], str]:
 encode_row = json_encoder(sort_keys=True, ensure_ascii=False)
 
 
+def line_encoder(columns: tuple[str, ...]) -> Callable[[dict], str]:
+    """`encode_row` for a row whose keys are ``columns`` and whose cells are all text.
+
+    The line is one format string over the sorted columns, each cell
+    quoted by the JSON encoder's own string encoder, so the bytes are the
+    same; `table_row` makes such rows.
+    """
+    quote, names = json.encoder.encode_basestring, sorted(columns)
+    template = "{" + ", ".join(f"{quote(name)}: %s" for name in names) + "}"
+    cells = itemgetter(*names)
+    return lambda row: template % tuple(map(quote, cells(row)))
+
+
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:
     """Write each line followed by ``\\n``; return the number of lines."""
     count = 0
@@ -427,7 +440,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Enum):
-        return value.value
+        return value._value_
     if isinstance(value, int):
         return str(value)
     if isinstance(value, set):
