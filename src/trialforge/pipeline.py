@@ -51,7 +51,9 @@ file only when its writer was skipped in this run, so a cold run decodes
 none of its own outputs. Ingest also hands on the line it wrote for each
 study: dedupe writes those lines for the studies it passes through
 unchanged, encodes only the studies it merged, and drops them once it has
-run.
+run. Link, extract and benchmarks read the studies through one per-study
+join, `_RunContext.join`; link and extract each map one kernel over it and
+write its rows sorted, so the order of entries and calls never shows.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ import os
 import shutil
 import stat
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
 
 from . import DATA_DIR, store
 from .benchgen.design import DESIGN_FIELDS, gen_design_mcq, review_groups
@@ -128,6 +132,7 @@ from .relations import (
     write_relations_tsv,
 )
 from .schema import (
+    CanonicalStudy,
     RelationTriple,
     StudyStatus,
     check_study,
@@ -472,11 +477,15 @@ def _write_sorted_rows(path: Path, rows: list[dict], encode: Callable[[dict], st
     return list(map(unique.__getitem__, ordered))
 
 
-def _write_tables(run: _RunContext, out: Path, tables: dict[str, list[dict]]) -> dict[str, int]:
-    """Write each table to ``out/<name>.jsonl`` with `_write_sorted_rows` and hold it; return its row count by name.
+def _write_tables(run: _RunContext, out: Path, names: tuple, entries: Iterator, kernel: Callable, *args) -> dict:
+    """Write and hold each table of ``names``: the rows ``kernel(entry, *args) -> {table: rows}`` gives for ``entries``.
 
-    Each table's rows are `store.table_row` rows, encoded by its `store.line_encoder`.
+    Each goes to ``out/<name>.jsonl`` by `_write_sorted_rows`, encoded by its `store.line_encoder`; returns row counts.
     """
+    tables: dict[str, list[dict]] = {name: [] for name in names}
+    for entry in entries:
+        for name, rows in kernel(entry, *args).items():
+            tables[name].extend(rows)
     counts = {}
     for name, rows in tables.items():
         path = out / f"{name}.jsonl"
@@ -489,8 +498,8 @@ def _write_tables(run: _RunContext, out: Path, tables: dict[str, list[dict]]) ->
 # run input readers
 
 
-def _json_objects(path: Path, data: Optional[bytes] = None) -> list[dict]:
-    """A corpus file holding a JSON array of objects (its bytes ``data`` when read); any other shape is a ValueError."""
+def _json_objects(path: Path, data: bytes) -> list[dict]:
+    """``data``, the bytes of the corpus file ``path``, as a JSON array of objects; any other shape is a ValueError."""
     rows = read_json(path, data)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"{path}: expected a JSON array of objects")
@@ -500,12 +509,24 @@ def _json_objects(path: Path, data: Optional[bytes] = None) -> list[dict]:
 def _corpus_entries(path: Path, cls: type) -> list:
     """Each entry of a corpus JSON array read as a ``cls`` view, ordered by id; none when the file is absent.
 
-    Two entries with one id are a ValueError, except articles: dedupe merges those into one study.
+    Read through its directory with `read_at`: one that is not a regular file
+    (a directory, a FIFO, a broken link) is a ValueError, never opened. Two
+    entries with one id are too, except articles: dedupe merges those.
     """
-    if not path.is_file():
+    try:
+        dir_fd = os.open(path.parent, DIRECTORY)
+    except OSError:
+        return []
+    try:
+        data = read_at(dir_fd, path.name)
+        if data is None and path.name in os.listdir(dir_fd):
+            raise ValueError(f"{path}: not a regular file")
+    finally:
+        os.close(dir_fd)
+    if data is None:
         return []
     views, first = [], {}
-    for n, row in enumerate(_json_objects(path)):
+    for n, row in enumerate(_json_objects(path, data)):
         view = parse_entry(cls, row, f"{path}: entry {n}")
         if cls is not Article and first.setdefault(view[0], n) != n:
             raise ValueError(f"{path}: entries {first[view[0]]} and {n} both hold {cls._fields[0]} {view[0]!r}")
@@ -577,6 +598,25 @@ class Stage(NamedTuple):
     reads: tuple[str, ...]
 
 
+class StudyEntry(NamedTuple):
+    """One surviving study id joined to what link and extract read about it.
+
+    ``studies`` are the surviving studies with the id (two sources can share
+    one), in dedupe's order. ``doc`` is the CT.gov document of the id or of
+    the smallest document id it absorbed; ``absorbed`` are those ids, sorted.
+    ``articles`` are the distinct articles whose pmid is the id or one it
+    absorbed, in pmid order; ``nct_articles``, one per pmid, those naming the
+    id, then each absorbed id: `rank_abstracts` keeps that order on ties.
+    """
+
+    study_id: str
+    studies: tuple[CanonicalStudy, ...]
+    doc: Optional[CtgovDoc]
+    absorbed: tuple[str, ...]
+    articles: tuple[Article, ...]
+    nct_articles: tuple[Article, ...]
+
+
 class _RunContext:
     """Settings, clients, corpus hash and run inputs of one run.
 
@@ -590,10 +630,9 @@ class _RunContext:
     by `held_lines`. `release` drops every input, and any lines held with
     it, whose last reader was the given stage; the rest go with the context.
 
-    `aliases` and `study_docs` are built once per run from the dedupe links.
-    A surviving study can have absorbed the id its CT.gov document carries
-    (the surviving id is lexicographic, not source-ranked), so stages find
-    a study's document only through `study_docs`.
+    `join` is the one per-study join: a surviving study can have absorbed
+    the id its CT.gov document or article carries (the surviving id is
+    lexicographic, not source-ranked), so stages find them only through it.
     """
 
     def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str) -> None:
@@ -604,8 +643,6 @@ class _RunContext:
         self._held: dict[str, list] = {}
         self._lines: dict[str, list[str]] = {}
         self._inputs: dict[str, object] = {}
-        self._aliases: Optional[dict[str, str]] = None
-        self._study_docs: Optional[dict[str, CtgovDoc]] = None
 
     def hold(self, path: Path, value: list, lines: Optional[list[str]] = None) -> list:
         """Keep ``value``, the running stage's output file ``path`` as written, for later readers; return it.
@@ -655,24 +692,36 @@ class _RunContext:
         self._check_declared(name)
         return self._lines.pop(name, [])
 
-    @property
-    def aliases(self) -> dict[str, str]:
-        """Absorbed study id to surviving study id, from the dedupe links."""
-        links = self.read("dedupe/dup_links.jsonl")
-        if self._aliases is None:
-            self._aliases = {row["tail_id"]: row["head_id"] for row in links if row["tail_id"] != row["head_id"]}
-        return self._aliases
+    def join(self, articles: Sequence[Article]) -> Iterator[StudyEntry]:
+        """Each surviving study id, in id order, joined to its CT.gov document, absorbed ids and ``articles``.
 
-    @property
-    def study_docs(self) -> dict[str, CtgovDoc]:
-        """Surviving study id to its CT.gov document, in study id order; of several, the smallest document id's."""
-        docs, aliases = self.read("ctgov"), self.aliases
-        if self._study_docs is None:
-            by_study: dict[str, CtgovDoc] = {}
-            for doc_id in sorted(docs):
-                by_study.setdefault(aliases.get(doc_id, doc_id), docs[doc_id])
-            self._study_docs = dict(sorted(by_study.items()))
-        return self._study_docs
+        Extract alone passes articles. Entries are made as they are taken, so each lives only while used.
+        """
+        studies = sorted(self.read("dedupe/studies.jsonl"), key=attrgetter("study_id"))
+        links, docs = self.read("dedupe/dup_links.jsonl"), self.read("ctgov")
+        aliases = {row["tail_id"]: row["head_id"] for row in links if row["tail_id"] != row["head_id"]}
+        absorbed: dict[str, list[str]] = {}
+        for absorbed_id, study_id in sorted(aliases.items()):
+            absorbed.setdefault(study_id, []).append(absorbed_id)
+        doc_of: dict[str, CtgovDoc] = {}
+        for doc_id in sorted(docs):
+            doc_of.setdefault(aliases.get(doc_id, doc_id), docs[doc_id])
+        articles_of: dict[str, list[Article]] = {}
+        citing: dict[str, list[Article]] = {}
+        for article in dict.fromkeys(articles):
+            articles_of.setdefault(aliases.get(article.pmid, article.pmid), []).append(article)
+            for triple in extract_nct_links(article):
+                citing.setdefault(triple.tail_id, []).append(article)
+        for study_id, group in groupby(studies, attrgetter("study_id")):
+            ids = (study_id, *absorbed.get(study_id, ()))
+            linked: dict[str, Article] = {}
+            for alias in ids:
+                for article in citing.get(alias, ()):
+                    linked.setdefault(article.pmid, article)
+            yield StudyEntry(
+                study_id, tuple(group), doc_of.get(study_id), ids[1:],
+                tuple(articles_of.get(study_id, ())), tuple(linked.values()),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -758,144 +807,97 @@ def _biomarker_matches(text: str, index: BiomarkerIndex) -> list[BiomarkerMatch]
     return matches
 
 
-def _stage_link(run: _RunContext, out: Path) -> dict:
-    studies, docs, clients = run.read("dedupe/studies.jsonl"), run.study_docs, run.clients
+_LINK_TABLES = ("conditions", "drugs", "endpoints", "biomarkers")
+_EXTRACT_TABLES = ("trial_results", "adverse_events", "disposition", "trial_outcomes")
 
-    resources, normalization = run.read("drug_vocab"), run.read("drug_normalization")
-    drug_rows: list[dict] = []
-    linked: dict[str, object] = {}
-    for study in sorted(studies, key=lambda s: s.study_id):
-        doc = docs.get(study.study_id)
-        if doc is None:
-            continue
-        for intervention in doc.interventions:
-            if intervention.type.upper() != "DRUG":
-                continue
-            name = intervention.name.strip()
-            if not name:
-                continue
+
+def _link_rows(
+    entry: StudyEntry, clients: _Clients, drug_vocab, normalization, biomarker_index: BiomarkerIndex,
+    linked: dict, classified: dict, matched: dict,
+) -> dict[str, list[dict]]:
+    """The link tables' rows for one joined study id.
+
+    ``linked``, ``classified`` and ``matched`` keep each drug name's link and
+    each outcome text's endpoint classes and biomarker matches for the run.
+    """
+    study_id, drugs = entry.study_id, []
+    for intervention in entry.doc.interventions if entry.doc is not None else ():
+        name = intervention.name.strip()
+        if intervention.type.upper() == "DRUG" and name:
             if name not in linked:
-                linked[name] = link_drug(name, resources, normalization, remote_client=clients.rxnorm)
-            drug_rows.append(store.table_row("drugs", linked[name], study_id=study.study_id))
-
-    condition_rows: list[dict] = []
-    for study in studies:
+                linked[name] = link_drug(name, drug_vocab, normalization, remote_client=clients.rxnorm)
+            drugs.append(store.table_row("drugs", linked[name], study_id=study_id))
+    conditions, endpoints, biomarkers = [], [], []
+    for study in entry.studies:
         for annotation in annotate_conditions(study, clients.annotator):
-            condition_rows.append(store.table_row("conditions", annotation))
-
-    endpoint_rows: list[dict] = []
-    classified: dict[str, list] = {}
-    for study in studies:
+            conditions.append(store.table_row("conditions", annotation))
         for text in (*study.primary_outcomes, *study.secondary_outcomes):
+            if text not in matched:
+                matched[text] = _biomarker_matches(text, biomarker_index)
+            for match in matched[text]:
+                biomarkers.append(store.table_row("biomarkers", match, study_id=study_id))
             text = text.strip()
             if not text:
                 continue
             if text not in classified:
                 classified[text] = classify_endpoint(text, clients.llm)
             for classification in classified[text]:
-                endpoint_rows.append(store.table_row(
-                    "endpoints",
-                    classification,
-                    study_id=study.study_id,
-                    outcome_text=classification.outcome,
+                endpoints.append(store.table_row(
+                    "endpoints", classification, study_id=study_id, outcome_text=classification.outcome
                 ))
-
-    bio_index = run.read("biomarker_vocab")
-    biomarker_rows: list[dict] = []
-    matched: dict[str, list[BiomarkerMatch]] = {}
-    for study in studies:
-        for text in (*study.primary_outcomes, *study.secondary_outcomes):
-            if text not in matched:
-                matched[text] = _biomarker_matches(text, bio_index)
-            for match in matched[text]:
-                biomarker_rows.append(store.table_row("biomarkers", match, study_id=study.study_id))
-
-    return _write_tables(run, out, {
-        "conditions": condition_rows,
-        "drugs": drug_rows,
-        "endpoints": endpoint_rows,
-        "biomarkers": biomarker_rows,
-    })
+    return {"conditions": conditions, "drugs": drugs, "endpoints": endpoints, "biomarkers": biomarkers}
 
 
-def _stage_extract(run: _RunContext, out: Path) -> dict:
-    studies, aliases, docs, clients = run.read("dedupe/studies.jsonl"), run.aliases, run.study_docs, run.clients
-    articles = run.read("pubmed")
-    hierarchy = run.read("meddra_vocab")
+def _stage_link(run: _RunContext, out: Path) -> dict:
+    vocab = run.read("drug_vocab"), run.read("drug_normalization"), run.read("biomarker_vocab")
+    return _write_tables(run, out, _LINK_TABLES, run.join(()), _link_rows, run.clients, *vocab, {}, {}, {})
 
-    # Rows parsed out of a document are keyed to its surviving study, which
-    # may have absorbed the document's own id during dedupe.
-    result_rows: list[dict] = []
-    skipped_no_results = 0
-    for study_id, doc in docs.items():
+
+def _extract_rows(entry: StudyEntry, clients: _Clients, meddra, keyword_tokens, counts: dict[str, int]) -> dict:
+    """The extract tables' rows for one joined study id, to which its document's and articles' rows are keyed.
+
+    Its PICO arms are numbered across all of its distinct reports. ``counts``
+    tallies, for the run, documents with no results section and PICO rows.
+    """
+    study_id, doc = entry.study_id, entry.doc
+    results, events, disposition = [], [], []
+    if doc is not None:
         try:
-            rows = parse_ctgov_results(doc)
+            results = [store.table_row("trial_results", row, study_id=study_id) for row in parse_ctgov_results(doc)]
         except MissingResultsSection:
-            skipped_no_results += 1
-            continue
-        result_rows.extend(store.table_row("trial_results", row, study_id=study_id) for row in rows)
+            counts["skipped_no_results"] += 1
+        events = [store.table_row("adverse_events", row, study_id=study_id) for row in parse_adverse_events(doc, meddra)]
+        arms = build_disposition(doc, disposition_tables_from_ctgov(doc))
+        disposition = [store.table_row("disposition", row, study_id=study_id) for row in arms]
 
-    ae_rows = [
-        store.table_row("adverse_events", row, study_id=study_id)
-        for study_id, doc in docs.items()
-        for row in parse_adverse_events(doc, hierarchy)
-    ]
-
-    disposition_rows = [
-        store.table_row("disposition", row, study_id=study_id)
-        for study_id, doc in docs.items()
-        for row in build_disposition(doc, disposition_tables_from_ctgov(doc))
-    ]
-
-    # PICO results for linked abstracts, keyed to the surviving study id; a
-    # study's arms are numbered across all of its distinct reports.
-    pico: dict[str, list] = {}
-    for article in dict.fromkeys(articles):
+    pico = []
+    for article in entry.articles:
         title, abstract = article.title.strip(), article.abstract.strip()
         if title and abstract:
-            study_id = aliases.get(article.pmid, article.pmid)
-            pico.setdefault(study_id, []).extend(extract_pubmed_pico(study_id, title, abstract, clients.llm))
-    pico_count = 0
-    for study_id, rows in pico.items():
-        rows = list(dict.fromkeys(rows))
-        pico_count += len(rows)
-        result_rows.extend(store.table_row("trial_results", row) for row in rows)
-        disposition_rows.extend(store.table_row("disposition", row) for row in pico_disposition_rows(study_id, rows))
+            pico.extend(extract_pubmed_pico(study_id, title, abstract, clients.llm))
+    if pico:
+        pico = list(dict.fromkeys(pico))
+        counts["pico_rows"] += len(pico)
+        results.extend(store.table_row("trial_results", row) for row in pico)
+        disposition.extend(store.table_row("disposition", row) for row in pico_disposition_rows(study_id, pico))
 
-    # Outcome labels for every completed or terminated study. A study's linked
-    # abstracts come in the order of its own id, then its absorbed ids sorted;
-    # `rank_abstracts` keeps that order on ties, so it decides the prompt.
-    nct_abstracts: dict[str, list[Article]] = {}
-    for article in articles:
-        for triple in extract_nct_links(article):
-            nct_abstracts.setdefault(triple.tail_id, []).append(article)
-    absorbed: dict[str, list[str]] = {}
-    for absorbed_id, study_id in sorted(aliases.items()):
-        absorbed.setdefault(study_id, []).append(absorbed_id)
-
-    label_rows: list[dict] = []
-    keyword_tokens = run.read("termination_keywords")
-    for study in sorted(studies, key=lambda s: s.study_id):
-        doc = docs.get(study.study_id)
+    labels = []
+    for study in entry.studies:
         if study.status is StudyStatus.COMPLETED:
             pvalues = primary_pvalues(doc) if doc is not None else []
-            linked: dict[str, Article] = {}
-            for alias in (study.study_id, *absorbed.get(study.study_id, ())):
-                for article in nct_abstracts.get(alias, ()):
-                    linked.setdefault(article.pmid, article)
-            label = classify_completed_outcome(study, list(linked.values()), clients.llm, pvalues)
+            label = classify_completed_outcome(study, entry.nct_articles, clients.llm, pvalues)
         elif study.status is StudyStatus.TERMINATED:
             label = label_terminated_study(study, doc.why_stopped if doc is not None else "", keyword_tokens)
         else:
             continue
-        label_rows.append(store.table_row("trial_outcomes", label))
+        labels.append(store.table_row("trial_outcomes", label))
+    return {"trial_results": results, "adverse_events": events, "disposition": disposition, "trial_outcomes": labels}
 
-    return {"skipped_no_results": skipped_no_results, "pico_rows": pico_count} | _write_tables(run, out, {
-        "trial_results": result_rows,
-        "adverse_events": ae_rows,
-        "disposition": disposition_rows,
-        "trial_outcomes": label_rows,
-    })
+
+def _stage_extract(run: _RunContext, out: Path) -> dict:
+    counts = {"skipped_no_results": 0, "pico_rows": 0}
+    extras = run.clients, run.read("meddra_vocab"), run.read("termination_keywords"), counts
+    return counts | _write_tables(run, out, _EXTRACT_TABLES, run.join(run.read("pubmed")), _extract_rows, *extras)
 
 
 def _stage_graph(run: _RunContext, out: Path) -> dict:
@@ -950,13 +952,9 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
 
     labels = (decode_record(OutcomeLabel, row) for row in run.read("extract/trial_outcomes.jsonl"))
     outcomes = {label.study_id: label for label in labels}
-    docs = run.study_docs
-    completion_trials = [
-        (study, docs[study.study_id])
-        for study in sorted(run.read("dedupe/studies.jsonl"), key=lambda s: s.study_id)
-        if study.study_id in docs
-    ]
-    items.extend(gen_completion_items(completion_trials, outcomes))
+    items.extend(gen_completion_items(
+        [(study, entry.doc) for entry in run.join(()) if entry.doc is not None for study in entry.studies], outcomes
+    ))
 
     items.extend(gen_search_items(reviews, includes))
 
@@ -999,8 +997,8 @@ STAGE_TABLE = (
     Stage("graph", "graph", _stage_graph, ("review_xmls", "reviews", "pubmed", "dedupe/dup_links.jsonl")),
     Stage("database", "build-db", _stage_database, (
         "dedupe/studies.jsonl",
-        *(f"link/{name}.jsonl" for name in ("conditions", "drugs", "endpoints", "biomarkers")),
-        *(f"extract/{name}.jsonl" for name in ("trial_results", "adverse_events", "disposition", "trial_outcomes")),
+        *(f"link/{name}.jsonl" for name in _LINK_TABLES),
+        *(f"extract/{name}.jsonl" for name in _EXTRACT_TABLES),
         "graph/relations.jsonl",
     )),
     Stage("benchmarks", "gen-bench", _stage_benchmarks, (

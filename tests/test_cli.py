@@ -5,6 +5,7 @@ import shutil
 from dataclasses import replace
 
 import pytest
+from test_pipeline import first_link_call
 
 from trialforge import DATA_DIR, pipeline
 from trialforge.cli import STAGE_VERBS, main
@@ -179,8 +180,7 @@ def test_record_without_transports_maps_to_client_error_exit(golden, tmp_path, c
     argv = pipeline_argv("run-all", golden, tmp_path / "out", **{"replay-dir": tmp_path / "empty"})
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("client error: stage link: rxnorm:")
-    assert "record mode has no rxnorm transport" in err
+    assert err == f"client error: stage link: {first_link_call(golden)}: record mode has no annotator transport\n"
 
 
 @pytest.mark.parametrize("verb", ["run-all", "reward"])

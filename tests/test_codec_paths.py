@@ -34,6 +34,7 @@ from trialforge import ingest, pipeline, store
 from trialforge.evidence import _BASE_OUTCOME_TYPES, OUTCOME_EVIDENCE_TAGS, TERMINATION_CATEGORIES, OutcomeLabel
 from trialforge.schema import RELATION_TYPES, CanonicalStudy, RelationTriple, Source, decode_record, encode_record
 from trialforge.store import TABLE_COLUMNS
+from trialforge.views import Article, ProtocolPair, Review
 
 # --- the record codec -------------------------------------------------------------
 
@@ -417,9 +418,14 @@ def test_registry_reader_equals_glob_and_read_text(tmp_path, files):
 
 def test_missing_corpus_directories_read_as_empty(tmp_path):
     (tmp_path / "reviews").write_text("a file, not a directory", encoding="utf-8")
+    (tmp_path / "protocols").mkdir()
     assert pipeline._corpus_ctgov_docs(tmp_path) == {}
     assert pipeline._corpus_review_xmls(tmp_path) == []
     assert pipeline._corpus_registry_batches(tmp_path) == []
+    # no directory, a file in its place, and a directory without the file
+    assert pipeline._corpus_pubmed_articles(tmp_path) == []
+    assert pipeline._corpus_entries(tmp_path / "reviews" / "index.json", Review) == []
+    assert pipeline._corpus_entries(tmp_path / "protocols" / "pairs.json", ProtocolPair) == []
 
 
 @pytest.mark.parametrize("size", [3, 40000], ids=["grew", "shrank"])
@@ -453,10 +459,13 @@ ENTRY_KINDS = ("directory", "broken-link", "fifo")
 
 
 @pytest.mark.parametrize("kind", ENTRY_KINDS)
-@pytest.mark.parametrize("rel", ["ctgov/NCT09999999.json", "registry/ZZ.json", "reviews/99999999.xml"],
-                         ids=["ctgov", "registry", "reviews"])
+@pytest.mark.parametrize("rel", [
+    "ctgov/NCT09999999.json", "registry/ZZ.json", "reviews/99999999.xml",
+    "pubmed/articles.json", "reviews/index.json", "protocols/pairs.json",
+], ids=["ctgov", "registry", "reviews", "articles", "review-index", "protocol-pairs"])
 def test_a_corpus_entry_that_is_not_a_regular_file_exits_2_unopened(golden, tmp_path, rel, kind):
     corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+    (corpus / rel).unlink(missing_ok=True)
     make_entry(corpus / rel, kind)
     command = [
         sys.executable, "-m", "trialforge.cli", "run-all", "--corpus", str(corpus), "--out", str(tmp_path / "out"),
@@ -490,6 +499,23 @@ def test_a_refused_corpus_entry_leaves_no_descriptor_open(tmp_path, kind):
     if kind == "bad-json":
         expected = f"{tmp_path / 'ctgov' / 'NCT1.json'}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
     assert within_timeout(refusal) == expected
+    assert open_descriptors() == before
+
+
+@needs_proc_fd
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_a_refused_corpus_array_file_leaves_no_descriptor_open(tmp_path, kind):
+    make_entry(tmp_path / "articles.json", kind)
+    gc.collect()
+    before = open_descriptors()
+
+    def refusal():
+        try:
+            pipeline._corpus_entries(tmp_path / "articles.json", Article)
+        except ValueError as exc:
+            return str(exc)
+
+    assert within_timeout(refusal) == f"{tmp_path / 'articles.json'}: not a regular file"
     assert open_descriptors() == before
 
 

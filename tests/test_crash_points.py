@@ -1,4 +1,4 @@
-"""Crash-point sweep: a golden replay build stopped at any write is repaired by the next run.
+"""Crash-point sweep: a golden build stopped at any write is repaired by the next run.
 
 A forked child runs a cold replay build of the golden corpus and counts its
 write operations: opens for writing, ``Path.mkdir``, ``os.replace``,
@@ -9,9 +9,13 @@ first write on disk (or just after N, for an operation that is not an open).
 ``forge run-all`` over the same out dir must exit 0 and leave a tree equal,
 byte for byte, to that of an uninterrupted run.
 
+A record build is swept the same way, its store emptied before each build:
+the next record run must also leave the store equal to that of an
+uninterrupted run, so a half-written fixture is never served.
+
 This is the application-level crash testing of ALICE (Pillai et al., OSDI 2014)
-and CrashMonkey (Mohan et al., OSDI 2018), for replay mode only: record-mode
-stores and power loss (files written but never synced) are not swept here.
+and CrashMonkey (Mohan et al., OSDI 2018). Power loss (files written but never
+synced) is not swept here.
 """
 
 from __future__ import annotations
@@ -90,6 +94,10 @@ class WriteOps:
             self._depth += 1
             try:
                 result = fn(*args, **kwargs)
+            except BaseException:
+                if crash_here:  # an operation that failed stops the process just after failing
+                    os._exit(CRASHED)
+                raise
             finally:
                 self._depth -= 1
             if crash_here:
@@ -138,6 +146,61 @@ def tree(root: Path) -> dict[str, bytes | None]:
     }
 
 
+def crash_sweep(out: Path, build, repair, store: Path | None = None) -> list[str]:
+    """Each failure of a sweep over the write operations of ``build()``, a cold build into ``out``.
+
+    ``build`` first runs uninterrupted to count its operations and give the
+    reference trees. Then, for each operation, a build stopped before it and
+    one stopped halfway through it are each followed by ``repair()``, which
+    must exit 0 and leave ``out``, and ``store`` when given, equal to the
+    reference. ``store`` starts empty for every build.
+    """
+    roots = [out] if store is None else [out, store]
+
+    def reset() -> None:
+        for root in roots:
+            shutil.rmtree(root, ignore_errors=True)
+        if store is not None:
+            store.mkdir(parents=True)
+
+    read_fd, write_fd = os.pipe()
+
+    def count_operations() -> int:
+        ops = WriteOps().install()
+        build()
+        os.write(write_fd, json.dumps(ops.seen).encode("utf-8"))
+        return 0
+
+    reset()
+    assert in_child(count_operations) == 0
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        operations = json.loads(pipe.read())
+    reference = [tree(root) for root in roots]
+    assert len(operations) >= 40 and any(name.startswith("open") for name in operations)
+
+    def build_until(number: int, half: bool) -> int:
+        WriteOps(number, half).install()
+        build()
+        return 0
+
+    failures = []
+    for number, operation in enumerate(operations, start=1):
+        for half in (False, True):
+            case = f"{'after' if half else 'before'} operation {number} ({operation})"
+            reset()
+            crashed = in_child(lambda: build_until(number, half))
+            if crashed != CRASHED:
+                failures.append(f"{case}: the build exited {crashed} instead of stopping")
+                continue
+            repaired = in_child(repair)
+            if repaired != 0:
+                failures.append(f"{case}: the next run exited {repaired}")
+            elif [tree(root) for root in roots] != reference:
+                failures.append(f"{case}: the next run left a different tree")
+    return failures
+
+
 def test_a_crash_at_any_write_is_repaired_by_the_next_run(golden, tmp_path):
     out = tmp_path / "out"
     settings = PipelineSettings(
@@ -152,39 +215,24 @@ def test_a_crash_at_any_write_is_repaired_by_the_next_run(golden, tmp_path):
         "run-all", "--corpus", str(golden.corpus), "--out", str(out),
         "--replay-dir", str(golden.replay), "--seed", str(golden.seed), "--allow-small",
     ]
+    failures = crash_sweep(out, lambda: run_pipeline(settings), lambda: cli.main(run_all))
+    assert not failures, "\n".join(failures)
 
-    read_fd, write_fd = os.pipe()
 
-    def count_operations() -> int:
-        ops = WriteOps().install()
-        run_pipeline(settings)
-        os.write(write_fd, json.dumps(ops.seen).encode("utf-8"))
+def test_a_crash_at_any_write_of_a_record_build_is_repaired_by_the_next_run(golden, tmp_path):
+    """The record build also writes each fixture into its store, so the store must come out whole too."""
+    settings = PipelineSettings(
+        corpus_dir=golden.corpus,
+        out_dir=tmp_path / "out",
+        seed=golden.seed,
+        mode="record",
+        replay_dir=tmp_path / "replay",
+        allow_small_split=True,
+    )
+
+    def build() -> int:
+        run_pipeline(settings, transports=golden.transports)
         return 0
 
-    assert in_child(count_operations) == 0
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        operations = json.loads(pipe.read())
-    reference = tree(out)
-    assert len(operations) >= 40 and any(name.startswith("open") for name in operations)
-
-    def build_until(number: int, half: bool) -> int:
-        WriteOps(number, half).install()
-        run_pipeline(settings)
-        return 0
-
-    failures = []
-    for number, operation in enumerate(operations, start=1):
-        for half in (False, True):
-            case = f"{'after' if half else 'before'} operation {number} ({operation})"
-            shutil.rmtree(out)
-            crashed = in_child(lambda: build_until(number, half))
-            if crashed != CRASHED:
-                failures.append(f"{case}: the build exited {crashed} instead of stopping")
-                continue
-            repaired = in_child(lambda: cli.main(run_all))
-            if repaired != 0:
-                failures.append(f"{case}: the next run exited {repaired}")
-            elif tree(out) != reference:
-                failures.append(f"{case}: the next run left a different tree")
+    failures = crash_sweep(settings.out_dir, build, build, store=settings.replay_dir)
     assert not failures, "\n".join(failures)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from trialforge import DATA_DIR, pipeline
 from trialforge.ontology.biomarkers import load_biomarker_index, match_biomarker
 from trialforge.ontology.drugs import load_drug_normalization, load_drug_resources
-from trialforge.pipeline import _biomarker_matches, _candidate_spans
+from trialforge.pipeline import StudyEntry, _biomarker_matches, _candidate_spans
 from trialforge.schema import CanonicalStudy, Source
 
 DEFAULT_INDEX = load_biomarker_index()
@@ -112,7 +112,7 @@ def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_di
             "drug_normalization": load_drug_normalization(),
             "biomarker_vocab": load_biomarker_index(vocab_dir),
         }.__getitem__,
-        study_docs={},
+        join=lambda articles: [StudyEntry(study.study_id, (study,), None, (), (), ()) for study in studies],
         clients=SimpleNamespace(llm=llm, annotator=None, rxnorm=None),
         hold=lambda path, value: value,
     )

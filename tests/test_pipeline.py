@@ -8,6 +8,7 @@ import os
 import shutil
 from collections import Counter
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from trialforge.pipeline import (
     hash_corpus,
     run_pipeline,
 )
+from trialforge.schema import read_studies_jsonl
 
 
 def replay_settings(golden, out_dir: Path, **overrides) -> PipelineSettings:
@@ -126,9 +128,10 @@ def dedupe_registry_and_article(tmp_path, registry_id, pmid):
 
 
 def dedupe_aliases(settings: PipelineSettings) -> dict[str, str]:
+    """Absorbed id -> surviving id, as the per-study join reads the dedupe links."""
     run = pipeline._RunContext(settings, None, "")
     run.stage = pipeline.STAGE_TABLE[STAGES.index("link")]
-    return run.aliases
+    return {absorbed: entry.study_id for entry in run.join(()) for absorbed in entry.absorbed}
 
 
 def test_alias_survives_a_tab_in_the_survivor_id(tmp_path):
@@ -537,15 +540,24 @@ def test_sorted_rows_match_sort_then_write(tmp_path):
 
 # --- client modes ------------------------------------------------------------
 
+def first_link_call(golden) -> str:
+    """``service:digest`` of the first service call the link stage makes on the golden corpus.
+
+    The join hands link its studies in id order. The first, PubMed 10563619, has no
+    CT.gov document and no summary, so the annotation of its title is the first call.
+    """
+    first = min(read_studies_jsonl(golden.record_out / STAGE_DIRS["dedupe"] / "studies.jsonl"), key=attrgetter("study_id"))
+    assert (first.study_id, first.brief_summary) == ("10563619", "")
+    return f"annotator:{request_hash({'text': first.title, 'semantic_types': ['T047']})}"
+
+
 def test_replay_miss_names_stage_service_and_digest(golden, tmp_path):
     empty_replay = tmp_path / "empty_replay"
     empty_replay.mkdir()
     settings = replay_settings(golden, tmp_path / "out", replay_dir=empty_replay)
     with pytest.raises(ReplayMiss) as excinfo:
         run_pipeline(settings)
-    message = str(excinfo.value)
-    assert message.startswith("stage link: ")
-    assert "rxnorm:" in message
+    assert str(excinfo.value) == f"stage link: {first_link_call(golden)}"
 
 
 def test_switching_mode_over_an_external_store_recomputes_nothing(golden, tmp_path):
