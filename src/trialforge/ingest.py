@@ -236,6 +236,21 @@ def corpus_files(directory: Path, suffix: str) -> Iterator[tuple[Path, bytes]]:
         os.close(dir_fd)
 
 
+def corpus_file(path: Path) -> Optional[bytes]:
+    """``path``'s bytes, read as `corpus_files` reads a file; None when it or its directory is missing."""
+    try:
+        dir_fd = os.open(path.parent, DIRECTORY)
+    except OSError:
+        return None
+    try:
+        data = read_at(dir_fd, path.name)
+        if data is None and path.name in os.listdir(dir_fd):
+            raise ValueError(f"{path}: not a regular file")
+        return data
+    finally:
+        os.close(dir_fd)
+
+
 def decode_text(data: bytes) -> str:
     """``data`` as UTF-8 text with universal newlines, as `Path.read_text` reads a file."""
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")

@@ -109,6 +109,7 @@ from .evidence import (
 from .ingest import (
     DIRECTORY,
     NOT_A_FILE,
+    corpus_file,
     corpus_files,
     decode_text,
     extract_pubmed_study,
@@ -507,22 +508,11 @@ def _json_objects(path: Path, data: bytes) -> list[dict]:
 
 
 def _corpus_entries(path: Path, cls: type) -> list:
-    """Each entry of a corpus JSON array read as a ``cls`` view, ordered by id; none when the file is absent.
+    """Each entry of the corpus JSON array `corpus_file` reads, as a ``cls`` view, by id; none when it is absent.
 
-    Read through its directory with `read_at`: one that is not a regular file
-    (a directory, a FIFO, a broken link) is a ValueError, never opened. Two
-    entries with one id are too, except articles: dedupe merges those.
+    Two entries with one id are a ValueError, except articles: dedupe merges those into one study.
     """
-    try:
-        dir_fd = os.open(path.parent, DIRECTORY)
-    except OSError:
-        return []
-    try:
-        data = read_at(dir_fd, path.name)
-        if data is None and path.name in os.listdir(dir_fd):
-            raise ValueError(f"{path}: not a regular file")
-    finally:
-        os.close(dir_fd)
+    data = corpus_file(path)
     if data is None:
         return []
     views, first = [], {}
@@ -601,12 +591,10 @@ class Stage(NamedTuple):
 class StudyEntry(NamedTuple):
     """One surviving study id joined to what link and extract read about it.
 
-    ``studies`` are the surviving studies with the id (two sources can share
-    one), in dedupe's order. ``doc`` is the CT.gov document of the id or of
-    the smallest document id it absorbed; ``absorbed`` are those ids, sorted.
-    ``articles`` are the distinct articles whose pmid is the id or one it
-    absorbed, in pmid order; ``nct_articles``, one per pmid, those naming the
-    id, then each absorbed id: `rank_abstracts` keeps that order on ties.
+    ``studies``: the surviving studies with the id (two sources can share one), in dedupe's order.
+    ``absorbed``: the ids it absorbed, sorted. ``doc``: the CT.gov document with the smallest of all
+    these ids, or None. ``articles``: the distinct articles with one of them as pmid, in pmid order.
+    ``nct_articles``: one per pmid, those naming the id, then each absorbed id, an order `rank_abstracts` keeps.
     """
 
     study_id: str
@@ -630,9 +618,8 @@ class _RunContext:
     by `held_lines`. `release` drops every input, and any lines held with
     it, whose last reader was the given stage; the rest go with the context.
 
-    `join` is the one per-study join: a surviving study can have absorbed
-    the id its CT.gov document or article carries (the surviving id is
-    lexicographic, not source-ranked), so stages find them only through it.
+    `join` is the one per-study join: a surviving study can have absorbed the id its CT.gov document
+    or article carries (the surviving id is lexicographic, not source-ranked), so stages use only it.
     """
 
     def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str) -> None:
@@ -815,11 +802,7 @@ def _link_rows(
     entry: StudyEntry, clients: _Clients, drug_vocab, normalization, biomarker_index: BiomarkerIndex,
     linked: dict, classified: dict, matched: dict,
 ) -> dict[str, list[dict]]:
-    """The link tables' rows for one joined study id.
-
-    ``linked``, ``classified`` and ``matched`` keep each drug name's link and
-    each outcome text's endpoint classes and biomarker matches for the run.
-    """
+    """The link tables' rows for one joined study id; ``linked``, ``classified`` and ``matched`` memoize for the run."""
     study_id, drugs = entry.study_id, []
     for intervention in entry.doc.interventions if entry.doc is not None else ():
         name = intervention.name.strip()
@@ -856,8 +839,8 @@ def _stage_link(run: _RunContext, out: Path) -> dict:
 def _extract_rows(entry: StudyEntry, clients: _Clients, meddra, keyword_tokens, counts: dict[str, int]) -> dict:
     """The extract tables' rows for one joined study id, to which its document's and articles' rows are keyed.
 
-    Its PICO arms are numbered across all of its distinct reports. ``counts``
-    tallies, for the run, documents with no results section and PICO rows.
+    Its PICO arms are numbered across its distinct reports; ``counts`` tallies, for the run, documents with no
+    results section and PICO rows.
     """
     study_id, doc = entry.study_id, entry.doc
     results, events, disposition = [], [], []

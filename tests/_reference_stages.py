@@ -1,9 +1,8 @@
-"""The link and extract stages as they were before the per-study join: the references the kernels are tested against.
+"""Per-table link and extract stages: the references the per-study kernels are tested against.
 
-Each walks its inputs table by table, rebuilding the dedupe aliases and the
-study -> CT.gov document map itself, as the run context once did, and writes
-its tables as the pipeline then did. Only the stage functions' names and
-these three helpers differ from that code.
+Each walks its inputs table by table, building the dedupe aliases and the
+study -> CT.gov document map itself, and writes its tables with the same
+sorted writer as the pipeline.
 """
 
 from __future__ import annotations

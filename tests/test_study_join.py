@@ -1,10 +1,10 @@
 """The per-study join and the link and extract kernels.
 
-The stages as they were before the join live in `_reference_stages`; a
-build through them must write the same bytes as a build through the
-kernels, on the golden corpus and on shuffled and perturbed synthetic
-corpora. Each kernel must also be local: its rows for one joined study id
-are exactly the full run's rows for that id.
+Per-table link and extract stages live in `_reference_stages`; a build
+through them must write the same bytes as a build through the kernels, on
+the golden corpus and on shuffled and perturbed synthetic corpora. Each
+kernel must also be local: its rows for one joined study id are exactly
+the full run's rows for that id.
 """
 
 from __future__ import annotations
