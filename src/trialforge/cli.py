@@ -89,6 +89,8 @@ def _cmd_stage(args: argparse.Namespace) -> int:
     summary = run_pipeline(settings, until=STAGE_VERBS[args.verb])
     for name, stage in summary["stages"].items():
         state = "skipped" if stage["skipped"] else "ran"
+        if "reused" in stage:
+            state += f" ({stage['reused']} reused, {stage['computed']} computed)"
         print(f"{name}: {state} {json.dumps(stage['counts'], sort_keys=True)}")
     print(f"pipeline_hash: {summary['pipeline_hash']}")
     return 0

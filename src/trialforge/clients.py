@@ -130,6 +130,16 @@ class ReplayStore:
         self.served[f"{service}/{digest}.json"] = hashlib.sha256(data).hexdigest()
         return Path(path)
 
+    def traced(self, fn: Callable, *args) -> tuple:
+        """``fn(*args)`` and the `served` entries it made, which stay served too."""
+        outer, self.served = self.served, {}
+        try:
+            value = fn(*args)
+        finally:
+            reads, self.served = self.served, outer
+        outer.update(reads)
+        return value, reads
+
     def entries(self, service: str) -> list[str]:
         directory = self.root / service
         if not directory.is_dir():

@@ -212,6 +212,19 @@ def read_at(dir_fd: int, name: str) -> Optional[bytes]:
     return data
 
 
+def read_regular(path: Path) -> Optional[bytes]:
+    """The bytes of ``path``, read by `read_at` through its directory; None when it or its directory is missing, or
+    when it is not a regular file."""
+    try:
+        dir_fd = os.open(path.parent, DIRECTORY)
+    except OSError:
+        return None
+    try:
+        return read_at(dir_fd, path.name)
+    finally:
+        os.close(dir_fd)
+
+
 def corpus_files(directory: Path, suffix: str) -> Iterator[tuple[Path, bytes]]:
     """The path and bytes of each file in ``directory`` whose name ends in ``suffix``, in name order.
 

@@ -15,10 +15,23 @@ recorded responses still hash the same. Every such check reads each
 recorded file's bytes once on every run, through its directory opened
 once; a stat first makes sure it is a regular file, so nothing else (a
 FIFO, a directory, a broken link) is ever opened. No mtime, size or other
-metadata is trusted and nothing is cached between runs. A run whose stages
-are all up to date writes no file: ``pipeline_manifest.json`` is rewritten
-only when its bytes differ. Nothing in any output carries a timestamp; two
-runs over the same corpus with the same settings are byte-identical.
+metadata is trusted. A run whose stages are all up to date writes no file:
+``pipeline_manifest.json`` is rewritten only when its bytes differ. Nothing
+in any output carries a timestamp; two runs over the same corpus with the
+same settings are byte-identical.
+
+Between runs, link and extract keep one memo each, ``out_dir/memo/<stage>.memo``
+(`memo.Memo`), outside the stage directories: never a recorded output, never read
+or written by a skipped stage. It keys each joined study, by
+`_RunContext.entry_keys`, on the stage, the package's code and data files, the
+settings' fingerprint and the entry's own input bytes, and holds the entry's
+table lines, count shares and the sha256 of each fixture its kernel read. A
+stage that runs serves an entry from it only when those fixtures still hash
+the same, then counts them as served; it runs the kernel for every other
+entry and rewrites the memo with exactly this run's entries. So a rerun
+recomputes only the entries whose inputs changed, and its tree equals a cold
+build's. The memo changes no stage key: an edited fixture in a store outside
+the corpus still leaves every stage up to date.
 
 Expected corpus layout::
 
@@ -47,11 +60,11 @@ declares, reads each input on first use (a skipped stage reads nothing)
 and drops it once its last reader in the table is done. Corpus JSON inputs
 are kept as their checked views (`views.py`), parsed once per run. A stage
 that runs hands on the studies or rows it wrote; a later stage reads the
-file only when its writer was skipped in this run, so a cold run decodes
-none of its own outputs. Ingest also hands on the line it wrote for each
-study: dedupe writes those lines for the studies it passes through
-unchanged, encodes only the studies it merged, and drops them once it has
-run. Link, extract and benchmarks read the studies through one per-study
+file only when its writer was skipped in this run or reused a memo entry,
+so a cold run decodes none of its own outputs. Ingest also hands on the
+line it wrote for each study: dedupe writes those lines for the studies it
+passes through unchanged, encodes only the studies it merged, and drops
+them once it has run. Link, extract and benchmarks read the studies through one per-study
 join, `_RunContext.join`; link and extract each map one kernel over it and
 write its rows sorted, so the order of entries and calls never shows.
 """
@@ -65,8 +78,8 @@ import os
 import shutil
 import stat
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from itertools import accumulate, chain, groupby
+from operator import attrgetter, itemgetter, sub
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
 
@@ -116,9 +129,10 @@ from .ingest import (
     load_source_mapping,
     parse_ctgov_study,
     parse_registry_record,
-    read_at,
     read_json,
+    read_regular,
 )
+from .memo import Memo
 from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
 from .ontology.conditions import annotate_conditions
 from .ontology.drugs import link_drug, load_drug_normalization, load_drug_resources
@@ -307,16 +321,17 @@ def _sha256_at(dir_fd: int, name: str, first: int = _CHUNK) -> str:
     return digest.hexdigest()
 
 
-def _tree_digests(root, skip: Optional[str] = None, leave_out: str = "") -> dict[str, str]:
+def _tree_digests(root, skip: Optional[str] = None, leave_out: str = "", prune: str = "") -> dict[str, str]:
     """Relative posix path -> sha256 of every regular file under ``root``.
 
     Files come in the order of their path parts (``a/b`` before ``a-b/x``),
     because each directory's entries are visited sorted by name. A symlink
     to a file counts; a symlinked directory is not entered, and a broken
     link or a FIFO is left out unopened. ``skip``, a relative directory
-    path, is pruned, and a file named ``leave_out`` is not read. An
-    unreadable or missing directory adds nothing. Each directory is opened
-    once and each file through it, with no further stat of its own.
+    path, and every directory named ``prune`` are pruned, and a file named
+    ``leave_out`` is not read. An unreadable or missing directory adds
+    nothing. Each directory is opened once and each file through it, with no
+    further stat of its own.
     """
     found: dict[str, str] = {}
 
@@ -331,7 +346,7 @@ def _tree_digests(root, skip: Optional[str] = None, leave_out: str = "") -> dict
             for entry in entries:
                 rel = prefix + entry.name
                 if entry.is_dir():
-                    if rel != skip and not entry.is_symlink():
+                    if rel != skip and entry.name != prune and not entry.is_symlink():
                         visit(entry.name, dir_fd, rel + "/")
                 elif entry.is_file() and entry.name != leave_out:
                     found[rel] = _sha256_at(dir_fd, entry.name)
@@ -353,8 +368,13 @@ def hash_corpus(corpus_dir: Path, skip: Optional[Path] = None) -> str:
             skip_rel = Path(skip).relative_to(corpus_dir).as_posix()
         except ValueError:  # not under the root, so nothing to prune
             pass
+    return _digest_files(_tree_digests(corpus_dir, skip_rel))
+
+
+def _digest_files(files: dict[str, str]) -> str:
+    """One digest of ``files`` (relative path -> sha256), in their order."""
     digest = hashlib.sha256()
-    for rel, sha256 in _tree_digests(corpus_dir, skip_rel).items():
+    for rel, sha256 in files.items():
         digest.update(f"{rel}\x00{sha256}\x00".encode("utf-8"))
     return digest.hexdigest()
 
@@ -369,16 +389,10 @@ def _load_manifest(path: Path) -> tuple[Optional[dict], str]:
     The manifest is None when it or its directory is missing, unreadable or ill-shaped.
     """
     try:
-        dir_fd = os.open(path.parent, DIRECTORY)
-    except OSError:
-        return None, ""
-    try:
-        data = read_at(dir_fd, path.name)
+        data = read_regular(path)
         manifest = None if data is None else json.loads(data.decode("utf-8"))
     except (ValueError, OSError):  # bad JSON or bad UTF-8
         return None, ""
-    finally:
-        os.close(dir_fd)
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("outputs"), dict)
@@ -388,14 +402,16 @@ def _load_manifest(path: Path) -> tuple[Optional[dict], str]:
     return manifest, hashlib.sha256(data).hexdigest()
 
 
-def _changed_file(root: Path, recorded: dict) -> Optional[str]:
+def _changed_file(root: Path, recorded: dict, dirs: Optional[dict[str, int]] = None) -> Optional[str]:
     """The first path in ``recorded`` (relative path -> sha256) missing or changed under ``root``.
 
     Each recorded file's directory is opened once; each file is then one
     stat (anything but a regular file, symlinks followed, is changed and
-    never opened) and one read of its bytes through that directory.
+    never opened) and one read of its bytes through that directory. Given
+    ``dirs`` (relative directory -> its descriptor), the caller keeps the
+    directories opened and closes them.
     """
-    dirs: dict[str, int] = {}
+    owned, dirs = dirs is None, {} if dirs is None else dirs
     try:
         for rel, expected in recorded.items():
             head, _, name = rel.rpartition("/")
@@ -411,8 +427,9 @@ def _changed_file(root: Path, recorded: dict) -> Optional[str]:
             if not stat.S_ISREG(info.st_mode) or _sha256_at(dir_fd, name, info.st_size + 1) != expected:
                 return rel
     finally:
-        for dir_fd in dirs.values():
-            os.close(dir_fd)
+        if owned:
+            for dir_fd in dirs.values():
+                os.close(dir_fd)
     return None
 
 
@@ -453,46 +470,82 @@ def _write_json(path: Path, payload) -> str:
     return digest
 
 
-#: ``json.dumps(row, sort_keys=True)``: the ASCII-escaped form of `store.encode_row`.
-_encode_escaped = store.json_encoder(sort_keys=True)
+#: The compact ASCII dump of the absorbed ids and articles in a memo key.
+_encode_compact = store.json_encoder(sort_keys=True, separators=(",", ":"))
+
+
+def _code_digest() -> str:
+    """The digest of every file of the imported package, by relative path, but those under ``__pycache__``."""
+    return _digest_files(_tree_digests(DATA_DIR.parent, prune="__pycache__"))
 
 
 def _write_sorted_rows(path: Path, rows: list[dict], encode: Callable[[dict], str] = store.encode_row) -> list[dict]:
-    """Write ``rows`` as JSON lines in the order of their ASCII-escaped dumps; return them in that order.
+    """Write ``rows`` as JSON lines by `store.write_sorted_lines`, ``encode`` giving each line; return them in that order.
 
-    ``encode`` gives a row's line, the `store.encode_row` dump. Equal rows
-    have equal lines, so an exact repeat is written and returned once: each
-    table holds each distinct row once. Unescaped, the encoder leaves only
-    DEL and non-ASCII characters raw, so every other line is its own escaped
-    dump; just the rows with such a character are dumped a second time for
-    their sort key.
+    Equal rows have equal lines, so an exact repeat is written and returned
+    once: each table holds each distinct row once.
     """
     unique = dict(zip(map(encode, rows), rows))
-    escaped = {
-        line: _encode_escaped(row)
-        for line, row in unique.items()
-        if not line.isascii() or "\x7f" in line
-    }
-    ordered = sorted(unique, key=lambda line: escaped.get(line, line)) if escaped else sorted(unique)
-    store.write_lines(path, ordered)
-    return list(map(unique.__getitem__, ordered))
+    return list(map(unique.__getitem__, store.write_sorted_lines(path, unique)))
 
 
-def _write_tables(run: _RunContext, out: Path, names: tuple, entries: Iterator, kernel: Callable, *args) -> dict:
-    """Write and hold each table of ``names``: the rows ``kernel(entry, *args) -> {table: rows}`` gives for ``entries``.
+def _write_tables(
+    run: _RunContext, out: Path, names: tuple, entries: Iterator, kernel: Callable, *args, counts: Optional[dict] = None
+) -> dict:
+    """Write each table of ``names``: the rows ``kernel(entry, *args) -> {table: rows}`` gives for ``entries``; return row counts.
 
-    Each goes to ``out/<name>.jsonl`` by `_write_sorted_rows`, encoded by its `store.line_encoder`; returns row counts.
+    Each entry's lines, its share of ``counts`` (which the kernel tallies) and the fixtures it read come from the
+    stage's `Memo` when it holds them and each of those fixtures still hashes the same; the kernel runs only for the
+    rest. The memo is rewritten with every entry's, table by table, as each table goes to ``out/<name>.jsonl`` by
+    `store.write_sorted_lines`, encoded by its `store.line_encoder`. A table is held only when every entry was computed:
+    otherwise its readers read the file.
     """
-    tables: dict[str, list[dict]] = {name: [] for name in names}
-    for entry in entries:
-        for name, rows in kernel(entry, *args).items():
-            tables[name].extend(rows)
-    counts = {}
-    for name, rows in tables.items():
-        path = out / f"{name}.jsonl"
-        encode = store.line_encoder(store.TABLE_COLUMNS[name])
-        counts[name] = len(run.hold(path, _write_sorted_rows(path, rows, encode)))
-    return counts
+    counts = {} if counts is None else counts
+    memo, replay, key_of = run.memo(names, tuple(counts)), run.clients.store, run.entry_keys()
+    items: list[list] = [[] for _ in names]  # each table's rows made or lines reused, in entry order
+    # key -> (fixtures, count shares, the entry's number of items of each table), in entry order: few objects kept
+    # alive per entry, since each costs collector time, and one shared empty map for those without fixtures or shares
+    records: dict[str, tuple] = {}
+    written, dirs, reused, empty = {}, {}, 0, {}  # dirs: the fixture directories the checks opened
+    get, traced = memo.get, replay.traced
+    try:
+        for entry in entries:
+            key = key_of(entry)
+            found = get(key)
+            if found is None or found[2] and _changed_file(replay.root, found[2], dirs) is not None:
+                before = tuple(counts.values())
+                rows, fixtures = traced(kernel, entry, *args)
+                parts, fixtures = list(map(rows.__getitem__, names)), fixtures or empty
+                share = dict(zip(counts, map(sub, counts.values(), before))) if counts else empty
+            else:
+                (parts, share, fixtures), reused = found, reused + 1
+                replay.served.update(fixtures)
+                for name, value in share.items():
+                    counts[name] += value
+            records[key] = fixtures, share, tuple(map(len, parts))
+            for table, part in zip(items, parts):
+                table += part
+        made, keys = list(records.values()), sorted(records)
+        order = sorted(range(len(keys)), key=list(records).__getitem__)  # each key's position in entry order
+        chosen = [made[k] for k in order]
+        memo.start(keys, [[record[2][n] for record in chosen] for n in range(len(names))],
+                   list(map(itemgetter(1), chosen)), list(map(itemgetter(0), chosen)), reused)
+        for n, (name, table) in enumerate(zip(names, items)):
+            encode = store.line_encoder(store.TABLE_COLUMNS[name])
+            lines = [item if isinstance(item, str) else encode(item) for item in table] if reused else list(map(encode, table))
+            starts = list(accumulate((record[2][n] for record in made), initial=0))
+            memo.feed(list(chain.from_iterable(lines[starts[k]:starts[k + 1]] for k in order)))
+            path = out / f"{name}.jsonl"
+            unique = dict(zip(lines, table))
+            ordered = store.write_sorted_lines(path, unique)
+            written[name] = len(ordered) if reused else len(run.hold(path, list(map(unique.__getitem__, ordered))))
+        memo.finish()
+    finally:
+        memo.close()
+        for dir_fd in dirs.values():
+            os.close(dir_fd)
+    run.reuse[run.stage.name] = {"reused": reused, "computed": len(records) - reused}
+    return written
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +581,17 @@ def _corpus_registry_batches(corpus_dir: Path) -> list[tuple[Path, list[dict]]]:
     return [(path, _json_objects(path, data)) for path, data in corpus_files(corpus_dir / "registry", ".json")]
 
 
-def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, CtgovDoc]:
+class _CtgovDocs(dict):
+    """NCT id -> the checked view of its CT.gov document; ``digests`` maps each id to the sha256 of its file's bytes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.digests: dict[str, str] = {}
+
+
+def _corpus_ctgov_docs(corpus_dir: Path) -> _CtgovDocs:
     """Each CT.gov document's checked view, keyed by its NCT id; two files with one id exit 2."""
-    docs, paths = {}, {}
+    docs, paths = _CtgovDocs(), {}
     for path, data in corpus_files(corpus_dir / "ctgov", ".json"):
         doc = read_json(path, data)
         if not isinstance(doc, dict):
@@ -543,6 +604,7 @@ def _corpus_ctgov_docs(corpus_dir: Path) -> dict[str, CtgovDoc]:
             raise ValueError(f"{paths[nct_id]} and {path} both hold CT.gov study {nct_id}")
         paths[nct_id] = path
         docs[nct_id] = parse_ctgov_doc(doc)
+        docs.digests[nct_id] = hashlib.sha256(data).hexdigest()
     return docs
 
 
@@ -605,6 +667,10 @@ class StudyEntry(NamedTuple):
     nct_articles: tuple[Article, ...]
 
 
+# the studies `_RunContext.join` reads
+_JOINED = "dedupe/studies.jsonl"
+
+
 class _RunContext:
     """Settings, clients, corpus hash and run inputs of one run.
 
@@ -620,16 +686,22 @@ class _RunContext:
 
     `join` is the one per-study join: a surviving study can have absorbed the id its CT.gov document
     or article carries (the surviving id is lexicographic, not source-ranked), so stages use only it.
+    `memo` opens the running map stage's `Memo`, whose keys `entry_keys` gives; `reuse` collects,
+    per map stage that ran, how many entries it reused and computed.
     """
 
-    def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str) -> None:
+    def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str, config_hash: str = "") -> None:
         self.settings = settings
         self.clients = clients
         self.corpus_hash = corpus_hash
+        self.config_hash = config_hash
         self.stage: Optional[Stage] = None
+        self.reuse: dict[str, dict[str, int]] = {}
         self._held: dict[str, list] = {}
         self._lines: dict[str, list[str]] = {}
+        self._digests: dict[str, dict[int, str]] = {}
         self._inputs: dict[str, object] = {}
+        self._code: Optional[str] = None
 
     def hold(self, path: Path, value: list, lines: Optional[list[str]] = None) -> list:
         """Keep ``value``, the running stage's output file ``path`` as written, for later readers; return it.
@@ -648,6 +720,7 @@ class _RunContext:
             if last == stage:
                 self._held.pop(name, None)
                 self._lines.pop(name, None)
+                self._digests.pop(name, None)
                 self._inputs.pop(name, None)
 
     def _check_declared(self, name: str) -> None:
@@ -668,6 +741,11 @@ class _RunContext:
         path, held = self.settings.out_dir / STAGE_DIRS[writer] / file, self._held.pop(name, None)
         if file != "studies.jsonl":
             return store.read_jsonl(path) if held is None else held
+        if held is None and name == _JOINED:  # `entry_keys` digests each study's line
+            lines: list[str] = []
+            studies = read_studies_jsonl(path, lines)
+            self._digests[name] = {id(study): _sha256_text(line) for study, line in zip(studies, lines)}
+            return studies
         if held is None:
             return read_studies_jsonl(path)
         for study in held:
@@ -679,12 +757,36 @@ class _RunContext:
         self._check_declared(name)
         return self._lines.pop(name, [])
 
+    def entry_keys(self) -> Callable[[StudyEntry], str]:
+        """The running stage's memo key of an entry: the sha256 of the stage, the code, the settings and what a kernel
+        reads of the entry, which is the sha256 of its document's file (``-`` for none) and of each of its studies'
+        lines, then any absorbed ids and articles, encoded. The first call of a run digests the code."""
+        if self._code is None:
+            self._code = _code_digest()
+        studies = self.read(_JOINED)
+        if _JOINED not in self._digests:  # handed on by dedupe, with the lines it wrote
+            self._digests[_JOINED] = {id(study): _sha256_text(line) for study, line in zip(studies, self.held_lines(_JOINED))}
+        prefix, lines, docs = f"{self.stage.name} {self._code} {self.config_hash}", self._digests[_JOINED], self.read("ctgov").digests
+
+        def key(entry: StudyEntry) -> str:
+            doc = "-" if entry.doc is None else docs[entry.doc.nct_id]
+            text = " ".join([prefix, doc, *map(lines.__getitem__, map(id, entry.studies))])
+            if entry.absorbed or entry.articles or entry.nct_articles:
+                text += " " + _encode_compact((entry.absorbed, entry.articles, entry.nct_articles))
+            return _sha256_text(text)
+
+        return key
+
+    def memo(self, tables: tuple[str, ...], counts: tuple[str, ...]) -> Memo:
+        """The running stage's memo of ``tables`` and ``counts``."""
+        return Memo(self.settings.out_dir / "memo" / f"{self.stage.name}.memo", tables, counts)
+
     def join(self, articles: Sequence[Article]) -> Iterator[StudyEntry]:
         """Each surviving study id, in id order, joined to its CT.gov document, absorbed ids and ``articles``.
 
         Extract alone passes articles. Entries are made as they are taken, so each lives only while used.
         """
-        studies = sorted(self.read("dedupe/studies.jsonl"), key=attrgetter("study_id"))
+        studies = sorted(self.read(_JOINED), key=attrgetter("study_id"))
         links, docs = self.read("dedupe/dup_links.jsonl"), self.read("ctgov")
         aliases = {row["tail_id"]: row["head_id"] for row in links if row["tail_id"] != row["head_id"]}
         absorbed: dict[str, list[str]] = {}
@@ -748,7 +850,7 @@ def _stage_dedupe(run: _RunContext, out: Path) -> dict:
     # Most studies pass through dedupe as the very objects ingest encoded;
     # `records` keeps each keyed object alive until the lines are written.
     known = dict(zip(map(id, records), run.held_lines("ingest/studies.jsonl")))
-    write_studies_jsonl(run.hold(out / "studies.jsonl", merged), out / "studies.jsonl", known)
+    run.hold(out / "studies.jsonl", merged, write_studies_jsonl(merged, out / "studies.jsonl", known))
 
     store.write_tsv(
         out / "decisions.tsv",
@@ -802,14 +904,19 @@ def _link_rows(
     entry: StudyEntry, clients: _Clients, drug_vocab, normalization, biomarker_index: BiomarkerIndex,
     linked: dict, classified: dict, matched: dict,
 ) -> dict[str, list[dict]]:
-    """The link tables' rows for one joined study id; ``linked``, ``classified`` and ``matched`` memoize for the run."""
+    """The link tables' rows for one joined study id; ``linked``, ``classified`` and ``matched`` memoize for the run.
+
+    ``linked`` and ``classified`` keep with each value the fixtures read to make it, served again at each use.
+    """
     study_id, drugs = entry.study_id, []
     for intervention in entry.doc.interventions if entry.doc is not None else ():
         name = intervention.name.strip()
         if intervention.type.upper() == "DRUG" and name:
             if name not in linked:
-                linked[name] = link_drug(name, drug_vocab, normalization, remote_client=clients.rxnorm)
-            drugs.append(store.table_row("drugs", linked[name], study_id=study_id))
+                linked[name] = clients.store.traced(link_drug, name, drug_vocab, normalization, clients.rxnorm)
+            drug, reads = linked[name]
+            clients.store.served.update(reads)
+            drugs.append(store.table_row("drugs", drug, study_id=study_id))
     conditions, endpoints, biomarkers = [], [], []
     for study in entry.studies:
         for annotation in annotate_conditions(study, clients.annotator):
@@ -823,8 +930,10 @@ def _link_rows(
             if not text:
                 continue
             if text not in classified:
-                classified[text] = classify_endpoint(text, clients.llm)
-            for classification in classified[text]:
+                classified[text] = clients.store.traced(classify_endpoint, text, clients.llm)
+            classifications, reads = classified[text]
+            clients.store.served.update(reads)
+            for classification in classifications:
                 endpoints.append(store.table_row(
                     "endpoints", classification, study_id=study_id, outcome_text=classification.outcome
                 ))
@@ -880,7 +989,8 @@ def _extract_rows(entry: StudyEntry, clients: _Clients, meddra, keyword_tokens, 
 def _stage_extract(run: _RunContext, out: Path) -> dict:
     counts = {"skipped_no_results": 0, "pico_rows": 0}
     extras = run.clients, run.read("meddra_vocab"), run.read("termination_keywords"), counts
-    return counts | _write_tables(run, out, _EXTRACT_TABLES, run.join(run.read("pubmed")), _extract_rows, *extras)
+    entries = run.join(run.read("pubmed"))
+    return counts | _write_tables(run, out, _EXTRACT_TABLES, entries, _extract_rows, *extras, counts=counts)
 
 
 def _stage_graph(run: _RunContext, out: Path) -> dict:
@@ -1020,7 +1130,7 @@ def run_pipeline(
     config_hash = _sha256_text(json.dumps(settings.fingerprint(), sort_keys=True))
     clients = build_clients(settings, transports)
     served = clients.store.served
-    run = _RunContext(settings, clients, corpus_hash)
+    run = _RunContext(settings, clients, corpus_hash, config_hash)
 
     upstream = ""
     summary: dict = {"corpus_hash": corpus_hash, "config_hash": config_hash, "stages": {}}
@@ -1057,7 +1167,7 @@ def run_pipeline(
             if store_in_corpus is not None:
                 manifest["responses"] = dict(served)
             upstream = _write_json(manifest_path, manifest)
-            summary["stages"][name] = {"counts": counts, "skipped": False}
+            summary["stages"][name] = {"counts": counts, "skipped": False, **run.reuse.get(name, {})}
         run.release(name)
 
     summary["pipeline_hash"] = upstream

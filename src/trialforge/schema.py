@@ -363,7 +363,8 @@ def write_studies_jsonl(
     return lines
 
 
-def read_studies_jsonl(path: str | Path) -> list[CanonicalStudy]:
+def read_studies_jsonl(path: str | Path, lines: Optional[list[str]] = None) -> list[CanonicalStudy]:
+    """The studies of a study file, decoded; ``lines``, when given, gains each study's line, newline cut."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
@@ -373,4 +374,7 @@ def read_studies_jsonl(path: str | Path) -> list[CanonicalStudy]:
             raise SchemaVersionMismatch(
                 f"{path}: expected {SCHEMA_NAME} v{SCHEMA_VERSION}, got header {header}"
             )
-        return [decode_study(line) for line in fh if line.strip()]
+        if lines is None:
+            return [decode_study(line) for line in fh if line.strip()]
+        lines.extend(line.rstrip("\n") for line in fh if line.strip())
+        return list(map(decode_study, lines))

@@ -261,6 +261,29 @@ def write_jsonl(path: str | Path, rows: Iterable) -> int:
     return write_lines(path, map(encode_row, rows))
 
 
+#: ``json.dumps(row, sort_keys=True)``: the ASCII-escaped form of `encode_row`.
+encode_escaped = json_encoder(sort_keys=True)
+
+
+def write_sorted_lines(path: str | Path, unique: dict) -> list[str]:
+    """Write the lines of ``unique`` (line -> its row, or the line again where no row is at hand) in the order of
+    their rows' `encode_escaped` dumps; return them so.
+
+    Each line is its row's `encode_row` dump. Unescaped, the encoder leaves
+    only DEL and non-ASCII characters raw, so every other line is its own
+    escaped dump; just the rows with such a character are dumped a second
+    time for their sort key, decoded first where ``unique`` holds no row.
+    """
+    escaped = {
+        line: encode_escaped(json.loads(line) if isinstance(row, str) else row)
+        for line, row in unique.items()
+        if not line.isascii() or "\x7f" in line
+    }
+    ordered = sorted(unique, key=lambda line: escaped.get(line, line)) if escaped else sorted(unique)
+    write_lines(path, ordered)
+    return ordered
+
+
 def read_jsonl(path: str | Path) -> list:
     """Every non-blank line of a JSON-lines file, decoded."""
     with open(path, encoding="utf-8") as fh:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trialforge import DATA_DIR, pipeline
+from trialforge.clients import ReplayStore
+from trialforge.memo import Memo
 from trialforge.ontology.biomarkers import load_biomarker_index, match_biomarker
 from trialforge.ontology.drugs import load_drug_normalization, load_drug_resources
 from trialforge.pipeline import StudyEntry, _biomarker_matches, _candidate_spans
@@ -113,8 +116,13 @@ def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_di
             "biomarker_vocab": load_biomarker_index(vocab_dir),
         }.__getitem__,
         join=lambda articles: [StudyEntry(study.study_id, (study,), None, (), (), ()) for study in studies],
-        clients=SimpleNamespace(llm=llm, annotator=None, rxnorm=None),
+        clients=SimpleNamespace(llm=llm, annotator=None, rxnorm=None, store=ReplayStore(tmp_path / "store")),
         hold=lambda path, value: value,
+        # an empty memo of its own, keyed on the study id alone
+        memo=lambda tables, counts: Memo(tmp_path / "memo" / "link.memo", tables, counts),
+        entry_keys=lambda: attrgetter("study_id"),
+        stage=SimpleNamespace(name="link"),
+        reuse={},
     )
     out = tmp_path / "link"
     out.mkdir(parents=True)

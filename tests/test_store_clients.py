@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from conftest import within_timeout
 
-from trialforge import clients, pipeline
+from trialforge import clients
 from trialforge.cli import main
 from trialforge.clients import (
     MODES,
@@ -39,6 +39,7 @@ from trialforge.pipeline import PipelineSettings, run_pipeline
 from trialforge.store import (
     TABLE_COLUMNS,
     TABLE_ORDER,
+    encode_escaped,
     encode_row,
     escape_cell,
     json_encoder,
@@ -76,7 +77,7 @@ JSON_EXAMPLE = {
 #: Each encoder built with `json_encoder`, and the `json.dumps` options it stands for.
 ROW_ENCODERS = [
     (encode_row, {"sort_keys": True, "ensure_ascii": False}),
-    (pipeline._encode_escaped, {"sort_keys": True}),
+    (encode_escaped, {"sort_keys": True}),
 ]
 ENCODER_OPTIONS = [options for _, options in ROW_ENCODERS] + [
     {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False}

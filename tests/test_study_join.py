@@ -35,7 +35,12 @@ SHAPES = {
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
-    return {path.relative_to(root).as_posix(): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+    """Every file under ``root`` but the per-entry memos, which the reference stages do not keep."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.parent != root / "memo"
+    }
 
 
 def reference_build(settings: PipelineSettings, **options) -> dict:
