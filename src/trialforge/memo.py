@@ -9,8 +9,9 @@ table by table, as it writes the tables. A stage's memo is
 ``out_dir/memo/<stage>.memo``, outside the stage directories: no manifest
 lists it and a skipped stage never opens it.
 
-The file is lines: the keys, in order; for each table, the number of lines of
-each record; for each count, each record's share; for each record, its
+The file is lines: the keys, in the order the driver took its entries (the
+join's study-id order, not sorted by key); for each table, the number of lines
+of each record; for each count, each record's share; for each record, its
 ``<fixture>=<sha256>`` pairs; then, table by table, each record's lines; last,
 the sha256 of all the bytes before it. Each of the first lines is
 space-separated. A file that is missing, is not a regular file or does not
@@ -31,8 +32,8 @@ from typing import Optional
 
 from .ingest import read_regular
 
-# the count shares or fixtures of a record that has none, shared: records are many, and each is read only
-_NONE: dict = {}
+# the count shares or fixtures of a record that has none, shared with the driver: records are many, each read only
+EMPTY: dict = {}
 # lines written at once, some 50 KB of table rows
 _CHUNK = 256
 
@@ -41,9 +42,9 @@ class Memo:
     """The records a map stage of ``tables`` and ``counts`` kept in ``path``, and the file of this run's.
 
     `get` gives a record; `start` begins this run's file, `feed` adds one
-    table's lines, in key order, and `finish` replaces the file atomically,
-    unless it already holds exactly this run's records; `close` closes a
-    file `finish` did not end, which is then left unused.
+    table's lines, in the order of its keys, and `finish` replaces the file
+    atomically, unless it already holds exactly this run's records; `close`
+    closes a file `finish` did not end, which is then left unused.
     """
 
     def __init__(self, path: Path, tables: tuple[str, ...], counts: tuple[str, ...]) -> None:
@@ -74,8 +75,8 @@ class Memo:
         fixtures = self._lines[self._fixtures + n]
         return (
             tuple(self._lines[starts[n]:starts[n + 1]] for starts in self._starts),
-            {name: shares[n] for name, shares in zip(self._counts, self._shares)} if self._counts else _NONE,
-            dict(pair.split("=") for pair in fixtures.split(" ")) if fixtures else _NONE,
+            {name: shares[n] for name, shares in zip(self._counts, self._shares)} if self._counts else EMPTY,
+            dict(pair.split("=") for pair in fixtures.split(" ")) if fixtures else EMPTY,
         )
 
     def start(self, keys: list[str], rows: list, counts: list[dict], fixtures: list[dict], reused: int) -> None:

@@ -24,11 +24,12 @@ Between runs, link and extract keep one memo each, ``out_dir/memo/<stage>.memo``
 (`memo.Memo`), outside the stage directories: never a recorded output, never read
 or written by a skipped stage. It keys each joined study, by
 `_RunContext.entry_keys`, on the stage, the package's code and data files, the
-settings' fingerprint and the entry's own input bytes, and holds the entry's
-table lines, count shares and the sha256 of each fixture its kernel read. A
-stage that runs serves an entry from it only when those fixtures still hash
-the same, then counts them as served; it runs the kernel for every other
-entry and rewrites the memo with exactly this run's entries. So a rerun
+settings' fingerprint less the settings only later stages read (`_LATE_SETTINGS`)
+and the entry's own input bytes, and holds the entry's table lines, count
+shares and the sha256 of each fixture its kernel read. A stage that runs
+serves an entry from it only when those fixtures still hash the same, then
+counts them as served; it runs the kernel for every other entry and rewrites
+the memo with exactly this run's entries, in the join's order. So a rerun
 recomputes only the entries whose inputs changed, and its tree equals a cold
 build's. The memo changes no stage key: an edited fixture in a store outside
 the corpus still leaves every stage up to date.
@@ -64,7 +65,8 @@ file only when its writer was skipped in this run or reused a memo entry,
 so a cold run decodes none of its own outputs. Ingest also hands on the
 line it wrote for each study: dedupe writes those lines for the studies it
 passes through unchanged, encodes only the studies it merged, and drops
-them once it has run. Link, extract and benchmarks read the studies through one per-study
+them once it has run. Dedupe refuses an id that two surviving studies hold,
+so link, extract and benchmarks read one study per id, through one per-study
 join, `_RunContext.join`; link and extract each map one kernel over it and
 write its rows sorted, so the order of entries and calls never shows.
 """
@@ -78,8 +80,7 @@ import os
 import shutil
 import stat
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, groupby
-from operator import attrgetter, itemgetter, sub
+from operator import attrgetter, sub
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, get_type_hints
 
@@ -132,7 +133,7 @@ from .ingest import (
     read_json,
     read_regular,
 )
-from .memo import Memo
+from .memo import EMPTY, Memo
 from .ontology.biomarkers import BiomarkerIndex, BiomarkerMatch, load_biomarker_index, match_biomarker
 from .ontology.conditions import annotate_conditions
 from .ontology.drugs import link_drug, load_drug_normalization, load_drug_resources
@@ -479,16 +480,6 @@ def _code_digest() -> str:
     return _digest_files(_tree_digests(DATA_DIR.parent, prune="__pycache__"))
 
 
-def _write_sorted_rows(path: Path, rows: list[dict], encode: Callable[[dict], str] = store.encode_row) -> list[dict]:
-    """Write ``rows`` as JSON lines by `store.write_sorted_lines`, ``encode`` giving each line; return them in that order.
-
-    Equal rows have equal lines, so an exact repeat is written and returned
-    once: each table holds each distinct row once.
-    """
-    unique = dict(zip(map(encode, rows), rows))
-    return list(map(unique.__getitem__, store.write_sorted_lines(path, unique)))
-
-
 def _write_tables(
     run: _RunContext, out: Path, names: tuple, entries: Iterator, kernel: Callable, *args, counts: Optional[dict] = None
 ) -> dict:
@@ -496,17 +487,18 @@ def _write_tables(
 
     Each entry's lines, its share of ``counts`` (which the kernel tallies) and the fixtures it read come from the
     stage's `Memo` when it holds them and each of those fixtures still hashes the same; the kernel runs only for the
-    rest. The memo is rewritten with every entry's, table by table, as each table goes to ``out/<name>.jsonl`` by
-    `store.write_sorted_lines`, encoded by its `store.line_encoder`. A table is held only when every entry was computed:
-    otherwise its readers read the file.
+    rest. The memo is rewritten with every entry's, in entry order, table by table, as each table goes to
+    ``out/<name>.jsonl`` by `store.write_sorted_lines`, encoded by its `store.line_encoder`. A table is held only when
+    every entry was computed: otherwise its readers read the file.
     """
     counts = {} if counts is None else counts
-    memo, replay, key_of = run.memo(names, tuple(counts)), run.clients.store, run.entry_keys()
+    memo = Memo(run.settings.out_dir / "memo" / f"{run.stage.name}.memo", names, tuple(counts))
+    replay, key_of = run.clients.store, run.entry_keys()
     items: list[list] = [[] for _ in names]  # each table's rows made or lines reused, in entry order
-    # key -> (fixtures, count shares, the entry's number of items of each table), in entry order: few objects kept
-    # alive per entry, since each costs collector time, and one shared empty map for those without fixtures or shares
-    records: dict[str, tuple] = {}
-    written, dirs, reused, empty = {}, {}, 0, {}  # dirs: the fixture directories the checks opened
+    # each entry's key, number of items of each table, count shares and fixtures, in entry order: few objects kept
+    # alive per entry, since each costs collector time, and the memo's one empty map for those without shares or fixtures
+    keys, sizes, shares, reads = [], [[] for _ in names], [], []
+    written, dirs, reused = {}, {}, 0  # dirs: the fixture directories the checks opened
     get, traced = memo.get, replay.traced
     try:
         for entry in entries:
@@ -515,26 +507,24 @@ def _write_tables(
             if found is None or found[2] and _changed_file(replay.root, found[2], dirs) is not None:
                 before = tuple(counts.values())
                 rows, fixtures = traced(kernel, entry, *args)
-                parts, fixtures = list(map(rows.__getitem__, names)), fixtures or empty
-                share = dict(zip(counts, map(sub, counts.values(), before))) if counts else empty
+                parts, fixtures = list(map(rows.__getitem__, names)), fixtures or EMPTY
+                share = dict(zip(counts, map(sub, counts.values(), before))) if counts else EMPTY
             else:
                 (parts, share, fixtures), reused = found, reused + 1
                 replay.served.update(fixtures)
                 for name, value in share.items():
                     counts[name] += value
-            records[key] = fixtures, share, tuple(map(len, parts))
-            for table, part in zip(items, parts):
+            keys.append(key)
+            shares.append(share)
+            reads.append(fixtures)
+            for table, size, part in zip(items, sizes, parts):
                 table += part
-        made, keys = list(records.values()), sorted(records)
-        order = sorted(range(len(keys)), key=list(records).__getitem__)  # each key's position in entry order
-        chosen = [made[k] for k in order]
-        memo.start(keys, [[record[2][n] for record in chosen] for n in range(len(names))],
-                   list(map(itemgetter(1), chosen)), list(map(itemgetter(0), chosen)), reused)
-        for n, (name, table) in enumerate(zip(names, items)):
+                size.append(len(part))
+        memo.start(keys, sizes, shares, reads, reused)
+        for name, table in zip(names, items):
             encode = store.line_encoder(store.TABLE_COLUMNS[name])
             lines = [item if isinstance(item, str) else encode(item) for item in table] if reused else list(map(encode, table))
-            starts = list(accumulate((record[2][n] for record in made), initial=0))
-            memo.feed(list(chain.from_iterable(lines[starts[k]:starts[k + 1]] for k in order)))
+            memo.feed(lines)
             path = out / f"{name}.jsonl"
             unique = dict(zip(lines, table))
             ordered = store.write_sorted_lines(path, unique)
@@ -544,7 +534,7 @@ def _write_tables(
         memo.close()
         for dir_fd in dirs.values():
             os.close(dir_fd)
-    run.reuse[run.stage.name] = {"reused": reused, "computed": len(records) - reused}
+    run.reuse[run.stage.name] = {"reused": reused, "computed": len(keys) - reused}
     return written
 
 
@@ -653,14 +643,14 @@ class Stage(NamedTuple):
 class StudyEntry(NamedTuple):
     """One surviving study id joined to what link and extract read about it.
 
-    ``studies``: the surviving studies with the id (two sources can share one), in dedupe's order.
-    ``absorbed``: the ids it absorbed, sorted. ``doc``: the CT.gov document with the smallest of all
-    these ids, or None. ``articles``: the distinct articles with one of them as pmid, in pmid order.
+    ``study``: the surviving study with the id; dedupe refuses a second. ``absorbed``: the ids it
+    absorbed, sorted. ``doc``: the CT.gov document with the smallest of all these ids, or None.
+    ``articles``: the distinct articles with one of them as pmid, in pmid order.
     ``nct_articles``: one per pmid, those naming the id, then each absorbed id, an order `rank_abstracts` keeps.
     """
 
     study_id: str
-    studies: tuple[CanonicalStudy, ...]
+    study: CanonicalStudy
     doc: Optional[CtgovDoc]
     absorbed: tuple[str, ...]
     articles: tuple[Article, ...]
@@ -686,20 +676,20 @@ class _RunContext:
 
     `join` is the one per-study join: a surviving study can have absorbed the id its CT.gov document
     or article carries (the surviving id is lexicographic, not source-ranked), so stages use only it.
-    `memo` opens the running map stage's `Memo`, whose keys `entry_keys` gives; `reuse` collects,
-    per map stage that ran, how many entries it reused and computed.
+    `entry_keys` keys the running map stage's `Memo` on ``memo_hash``, the digest of the settings' fingerprint less
+    `_LATE_SETTINGS`; `reuse` collects, per map stage that ran, how many entries it reused and computed.
     """
 
-    def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str, config_hash: str = "") -> None:
+    def __init__(self, settings: PipelineSettings, clients: _Clients, corpus_hash: str, memo_hash: str = "") -> None:
         self.settings = settings
         self.clients = clients
         self.corpus_hash = corpus_hash
-        self.config_hash = config_hash
+        self.memo_hash = memo_hash
         self.stage: Optional[Stage] = None
         self.reuse: dict[str, dict[str, int]] = {}
         self._held: dict[str, list] = {}
         self._lines: dict[str, list[str]] = {}
-        self._digests: dict[str, dict[int, str]] = {}
+        self._digests: dict[str, dict[str, str]] = {}
         self._inputs: dict[str, object] = {}
         self._code: Optional[str] = None
 
@@ -744,7 +734,7 @@ class _RunContext:
         if held is None and name == _JOINED:  # `entry_keys` digests each study's line
             lines: list[str] = []
             studies = read_studies_jsonl(path, lines)
-            self._digests[name] = {id(study): _sha256_text(line) for study, line in zip(studies, lines)}
+            self._digests[name] = {study.study_id: _sha256_text(line) for study, line in zip(studies, lines)}
             return studies
         if held is None:
             return read_studies_jsonl(path)
@@ -758,28 +748,24 @@ class _RunContext:
         return self._lines.pop(name, [])
 
     def entry_keys(self) -> Callable[[StudyEntry], str]:
-        """The running stage's memo key of an entry: the sha256 of the stage, the code, the settings and what a kernel
-        reads of the entry, which is the sha256 of its document's file (``-`` for none) and of each of its studies'
-        lines, then any absorbed ids and articles, encoded. The first call of a run digests the code."""
+        """The running stage's memo key of an entry: the sha256 of the stage, the code, ``memo_hash`` and what a kernel
+        reads of the entry, which is the sha256 of its document's file (``-`` for none) and of its study's line, then
+        any absorbed ids and articles, encoded. The first call of a run digests the code."""
         if self._code is None:
             self._code = _code_digest()
         studies = self.read(_JOINED)
         if _JOINED not in self._digests:  # handed on by dedupe, with the lines it wrote
-            self._digests[_JOINED] = {id(study): _sha256_text(line) for study, line in zip(studies, self.held_lines(_JOINED))}
-        prefix, lines, docs = f"{self.stage.name} {self._code} {self.config_hash}", self._digests[_JOINED], self.read("ctgov").digests
+            self._digests[_JOINED] = {study.study_id: _sha256_text(line) for study, line in zip(studies, self.held_lines(_JOINED))}
+        prefix, lines, docs = f"{self.stage.name} {self._code} {self.memo_hash}", self._digests[_JOINED], self.read("ctgov").digests
 
         def key(entry: StudyEntry) -> str:
             doc = "-" if entry.doc is None else docs[entry.doc.nct_id]
-            text = " ".join([prefix, doc, *map(lines.__getitem__, map(id, entry.studies))])
+            text = f"{prefix} {doc} {lines[entry.study_id]}"
             if entry.absorbed or entry.articles or entry.nct_articles:
                 text += " " + _encode_compact((entry.absorbed, entry.articles, entry.nct_articles))
             return _sha256_text(text)
 
         return key
-
-    def memo(self, tables: tuple[str, ...], counts: tuple[str, ...]) -> Memo:
-        """The running stage's memo of ``tables`` and ``counts``."""
-        return Memo(self.settings.out_dir / "memo" / f"{self.stage.name}.memo", tables, counts)
 
     def join(self, articles: Sequence[Article]) -> Iterator[StudyEntry]:
         """Each surviving study id, in id order, joined to its CT.gov document, absorbed ids and ``articles``.
@@ -801,14 +787,15 @@ class _RunContext:
             articles_of.setdefault(aliases.get(article.pmid, article.pmid), []).append(article)
             for triple in extract_nct_links(article):
                 citing.setdefault(triple.tail_id, []).append(article)
-        for study_id, group in groupby(studies, attrgetter("study_id")):
+        for study in studies:
+            study_id = study.study_id
             ids = (study_id, *absorbed.get(study_id, ()))
             linked: dict[str, Article] = {}
             for alias in ids:
                 for article in citing.get(alias, ()):
                     linked.setdefault(article.pmid, article)
             yield StudyEntry(
-                study_id, tuple(group), doc_of.get(study_id), ids[1:],
+                study_id, study, doc_of.get(study_id), ids[1:],
                 tuple(articles_of.get(study_id, ())), tuple(linked.values()),
             )
 
@@ -847,6 +834,12 @@ def _stage_ingest(run: _RunContext, out: Path) -> dict:
 def _stage_dedupe(run: _RunContext, out: Path) -> dict:
     records = run.read("ingest/studies.jsonl")
     merged, decisions, triples = dedupe_corpus(records, threshold=run.settings.dedupe_threshold)
+    # One study per id from here on: `studies` is keyed on it, and the join gives each id one entry.
+    first: dict[str, CanonicalStudy] = {}
+    for study in merged:
+        other = first.setdefault(study.study_id, study)
+        if other is not study:
+            raise ValueError(f"study id {study.study_id} survives dedupe twice, from {other.source.value} and {study.source.value}")
     # Most studies pass through dedupe as the very objects ingest encoded;
     # `records` keeps each keyed object alive until the lines are written.
     known = dict(zip(map(id, records), run.held_lines("ingest/studies.jsonl")))
@@ -917,26 +910,22 @@ def _link_rows(
             drug, reads = linked[name]
             clients.store.served.update(reads)
             drugs.append(store.table_row("drugs", drug, study_id=study_id))
-    conditions, endpoints, biomarkers = [], [], []
-    for study in entry.studies:
-        for annotation in annotate_conditions(study, clients.annotator):
-            conditions.append(store.table_row("conditions", annotation))
-        for text in (*study.primary_outcomes, *study.secondary_outcomes):
-            if text not in matched:
-                matched[text] = _biomarker_matches(text, biomarker_index)
-            for match in matched[text]:
-                biomarkers.append(store.table_row("biomarkers", match, study_id=study_id))
-            text = text.strip()
-            if not text:
-                continue
-            if text not in classified:
-                classified[text] = clients.store.traced(classify_endpoint, text, clients.llm)
-            classifications, reads = classified[text]
-            clients.store.served.update(reads)
-            for classification in classifications:
-                endpoints.append(store.table_row(
-                    "endpoints", classification, study_id=study_id, outcome_text=classification.outcome
-                ))
+    study, endpoints, biomarkers = entry.study, [], []
+    conditions = [store.table_row("conditions", annotation) for annotation in annotate_conditions(study, clients.annotator)]
+    for text in (*study.primary_outcomes, *study.secondary_outcomes):
+        if text not in matched:
+            matched[text] = _biomarker_matches(text, biomarker_index)
+        for match in matched[text]:
+            biomarkers.append(store.table_row("biomarkers", match, study_id=study_id))
+        text = text.strip()
+        if not text:
+            continue
+        if text not in classified:
+            classified[text] = clients.store.traced(classify_endpoint, text, clients.llm)
+        classifications, reads = classified[text]
+        clients.store.served.update(reads)
+        for classification in classifications:
+            endpoints.append(store.table_row("endpoints", classification, study_id=study_id, outcome_text=classification.outcome))
     return {"conditions": conditions, "drugs": drugs, "endpoints": endpoints, "biomarkers": biomarkers}
 
 
@@ -973,17 +962,14 @@ def _extract_rows(entry: StudyEntry, clients: _Clients, meddra, keyword_tokens, 
         results.extend(store.table_row("trial_results", row) for row in pico)
         disposition.extend(store.table_row("disposition", row) for row in pico_disposition_rows(study_id, pico))
 
-    labels = []
-    for study in entry.studies:
-        if study.status is StudyStatus.COMPLETED:
-            pvalues = primary_pvalues(doc) if doc is not None else []
-            label = classify_completed_outcome(study, entry.nct_articles, clients.llm, pvalues)
-        elif study.status is StudyStatus.TERMINATED:
-            label = label_terminated_study(study, doc.why_stopped if doc is not None else "", keyword_tokens)
-        else:
-            continue
-        labels.append(store.table_row("trial_outcomes", label))
-    return {"trial_results": results, "adverse_events": events, "disposition": disposition, "trial_outcomes": labels}
+    study, labels = entry.study, []
+    if study.status is StudyStatus.COMPLETED:
+        pvalues = primary_pvalues(doc) if doc is not None else []
+        labels = [classify_completed_outcome(study, entry.nct_articles, clients.llm, pvalues)]
+    elif study.status is StudyStatus.TERMINATED:
+        labels = [label_terminated_study(study, doc.why_stopped if doc is not None else "", keyword_tokens)]
+    outcomes = [store.table_row("trial_outcomes", label) for label in labels]
+    return {"trial_results": results, "adverse_events": events, "disposition": disposition, "trial_outcomes": outcomes}
 
 
 def _stage_extract(run: _RunContext, out: Path) -> dict:
@@ -1045,9 +1031,7 @@ def _stage_benchmarks(run: _RunContext, out: Path) -> dict:
 
     labels = (decode_record(OutcomeLabel, row) for row in run.read("extract/trial_outcomes.jsonl"))
     outcomes = {label.study_id: label for label in labels}
-    items.extend(gen_completion_items(
-        [(study, entry.doc) for entry in run.join(()) if entry.doc is not None for study in entry.studies], outcomes
-    ))
+    items.extend(gen_completion_items([(entry.study, entry.doc) for entry in run.join(()) if entry.doc is not None], outcomes))
 
     items.extend(gen_search_items(reviews, includes))
 
@@ -1105,6 +1089,8 @@ STAGE_DIRS = {stage.name: f"{position:02d}_{stage.name}" for position, stage in 
 _STAGE_FUNCS = {stage.name: stage.run for stage in STAGE_TABLE}
 # input name -> the last stage in the table that reads it
 _LAST_READER = {name: stage.name for stage in STAGE_TABLE for name in stage.reads}
+# the settings only stages after extract read, left out of the memo keys: graph reads `awaiting`, benchmarks the rest
+_LATE_SETTINGS = ("seed", "awaiting", "allow_small_split", "split_test_size", "split_validation_size", "search_test_size")
 
 
 def run_pipeline(
@@ -1127,10 +1113,13 @@ def run_pipeline(
     settings.out_dir.mkdir(parents=True, exist_ok=True)
     store_in_corpus = _store_in_corpus(settings)
     corpus_hash = hash_corpus(settings.corpus_dir, skip=store_in_corpus)
-    config_hash = _sha256_text(json.dumps(settings.fingerprint(), sort_keys=True))
+    fingerprint = settings.fingerprint()
+    config_hash = _sha256_text(json.dumps(fingerprint, sort_keys=True))
+    for name in _LATE_SETTINGS:
+        del fingerprint[name]
     clients = build_clients(settings, transports)
     served = clients.store.served
-    run = _RunContext(settings, clients, corpus_hash, config_hash)
+    run = _RunContext(settings, clients, corpus_hash, _sha256_text(json.dumps(fingerprint, sort_keys=True)))
 
     upstream = ""
     summary: dict = {"corpus_hash": corpus_hash, "config_hash": config_hash, "stages": {}}

@@ -1,13 +1,14 @@
 """Per-table link and extract stages: the references the per-study kernels are tested against.
 
 Each walks its inputs table by table, building the dedupe aliases and the
-study -> CT.gov document map itself, and writes its tables with the same
-sorted writer as the pipeline.
+study -> CT.gov document map itself, and writes its tables row by row
+through the pipeline's sorted writer, `store.write_sorted_lines`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 from trialforge import pipeline, store
 from trialforge.errors import MissingResultsSection
@@ -31,13 +32,23 @@ from trialforge.schema import StudyStatus
 from trialforge.views import Article, CtgovDoc
 
 
+def write_sorted_rows(path: Path, rows: list[dict], encode: Callable[[dict], str] = store.encode_row) -> list[dict]:
+    """Write ``rows`` as JSON lines by `store.write_sorted_lines`, ``encode`` giving each line; return them in that order.
+
+    Equal rows have equal lines, so an exact repeat is written and returned
+    once: each table holds each distinct row once.
+    """
+    unique = dict(zip(map(encode, rows), rows))
+    return list(map(unique.__getitem__, store.write_sorted_lines(path, unique)))
+
+
 def write_tables(run, out: Path, tables: dict[str, list[dict]]) -> dict[str, int]:
-    """Write each table to ``out/<name>.jsonl`` with `_write_sorted_rows` and hold it; return its row count by name."""
+    """Write each table to ``out/<name>.jsonl`` with `write_sorted_rows` and hold it; return its row count by name."""
     counts = {}
     for name, rows in tables.items():
         path = out / f"{name}.jsonl"
         encode = store.line_encoder(store.TABLE_COLUMNS[name])
-        counts[name] = len(run.hold(path, pipeline._write_sorted_rows(path, rows, encode)))
+        counts[name] = len(run.hold(path, write_sorted_rows(path, rows, encode)))
     return counts
 
 

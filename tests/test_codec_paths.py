@@ -295,8 +295,8 @@ def test_line_encoder_equals_the_row_encoder(table, data, tmp_path_factory):
         # a file holds no lone surrogate
         directory = tmp_path_factory.getbasetemp() / f"rows-{table}"
         directory.mkdir(exist_ok=True)
-        written = pipeline._write_sorted_rows(directory / "by-table.jsonl", rows, encode)
-        assert written == pipeline._write_sorted_rows(directory / "by-row.jsonl", rows)
+        written = store.write_sorted_lines(directory / "by-table.jsonl", dict(zip(map(encode, rows), rows)))
+        assert written == store.write_sorted_lines(directory / "by-row.jsonl", dict(zip(map(store.encode_row, rows), rows)))
         assert (directory / "by-table.jsonl").read_bytes() == (directory / "by-row.jsonl").read_bytes()
 
 

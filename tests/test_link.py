@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from trialforge import DATA_DIR, pipeline
 from trialforge.clients import ReplayStore
-from trialforge.memo import Memo
 from trialforge.ontology.biomarkers import load_biomarker_index, match_biomarker
 from trialforge.ontology.drugs import load_drug_normalization, load_drug_resources
 from trialforge.pipeline import StudyEntry, _biomarker_matches, _candidate_spans
@@ -115,11 +114,11 @@ def run_link(tmp_path: Path, replay_builder, outcomes: list[list[str]], vocab_di
             "drug_normalization": load_drug_normalization(),
             "biomarker_vocab": load_biomarker_index(vocab_dir),
         }.__getitem__,
-        join=lambda articles: [StudyEntry(study.study_id, (study,), None, (), (), ()) for study in studies],
+        join=lambda articles: [StudyEntry(study.study_id, study, None, (), (), ()) for study in studies],
         clients=SimpleNamespace(llm=llm, annotator=None, rxnorm=None, store=ReplayStore(tmp_path / "store")),
         hold=lambda path, value: value,
-        # an empty memo of its own, keyed on the study id alone
-        memo=lambda tables, counts: Memo(tmp_path / "memo" / "link.memo", tables, counts),
+        # an empty memo of its own, under tmp_path/memo, keyed on the study id alone
+        settings=SimpleNamespace(out_dir=tmp_path),
         entry_keys=lambda: attrgetter("study_id"),
         stage=SimpleNamespace(name="link"),
         reuse={},

@@ -107,6 +107,40 @@ def test_a_repair_rerun_reuses_every_record_and_calls_no_kernel(golden, tmp_path
     assert tree_bytes(settings.out_dir) == reference
 
 
+def test_a_repair_rerun_that_reuses_every_entry_leaves_the_memo_file_as_it_was(golden, tmp_path):
+    settings = golden_settings(golden, tmp_path / "out")
+    run_pipeline(settings)
+    memo = settings.out_dir / "memo" / "extract.memo"
+    before = memo.stat()
+    corrupt(settings.out_dir, "extract", "trial_results.jsonl")
+    assert reuse(run_pipeline(settings)) == {"extract": (len(joined(settings, "extract")), 0)}
+    after = memo.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_a_memo_lists_its_keys_in_the_joins_study_id_order(golden, tmp_path, monkeypatch):
+    keyed: dict[str, list[tuple[str, str]]] = {stage: [] for stage in MAP_STAGES}
+    entry_keys = pipeline._RunContext.entry_keys
+
+    def recording(run):
+        key_of, taken = entry_keys(run), keyed[run.stage.name]
+
+        def key(entry):
+            taken.append((entry.study_id, key_of(entry)))
+            return taken[-1][1]
+
+        return key
+
+    monkeypatch.setattr(pipeline._RunContext, "entry_keys", recording)
+    settings = golden_settings(golden, tmp_path / "out")
+    run_pipeline(settings)
+    for stage in MAP_STAGES:
+        ids, keys = map(list, zip(*keyed[stage]))
+        assert ids == sorted(joined(settings, stage))
+        first = (settings.out_dir / "memo" / f"{stage}.memo").read_text(encoding="utf-8").split("\n", 1)[0]
+        assert first.split(" ") == keys != sorted(keys)
+
+
 def truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
@@ -457,3 +491,25 @@ def test_an_in_place_rerun_after_an_edit_equals_a_cold_build(sweep_base, tmp_pat
     summary = in_place[1]
     print(f"{edit} {seed}: reran {len(reran(summary))} of {len(STAGES)} stages; "
           + "; ".join(f"{name} reused {done[0]}, computed {done[1]}" for name, done in reuse(summary).items()))
+    if edit == "setting" and settings.dedupe_threshold == sweep_settings(case, case / "out").dedupe_threshold:
+        # a `seed`, `awaiting` or split-size edit, which only graph and benchmarks read
+        assert [computed for _, computed in reuse(summary).values()] == [0, 0]
+
+
+@pytest.mark.parametrize("change", [{"allow_small_split": False}, {"split_validation_size": 2}, {"search_test_size": 1}],
+                         ids=lambda change: next(iter(change)))
+def test_a_setting_only_benchmarks_read_runs_no_kernel(sweep_base, tmp_path, monkeypatch, change):
+    """The late settings the sweep does not edit: like its `seed`, `awaiting` and split-size edits, each keys no entry."""
+    for name in ("corpus", "vocab", "sources", "out"):
+        shutil.copytree(sweep_base / name, tmp_path / name)
+    settings = replace(sweep_settings(tmp_path, tmp_path / "out"), **change)
+    calls = count_kernel_calls(monkeypatch)
+    in_place = outcome(lambda: run_pipeline(settings, transports=corpusgen.TRANSPORTS))
+    assert calls == {"link": [], "extract": []}
+    monkeypatch.undo()
+    cold = outcome(lambda: run_pipeline(replace(settings, out_dir=tmp_path / "cold"), transports=corpusgen.TRANSPORTS))
+    if in_place[0] != "ok" or cold[0] != "ok":  # a corpus too small to split unless allowed
+        assert in_place == cold
+        return
+    assert reran(in_place[1]) == list(STAGES)
+    assert tree_bytes(settings.out_dir) == tree_bytes(tmp_path / "cold")

@@ -527,10 +527,13 @@ def test_sorted_rows_match_sort_then_write(tmp_path):
     # the repeated {"x": "é"} is written and returned once
     ordered = sorted(rows[:8] + rows[9:], key=lambda row: json.dumps(row, sort_keys=True))
     expected = store.write_jsonl(old, ordered)
-    written = pipeline._write_sorted_rows(new, rows)
-    assert written == ordered
+    written = store.write_sorted_lines(new, dict(zip(map(store.encode_row, rows), rows)))
+    assert written == list(map(store.encode_row, ordered))
     assert len(written) == expected == len(rows) - 1
     assert new.read_bytes() == old.read_bytes()
+    # lines reused without their rows (a memo's) sort the same
+    assert store.write_sorted_lines(tmp_path / "lines.jsonl", {line: line for line in reversed(written)}) == written
+    assert (tmp_path / "lines.jsonl").read_bytes() == old.read_bytes()
     lines = new.read_text(encoding="utf-8").split("\n")
     # The escaped key orders "\u00e9" before "z" and "\u007f" before "a";
     # the written lines would not.

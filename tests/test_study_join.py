@@ -22,7 +22,7 @@ from conftest import load_script
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trialforge import DATA_DIR, pipeline, store
+from trialforge import DATA_DIR, cli, pipeline, store
 from trialforge.pipeline import STAGE_DIRS, STAGES, PipelineSettings, build_clients, run_pipeline
 
 corpusgen = load_script("corpusgen", directory="perfbench")
@@ -58,24 +58,40 @@ def test_kernels_write_the_reference_bytes_on_golden(golden, tmp_path):
     assert tree_bytes(settings.out_dir) == tree_bytes(golden.record_out)
 
 
-def test_kernels_write_the_reference_bytes_when_two_sources_share_an_id(golden, tmp_path):
-    """A registry row under a CT.gov document's id survives dedupe beside it: one entry holds both studies."""
-    corpus = shutil.copytree(golden.corpus, tmp_path / "corpus")
+def shared_id_corpus(golden, target: Path) -> Path:
+    """A golden copy whose one added ANZCTR row, under another title, is registered as CT.gov's NCT00000150."""
+    corpus = shutil.copytree(golden.corpus, target)
     path = corpus / "registry" / "ANZCTR.json"
     rows = json.loads(path.read_text(encoding="utf-8"))
     rows.append(dict(rows[0], **{"Registration number": "NCT00000150", "Public title": "An unrelated trial of sleep"}))
     path.write_text(json.dumps(rows), encoding="utf-8")
-    trees = []
-    for build in (run_pipeline, reference_build):
-        out = tmp_path / build.__name__
-        settings = PipelineSettings(corpus_dir=corpus, out_dir=out, mode="record", replay_dir=tmp_path / "replay")
-        build(settings, transports=golden.transports, until="extract")
-        trees.append(tree_bytes(out))
-    run = pipeline._RunContext(settings, None, "")
-    run.stage = pipeline.STAGE_TABLE[STAGES.index("link")]
-    shared = [entry for entry in run.join(()) if entry.study_id == "NCT00000150"]
-    assert [[study.source.value for study in entry.studies] for entry in shared] == [["ANZCTR", "CTGOV"]]
-    assert trees[0] == trees[1]
+    return corpus
+
+
+SHARED = "study id NCT00000150 survives dedupe twice, from ANZCTR and CTGOV"
+
+
+def test_two_sources_surviving_under_one_id_stop_the_run_at_dedupe(golden, tmp_path, capsys):
+    """Both studies survive dedupe; the run stops there, before any service call and before link."""
+    corpus = shared_id_corpus(golden, tmp_path / "corpus")
+    called = []
+    transports = {
+        name: lambda service, request, _transport=transport: called.append(service) or _transport(service, request)
+        for name, transport in golden.transports.items()
+    }
+    settings = PipelineSettings(corpus_dir=corpus, out_dir=tmp_path / "record", mode="record", replay_dir=tmp_path / "replay")
+    with pytest.raises(ValueError, match=f"^{SHARED}$"):
+        run_pipeline(settings, transports=transports)
+    assert called == []
+    assert sorted(path.name for path in settings.out_dir.iterdir()) == [STAGE_DIRS["ingest"], STAGE_DIRS["dedupe"]]
+    assert not (settings.out_dir / STAGE_DIRS["dedupe"] / "manifest.json").exists()
+
+    for verb in ("run-all", "dedupe"):
+        out = tmp_path / verb
+        args = ["--corpus", str(corpus), "--out", str(out), "--replay-dir", str(golden.replay), "--seed", str(golden.seed)]
+        assert cli.main([verb, *args]) == 2
+        assert capsys.readouterr().err == f"invalid input: {SHARED}\n"
+        assert not (out / STAGE_DIRS["link"]).exists()
 
 
 @pytest.fixture(scope="module")
